@@ -35,7 +35,7 @@ from .montecarlo import (
     run_mdp_tail,
     run_strong_rate,
 )
-from .noise import NoiseSpec, load_control, sample_noise, save_control
+from .noise import BinaryFormatError, NoiseSpec, load_control, sample_noise, save_control
 from .solvers import (
     BlowupError,
     BlowupGuard,
@@ -549,6 +549,9 @@ def main(argv=None):
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BinaryFormatError as exc:
+        print(f"malformed input file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowupError, NumericalAbortError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

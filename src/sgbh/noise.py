@@ -13,6 +13,7 @@ so any worker can reproduce any path independently of scheduling, and
 ensembles are bit-reproducible for a fixed base seed.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = [
     "NoiseSpec",
     "NoiseRealization",
+    "BinaryFormatError",
     "ControlPath",
     "sample_noise",
     "refine_noise",
@@ -101,7 +103,8 @@ def sample_noise(spec, dt, n_steps, seed, path_index=0):
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = _generator(seed, path_index, _STREAM_BASE)
-    inc = np.sqrt(dt) * rng.standard_normal((spec.n_modes, n_steps))
+    inc = rng.standard_normal((spec.n_modes, n_steps))
+    inc *= np.sqrt(dt)
     return NoiseRealization(
         dt=dt, n_steps=n_steps, increments=inc, seed=seed, path_index=path_index, spec=spec
     )
@@ -184,6 +187,38 @@ _REAL_HEADER = struct.Struct("<qqdQ")
 _CTRL_HEADER = struct.Struct("<qqd")
 
 
+class BinaryFormatError(ValueError):
+    """A flat binary file whose header or payload length is inconsistent."""
+
+
+def _read_flat_binary(path, header, shape):
+    """Header fields and the float64 payload of a flat binary file.
+
+    ``shape`` maps the header fields to the payload's shape.  A file shorter
+    than the header, a non-positive dimension, a float field (the step dt)
+    that is not finite and positive, or a payload of any other length than
+    the shape needs raises BinaryFormatError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < header.size:
+        raise BinaryFormatError(
+            f"{path}: {len(raw)} bytes, shorter than the {header.size}-byte header"
+        )
+    fields = header.unpack_from(raw)
+    dims = shape(fields)
+    if min(dims) < 1:
+        raise BinaryFormatError(f"{path}: header gives payload shape {dims}")
+    if not all(math.isfinite(f) and f > 0 for f in fields if isinstance(f, float)):
+        raise BinaryFormatError(f"{path}: header gives a step that is not finite and > 0")
+    payload, need = len(raw) - header.size, 8 * math.prod(dims)
+    if payload != need:
+        raise BinaryFormatError(
+            f"{path}: payload is {payload} bytes, header shape {dims} needs {need}"
+        )
+    return fields, np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(dims)
+
+
 def save_realization(r, path):
     with open(path, "wb") as fh:
         fh.write(_REAL_HEADER.pack(r.n_modes, r.n_steps, r.dt, r.seed & _MASK64))
@@ -192,9 +227,7 @@ def save_realization(r, path):
 
 def load_realization(path, spec=None):
     """Load a persisted realization; ``spec`` reattaches the coloring (not stored)."""
-    with open(path, "rb") as fh:
-        j, n_steps, dt, seed = _REAL_HEADER.unpack(fh.read(_REAL_HEADER.size))
-        data = np.frombuffer(fh.read(8 * j * n_steps), dtype="<f8").reshape(j, n_steps)
+    (j, n_steps, dt, seed), data = _read_flat_binary(path, _REAL_HEADER, lambda f: f[:2])
     if spec is not None and spec.n_modes != j:
         raise ValueError(f"spec has {spec.n_modes} modes but file has {j}")
     return NoiseRealization(
@@ -209,7 +242,5 @@ def save_control(h, path):
 
 
 def load_control(path):
-    with open(path, "rb") as fh:
-        j, n_steps, dt = _CTRL_HEADER.unpack(fh.read(_CTRL_HEADER.size))
-        data = np.frombuffer(fh.read(8 * j * n_steps), dtype="<f8").reshape(j, n_steps)
+    (j, n_steps, dt), data = _read_flat_binary(path, _CTRL_HEADER, lambda f: f[:2])
     return ControlPath(dt=dt, n_steps=n_steps, hdot=data)

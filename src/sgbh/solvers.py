@@ -36,11 +36,11 @@ import numpy as np
 from .model import (
     advective_derivative,
     advective_nonlinearity,
-    noise_coefficient_eval,
+    noise_coefficient_eval,  # noqa: F401  (perfbench/probe.py patches it here by name)
     reaction_derivative,
     reaction_nonlinearity,
 )
-from .noise import NoiseSpec
+from .noise import BinaryFormatError, NoiseSpec, _read_flat_binary
 from .spectral import Field, Grid1D, build_basis, to_spectral
 
 __all__ = [
@@ -96,6 +96,12 @@ class SolverConfig:
             raise ValueError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
         if self.scheme != "exponential-euler":
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        if self.n_points < 4 * self.n_modes:
+            raise ValueError(
+                f"grid too coarse: n_points={self.n_points} < 4*n_modes={4 * self.n_modes}"
+            )
 
     @property
     def n_steps(self):
@@ -180,10 +186,13 @@ def save_trajectory(traj, path):
 
 
 def load_trajectory(path):
-    with open(path, "rb") as fh:
-        n_points, n_modes, dt, n_steps = _TRAJ_HEADER.unpack(fh.read(_TRAJ_HEADER.size))
-        coeffs = np.frombuffer(fh.read(8 * (n_steps + 1) * n_modes), dtype="<f8")
-    coeffs = coeffs.reshape(n_steps + 1, n_modes)
+    (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(
+        path, _TRAJ_HEADER, lambda f: (f[3] + 1, f[1])
+    )
+    if n_steps < 1 or n_points < 4 * n_modes:
+        raise BinaryFormatError(
+            f"{path}: header gives n_points={n_points}, n_modes={n_modes}, n_steps={n_steps}"
+        )
     basis = build_basis(n_modes, Grid1D(n_points))
     return Trajectory(times=dt * np.arange(n_steps + 1), coeffs=coeffs.copy(), basis=basis)
 
@@ -288,10 +297,20 @@ class SolverEngine:
         return (self.q[:jn] * mode_increments) @ self.phi[:jn]
 
     def forcing_term(self, t, u_grid, mode_increments):
-        """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control."""
-        w = self.colored_increment_grid(mode_increments)
-        gv = noise_coefficient_eval(self.g, t, self.grid.nodes, u_grid)
-        return self.project(gv * w)
+        """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control.
+
+        With g = kappa0 + kappa1 u, the kappa0 part projects to kappa0 q_j dB_j
+        exactly (the sine modes are discretely orthonormal on the grid), zero
+        beyond the increments' J_noise modes, so only kappa1 != 0 takes the
+        grid product; ``u_grid`` is read only then.
+        """
+        jn = mode_increments.shape[-1]
+        out = np.zeros(mode_increments.shape[:-1] + (self.cfg.n_modes,))
+        out[..., :jn] = self.g.kappa0 * self.q[:jn] * mode_increments
+        if self.g.kappa1 != 0.0:
+            w = self.colored_increment_grid(mode_increments)
+            out = out + self.project(self.g.kappa1 * u_grid * w)
+        return out
 
 
 def _check_traj(u0_traj, cfg):

@@ -191,6 +191,26 @@ def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
     np.testing.assert_allclose(data[:, 1], 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "too_long"])
+def test_simulate_malformed_control_file_exits_2(tmp_path, capsys, damage):
+    from sgbh.noise import ControlPath, save_control
+
+    ctrl = tmp_path / "ctrl.bin"
+    save_control(ControlPath.zero(8, 0.005, 10), ctrl)
+    raw = ctrl.read_bytes()
+    ctrl.write_bytes(raw[:3] if damage == "truncated" else raw + bytes(8))
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    argv = ["simulate", "--solver", "skeleton", "--control", str(ctrl), "--config", cfg]
+    assert main([*argv, "--out", str(tmp_path / "sk")]) == EXIT_CONFIG
+    assert "malformed input file" in capsys.readouterr().err
+
+
+def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "[solver]\nn_points = 64\nn_modes = 32\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert "grid too coarse" in capsys.readouterr().err
+
+
 def test_simulate_unknown_kind_in_config(tmp_path):
     cfg = _write(tmp_path, SMALL_SOLVER + '[solver]\nkind = "spectral-split"\n')
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -447,6 +467,14 @@ def test_console_script_runs(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     _run_simulate([sys.executable, str(script)], tmp_path, env=env, cwd=tmp_path)
+
+
+def test_python_dash_m_runs(tmp_path):
+    """`python -m sgbh` runs the same entry point, with no runpy warning."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "sgbh"]
+    _run_simulate(command, tmp_path, env=env, cwd=tmp_path)
 
 
 _INSTALLED_ENTRY = _installed_script_entry()

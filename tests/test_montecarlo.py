@@ -22,7 +22,7 @@ from sgbh.montecarlo import (
     run_mdp_tail,
     run_strong_rate,
 )
-from sgbh.noise import NoiseSpec
+from sgbh.noise import NoiseSpec, sample_noise
 from sgbh.solvers import SolverConfig
 from sgbh.spectral import build_grid
 
@@ -174,6 +174,27 @@ def test_reports_are_byte_identical_across_worker_counts():
     again = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert serial.to_json() == parallel.to_json()
     assert serial.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_block_increments_are_step_major_path_draws(coupled):
+    from sgbh.montecarlo import _block_increments
+
+    payload = {
+        "noise_spec": NoiseSpec(n_modes=6, eta=0.3),
+        "cfg": CFG_SMALL,
+        "coupled": coupled,
+        "n_paths": 20,
+        "base_seed": 31,
+    }
+    start, stop, eps_index = 5, 12, 2
+    inc = _block_increments(payload, start, stop, eps_index)
+    assert inc.shape == (CFG_SMALL.n_steps, stop - start, 6)
+    assert inc[3].flags.c_contiguous
+    offset = 0 if coupled else eps_index * payload["n_paths"]
+    for b, i in enumerate(range(start, stop)):
+        r = sample_noise(payload["noise_spec"], CFG_SMALL.dt, CFG_SMALL.n_steps, 31, offset + i)
+        assert np.array_equal(inc[:, b, :], r.increments.T)
 
 
 def test_block_size_only_regroups_arithmetic():

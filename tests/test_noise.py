@@ -10,6 +10,7 @@ import pytest
 from scipy.special import zeta
 
 from sgbh.noise import (
+    BinaryFormatError,
     ControlPath,
     NoiseRealization,
     NoiseSpec,
@@ -76,6 +77,16 @@ def test_sampling_is_deterministic_and_keyed():
     d = sample_noise(spec, 0.01, 20, seed=43, path_index=3)
     assert not np.array_equal(a.increments, c.increments)
     assert not np.array_equal(a.increments, d.increments)
+
+
+def test_sampling_is_the_scaled_philox_stream():
+    # key words (seed, path_index) at stream 0; dt scaling in place keeps the bits
+    spec = NoiseSpec(n_modes=5, eta=0.3)
+    dt, n_steps, seed, path = 0.003, 40, 2024, 17
+    rng = np.random.Generator(np.random.Philox(key=[seed, path]))
+    expected = np.sqrt(dt) * rng.standard_normal((5, n_steps))
+    got = sample_noise(spec, dt, n_steps, seed=seed, path_index=path).increments
+    assert np.array_equal(got, expected)
 
 
 def test_sampling_validation():
@@ -232,3 +243,35 @@ def test_control_round_trip(tmp_path):
     assert back.dt == h.dt
     assert back.n_steps == h.n_steps
     assert back.action() == pytest.approx(h.action(), rel=1e-15)
+
+
+def _flat_binary_cases(tmp_path):
+    """One saved realization and one saved control, with their loaders."""
+    spec = NoiseSpec(n_modes=3, eta=0.3)
+    real = tmp_path / "real.bin"
+    save_realization(sample_noise(spec, 0.01, 7, seed=5), real)
+    ctrl = tmp_path / "ctrl.bin"
+    save_control(ControlPath(dt=0.01, n_steps=7, hdot=np.ones((3, 7))), ctrl)
+    return [(real, load_realization), (ctrl, load_control)]
+
+
+@pytest.mark.parametrize("cut", [0, 3, 24, -8, -1])
+def test_truncated_binary_files_raise_format_error(tmp_path, cut):
+    for path, load in _flat_binary_cases(tmp_path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        with pytest.raises(BinaryFormatError):
+            load(path)
+
+
+def test_overlong_or_inconsistent_binary_files_raise_format_error(tmp_path):
+    for path, load in _flat_binary_cases(tmp_path):
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(BinaryFormatError):
+            load(path)
+        # header claiming zero modes, and one claiming a negative step
+        for offset, word in ((0, np.int64(0)), (16, np.float64(-0.01))):
+            path.write_bytes(raw[:offset] + word.tobytes() + raw[offset + 8 :])
+            with pytest.raises(BinaryFormatError):
+                load(path)

@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sgbh.model import ModelParams, NoiseCoefficient, reaction_nonlinearity
-from sgbh.noise import ControlPath, NoiseRealization, NoiseSpec, sample_noise
+from sgbh.model import (
+    ModelParams,
+    NoiseCoefficient,
+    noise_coefficient_eval,
+    reaction_nonlinearity,
+)
+from sgbh.noise import BinaryFormatError, ControlPath, NoiseRealization, NoiseSpec, sample_noise
 from sgbh.solvers import (
     BlowupError,
     BlowupGuard,
@@ -31,6 +36,8 @@ from sgbh.solvers import (
 from sgbh.spectral import Field, build_basis, build_grid
 
 DESK = dict(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8)
+G_CONSTANT = NoiseCoefficient(kind="constant", kappa0=0.7)
+G_AFFINE = NoiseCoefficient(kind="affine", kappa0=0.7, kappa1=-1.3)
 
 
 def _parabola(cfg):
@@ -52,6 +59,11 @@ def test_config_validation():
         SolverConfig(dt=0.003, t_end=0.25)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.001, t_end=0.25, scheme="crank-nicolson")
+    with pytest.raises(ValueError, match="grid too coarse"):
+        SolverConfig(dt=0.001, t_end=0.25, n_modes=32, n_points=64)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=0.001, t_end=0.25, n_modes=0, n_points=64)
+    SolverConfig(dt=0.001, t_end=0.25, n_modes=16, n_points=64)
 
 
 def test_engine_aliasing_guard():
@@ -306,6 +318,30 @@ def test_non_finite_state_aborts():
         solve_deterministic(bad, params, cfg)
 
 
+# --- noise forcing ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [G_CONSTANT, G_AFFINE], ids=["constant", "affine"])
+@pytest.mark.parametrize("batch", [(), (1,), (128,)], ids=["path", "B1", "B128"])
+@pytest.mark.parametrize("j_noise", [16, 6])
+def test_forcing_term_equals_grid_projection(g, batch, j_noise):
+    """The modal forcing equals project(g(u) * sum_j q_j phi_j dB_j) on the grid."""
+    cfg = SolverConfig(dt=0.001, t_end=0.01, n_modes=16, n_points=128)
+    params = ModelParams(**DESK)
+    eng = SolverEngine(params, cfg, g=g, noise_spec=NoiseSpec(n_modes=j_noise, eta=0.3))
+    rng = np.random.default_rng(j_noise + len(batch))
+    u_grid = eng.grid_values(0.3 * rng.standard_normal(batch + (cfg.n_modes,)))
+    dB = rng.standard_normal(batch + (j_noise,))
+    grid_formula = eng.project(
+        noise_coefficient_eval(g, 0.0, eng.grid.nodes, u_grid) * eng.colored_increment_grid(dB)
+    )
+    got = eng.forcing_term(0.0, u_grid, dB)
+    assert got.shape == batch + (cfg.n_modes,)
+    np.testing.assert_allclose(got, grid_formula, rtol=0, atol=1e-13)
+    if g.kappa1 == 0.0:
+        assert np.all(got[..., j_noise:] == 0.0)
+
+
 # --- trajectory object and persistence ----------------------------------------------
 
 
@@ -325,6 +361,20 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, u0.coeffs)
     np.testing.assert_allclose(back.times, u0.times, atol=1e-15)
     assert back.basis.grid.n_points == cfg.n_points
+
+
+@pytest.mark.parametrize("cut", [3, 32, -8])
+def test_trajectory_truncated_or_overlong_raises_format_error(tmp_path, cut):
+    u0 = _desk_setup(t_end=0.05)[4]
+    path = tmp_path / "traj.bin"
+    save_trajectory(u0, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut])
+    with pytest.raises(BinaryFormatError):
+        load_trajectory(path)
+    path.write_bytes(raw + bytes(8))
+    with pytest.raises(BinaryFormatError):
+        load_trajectory(path)
 
 
 def test_trajectory_csv_format(tmp_path):
