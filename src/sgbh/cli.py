@@ -15,7 +15,8 @@ the output directory as ``config.txt`` for provenance, and reports carry no
 timestamps, so a rerun with the same seed produces byte-identical artifacts.
 
 Exit codes: 0 pass, 1 scientific fail (slope/oracle/rate did not meet its
-gate), 2 usage or config error, 3 numerical abort (blowup or non-finite).
+gate), 2 usage, config or setup error (inputs that cannot run together),
+3 numerical abort (blowup or non-finite).
 """
 
 import argparse
@@ -40,6 +41,7 @@ from .solvers import (
     BlowupError,
     BlowupGuard,
     NumericalAbortError,
+    SetupError,
     SolverConfig,
     save_trajectory,
     solve_clt_limit,
@@ -552,6 +554,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except BinaryFormatError as exc:
         print(f"malformed input file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SetupError as exc:
+        print(f"setup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowupError, NumericalAbortError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

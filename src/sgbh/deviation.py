@@ -27,7 +27,7 @@ from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .model import noise_coefficient_eval
 from .noise import ControlPath, NoiseSpec
-from .solvers import SolverEngine, _check_traj
+from .solvers import SetupError, SolverEngine, _check_time_grid
 
 __all__ = [
     "SpeedFunction",
@@ -54,7 +54,7 @@ class SpeedFunction:
 
     def __post_init__(self):
         if not 0 <= self.theta < 0.5:
-            raise ValueError(f"theta must lie in [0, 1/2), got {self.theta}")
+            raise SetupError(f"theta must lie in [0, 1/2), got {self.theta}")
 
     def __call__(self, eps):
         if eps <= 0:
@@ -106,29 +106,23 @@ class EndpointControlMap:
     """
 
     def __init__(self, u0_traj, params, g, cfg, noise_spec=None):
-        _check_traj(u0_traj, cfg)
+        _check_time_grid(cfg, trajectory=u0_traj)
         spec = noise_spec if noise_spec is not None else NoiseSpec(n_modes=cfg.n_modes)
         self.eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
         self.n_steps = cfg.n_steps
         self.n_control_modes = spec.n_modes
         self.u0_grid = u0_traj.grid_values()
-        self.p1, self.c1 = self.eng.linearization_profiles(self.u0_grid)
+        self.profiles = self.eng.deviation_reference(self.u0_grid, linear=True)
+        self.p1, self.c1 = self.profiles
 
     def forward(self, hdot):
         """Endpoint coefficients Z_h(T) for hdot of shape (J_noise, n_steps)."""
         eng = self.eng
-        dt = eng.dt
+        # the skeleton solver's stepper, so endpoints agree bitwise
+        step = eng.deviation_step(self.u0_grid, 0.0, self.profiles, control_inc=hdot.T)
         z = np.zeros(eng.cfg.n_modes)
         for k in range(self.n_steps):
-            z_grid = eng.grid_values(z)
-            lin = eng.linearized_drift(
-                z_grid,
-                None if self.p1 is None else self.p1[k],
-                None if self.c1 is None else self.c1[k],
-            )
-            ctl = eng.forcing_term(k * dt, self.u0_grid[k], hdot[:, k])
-            # same op order as the skeleton solver so endpoints agree bitwise
-            z = eng.semigroup * (z + dt * lin + dt * ctl)
+            z = step(k, z, eng.grid_values(z))
         return z
 
     def adjoint(self, w):

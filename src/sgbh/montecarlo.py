@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import tail_report
-from .model import NoiseCoefficient, noise_coefficient_eval
+from .model import NoiseCoefficient
 from .noise import NoiseSpec, sample_noise
-from .solvers import SolverEngine, solve_deterministic
+from .solvers import SetupError, SolverEngine, solve_deterministic
 from .spectral import Field
 
 __all__ = [
@@ -271,171 +271,142 @@ def _block_increments(payload, start, stop, eps_index):
     return inc
 
 
-def _mask_update(alive, supv, stat, bad):
-    """Fold stat into running sups for alive rows; newly bad rows keep the
-    pre-crossing sup (censoring excludes the crossing step)."""
-    newly_dead = alive & bad
-    ok = alive & ~bad
-    supv[ok] = np.maximum(supv[ok], stat[ok])
-    return newly_dead, ok
+def _eps_increments(payload, start, stop):
+    """Yield (eps, increments) per eps; coupled runs draw once and share it."""
+    shared = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
+    for ei, eps in enumerate(payload["eps_list"]):
+        yield eps, shared if shared is not None else _block_increments(payload, start, stop, ei)
+
+
+def _censored_march(eng, k_steps, states, steps, observe):
+    """March a block of paths and keep each path's running sup of a statistic.
+
+    ``states`` are (B, J) arrays advanced by the matching ``steps``;
+    ``observe(k, *grids)`` returns the per-path statistic and a mask of paths
+    gone bad at step k.  A path that goes bad is zeroed from then on and keeps
+    the sup over the steps strictly before (censoring excludes the crossing).
+    """
+    B = states[0].shape[0]
+    alive = np.ones(B, dtype=bool)
+    tripped = np.zeros(B, dtype=bool)
+    supv = np.zeros(B)
+    for k in range(k_steps + 1):
+        grids = [x @ eng.phi for x in states]
+        stat, bad = observe(k, *grids)
+        ok = alive & ~bad
+        supv[ok] = np.maximum(supv[ok], stat[ok])
+        tripped |= alive & bad
+        alive = ok
+        for x in states:
+            x[~alive] = 0.0
+        if k < k_steps:
+            states = [step(k, x, g) for step, x, g in zip(steps, states, grids)]
+            for x in states:
+                x[~alive] = 0.0
+    return {"sup": supv, "tripped": tripped}
 
 
 def _block_strong_rate(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
-    cfg, params = payload["cfg"], payload["params"]
-    p = params.p_norm
+    p = payload["params"].p_norm
     thr = payload["guard_threshold"]
-    dt, k_steps = cfg.dt, cfg.n_steps
     B = stop - start
-    out = []
-    base_inc = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
-    for ei, eps in enumerate(payload["eps_list"]):
-        inc = base_inc if base_inc is not None else _block_increments(payload, start, stop, ei)
-        root_eps = np.sqrt(eps)
-        a = np.tile(payload["u0_coeffs"][0], (B, 1))
-        alive = np.ones(B, dtype=bool)
-        tripped = np.zeros(B, dtype=bool)
-        supv = np.zeros(B)
-        for k in range(k_steps + 1):
-            u_grid = a @ eng.phi
-            diff = u_grid - u0_grid[k]
-            stat = eng.grid.lp_norm(diff, p) ** p
-            unorm = eng.grid.lp_norm(u_grid, p)
-            bad = ~(
-                np.isfinite(u_grid).all(axis=1) & np.isfinite(stat) & (unorm <= thr)
-            )
-            newly_dead, _ = _mask_update(alive, supv, stat, bad)
-            tripped |= newly_dead
-            alive &= ~newly_dead
-            a[~alive] = 0.0
-            if k < k_steps:
-                drift = eng.nonlinear_drift(u_grid)
-                forc = eng.forcing_term(k * dt, u_grid, inc[k])
-                a = eng.semigroup * (a + dt * drift + root_eps * forc)
-                a[~alive] = 0.0
-        out.append({"sup": supv, "tripped": tripped})
-    return out
+
+    def observe(k, u_grid):
+        stat = eng.grid.lp_norm(u_grid - u0_grid[k], p) ** p
+        unorm = eng.grid.lp_norm(u_grid, p)
+        return stat, ~(np.isfinite(u_grid).all(axis=1) & np.isfinite(stat) & (unorm <= thr))
+
+    return [
+        _censored_march(
+            eng,
+            eng.cfg.n_steps,
+            [np.tile(payload["u0_coeffs"][0], (B, 1))],
+            [eng.spde_step(np.sqrt(eps), inc)],
+            observe,
+        )
+        for eps, inc in _eps_increments(payload, start, stop)
+    ]
 
 
 def _block_clt(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
-    cfg, params = payload["cfg"], payload["params"]
-    p = params.p_norm
+    p = payload["params"].p_norm
     thr = payload["guard_threshold"]
-    dt, k_steps = cfg.dt, cfg.n_steps
-    B = stop - start
-    p1, c1 = eng.linearization_profiles(u0_grid)
-    base_drift = eng.nonlinear_drift(u0_grid)
+    B, J = stop - start, eng.cfg.n_modes
+    ref_z = eng.deviation_reference(u0_grid, linear=False)
+    ref_v = eng.deviation_reference(u0_grid, linear=True)
     out = []
-    base_inc = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
-    for ei, eps in enumerate(payload["eps_list"]):
-        inc = base_inc if base_inc is not None else _block_increments(payload, start, stop, ei)
+    for eps, inc in _eps_increments(payload, start, stop):
         s = np.sqrt(eps)
-        z = np.zeros((B, cfg.n_modes))
-        v = np.zeros((B, cfg.n_modes))
-        alive = np.ones(B, dtype=bool)
-        tripped = np.zeros(B, dtype=bool)
-        supv = np.zeros(B)
-        for k in range(k_steps + 1):
-            zg = z @ eng.phi
-            vg = v @ eng.phi
-            ue_grid = u0_grid[k] + s * zg
+
+        def observe(k, zg, vg):
             stat = eng.grid.lp_norm(zg - vg, p)
-            unorm = eng.grid.lp_norm(ue_grid, p)
-            bad = ~(
+            unorm = eng.grid.lp_norm(u0_grid[k] + s * zg, p)
+            return stat, ~(
                 np.isfinite(zg).all(axis=1)
                 & np.isfinite(vg).all(axis=1)
                 & np.isfinite(stat)
                 & (unorm <= thr)
             )
-            newly_dead, _ = _mask_update(alive, supv, stat, bad)
-            tripped |= newly_dead
-            alive &= ~newly_dead
-            z[~alive] = 0.0
-            v[~alive] = 0.0
-            if k < k_steps:
-                drift_z = (eng.nonlinear_drift(ue_grid) - base_drift[k]) / s
-                forc_z = eng.forcing_term(k * dt, ue_grid, inc[k])
-                z = eng.semigroup * (z + dt * drift_z + forc_z)
-                lin = eng.linearized_drift(
-                    vg, None if p1 is None else p1[k], None if c1 is None else c1[k]
-                )
-                forc_v = eng.forcing_term(k * dt, u0_grid[k], inc[k])
-                v = eng.semigroup * (v + dt * lin + forc_v)
-                z[~alive] = 0.0
-                v[~alive] = 0.0
-        out.append({"sup": supv, "tripped": tripped})
+
+        steps = [
+            eng.deviation_step(u0_grid, s, ref_z, noise_inc=inc),
+            eng.deviation_step(u0_grid, 0.0, ref_v, noise_inc=inc),
+        ]
+        states = [np.zeros((B, J)), np.zeros((B, J))]
+        out.append(_censored_march(eng, eng.cfg.n_steps, states, steps, observe))
     return out
 
 
 def _block_heat(payload, start, stop):
     eng, _ = _worker_engine(payload)
-    cfg = payload["cfg"]
-    dt, k_steps = cfg.dt, cfg.n_steps
-    B = stop - start
     out = []
-    base_inc = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
-    for ei, eps in enumerate(payload["eps_list"]):
-        inc = base_inc if base_inc is not None else _block_increments(payload, start, stop, ei)
-        root_eps = np.sqrt(eps)
-        a = np.zeros((B, cfg.n_modes))
-        for k in range(k_steps):
-            # g is constant here, so the forcing never reads the state
-            forc = eng.forcing_term(k * dt, None, inc[k])
-            a = eng.semigroup * (a + root_eps * forc)
+    for eps, inc in _eps_increments(payload, start, stop):
+        step = eng.spde_step(np.sqrt(eps), inc)
+        a = np.zeros((stop - start, eng.cfg.n_modes))
+        for k in range(eng.cfg.n_steps):
+            a = step(k, a, None)  # no drift and constant g: the grid is never read
         out.append({"endpoint": a})
     return out
 
 
 def _block_mdp(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
-    cfg, params = payload["cfg"], payload["params"]
     p = payload["tail_p"]
     thr = payload["guard_threshold"]
-    dt, k_steps = cfg.dt, cfg.n_steps
-    theta = payload["theta"]
     B = stop - start
-    base_drift = eng.nonlinear_drift(u0_grid)
+    ref = eng.deviation_reference(u0_grid, linear=False)
+
+    def observe(k, zg):
+        stat = eng.grid.lp_norm(zg, p)
+        return stat, ~(np.isfinite(zg).all(axis=1) & np.isfinite(stat) & (stat <= thr))
+
     out = []
-    base_inc = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
-    for ei, eps in enumerate(payload["eps_list"]):
-        inc = base_inc if base_inc is not None else _block_increments(payload, start, stop, ei)
-        lam = eps ** (-theta)
-        s = np.sqrt(eps) * lam
-        noise_scale = 1.0 / lam
-        z = np.zeros((B, cfg.n_modes))
-        alive = np.ones(B, dtype=bool)
-        tripped = np.zeros(B, dtype=bool)
-        supv = np.zeros(B)
-        for k in range(k_steps + 1):
-            zg = z @ eng.phi
-            stat = eng.grid.lp_norm(zg, p)
-            bad = ~(np.isfinite(zg).all(axis=1) & np.isfinite(stat) & (stat <= thr))
-            newly_dead, _ = _mask_update(alive, supv, stat, bad)
-            tripped |= newly_dead
-            alive &= ~newly_dead
-            z[~alive] = 0.0
-            if k < k_steps:
-                ue_grid = u0_grid[k] + s * zg
-                drift = (eng.nonlinear_drift(ue_grid) - base_drift[k]) / s
-                terms = z + dt * drift
-                terms = terms + noise_scale * eng.forcing_term(k * dt, ue_grid, inc[k])
-                z = eng.semigroup * terms
-                z[~alive] = 0.0
-        out.append({"sup": supv, "tripped": tripped})
+    for eps, inc in _eps_increments(payload, start, stop):
+        lam = eps ** (-payload["theta"])
+        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, ref, inc, 1.0 / lam)
+        out.append(
+            _censored_march(eng, eng.cfg.n_steps, [np.zeros((B, eng.cfg.n_modes))], [step], observe)
+        )
     return out
 
 
 # runners ---------------------------------------------------------------------
 
 
-def _build_payload(spec, params, g, cfg, noise_spec, u0):
+def _build_payload(spec, params, g, cfg, noise_spec, u0=None, reference=True):
+    """Everything a block needs.  The engine is built here first, so setup
+    errors surface before any worker starts.  Blocks march from the reference
+    solve of ``u0`` (the parabolic bump when None); the heat oracle's start
+    from zero and take ``reference=False``."""
     if noise_spec is None:
         noise_spec = NoiseSpec(n_modes=cfg.n_modes)
-    if u0 is None:
-        eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-        u0 = default_initial(eng.grid)
-    u0_traj = solve_deterministic(u0, params, cfg)
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    u0_coeffs = None
+    if reference:
+        u0 = default_initial(eng.grid) if u0 is None else u0
+        u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
     return {
         "params": params,
         "cfg": cfg,
@@ -446,8 +417,13 @@ def _build_payload(spec, params, g, cfg, noise_spec, u0):
         "coupled": spec.coupled,
         "n_paths": spec.n_paths,
         "guard_threshold": spec.guard_threshold,
-        "u0_coeffs": u0_traj.coeffs,
+        "u0_coeffs": u0_coeffs,
     }
+
+
+def _check_experiment(spec, kind):
+    if spec.experiment != kind:
+        raise SetupError(f"spec.experiment is {spec.experiment!r}, expected {kind!r}")
 
 
 def _reduce_sups(blocks, n_eps):
@@ -521,8 +497,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     with r^2 >= 0.99 (the theory guarantees only an upper bound of order
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
-    if spec.experiment != "strong_rate":
-        raise ValueError(f"spec.experiment is {spec.experiment!r}, expected 'strong_rate'")
+    _check_experiment(spec, "strong_rate")
     payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
     blocks = _run_blocks(_block_strong_rate, payload, spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
@@ -554,11 +529,13 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     like the leading sqrt(eps) remainder.  Pass requires strictly decreasing
     means and fitted order >= 0.4.
     """
-    if spec.experiment != "clt":
-        raise ValueError(f"spec.experiment is {spec.experiment!r}, expected 'clt'")
+    _check_experiment(spec, "clt")
     if not spec.coupled:
-        raise ValueError("run_clt requires coupled=True (v and v_eps share noise)")
-    params.validate_for_clt()
+        raise SetupError("run_clt requires coupled=True (v and v_eps share noise)")
+    try:
+        params.validate_for_clt()
+    except ValueError as exc:
+        raise SetupError(str(exc)) from None
     payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
     blocks = _run_blocks(_block_clt, payload, spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
@@ -592,30 +569,22 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     endpoint variances are compared per mode via chi-square z-scores; pass
     requires |z| <= 3 for >= 95% of modes and |mean| <= 3 stderr everywhere.
     """
-    if spec.experiment != "heat_oracle":
-        raise ValueError(f"spec.experiment is {spec.experiment!r}, expected 'heat_oracle'")
+    _check_experiment(spec, "heat_oracle")
     if params.alpha != 0 or params.beta != 0:
-        raise ValueError("heat oracle requires alpha = beta = 0")
-    if noise_spec is None:
-        noise_spec = NoiseSpec(n_modes=cfg.n_modes)
+        raise SetupError("heat oracle requires alpha = beta = 0")
+    if noise_spec is not None and noise_spec.n_modes != cfg.n_modes:
+        # an unforced mode has zero theoretical variance: no z-score to take
+        raise SetupError(
+            f"heat oracle needs noise n_modes = solver n_modes {cfg.n_modes}, "
+            f"got {noise_spec.n_modes}"
+        )
     g = NoiseCoefficient("constant", kappa0=float(g_constant))
-    payload = {
-        "params": params,
-        "cfg": cfg,
-        "g": g,
-        "noise_spec": noise_spec,
-        "eps_list": spec.eps_list,
-        "base_seed": spec.base_seed,
-        "coupled": spec.coupled,
-        "n_paths": spec.n_paths,
-        "guard_threshold": spec.guard_threshold,
-        "u0_coeffs": None,
-    }
+    payload = _build_payload(spec, params, g, cfg, noise_spec, reference=False)
     blocks = _run_blocks(_block_heat, payload, spec, workers)
 
-    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    eng = SolverEngine(params, cfg, g=g, noise_spec=payload["noise_spec"])
     lam = eng.basis.eigenvalues
-    q = noise_spec.q
+    q = payload["noise_spec"].q
     T = cfg.t_end
     M = spec.n_paths
     n_eps = len(spec.eps_list)
@@ -658,17 +627,15 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     speed.  Tightness of the family shows up as tails that are non-increasing
     in rho and bounded in eps.
     """
-    if spec.experiment != "mdp_tail":
-        raise ValueError(f"spec.experiment is {spec.experiment!r}, expected 'mdp_tail'")
+    _check_experiment(spec, "mdp_tail")
     theta = getattr(speed, "theta", None)
     if theta is None:
-        raise ValueError("speed must be a SpeedFunction with a theta attribute")
+        raise SetupError("speed must be a SpeedFunction with a theta attribute")
+    if np.any(np.asarray(rho_list, dtype=float) > spec.guard_threshold):
+        raise SetupError("rho thresholds above the guard threshold cannot be counted")
     payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
     payload["theta"] = float(theta)
     payload["tail_p"] = int(tail_p)
-    rho_arr = np.atleast_1d(np.asarray(rho_list, dtype=float))
-    if np.any(rho_arr > spec.guard_threshold):
-        raise ValueError("rho thresholds above the guard threshold cannot be counted")
     blocks = _run_blocks(_block_mdp, payload, spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
     by_eps = {}

@@ -26,6 +26,12 @@ exact arithmetic, so the coupling check survives to roundoff even for tiny
 eps.  At s = 0 the quotients are replaced by the analytic linearization
 (p'(u0) Z, c'(u0) Z), which is also how the CLT limit and the skeleton
 equation are integrated.
+
+So the five problems are two schemes, each with one stepper on
+``SolverEngine``: ``spde_step`` (the full equation) and ``deviation_step``
+(the deviation equation at scale s).  The single-path solvers here, the
+ensemble blocks in ``montecarlo`` and the endpoint map in ``deviation`` all
+step through them.
 """
 
 import struct
@@ -49,6 +55,7 @@ __all__ = [
     "BlowupGuard",
     "BlowupError",
     "NumericalAbortError",
+    "SetupError",
     "solve_deterministic",
     "solve_spde",
     "solve_clt_limit",
@@ -68,6 +75,11 @@ class BlowupError(RuntimeError):
         self.time = time
         self.norm = norm
         self.threshold = threshold
+
+
+class SetupError(ValueError):
+    """Inputs that cannot be run together: mismatched time grids or modes,
+    an aliasing grid, or a runner's precondition.  The CLI exits 2 on it."""
 
 
 class NumericalAbortError(RuntimeError):
@@ -213,7 +225,7 @@ class SolverEngine:
         if (params.alpha > 0 or params.beta > 0) and cfg.n_points < 2 * (
             2 * params.delta + 1
         ) * cfg.n_modes:
-            raise ValueError(
+            raise SetupError(
                 f"aliasing: nonlinear degree {2 * params.delta + 1} needs n_points >= "
                 f"{2 * (2 * params.delta + 1) * cfg.n_modes}, got {cfg.n_points}"
             )
@@ -225,7 +237,7 @@ class SolverEngine:
         self.g = g
         if noise_spec is not None:
             if noise_spec.n_modes > cfg.n_modes:
-                raise ValueError(
+                raise SetupError(
                     f"noise has {noise_spec.n_modes} modes > solver n_modes {cfg.n_modes}"
                 )
             self.q = noise_spec.q
@@ -312,33 +324,91 @@ class SolverEngine:
             out = out + self.project(self.g.kappa1 * u_grid * w)
         return out
 
+    # steppers ---------------------------------------------------------------
+    #
+    # Each returns step(k, state, state_grid) -> state at step k + 1.  Increment
+    # buffers are step-major: inc[k] holds the (..., J_noise) increments of step
+    # k, so a single path passes ``noise.increments.T``.
 
-def _check_traj(u0_traj, cfg):
-    if u0_traj.n_steps != cfg.n_steps or abs(u0_traj.dt - cfg.dt) > 1e-12 * cfg.dt:
-        raise ValueError(
-            f"trajectory grid ({u0_traj.n_steps} steps of {u0_traj.dt}) does not match "
-            f"config ({cfg.n_steps} steps of {cfg.dt})"
-        )
-    if u0_traj.n_modes != cfg.n_modes:
-        raise ValueError(f"trajectory has {u0_traj.n_modes} modes, config {cfg.n_modes}")
+    def spde_step(self, root_eps=0.0, inc=None):
+        """The full equation: E (a + dt N(u) + sqrt(eps) F(u, dB_k)).
+
+        Without increments this is the deterministic equation.  With
+        alpha = beta = 0 there is no drift and, g being constant, the grid
+        state is never read, so callers may pass ``None`` for it.
+        """
+        dt = self.dt
+        drift = self.params.alpha > 0 or self.params.beta > 0
+
+        def step(k, a, u_grid):
+            terms = a + dt * self.nonlinear_drift(u_grid) if drift else a
+            if inc is not None:
+                terms = terms + root_eps * self.forcing_term(k * dt, u_grid, inc[k])
+            return self.semigroup * terms
+
+        return step
+
+    def deviation_reference(self, u0_grid, linear):
+        """What the deviation drift needs of the reference path u0, for every
+        step at once: the profiles (p'(u0), beta c'(u0)) of the linearization,
+        else the drift N(u0) that the difference quotient subtracts."""
+        if linear:
+            return self.linearization_profiles(u0_grid)
+        return self.nonlinear_drift(u0_grid)
+
+    def deviation_step(
+        self, u0_grid, s, ref, noise_inc=None, noise_scale=1.0, control_inc=None
+    ):
+        """The deviation equation at scale s around u0, with u = u0 + s z:
+
+            E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
+
+        D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
+        (then u = u0: the CLT limit and the skeleton).  ``ref`` is
+        ``deviation_reference(u0_grid, s == 0)``.
+        """
+        dt = self.dt
+        linear = s == 0.0
+        if linear:
+            p1, c1 = ref
+
+        def step(k, z, z_grid):
+            if linear:
+                u_grid = u0_grid[k]
+                drift = self.linearized_drift(
+                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k]
+                )
+            else:
+                u_grid = u0_grid[k] + s * z_grid
+                drift = (self.nonlinear_drift(u_grid) - ref[k]) / s
+            terms = z + dt * drift
+            if noise_inc is not None:
+                terms = terms + noise_scale * self.forcing_term(k * dt, u_grid, noise_inc[k])
+            if control_inc is not None:
+                terms = terms + dt * self.forcing_term(k * dt, u_grid, control_inc[k])
+            return self.semigroup * terms
+
+        return step
 
 
-def _check_noise(noise, cfg):
-    if noise.n_steps != cfg.n_steps or abs(noise.dt - cfg.dt) > 1e-12 * cfg.dt:
-        raise ValueError(
-            f"noise grid ({noise.n_steps} steps of {noise.dt}) does not match "
-            f"config ({cfg.n_steps} steps of {cfg.dt})"
-        )
-    if noise.spec is None:
-        raise ValueError("noise realization carries no NoiseSpec (needed for q weights)")
-
-
-def _check_control(h, cfg):
-    if h.n_steps != cfg.n_steps or abs(h.dt - cfg.dt) > 1e-12 * cfg.dt:
-        raise ValueError(
-            f"control grid ({h.n_steps} steps of {h.dt}) does not match "
-            f"config ({cfg.n_steps} steps of {cfg.dt})"
-        )
+def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
+    """Reference trajectory, noise and control must share the config's time
+    grid; the trajectory also its modes, the noise its q weights, and the
+    control must fit in the modes."""
+    for name, path in (("trajectory", trajectory), ("noise", noise), ("control", control)):
+        if path is not None and (
+            path.n_steps != cfg.n_steps or abs(path.dt - cfg.dt) > 1e-12 * cfg.dt
+        ):
+            raise SetupError(
+                f"{name} grid ({path.n_steps} steps of {path.dt}) does not match "
+                f"config ({cfg.n_steps} steps of {cfg.dt})"
+            )
+    if trajectory is not None and trajectory.n_modes != cfg.n_modes:
+        raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
+    if noise is not None and noise.spec is None:
+        raise SetupError("noise realization carries no NoiseSpec (needed for q weights)")
+    if control is not None and control.n_modes > cfg.n_modes:
+        raise SetupError(f"control has {control.n_modes} modes > solver n_modes {cfg.n_modes}")
 
 
 def _drive(eng, a0, step_fn, guard):
@@ -374,29 +444,16 @@ def solve_deterministic(u0, params, cfg, guard=None):
     scheme then evolves that projection.
     """
     eng = SolverEngine(params, cfg)
-    dt = eng.dt
-
-    def step(k, a, u_grid):
-        return eng.semigroup * (a + dt * eng.nonlinear_drift(u_grid))
-
-    return _drive(eng, eng.initial_coeffs(u0), step, guard)
+    return _drive(eng, eng.initial_coeffs(u0), eng.spde_step(), guard)
 
 
 def solve_spde(u0, params, g, eps, noise, cfg, guard=None):
     """Integrate the stochastic equation at noise intensity sqrt(eps)."""
     if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    _check_noise(noise, cfg)
+        raise SetupError(f"eps must be in (0, 1], got {eps}")
+    _check_time_grid(cfg, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
-    dt = eng.dt
-    root_eps = np.sqrt(eps)
-    inc = noise.increments
-
-    def step(k, a, u_grid):
-        terms = a + dt * eng.nonlinear_drift(u_grid)
-        terms = terms + root_eps * eng.forcing_term(k * dt, u_grid, inc[:, k])
-        return eng.semigroup * terms
-
+    step = eng.spde_step(np.sqrt(eps), noise.increments.T)
     return _drive(eng, eng.initial_coeffs(u0), step, guard)
 
 
@@ -405,21 +462,11 @@ def solve_clt_limit(u0_traj, params, g, noise, cfg, guard=None):
 
     v(0) = 0; v is linear in the noise realization.
     """
-    _check_traj(u0_traj, cfg)
-    _check_noise(noise, cfg)
+    _check_time_grid(cfg, trajectory=u0_traj, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
-    dt = eng.dt
     u0_grid = u0_traj.grid_values()
-    p1, c1 = eng.linearization_profiles(u0_grid)
-    inc = noise.increments
-
-    def step(k, v, v_grid):
-        lin = eng.linearized_drift(
-            v_grid, None if p1 is None else p1[k], None if c1 is None else c1[k]
-        )
-        noi = eng.forcing_term(k * dt, u0_grid[k], inc[:, k])
-        return eng.semigroup * (v + dt * lin + noi)
-
+    ref = eng.deviation_reference(u0_grid, linear=True)
+    step = eng.deviation_step(u0_grid, 0.0, ref, noise_inc=noise.increments.T)
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
 
 
@@ -437,22 +484,15 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
     control's modes.
     """
     if not 0 <= eps <= 1:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    _check_traj(u0_traj, cfg)
-    if noise is not None:
-        _check_noise(noise, cfg)
-    if h is not None:
-        _check_control(h, cfg)
-        if h.n_modes > cfg.n_modes:
-            raise ValueError(f"control has {h.n_modes} modes > solver n_modes {cfg.n_modes}")
+        raise SetupError(f"eps must be in [0, 1], got {eps}")
+    _check_time_grid(cfg, trajectory=u0_traj, noise=noise, control=h)
     if noise is None and h is None:
-        raise ValueError("need a noise realization or a control path (or both)")
+        raise SetupError("need a noise realization or a control path (or both)")
 
     lam = float(speed(eps)) if callable(speed) else float(speed)
     if eps > 0 and lam <= 0:
-        raise ValueError(f"speed lambda(eps) must be > 0, got {lam}")
+        raise SetupError(f"speed lambda(eps) must be > 0, got {lam}")
     s = np.sqrt(eps) * lam if eps > 0 else 0.0
-    noise_scale = (1.0 / lam) if (noise is not None and eps > 0) else 0.0
 
     if noise is not None:
         spec = noise.spec
@@ -462,29 +502,16 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         spec = NoiseSpec(n_modes=min(h.n_modes, cfg.n_modes))
     eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
 
-    dt = eng.dt
     u0_grid = u0_traj.grid_values()
-    if s == 0.0:
-        p1, c1 = eng.linearization_profiles(u0_grid)
-    else:
-        base_drift = eng.nonlinear_drift(u0_grid)  # (K+1, J), shared reference drift
-
-    def step(k, z, z_grid):
-        if s == 0.0:
-            ue_grid = u0_grid[k]
-            drift = eng.linearized_drift(
-                z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k]
-            )
-        else:
-            ue_grid = u0_grid[k] + s * z_grid
-            drift = (eng.nonlinear_drift(ue_grid) - base_drift[k]) / s
-        terms = z + dt * drift
-        if noise_scale != 0.0:
-            terms = terms + noise_scale * eng.forcing_term(k * dt, ue_grid, noise.increments[:, k])
-        if h is not None:
-            terms = terms + dt * eng.forcing_term(k * dt, ue_grid, h.hdot[:, k])
-        return eng.semigroup * terms
-
+    step = eng.deviation_step(
+        u0_grid,
+        s,
+        eng.deviation_reference(u0_grid, linear=s == 0.0),
+        # eps = 0 drops the noise: only the control drives the skeleton
+        noise_inc=noise.increments.T if noise is not None and eps > 0 else None,
+        noise_scale=1.0 / lam if eps > 0 else 0.0,
+        control_inc=None if h is None else h.hdot.T,
+    )
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
 
 

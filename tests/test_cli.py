@@ -211,6 +211,55 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
     assert "grid too coarse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,argv,fragment",
+    [
+        ("[model]\ndelta = 2\n", ["simulate"], "aliasing"),
+        (
+            SMALL_SOLVER,
+            ["simulate", "--solver", "skeleton", "--control", "{ctrl7}"],
+            "control grid",
+        ),
+        ("[noise]\nn_modes = 40\n", ["simulate", "--solver", "spde"], "noise has 40 modes"),
+        ("[experiment]\nn_paths = 4\n", ["experiment", "heat-oracle"], "alpha = beta = 0"),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\ncoupled = false\n",
+            ["experiment", "clt"],
+            "coupled=True",
+        ),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\nrho_list = [0.5, 2000.0]\n",
+            ["experiment", "mdp-tail"],
+            "above the guard threshold",
+        ),
+        (
+            "[model]\nalpha = 0.0\nbeta = 0.0\n[noise]\nn_modes = 16\n[experiment]\nn_paths = 4\n",
+            ["experiment", "heat-oracle"],
+            "got 16",
+        ),
+    ],
+    ids=[
+        "aliasing",
+        "control-steps",
+        "noise-modes",
+        "heat-nonlinear",
+        "clt-uncoupled",
+        "rho-above-guard",
+        "heat-unforced-modes",
+    ],
+)
+def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
+    from sgbh.noise import ControlPath, save_control
+
+    ctrl7 = tmp_path / "ctrl7.bin"
+    save_control(ControlPath.zero(8, 0.005, 7), ctrl7)  # the config has 10 steps
+    cfg = _write(tmp_path, text)
+    argv = [a.format(ctrl7=ctrl7) for a in argv]
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "setup error" in err and fragment in err
+
+
 def test_simulate_unknown_kind_in_config(tmp_path):
     cfg = _write(tmp_path, SMALL_SOLVER + '[solver]\nkind = "spectral-split"\n')
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -23,7 +23,14 @@ from sgbh.montecarlo import (
     run_strong_rate,
 )
 from sgbh.noise import NoiseSpec, sample_noise
-from sgbh.solvers import SolverConfig
+from sgbh.solvers import (
+    SetupError,
+    SolverConfig,
+    solve_clt_limit,
+    solve_deterministic,
+    solve_mdp_process,
+    solve_spde,
+)
 from sgbh.spectral import build_grid
 
 LINEAR = ModelParams(nu=0.1, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
@@ -302,6 +309,14 @@ def test_heat_oracle_rejects_nonlinear_params():
         run_heat_oracle(spec, DESK, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
 
 
+def test_heat_oracle_rejects_unforced_modes():
+    # modes beyond the noise's J have zero theoretical variance: no z-score
+    cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=8, n_points=32)
+    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0], experiment="heat_oracle")
+    with pytest.raises(SetupError, match="noise n_modes"):
+        run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
+
+
 # --- mdp tails ---------------------------------------------------------------------
 
 
@@ -339,3 +354,56 @@ def test_mdp_tail_threshold_guard_interaction():
         )
     with pytest.raises(ValueError):
         run_mdp_tail(spec, DESK, G_AFFINE, CFG_SMALL, 2.0, [5.0], noise_spec=SPEC8)
+
+
+# --- ensembles integrate the single-path schemes -------------------------------------
+
+
+def _single_paths(spec):
+    """Reference trajectory and the noise of path 0, as the ensembles draw it."""
+    u0 = default_initial(build_grid(CFG_SMALL.n_points))
+    u0_traj = solve_deterministic(u0, DESK, CFG_SMALL)
+    noise = sample_noise(SPEC8, CFG_SMALL.dt, CFG_SMALL.n_steps, spec.base_seed, 0)
+    return u0, u0_traj, noise
+
+
+def _sup_lp(traj_grid, p):
+    return float(np.max(build_grid(CFG_SMALL.n_points).lp_norm(traj_grid, p)))
+
+
+@pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
+def test_strong_rate_ensemble_is_the_spde_solver(g):
+    spec = EnsembleSpec(n_paths=1, base_seed=41, eps_list=[0.1, 0.01, 0.001])
+    rep = run_strong_rate(spec, DESK, g, CFG_SMALL, noise_spec=SPEC8)
+    u0, u0_traj, noise = _single_paths(spec)
+    p = DESK.p_norm
+    for eps, mean in zip(spec.eps_list, rep.mean):
+        u = solve_spde(u0, DESK, g, eps, noise, CFG_SMALL)
+        want = _sup_lp(u.grid_values() - u0_traj.grid_values(), p) ** p
+        assert mean == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
+def test_clt_ensemble_is_the_deviation_and_limit_solvers(g):
+    spec = EnsembleSpec(n_paths=1, base_seed=42, eps_list=[0.1, 0.01, 0.001], experiment="clt")
+    rep = run_clt(spec, DESK, g, CFG_SMALL, noise_spec=SPEC8)
+    _, u0_traj, noise = _single_paths(spec)
+    v = solve_clt_limit(u0_traj, DESK, g, noise, CFG_SMALL)
+    for eps, mean in zip(spec.eps_list, rep.mean):
+        z = solve_mdp_process(u0_traj, DESK, g, eps, SpeedFunction(0.0), noise, CFG_SMALL)
+        want = _sup_lp(z.grid_values() - v.grid_values(), DESK.p_norm)
+        assert mean == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
+def test_mdp_tail_ensemble_is_the_deviation_solver(g):
+    # one path: its sup sits between two rho a relative 1e-12 apart
+    spec = EnsembleSpec(n_paths=1, base_seed=43, eps_list=[1e-2, 1e-4], experiment="mdp_tail")
+    speed = SpeedFunction(0.25)
+    _, u0_traj, noise = _single_paths(spec)
+    for i, eps in enumerate(spec.eps_list):
+        z = solve_mdp_process(u0_traj, DESK, g, eps, speed, noise, CFG_SMALL)
+        sup = _sup_lp(z.grid_values(), 2)
+        rho = [sup * (1 - 1e-12), sup * (1 + 1e-12)]
+        rep = run_mdp_tail(spec, DESK, g, CFG_SMALL, speed, rho, noise_spec=SPEC8)
+        assert rep.counts[i].tolist() == [1, 0]
