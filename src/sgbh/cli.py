@@ -21,6 +21,7 @@ gate), 2 usage, config or setup error (inputs that cannot run together),
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -116,6 +117,15 @@ _SCHEMA = {
 }
 
 
+def _finite_float(token):
+    """JSON hook for number literals and NaN/Infinity: refuse what is not finite
+    (a literal such as 1e999 overflows to inf)."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def _check_type(section, key, value, default, lineno):
     where = f"line {lineno}: [{section}] {key}"
     if isinstance(default, bool):
@@ -127,13 +137,18 @@ def _check_type(section, key, value, default, lineno):
     elif isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
     elif isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
     elif isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
+        for item in value:  # every list in the schema holds numbers
+            _check_type(section, key, item, 0.0, lineno)
     return value
 
 
@@ -178,9 +193,13 @@ class RunConfig:
                     f"expected one of {sorted(_SCHEMA[section])}"
                 )
             try:
-                value = json.loads(rest.strip())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"line {lineno}: value for {key!r} is not valid JSON ({exc})")
+                value = json.loads(
+                    rest.strip(), parse_float=_finite_float, parse_constant=_finite_float
+                )
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(
+                    f"line {lineno}: value for {key!r} is not valid JSON ({exc})"
+                ) from None
             cfg.values[section][key] = _check_type(
                 section, key, value, _SCHEMA[section][key], lineno
             )
@@ -242,6 +261,10 @@ class RunConfig:
                 scheme=s["scheme"],
             )
         )
+
+    def blowup_guard(self):
+        thr = self.values["solver"]["guard_threshold"]
+        return self._wrap(lambda: BlowupGuard(threshold=thr))
 
     def ensemble_spec(self, kind):
         e = self.values["experiment"]
@@ -318,7 +341,7 @@ def cmd_simulate(config, args):
     kind = args.solver if args.solver else config.values["solver"]["kind"]
     eps = config.values["solver"]["eps"]
     theta = config.values["solver"]["theta"]
-    guard = BlowupGuard(threshold=config.values["solver"]["guard_threshold"])
+    guard = config.blowup_guard()
     u0 = config.initial_data(scfg)
 
     control = None

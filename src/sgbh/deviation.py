@@ -27,7 +27,7 @@ from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .model import noise_coefficient_eval
 from .noise import ControlPath, NoiseSpec
-from .solvers import SetupError, SolverEngine, _check_time_grid
+from .solvers import SetupError, SolverEngine, _check_time_grid, march
 
 __all__ = [
     "SpeedFunction",
@@ -118,12 +118,9 @@ class EndpointControlMap:
     def forward(self, hdot):
         """Endpoint coefficients Z_h(T) for hdot of shape (J_noise, n_steps)."""
         eng = self.eng
-        # the skeleton solver's stepper, so endpoints agree bitwise
+        # the skeleton solver's march and stepper, so endpoints agree bitwise
         step = eng.deviation_step(self.u0_grid, 0.0, self.profiles, control_inc=hdot.T)
-        z = np.zeros(eng.cfg.n_modes)
-        for k in range(self.n_steps):
-            z = step(k, z, eng.grid_values(z))
-        return z
+        return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg: None)[0]
 
     def adjoint(self, w):
         """(Phi* w) of shape (J_noise, n_steps)."""

@@ -29,7 +29,7 @@ import numpy as np
 from .deviation import tail_report
 from .model import NoiseCoefficient
 from .noise import NoiseSpec, sample_noise
-from .solvers import SetupError, SolverEngine, solve_deterministic
+from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
 from .spectral import Field
 
 __all__ = [
@@ -74,8 +74,8 @@ class EnsembleSpec:
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
-        if self.guard_threshold <= 0:
-            raise ValueError("guard_threshold must be positive")
+        if not self.guard_threshold > 0:
+            raise ValueError(f"guard_threshold must be > 0, got {self.guard_threshold}")
 
 
 @dataclass(frozen=True)
@@ -278,50 +278,47 @@ def _eps_increments(payload, start, stop):
         yield eps, shared if shared is not None else _block_increments(payload, start, stop, ei)
 
 
-def _censored_march(eng, k_steps, states, steps, observe):
+def _censored_march(eng, guard, states, steps, observe):
     """March a block of paths and keep each path's running sup of a statistic.
 
     ``states`` are (B, J) arrays advanced by the matching ``steps``;
-    ``observe(k, *grids)`` returns the per-path statistic and a mask of paths
-    gone bad at step k.  A path that goes bad is zeroed from then on and keeps
-    the sup over the steps strictly before (censoring excludes the crossing).
+    ``observe(k, *grids)`` returns the per-path statistic and the norm the
+    guard watches.  A path dies at its first guard trip or non-finite
+    statistic: its rows are zeroed from then on and it keeps the sup over the
+    steps strictly before (censoring excludes the crossing).
     """
     B = states[0].shape[0]
     alive = np.ones(B, dtype=bool)
     tripped = np.zeros(B, dtype=bool)
     supv = np.zeros(B)
-    for k in range(k_steps + 1):
-        grids = [x @ eng.phi for x in states]
-        stat, bad = observe(k, *grids)
-        ok = alive & ~bad
+
+    def censor(k, states, grids):
+        nonlocal alive
+        stat, norm = observe(k, *grids)
+        ok = alive & ~guard.trips(norm) & np.isfinite(stat)
         supv[ok] = np.maximum(supv[ok], stat[ok])
-        tripped |= alive & bad
+        dead = ~ok
+        tripped[alive & dead] = True
         alive = ok
-        for x in states:
-            x[~alive] = 0.0
-        if k < k_steps:
-            states = [step(k, x, g) for step, x, g in zip(steps, states, grids)]
-            for x in states:
-                x[~alive] = 0.0
+        for x in (*states, *grids):
+            x[dead] = 0.0
+
+    march(eng, states, steps, censor)
     return {"sup": supv, "tripped": tripped}
 
 
 def _block_strong_rate(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
     p = payload["params"].p_norm
-    thr = payload["guard_threshold"]
-    B = stop - start
 
     def observe(k, u_grid):
-        stat = eng.grid.lp_norm(u_grid - u0_grid[k], p) ** p
-        unorm = eng.grid.lp_norm(u_grid, p)
-        return stat, ~(np.isfinite(u_grid).all(axis=1) & np.isfinite(stat) & (unorm <= thr))
+        return eng.grid.lp_norm(u_grid - u0_grid[k], p) ** p, eng.grid.lp_norm(u_grid, p)
 
     return [
         _censored_march(
             eng,
-            eng.cfg.n_steps,
-            [np.tile(payload["u0_coeffs"][0], (B, 1))],
+            payload["guard"],
+            [np.tile(payload["u0_coeffs"][0], (stop - start, 1))],
             [eng.spde_step(np.sqrt(eps), inc)],
             observe,
         )
@@ -332,7 +329,6 @@ def _block_strong_rate(payload, start, stop):
 def _block_clt(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
     p = payload["params"].p_norm
-    thr = payload["guard_threshold"]
     B, J = stop - start, eng.cfg.n_modes
     ref_z = eng.deviation_reference(u0_grid, linear=False)
     ref_v = eng.deviation_reference(u0_grid, linear=True)
@@ -341,21 +337,14 @@ def _block_clt(payload, start, stop):
         s = np.sqrt(eps)
 
         def observe(k, zg, vg):
-            stat = eng.grid.lp_norm(zg - vg, p)
-            unorm = eng.grid.lp_norm(u0_grid[k] + s * zg, p)
-            return stat, ~(
-                np.isfinite(zg).all(axis=1)
-                & np.isfinite(vg).all(axis=1)
-                & np.isfinite(stat)
-                & (unorm <= thr)
-            )
+            return eng.grid.lp_norm(zg - vg, p), eng.grid.lp_norm(u0_grid[k] + s * zg, p)
 
         steps = [
             eng.deviation_step(u0_grid, s, ref_z, noise_inc=inc),
             eng.deviation_step(u0_grid, 0.0, ref_v, noise_inc=inc),
         ]
         states = [np.zeros((B, J)), np.zeros((B, J))]
-        out.append(_censored_march(eng, eng.cfg.n_steps, states, steps, observe))
+        out.append(_censored_march(eng, payload["guard"], states, steps, observe))
     return out
 
 
@@ -374,21 +363,18 @@ def _block_heat(payload, start, stop):
 def _block_mdp(payload, start, stop):
     eng, u0_grid = _worker_engine(payload)
     p = payload["tail_p"]
-    thr = payload["guard_threshold"]
-    B = stop - start
     ref = eng.deviation_reference(u0_grid, linear=False)
 
     def observe(k, zg):
         stat = eng.grid.lp_norm(zg, p)
-        return stat, ~(np.isfinite(zg).all(axis=1) & np.isfinite(stat) & (stat <= thr))
+        return stat, stat
 
     out = []
     for eps, inc in _eps_increments(payload, start, stop):
         lam = eps ** (-payload["theta"])
         step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, ref, inc, 1.0 / lam)
-        out.append(
-            _censored_march(eng, eng.cfg.n_steps, [np.zeros((B, eng.cfg.n_modes))], [step], observe)
-        )
+        states = [np.zeros((stop - start, eng.cfg.n_modes))]
+        out.append(_censored_march(eng, payload["guard"], states, [step], observe))
     return out
 
 
@@ -416,7 +402,7 @@ def _build_payload(spec, params, g, cfg, noise_spec, u0=None, reference=True):
         "base_seed": spec.base_seed,
         "coupled": spec.coupled,
         "n_paths": spec.n_paths,
-        "guard_threshold": spec.guard_threshold,
+        "guard": BlowupGuard(spec.guard_threshold),
         "u0_coeffs": u0_coeffs,
     }
 

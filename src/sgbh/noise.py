@@ -8,7 +8,7 @@ with eta > 1/4 so that sum q_j^2 < infinity (trace class).  A realization
 stores only the raw mode increments dB_{j,k} ~ N(0, dt); the q_j phi_j(x)
 coloring is applied by the solvers.
 
-Sampling is counter-based (numpy Philox) keyed by (seed, path_index, stream),
+Sampling is counter-based (numpy Philox) keyed by (seed, path_index),
 so any worker can reproduce any path independently of scheduling, and
 ensembles are bit-reproducible for a fixed base seed.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "BinaryFormatError",
     "ControlPath",
     "sample_noise",
-    "refine_noise",
     "action",
     "save_realization",
     "load_realization",
@@ -34,15 +33,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-# stream tags for the second Philox key word
-_STREAM_BASE = 0
-_STREAM_BRIDGE = 1
-
-
-def _generator(seed, path_index=0, stream=_STREAM_BASE, aux=0):
-    key = [seed & _MASK64, (path_index ^ (stream << 56) ^ (aux << 40)) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -102,37 +92,11 @@ def sample_noise(spec, dt, n_steps, seed, path_index=0):
         raise ValueError(f"dt must be > 0, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rng = _generator(seed, path_index, _STREAM_BASE)
+    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, path_index & _MASK64]))
     inc = rng.standard_normal((spec.n_modes, n_steps))
     inc *= np.sqrt(dt)
     return NoiseRealization(
         dt=dt, n_steps=n_steps, increments=inc, seed=seed, path_index=path_index, spec=spec
-    )
-
-
-def refine_noise(r, factor):
-    """Brownian-bridge refinement by an integer factor.
-
-    Each coarse increment D is split into ``factor`` sub-increments
-    d_i = xi_i - mean(xi) + D/factor with xi_i ~ N(0, dt/factor) i.i.d., which
-    is the conditional (bridge) law given the coarse increment; group sums
-    reproduce D to roundoff, so coarse-path statistics are invariant under
-    refine-then-coarsen.
-    """
-    if not (isinstance(factor, (int, np.integer)) and factor >= 2):
-        raise ValueError(f"factor must be an integer >= 2, got {factor!r}")
-    fine_dt = r.dt / factor
-    rng = _generator(r.seed, r.path_index, _STREAM_BRIDGE, aux=factor)
-    j, k = r.increments.shape
-    xi = np.sqrt(fine_dt) * rng.standard_normal((j, k, factor))
-    d = xi - xi.mean(axis=2, keepdims=True) + r.increments[:, :, None] / factor
-    return NoiseRealization(
-        dt=fine_dt,
-        n_steps=k * factor,
-        increments=d.reshape(j, k * factor),
-        seed=r.seed,
-        path_index=r.path_index,
-        spec=r.spec,
     )
 
 

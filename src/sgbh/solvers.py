@@ -29,9 +29,11 @@ equation are integrated.
 
 So the five problems are two schemes, each with one stepper on
 ``SolverEngine``: ``spde_step`` (the full equation) and ``deviation_step``
-(the deviation equation at scale s).  The single-path solvers here, the
-ensemble blocks in ``montecarlo`` and the endpoint map in ``deviation`` all
-step through them.
+(the deviation equation at scale s).  One time loop, ``march``, advances them:
+the single-path solvers here, the ensemble blocks in ``montecarlo`` and the
+endpoint map in ``deviation`` all step through it.  The discrete stopping
+time is ``BlowupGuard``: single paths raise at its first trip, ensembles
+censor the paths that trip.
 """
 
 import struct
@@ -56,6 +58,7 @@ __all__ = [
     "BlowupError",
     "NumericalAbortError",
     "SetupError",
+    "march",
     "solve_deterministic",
     "solve_spde",
     "solve_clt_limit",
@@ -104,6 +107,8 @@ class SolverConfig:
         if self.t_end <= 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         steps = self.t_end / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
         if self.scheme != "exponential-euler":
@@ -122,15 +127,26 @@ class SolverConfig:
 
 @dataclass
 class BlowupGuard:
-    """Discrete stopping rule: first time the L^p norm exceeds ``threshold``."""
+    """Discrete stopping rule: first time the L^p norm exceeds ``threshold``
+    or is not finite (as it is for a non-finite state).  Single paths raise
+    at a trip (``check``); ensembles censor the paths that trip (``trips``)."""
 
     threshold: float = 1e3
     tripped_at: float | None = None
 
+    def __post_init__(self):
+        if not self.threshold > 0:
+            raise ValueError(f"guard threshold must be > 0, got {self.threshold}")
+
+    def trips(self, norm):
+        return ~(np.isfinite(norm) & (norm <= self.threshold))
+
     def check(self, time, norm):
-        if norm > self.threshold:
+        if self.trips(norm):
             if self.tripped_at is None:
                 self.tripped_at = time
+            if not np.isfinite(norm):
+                raise NumericalAbortError(time)
             raise BlowupError(time, norm, self.threshold)
 
 
@@ -201,7 +217,8 @@ def load_trajectory(path):
     (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(
         path, _TRAJ_HEADER, lambda f: (f[3] + 1, f[1])
     )
-    if n_steps < 1 or n_points < 4 * n_modes:
+    # no payload bytes back n_points: cap the basis at 2^22 entries (32 MB an array)
+    if n_steps < 1 or not 4 * n_modes <= n_points <= (1 << 22) // n_modes:
         raise BinaryFormatError(
             f"{path}: header gives n_points={n_points}, n_modes={n_modes}, n_steps={n_steps}"
         )
@@ -411,29 +428,35 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
         raise SetupError(f"control has {control.n_modes} modes > solver n_modes {cfg.n_modes}")
 
 
-def _drive(eng, a0, step_fn, guard):
-    """March a single path, recording coefficients and L^p norms per step."""
+def march(eng, states, steps, observe):
+    """The forward time loop: at each k = 0..K synthesise each state's grid,
+    call ``observe(k, states, grids)``, then advance each state by its step.
+    ``observe`` may raise to stop, or zero rows of the states and grids in
+    place.  Returns the states at step K."""
     k_steps = eng.cfg.n_steps
-    n_modes = eng.cfg.n_modes
-    p = eng.params.p_norm
-    out = np.empty((k_steps + 1, n_modes))
-    norms = np.empty(k_steps + 1)
-    a = a0
     for k in range(k_steps + 1):
-        t = k * eng.dt
-        if not np.all(np.isfinite(a)):
-            raise NumericalAbortError(t)
-        u_grid = eng.grid_values(a)
-        norm = eng.grid.lp_norm(u_grid, p)
-        if not np.isfinite(norm):
-            raise NumericalAbortError(t)
-        if guard is not None:
-            guard.check(t, norm)
-        out[k] = a
-        norms[k] = norm
+        grids = [eng.grid_values(x) for x in states]
+        observe(k, states, grids)
         if k < k_steps:
-            a = step_fn(k, a, u_grid)
-    times = eng.dt * np.arange(k_steps + 1)
+            states = [step(k, x, g) for step, x, g in zip(steps, states, grids)]
+    return states
+
+
+def _drive(eng, a0, step_fn, guard):
+    """March a single path, recording coefficients and L^p norms per step;
+    the guard (threshold +inf when None) raises at the first trip."""
+    guard = BlowupGuard(np.inf) if guard is None else guard
+    p = eng.params.p_norm
+    out = np.empty((eng.cfg.n_steps + 1, eng.cfg.n_modes))
+    norms = np.empty(eng.cfg.n_steps + 1)
+
+    def observe(k, states, grids):
+        norms[k] = eng.grid.lp_norm(grids[0], p)
+        guard.check(k * eng.dt, norms[k])
+        out[k] = states[0]
+
+    march(eng, [a0], [step_fn], observe)
+    times = eng.dt * np.arange(eng.cfg.n_steps + 1)
     return Trajectory(times=times, coeffs=out, basis=eng.basis, norm_p=p, norms=norms)
 
 

@@ -260,6 +260,62 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
     assert "setup error" in err and fragment in err
 
 
+@pytest.mark.parametrize(
+    "text,argv,fragment",
+    [
+        ("[model]\nnu = NaN\n", ["simulate"], "NaN is not a finite number"),
+        (SMALL_SOLVER + "[solver]\ndt = Infinity\n", ["simulate"], "Infinity is not a finite"),
+        ("[model]\nnu = 1e999\n", ["simulate"], "1e999 is not a finite number"),
+        (
+            "[experiment]\nn_paths = 4\neps_list = [0.1, -Infinity]\n",
+            ["experiment", "strong-rate"],
+            "-Infinity is not a finite number",
+        ),
+        ("[model]\nnu = " + "[" * 100000 + "\n", ["simulate"], "recursion"),
+        ("[model]\nnu = 1" + "0" * 400 + "\n", ["simulate"], "too large for a float"),
+        (
+            "[experiment]\nn_paths = 4\neps_list = [[0.1]]\n",
+            ["experiment", "strong-rate"],
+            "must be a number",
+        ),
+        ("[solver]\ndt = 1e-300\nt_end = 1e10\n", ["simulate"], "not a finite step count"),
+        (SMALL_SOLVER + "[solver]\nguard_threshold = NaN\n", ["simulate"], "not a finite"),
+        (SMALL_SOLVER + "[solver]\nguard_threshold = -1.0\n", ["simulate"], "must be > 0"),
+        (SMALL_SOLVER + "[solver]\nguard_threshold = 0.0\n", ["simulate"], "must be > 0"),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\nguard_threshold = NaN\n",
+            ["experiment", "strong-rate"],
+            "not a finite",
+        ),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\nguard_threshold = 0.0\n",
+            ["experiment", "strong-rate"],
+            "must be > 0",
+        ),
+    ],
+    ids=[
+        "nu-nan",
+        "dt-infinity",
+        "nu-overflow",
+        "eps-list-infinity",
+        "deep-nesting",
+        "int-overflows-float",
+        "nested-list",
+        "steps-overflow",
+        "solver-guard-nan",
+        "solver-guard-negative",
+        "solver-guard-zero",
+        "experiment-guard-nan",
+        "experiment-guard-zero",
+    ],
+)
+def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):
+    cfg = _write(tmp_path, text)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+
+
 def test_simulate_unknown_kind_in_config(tmp_path):
     cfg = _write(tmp_path, SMALL_SOLVER + '[solver]\nkind = "spectral-split"\n')
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -24,6 +24,9 @@ from sgbh.montecarlo import (
 )
 from sgbh.noise import NoiseSpec, sample_noise
 from sgbh.solvers import (
+    BlowupError,
+    BlowupGuard,
+    NumericalAbortError,
     SetupError,
     SolverConfig,
     solve_clt_limit,
@@ -407,3 +410,67 @@ def test_mdp_tail_ensemble_is_the_deviation_solver(g):
         rho = [sup * (1 - 1e-12), sup * (1 + 1e-12)]
         rep = run_mdp_tail(spec, DESK, g, CFG_SMALL, speed, rho, noise_spec=SPEC8)
         assert rep.counts[i].tolist() == [1, 0]
+
+
+# --- one guard: single paths raise where ensembles censor ----------------------------
+
+
+def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
+    spec0 = EnsembleSpec(n_paths=1, base_seed=44, eps_list=[1.0, 0.5, 0.25])
+    u0, u0_traj, noise = _single_paths(spec0)
+    p = DESK.p_norm
+    paths = {eps: solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL) for eps in spec0.eps_list}
+    # the threshold sits between the eps = 1 path's peak norm and its max before the peak
+    norms = paths[1.0].norms
+    k_star = int(np.argmax(norms))
+    assert k_star > 0
+    thr = 0.5 * (norms[:k_star].max() + norms[k_star])
+    spec = EnsembleSpec(n_paths=1, base_seed=44, eps_list=spec0.eps_list, guard_threshold=thr)
+    rep = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert rep.n_rejected[0] == 1
+    for i, eps in enumerate(spec.eps_list):
+        traj = paths[eps]
+        crossed = np.flatnonzero(traj.norms > thr)
+        stat = build_grid(CFG_SMALL.n_points).lp_norm(
+            traj.grid_values() - u0_traj.grid_values(), p
+        ) ** p
+        if crossed.size == 0:
+            solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL, guard=BlowupGuard(thr))
+            assert rep.n_rejected[i] == 0
+            assert rep.mean[i] == pytest.approx(stat.max(), rel=1e-12, abs=0)
+            continue
+        k_cross = int(crossed[0])
+        guard = BlowupGuard(thr)
+        with pytest.raises(BlowupError) as err:
+            solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL, guard=guard)
+        assert err.value.time == guard.tripped_at == k_cross * CFG_SMALL.dt
+        assert rep.n_rejected[i] == 1
+        assert rep.censored_mean[i] == pytest.approx(stat[:k_cross].max(), rel=1e-12, abs=0)
+    assert int(np.flatnonzero(norms > thr)[0]) == k_star
+
+
+def test_non_finite_path_aborts_alone_and_is_censored_in_the_ensemble():
+    # additive noise of size 1e110 keeps the L^2 norm finite at step 1, then the
+    # cubic reaction overflows: the state itself goes non-finite at step 2
+    params = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=2)
+    g = NoiseCoefficient(kind="constant", kappa0=1e110)
+    spec = EnsembleSpec(n_paths=1, base_seed=45, eps_list=[1.0, 0.5, 0.25], guard_threshold=1e300)
+    u0, _, noise = _single_paths(spec)
+    with np.errstate(all="ignore"):
+        for guard in (BlowupGuard(1e300), None):
+            with pytest.raises(NumericalAbortError) as err:
+                solve_spde(u0, params, g, 1.0, noise, CFG_SMALL, guard=guard)
+            assert err.value.time == 2 * CFG_SMALL.dt
+        rep = run_strong_rate(spec, params, g, CFG_SMALL, noise_spec=SPEC8)
+    assert rep.n_rejected == [1, 1, 1]
+    assert np.isnan(rep.mean).all()
+    # the censored sup is the finite step-1 statistic
+    assert all(np.isfinite(m) and m > 1e200 for m in rep.censored_mean)
+
+
+@pytest.mark.parametrize("thr", [0.0, -1.0, float("nan")])
+def test_guard_thresholds_must_be_positive(thr):
+    with pytest.raises(ValueError):
+        BlowupGuard(thr)
+    with pytest.raises(ValueError):
+        EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], guard_threshold=thr)

@@ -1,4 +1,4 @@
-"""Tests for Q-Wiener sampling, bridge refinement, controls, and persistence.
+"""Tests for Q-Wiener sampling, controls, and persistence.
 
 Statistical checks run on seeded draws with tolerances sized from the
 estimator's own standard error; series tails are checked against the
@@ -17,7 +17,6 @@ from sgbh.noise import (
     action,
     load_control,
     load_realization,
-    refine_noise,
     sample_noise,
     save_control,
     save_realization,
@@ -80,7 +79,7 @@ def test_sampling_is_deterministic_and_keyed():
 
 
 def test_sampling_is_the_scaled_philox_stream():
-    # key words (seed, path_index) at stream 0; dt scaling in place keeps the bits
+    # key words (seed, path_index); dt scaling in place keeps the bits
     spec = NoiseSpec(n_modes=5, eta=0.3)
     dt, n_steps, seed, path = 0.003, 40, 2024, 17
     rng = np.random.Generator(np.random.Philox(key=[seed, path]))
@@ -133,48 +132,6 @@ def test_field_covariance_matches_mode_sum():
         theory = t * float(np.sum(q**2 * phi(x) * phi(y)))
         stderr = products.std(ddof=1) / np.sqrt(n_paths)
         assert abs(emp - theory) < 4.0 * stderr
-
-
-# --- bridge refinement ----------------------------------------------------------
-
-
-def test_refine_group_sums_reproduce_coarse_increments():
-    spec = NoiseSpec(n_modes=8, eta=0.3)
-    r = sample_noise(spec, 0.02, 25, seed=5)
-    fine = refine_noise(r, 4)
-    assert fine.dt == pytest.approx(r.dt / 4, rel=1e-15)
-    assert fine.n_steps == 100
-    groups = fine.increments.reshape(8, 25, 4).sum(axis=2)
-    np.testing.assert_allclose(groups, r.increments, atol=1e-15)
-
-
-def test_refine_variance_and_determinism():
-    spec = NoiseSpec(n_modes=16, eta=0.3)
-    r = sample_noise(spec, 0.05, 200, seed=11)
-    fine = refine_noise(r, 5)
-    again = refine_noise(r, 5)
-    assert np.array_equal(fine.increments, again.increments)
-    assert fine.increments.var() == pytest.approx(r.dt / 5, rel=0.05)
-
-
-def test_refining_a_zero_realization_gives_zero_sum_fluctuations():
-    spec = NoiseSpec(n_modes=3, eta=0.3)
-    r = NoiseRealization(
-        dt=0.1, n_steps=4, increments=np.zeros((3, 4)), seed=21, spec=spec
-    )
-    fine = refine_noise(r, 3)
-    assert np.abs(fine.increments).max() > 0
-    np.testing.assert_allclose(
-        fine.increments.reshape(3, 4, 3).sum(axis=2), 0.0, atol=1e-15
-    )
-
-
-def test_refine_rejects_bad_factor():
-    spec = NoiseSpec(n_modes=2, eta=0.3)
-    r = sample_noise(spec, 0.1, 5, seed=1)
-    for factor in (1, 0, -2, 2.5):
-        with pytest.raises(ValueError):
-            refine_noise(r, factor)
 
 
 # --- control paths and the action ----------------------------------------------

@@ -7,6 +7,8 @@ Galerkin system integrated with tight tolerances.  Stochastic checks use
 the exact variance recursion of the discrete scheme.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -310,6 +312,20 @@ def test_blowup_guard_trips_and_records_time():
     assert guard_ok.tripped_at is None
 
 
+def test_guard_trips_above_its_threshold_or_on_a_non_finite_norm():
+    guard = BlowupGuard(threshold=1.0)
+    norms = np.array([0.5, 1.0, 1.5, np.inf, np.nan])
+    assert guard.trips(norms).tolist() == [False, False, True, True, True]
+    guard.check(0.1, 1.0)
+    assert guard.tripped_at is None
+    with pytest.raises(NumericalAbortError) as err:
+        guard.check(0.2, np.nan)
+    assert err.value.time == guard.tripped_at == 0.2
+    with pytest.raises(BlowupError):
+        guard.check(0.3, 2.0)
+    assert guard.tripped_at == 0.2  # the first trip is kept
+
+
 def test_non_finite_state_aborts():
     params = ModelParams(**DESK)
     cfg = SolverConfig(dt=0.001, t_end=0.1, n_modes=8, n_points=64)
@@ -373,6 +389,18 @@ def test_trajectory_truncated_or_overlong_raises_format_error(tmp_path, cut):
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
     path.write_bytes(raw + bytes(8))
+    with pytest.raises(BinaryFormatError):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("n_points", [63, 2**22 // 16 + 1, 2**40])
+def test_trajectory_grid_outside_its_bounds_raises_format_error(tmp_path, n_points):
+    # the payload matches (n_steps + 1, n_modes = 16); only the grid size is off
+    u0 = _desk_setup(t_end=0.05)[4]
+    path = tmp_path / "traj.bin"
+    save_trajectory(u0, path)
+    raw = path.read_bytes()
+    path.write_bytes(struct.pack("<q", n_points) + raw[8:])
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
 
