@@ -2,10 +2,10 @@
 
 The cost of pushing the rescaled deviation field to a target endpoint is
 half the squared Cameron-Martin norm of the cheapest control reproducing
-it through the linearized dynamics.  The minimizer comes out of a
-least-squares solve against the control-to-endpoint map; feeding that
-control back through the skeleton equation must land on the target, and
-no other control reaching the target can cost less.
+it through the linearized dynamics.  The minimizer is the minimum-norm
+solution from an SVD of the control-to-endpoint map; feeding that control
+back through the skeleton equation must land on the target, and no other
+control reaching the target can cost less.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ target[0], target[2] = 0.02, -0.01
 
 res = rate_function_endpoint(target, u0, params, g, cfg, noise_spec=spec)
 print(f"rate function value   I(psi) = {res.value:.8f}")
-print(f"endpoint residual     {res.endpoint_residual:.2e} after {res.iterations} iterations")
+print(f"endpoint residual     {res.endpoint_residual:.2e} using {res.iterations} reachable directions")
 print(f"converged             {res.converged}")
 
 # steer the skeleton with the optimal control and check where it lands

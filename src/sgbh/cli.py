@@ -39,6 +39,7 @@ from .montecarlo import (
 )
 from .noise import BinaryFormatError, NoiseSpec, load_control, sample_noise, save_control
 from .solvers import (
+    MAX_ARRAY_ENTRIES,
     BlowupError,
     BlowupGuard,
     NumericalAbortError,
@@ -242,7 +243,14 @@ class RunConfig:
 
     def noise_spec(self):
         n = self.values["noise"]
-        return self._wrap(lambda: NoiseSpec(n_modes=n["n_modes"], eta=n["eta"]))
+        spec = self._wrap(lambda: NoiseSpec(n_modes=n["n_modes"], eta=n["eta"]))
+        # one path's draw is (n_modes, n_steps), bounded like the solver's arrays
+        draw = spec.n_modes * self.solver_config().n_steps
+        if draw > MAX_ARRAY_ENTRIES:
+            raise ConfigError(
+                f"noise draw n_modes*n_steps = {draw} exceeds {MAX_ARRAY_ENTRIES} entries"
+            )
+        return spec
 
     def noise_coefficient(self):
         n = self.values["noise"]
@@ -482,11 +490,14 @@ def cmd_rate(config, args):
 
 def cmd_validate_kernel(config, args):
     e = config.values["experiment"]
+    n_points = config.values["solver"]["n_points"]
     if e["kernel_t_count"] < 2:
         raise ConfigError("kernel_t_count must be >= 2")
+    # each kernel is an n_points x n_points matrix
+    if max(e["kernel_t_count"], n_points**2) > MAX_ARRAY_ENTRIES:
+        raise ConfigError(f"kernel_t_count and n_points^2 must be <= {MAX_ARRAY_ENTRIES}")
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
-    grid = build_grid(config.values["solver"]["n_points"])
-    report = validate_kernel_estimates(t_samples, grid)
+    report = config._wrap(lambda: validate_kernel_estimates(t_samples, build_grid(n_points)))
     outdir = config.outdir
     _write_provenance(config, outdir)
     with open(os.path.join(outdir, "kernel_report.json"), "w") as fh:

@@ -7,23 +7,23 @@ The rate function for an endpoint target psi is
     I(psi) = inf { (1/2) int_0^T ||hdot(s)||^2 ds  :  Z_h(T) = psi },
 
 where h -> Z_h is the (linear) skeleton solve.  Discretely Z_h(T) = Phi h for
-a linear map Phi from piecewise-constant controls to endpoint coefficients,
-and the infimum is attained by the minimum-norm least-squares solution
-h* = Phi^+ psi, computed with LSQR (Golub-Kahan bidiagonalization, the
-numerically stable form of CG on the normal equations; it handles targets
-outside the reachable subspace by converging to the projection).  The
-adjoint Phi* is the exact discrete adjoint of the forward scheme
-(transposed dynamics run backward in time), so <Phi h, w> = <h, Phi* w>
-holds to roundoff, and LSQR's iterate norms increase monotonically, so the
-value estimate (1/2)||h_m||^2 grows to I(psi) -- in particular it never
-exceeds the action of any feasible control.
+a linear map Phi from piecewise-constant controls to endpoint coefficients.
+Scaling the controls by sqrt(dt) makes the control norm Euclidean, so Phi
+becomes a matrix A with one row per endpoint mode, and the infimum is the
+minimum-norm solution x* = A^+ psi, I(psi) = (1/2)||x*||^2 = (1/2) psi^T G^+ psi
+for the controllability Gramian G = A A^T.  The adjoint Phi* is the exact
+discrete adjoint of the forward scheme (transposed dynamics run backward in
+time), so <Phi h, w> = <h, Phi* w> holds to roundoff, and one backward sweep
+over the unit endpoint vectors reads off all of A.  A is small (endpoint
+modes x control entries) and dense, so the rate function is a truncated SVD
+of it: directions below a fixed relative cutoff count as unreachable, and a
+target with a component there surfaces as a residual.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .model import noise_coefficient_eval
 from .noise import ControlPath, NoiseSpec
@@ -36,7 +36,6 @@ __all__ = [
     "EndpointControlMap",
     "rate_function_endpoint",
     "controllability_gramian",
-    "mdp_tail_estimate",
     "tail_report",
     "wilson_interval",
 ]
@@ -123,19 +122,20 @@ class EndpointControlMap:
         return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg: None)[0]
 
     def adjoint(self, w):
-        """(Phi* w) of shape (J_noise, n_steps)."""
+        """(Phi* w): shape (J_noise, n_steps) for w of shape (J,), and
+        (B, J_noise, n_steps) for a batch of B rows w of shape (B, J)."""
         eng = self.eng
         p = eng.params
         dt = eng.dt
         q = eng.q[: self.n_control_modes]
         phi_n = eng.phi[: self.n_control_modes]
-        out = np.empty((self.n_control_modes, self.n_steps))
         rho = np.asarray(w, dtype=float)
+        out = np.empty(rho.shape[:-1] + (self.n_control_modes, self.n_steps))
         for k in range(self.n_steps - 1, -1, -1):
             e_rho = eng.semigroup * rho
             rho_grid = e_rho @ eng.phi
             gv = noise_coefficient_eval(eng.g, k * dt, eng.grid.nodes, self.u0_grid[k])
-            out[:, k] = eng.h * (q * (phi_n @ (gv * rho_grid)))
+            out[..., k] = eng.h * (q * ((gv * rho_grid) @ phi_n.T))
             lt = 0.0
             if self.c1 is not None:
                 lt = eng.project(self.c1[k] * rho_grid)
@@ -146,6 +146,14 @@ class EndpointControlMap:
                 lt = adv if isinstance(lt, float) else lt + adv
             rho = e_rho if isinstance(lt, float) else e_rho + dt * lt
         return out
+
+    def matrix(self, n_rows=None):
+        """The sqrt(dt)-scaled map A, of shape (n_rows, J_noise * n_steps):
+        row i is sqrt(dt) Phi* e_i, so A x = Phi(x / sqrt(dt)) and the
+        Euclidean norm of x is the control norm.  One batched adjoint sweep."""
+        n_rows = self.eng.cfg.n_modes if n_rows is None else n_rows
+        rows = self.adjoint(np.eye(self.eng.cfg.n_modes)[:n_rows])
+        return np.sqrt(self.eng.dt) * rows.reshape(n_rows, -1)
 
     def control_path(self, hdot):
         return ControlPath(dt=self.eng.dt, n_steps=self.n_steps, hdot=hdot)
@@ -162,56 +170,42 @@ def _target_coeffs(target, eng):
     return target
 
 
-def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec=None, max_iterations=None):
+def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec=None):
     """Minimum Cameron-Martin action over controls steering the skeleton to ``target``.
 
-    Runs LSQR on the Cameron-Martin-weighted operator (controls are scaled
-    by sqrt(dt) so the Euclidean norm of the unknown is the control norm)
-    and returns the achieved control, its action as the value, and the
-    endpoint residual ||Phi h - psi||_2 (the L^2 distance, by Parseval).
-    ``converged`` records whether the residual ended below tol * ||psi||;
-    targets outside the numerically reachable subspace surface as a large
-    residual with the control steering to the reachable projection.
+    Takes the SVD of the sqrt(dt)-scaled endpoint map A, keeps the r singular
+    values above numpy's pinv cutoff max(shape) * eps * sigma_max, and solves
+    x = V_r Sigma_r^-1 U_r^T psi: the minimum-norm control reaching the
+    projection of psi on the numerically reachable subspace.  Returns that
+    control, its action as the value, the endpoint residual ||Phi h - psi||_2
+    (the L^2 distance, by Parseval) recomputed through the forward map, and r
+    as ``iterations`` (the number of directions used; 0 for a zero target).
+    ``converged`` records whether the residual is at most tol * ||psi||, so a
+    target outside the reachable subspace surfaces as not converged.
     """
     cmap = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec)
     psi = _target_coeffs(target, cmap.eng)
-    jc, k_steps = cmap.n_control_modes, cmap.n_steps
-    if max_iterations is None:
-        max_iterations = 10 * jc * k_steps
-
     b_norm = float(np.linalg.norm(psi))
     if b_norm == 0.0:
-        control = cmap.control_path(np.zeros((jc, k_steps)))
+        control = cmap.control_path(np.zeros((cmap.n_control_modes, cmap.n_steps)))
         return RateFunctionResult(0.0, control, 0.0, 0, True)
 
-    root_dt = np.sqrt(cmap.eng.dt)
-    op = LinearOperator(
-        shape=(cmap.eng.cfg.n_modes, jc * k_steps),
-        matvec=lambda x: cmap.forward(x.reshape(jc, k_steps) / root_dt),
-        rmatvec=lambda w: (root_dt * cmap.adjoint(w)).ravel(),
-    )
-    # stop a notch below tol so the recomputed residual decides convergence
-    x, _istop, itn = lsqr(op, psi, atol=0.1 * tol, btol=0.1 * tol, iter_lim=max_iterations)[:3]
-    hdot = x.reshape(jc, k_steps) / root_dt
+    a = cmap.matrix()
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+    x = vt[:rank].T @ ((u[:, :rank].T @ psi) / s[:rank])
+    hdot = x.reshape(cmap.n_control_modes, cmap.n_steps) / np.sqrt(cmap.eng.dt)
     control = cmap.control_path(hdot)
-    value = control.action()
     residual = float(np.linalg.norm(cmap.forward(hdot) - psi))
-    return RateFunctionResult(value, control, residual, int(itn), residual <= tol * b_norm)
+    return RateFunctionResult(control.action(), control, residual, rank, residual <= tol * b_norm)
 
 
 def controllability_gramian(u0_traj, params, g, cfg, mode_cap, noise_spec=None):
-    """Dense Gramian (Phi Phi*) restricted to the first mode_cap endpoint modes."""
-    if mode_cap > 16:
-        raise ValueError(f"mode_cap must be <= 16 for dense assembly, got {mode_cap}")
+    """Gramian G = Phi Phi* = A A^T restricted to the first mode_cap endpoint modes."""
     if mode_cap > cfg.n_modes:
         raise ValueError(f"mode_cap {mode_cap} exceeds n_modes {cfg.n_modes}")
-    cmap = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec)
-    m = np.empty((mode_cap, mode_cap))
-    for i in range(mode_cap):
-        e = np.zeros(cfg.n_modes)
-        e[i] = 1.0
-        m[:, i] = cmap.forward(cmap.adjoint(e))[:mode_cap]
-    return 0.5 * (m + m.T)  # symmetrize roundoff
+    a = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec).matrix(mode_cap)
+    return a @ a.T
 
 
 def wilson_interval(successes, n, z=1.96):
@@ -305,28 +299,3 @@ def tail_report(sup_norms_by_eps, rho_list, p_norm):
         p_norm=p_norm,
     )
 
-
-def mdp_tail_estimate(ensemble, rho, p_norm=None):
-    """Tail estimate from trajectories.
-
-    ``ensemble`` is either a list of Z trajectories (single unnamed eps group)
-    or a dict mapping eps -> list of trajectories.  ``rho`` is a threshold or
-    a list of thresholds.
-    """
-    if isinstance(ensemble, dict):
-        groups = ensemble
-    else:
-        groups = {1.0: list(ensemble)}
-    sups = {}
-    p_used = None
-    for eps, trajs in groups.items():
-        if len(trajs) == 0:
-            raise ValueError(f"empty ensemble for eps={eps}")
-        vals = []
-        for tr in trajs:
-            p = p_norm or tr.norm_p or 2
-            p_used = p
-            norms = tr.norms if (tr.norms is not None and p == tr.norm_p) else tr.lp_norms(p)
-            vals.append(float(np.max(norms)))
-        sups[eps] = np.asarray(vals)
-    return tail_report(sups, rho, p_used)

@@ -69,6 +69,9 @@ __all__ = [
     "load_trajectory",
 ]
 
+# the largest array a config or file header may size: 2^22 float64 entries (32 MB)
+MAX_ARRAY_ENTRIES = 1 << 22
+
 
 class BlowupError(RuntimeError):
     """L^p norm crossed the BlowupGuard threshold."""
@@ -95,6 +98,9 @@ class NumericalAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time and mode grid.  The basis (n_points x n_modes) and a trajectory
+    (n_steps x n_modes) are each bounded by MAX_ARRAY_ENTRIES."""
+
     dt: float
     t_end: float
     n_modes: int = 32
@@ -119,6 +125,11 @@ class SolverConfig:
             raise ValueError(
                 f"grid too coarse: n_points={self.n_points} < 4*n_modes={4 * self.n_modes}"
             )
+        for name, other in (("n_points", self.n_points), ("n_steps", self.n_steps)):
+            if other * self.n_modes > MAX_ARRAY_ENTRIES:
+                raise ValueError(
+                    f"{name}*n_modes = {other * self.n_modes} exceeds {MAX_ARRAY_ENTRIES} entries"
+                )
 
     @property
     def n_steps(self):
@@ -217,8 +228,8 @@ def load_trajectory(path):
     (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(
         path, _TRAJ_HEADER, lambda f: (f[3] + 1, f[1])
     )
-    # no payload bytes back n_points: cap the basis at 2^22 entries (32 MB an array)
-    if n_steps < 1 or not 4 * n_modes <= n_points <= (1 << 22) // n_modes:
+    # no payload bytes back n_points: cap the basis as SolverConfig does
+    if n_steps < 1 or not 4 * n_modes <= n_points <= MAX_ARRAY_ENTRIES // n_modes:
         raise BinaryFormatError(
             f"{path}: header gives n_points={n_points}, n_modes={n_modes}, n_steps={n_steps}"
         )

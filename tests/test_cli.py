@@ -292,6 +292,12 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
             ["experiment", "strong-rate"],
             "must be > 0",
         ),
+        ("[solver]\nn_points = 1000000000000000\n", ["simulate"], "n_points*n_modes"),
+        ("[solver]\ndt = 1e-9\n", ["simulate"], "n_steps*n_modes"),
+        ("[noise]\nn_modes = 1000000000\n", ["simulate", "--solver", "spde"], "noise draw"),
+        ("[solver]\nn_points = 1000000000000000\n", ["validate-kernel"], "n_points^2"),
+        ("[solver]\nn_points = 0\n", ["validate-kernel"], "n_points must be >= 1"),
+        ("[experiment]\nkernel_t_min = 0.0\n", ["validate-kernel"], "every t in (0, 1]"),
     ],
     ids=[
         "nu-nan",
@@ -307,6 +313,12 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "solver-guard-zero",
         "experiment-guard-nan",
         "experiment-guard-zero",
+        "huge-grid",
+        "huge-step-count",
+        "huge-noise-draw",
+        "kernel-huge-grid",
+        "kernel-empty-grid",
+        "kernel-time-zero",
     ],
 )
 def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):

@@ -26,7 +26,12 @@ from sgbh.noise import (  # noqa: E402
     save_control,
     save_realization,
 )
-from sgbh.solvers import Trajectory, load_trajectory, save_trajectory  # noqa: E402
+from sgbh.solvers import (  # noqa: E402
+    MAX_ARRAY_ENTRIES,
+    Trajectory,
+    load_trajectory,
+    save_trajectory,
+)
 from sgbh.spectral import Grid1D, build_basis  # noqa: E402
 
 FUZZ = settings(
@@ -89,6 +94,34 @@ def test_config_text_raises_only_config_error(text):
             build()
         except ConfigError:
             pass
+
+
+# sizes from 1 to 2^60, small and huge drawn alike
+_SIZE = st.integers(0, 60).map(lambda e: 2**e) | st.integers(1, 2**60)
+
+
+@FUZZ
+@given(n_points=_SIZE, n_modes=_SIZE, noise_modes=_SIZE, n_steps=_SIZE, dt_exp=st.integers(0, 80))
+def test_huge_config_sizes_raise_config_error_or_stay_bounded(
+    n_points, n_modes, noise_modes, n_steps, dt_exp
+):
+    dt = 2.0**-dt_exp  # t_end = n_steps * dt is an exact multiple below 2^53 steps
+    cfg = RunConfig.parse(
+        f"[solver]\ndt = {dt!r}\nt_end = {n_steps * dt!r}\nn_modes = {n_modes}\n"
+        f"n_points = {n_points}\n[noise]\nn_modes = {noise_modes}\n"
+    )
+    # the basis, a trajectory and one path's noise draw are all bounded
+    try:
+        scfg = cfg.solver_config()
+    except ConfigError:
+        return
+    assert scfg.n_points * scfg.n_modes <= MAX_ARRAY_ENTRIES
+    assert scfg.n_steps * scfg.n_modes <= MAX_ARRAY_ENTRIES
+    try:
+        spec = cfg.noise_spec()
+    except ConfigError:
+        return
+    assert spec.n_modes * scfg.n_steps <= MAX_ARRAY_ENTRIES
 
 
 # --- flat binary files -------------------------------------------------------------
