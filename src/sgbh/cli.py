@@ -20,6 +20,9 @@ gate), 2 usage, config or setup error (inputs that cannot run together),
 """
 
 import argparse
+import ctypes
+import glob
+import itertools
 import json
 import math
 import os
@@ -297,6 +300,12 @@ class RunConfig:
         raise ConfigError(f"[solver] initial must be 'bump' or 'zero', got {choice!r}")
 
     @property
+    def tail_p(self):
+        if (p := self.values["experiment"]["tail_p"]) < 1:
+            raise ConfigError(f"[experiment] tail_p must be >= 1, got {p}")
+        return p
+
+    @property
     def seed(self):
         return self.values["output"]["seed"]
 
@@ -434,7 +443,7 @@ def cmd_experiment(config, args):
             e["rho_list"],
             u0=u0,
             noise_spec=nspec,
-            tail_p=e["tail_p"],
+            tail_p=config.tail_p,
             workers=workers,
         )
         passed = report.monotone_in_rho()
@@ -548,7 +557,31 @@ def _build_parser():
     return parser
 
 
+def _openblas_function(action):
+    """numpy's bundled OpenBLAS ``{action}_num_threads`` function, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy has loaded it, so this is numpy's handle
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            fn = getattr(lib, f"{prefix}{action}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread():
+    """One BLAS thread per process, which forked pool workers inherit: the
+    per-step GEMMs are too small to share.  A count set in the environment stays."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    set_threads = _openblas_function("set")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def main(argv=None):
+    _one_blas_thread()
     parser = _build_parser()
     args = parser.parse_args(argv)
     # shared flags use SUPPRESS (so a subparser never clobbers a flag given

@@ -74,10 +74,15 @@ def advective_derivative(u0, delta):
 
 
 def reaction_nonlinearity(u, gamma, delta):
-    """c(u) = u (1 - u^delta)(u^delta - gamma)."""
-    u = np.asarray(u)
+    """c(u) = u (1 - u^delta)(u^delta - gamma), with two temporaries of u's
+    shape; ``u`` itself is not written (``u**1`` is a copy)."""
+    u = np.asarray(u, dtype=float)
     ud = u**delta
-    return u * (1.0 - ud) * (ud - gamma)
+    out = 1.0 - ud
+    out *= u
+    ud -= gamma
+    out *= ud
+    return out
 
 
 def reaction_derivative(u0, gamma, delta):

@@ -312,7 +312,7 @@ def _block_strong_rate(payload, start, stop):
     p = payload["params"].p_norm
 
     def observe(k, u_grid):
-        return eng.grid.lp_norm(u_grid - u0_grid[k], p) ** p, eng.grid.lp_norm(u_grid, p)
+        return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
 
     return [
         _censored_march(
@@ -335,12 +335,16 @@ def _block_clt(payload, start, stop):
     out = []
     for eps, inc in _eps_increments(payload, start, stop):
         s = np.sqrt(eps)
+        step_z = eng.deviation_step(u0_grid, s, ref_z, noise_inc=inc)
 
         def observe(k, zg, vg):
-            return eng.grid.lp_norm(zg - vg, p), eng.grid.lp_norm(u0_grid[k] + s * zg, p)
+            stat = eng.grid.lp_norm(zg - vg, p)
+            zg *= s
+            zg += u0_grid[k]  # zg now holds u_eps = u0 + s z, which the z step reads
+            return stat, eng.grid.lp_norm(zg, p)
 
         steps = [
-            eng.deviation_step(u0_grid, s, ref_z, noise_inc=inc),
+            lambda k, z, ug, step_z=step_z: step_z(k, z, None, ug),
             eng.deviation_step(u0_grid, 0.0, ref_v, noise_inc=inc),
         ]
         states = [np.zeros((B, J)), np.zeros((B, J))]

@@ -393,21 +393,22 @@ class SolverEngine:
 
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
         (then u = u0: the CLT limit and the skeleton).  ``ref`` is
-        ``deviation_reference(u0_grid, s == 0)``.
+        ``deviation_reference(u0_grid, s == 0)``.  At s != 0 a caller that
+        has already formed u on the grid may pass it as ``u_grid``.
         """
         dt = self.dt
         linear = s == 0.0
         if linear:
             p1, c1 = ref
 
-        def step(k, z, z_grid):
+        def step(k, z, z_grid, u_grid=None):
             if linear:
                 u_grid = u0_grid[k]
                 drift = self.linearized_drift(
                     z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k]
                 )
             else:
-                u_grid = u0_grid[k] + s * z_grid
+                u_grid = u0_grid[k] + s * z_grid if u_grid is None else u_grid
                 drift = (self.nonlinear_drift(u_grid) - ref[k]) / s
             terms = z + dt * drift
             if noise_inc is not None:

@@ -67,11 +67,25 @@ class Grid1D:
             )
         return self.spacing * values.sum(axis=-1)
 
-    def lp_norm(self, values, p):
-        """L^p norm by trapezoid quadrature, p >= 1."""
+    def lp_integral(self, values, p):
+        """Trapezoid quadrature of |values|^p over the last axis, p >= 1.  An even
+        integer p takes (x^2)^(p/2) by repeated squaring: no abs, no libm pow."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        return self.trapezoid(np.abs(values) ** p) ** (1.0 / p)
+        if p % 2:
+            return self.trapezoid(np.abs(values) ** p)
+        x2 = np.square(np.asarray(values, dtype=float))
+        bits = bin(int(p) // 2)[3:]  # the bits of p/2 after its leading one
+        power = x2.copy() if "1" in bits else x2
+        for bit in bits:
+            power *= power
+            if bit == "1":
+                power *= x2
+        return self.trapezoid(power)
+
+    def lp_norm(self, values, p):
+        """L^p norm over the last axis by trapezoid quadrature, p >= 1."""
+        return self.lp_integral(values, p) ** (1.0 / p)
 
 
 def build_grid(n_points):

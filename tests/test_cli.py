@@ -298,6 +298,16 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         ("[solver]\nn_points = 1000000000000000\n", ["validate-kernel"], "n_points^2"),
         ("[solver]\nn_points = 0\n", ["validate-kernel"], "n_points must be >= 1"),
         ("[experiment]\nkernel_t_min = 0.0\n", ["validate-kernel"], "every t in (0, 1]"),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\ntail_p = 0\n",
+            ["experiment", "mdp-tail"],
+            "tail_p must be >= 1",
+        ),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\ntail_p = -3\n",
+            ["experiment", "mdp-tail"],
+            "tail_p must be >= 1",
+        ),
     ],
     ids=[
         "nu-nan",
@@ -319,6 +329,8 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "kernel-huge-grid",
         "kernel-empty-grid",
         "kernel-time-zero",
+        "tail-p-zero",
+        "tail-p-negative",
     ],
 )
 def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):
@@ -606,3 +618,70 @@ def test_installed_console_script_runs(tmp_path):
         "pyproject.toml; the install is stale, reinstall it"
     )
     _run_simulate([shutil.which("sgbh")], tmp_path)
+
+
+# --- BLAS threads -------------------------------------------------------------
+
+
+def _checkout_env(blas_threads):
+    """This checkout's `src` on the path, with OPENBLAS_NUM_THREADS set to
+    ``blas_threads`` or unset (and OMP_NUM_THREADS unset)."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+def test_reports_identical_across_blas_threads_and_workers(tmp_path, kind):
+    """One BLAS thread (the CLI's default) or two (user-set), inline or on a
+    two-worker pool: the same report bytes.  At the default n_points and
+    n_modes the block GEMMs are large enough for OpenBLAS to split them."""
+    cfg = _write(tmp_path, "[solver]\ndt = 0.005\nt_end = 0.05\n[experiment]\nn_paths = 256\n")
+    reports = []
+    for threads, workers in ((None, 1), (None, 2), ("2", 1), ("2", 2)):
+        out = tmp_path / f"{kind}-{threads}-{workers}"
+        command = [sys.executable, "-m", "sgbh", "experiment", kind, "--config", cfg]
+        proc = subprocess.run(
+            [*command, "--out", str(out), "--workers", str(workers)],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(threads),
+            cwd=tmp_path,
+        )
+        assert proc.returncode in (EXIT_PASS, EXIT_SCI_FAIL), proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert all(r == reports[0] for r in reports[1:])
+
+
+BLAS_THREADS_AROUND_MAIN = """\
+import ctypes, sys
+from sgbh import cli
+get = cli._openblas_function("get")
+get.argtypes, get.restype = [], ctypes.c_int
+before = get()
+cli.main(sys.argv[1:])
+print(before, get())
+"""
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_cli_uses_one_blas_thread_unless_the_user_set_one(tmp_path, blas_threads):
+    from sgbh.cli import _openblas_function
+
+    if _openblas_function("get") is None:
+        pytest.skip("numpy's OpenBLAS exports no get_num_threads symbol")
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS_AROUND_MAIN, "simulate", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(blas_threads),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split()[-2:])
+    assert after == (1 if blas_threads is None else before)

@@ -74,6 +74,16 @@ def test_nonlinearity_spot_values():
     assert advective_nonlinearity(2.0, 3) == pytest.approx(16.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("delta", [1, 2])
+def test_reaction_nonlinearity_leaves_its_input_alone(delta):
+    u = np.linspace(-1.5, 1.5, 33).reshape(3, 11)
+    before = u.copy()
+    got = reaction_nonlinearity(u, 0.3, delta)
+    np.testing.assert_array_equal(u, before)
+    ud = before**delta
+    np.testing.assert_array_equal(got, before * (1.0 - ud) * (ud - 0.3))
+
+
 def test_derivative_spot_values():
     assert reaction_derivative(1.0, 0.5, 1) == pytest.approx(-0.5, rel=1e-14)
     assert reaction_derivative(0.0, 0.5, 1) == pytest.approx(-0.5, rel=1e-14)

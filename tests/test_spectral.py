@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sgbh.solvers import BlowupGuard
 from sgbh.spectral import (
     EstimateFitReport,
     Field,
@@ -68,6 +69,22 @@ def test_lp_norm_values_and_batching():
     np.testing.assert_allclose(out, [1.0, 2.0, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         grid.lp_norm(basis.phi[0], 0.5)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 10])
+def test_lp_norm_matches_abs_pow(p):
+    # even p is formed by repeated squaring, odd p by abs(x)**p
+    grid = build_grid(64)
+    rng = np.random.default_rng(p)
+    rows = np.stack([rng.standard_normal(64), -3.0 * np.abs(rng.standard_normal(64)), np.zeros(64)])
+    integral = grid.trapezoid(np.abs(rows) ** p)
+    np.testing.assert_allclose(grid.lp_integral(rows, p), integral, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(grid.lp_norm(rows, p), integral ** (1.0 / p), rtol=1e-14, atol=0)
+    bad = np.tile(rows[0], (4, 1))
+    bad[0, 5], bad[1, 6], bad[2, 7], bad[3, 8] = np.nan, np.inf, -np.inf, 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = grid.lp_norm(bad, p)
+    assert BlowupGuard(1e3).trips(norms).all()
 
 
 # --- basis --------------------------------------------------------------
