@@ -20,9 +20,6 @@ gate), 2 usage, config or setup error (inputs that cannot run together),
 """
 
 import argparse
-import ctypes
-import glob
-import itertools
 import json
 import math
 import os
@@ -323,16 +320,21 @@ def _write_provenance(config, outdir):
 def _load_target_field(path, scfg):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read target file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"target file {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc or "values" not in doc:
         raise ConfigError("target JSON must be an object with 'kind' and 'values'")
-    values = np.asarray(doc["values"], dtype=float)
+    try:
+        values = np.asarray(doc["values"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"target 'values' must be a flat list of numbers ({exc})")
     if values.ndim != 1:
         raise ConfigError("target 'values' must be a flat list of numbers")
+    if not np.isfinite(values).all():
+        raise ConfigError("target 'values' must be finite numbers")
     if doc["kind"] == "grid":
         if values.size != scfg.n_points:
             raise ConfigError(
@@ -557,31 +559,7 @@ def _build_parser():
     return parser
 
 
-def _openblas_function(action):
-    """numpy's bundled OpenBLAS ``{action}_num_threads`` function, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)  # numpy has loaded it, so this is numpy's handle
-        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
-            fn = getattr(lib, f"{prefix}{action}_num_threads{suffix}", None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _one_blas_thread():
-    """One BLAS thread per process, which forked pool workers inherit: the
-    per-step GEMMs are too small to share.  A count set in the environment stays."""
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    set_threads = _openblas_function("set")
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-
-
 def main(argv=None):
-    _one_blas_thread()
     parser = _build_parser()
     args = parser.parse_args(argv)
     # shared flags use SUPPRESS (so a subparser never clobbers a flag given

@@ -17,11 +17,11 @@ fields.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Grid1D",
@@ -395,8 +395,8 @@ def gaussian_lp_norm(s, p, a, n_quad=4001):
 
 
 def gaussian_lp_norm_closed_form(s, p, a):
-    """Same norm in closed form: (sqrt(pi*a*s/p) * erf(sqrt(p/(a*s))))^(1/p)."""
-    return (np.sqrt(np.pi * a * s / p) * erf(np.sqrt(p / (a * s)))) ** (1.0 / p)
+    """Same norm in closed form for scalar s: (sqrt(pi*a*s/p) * erf(sqrt(p/(a*s))))^(1/p)."""
+    return (math.sqrt(math.pi * a * s / p) * math.erf(math.sqrt(p / (a * s)))) ** (1.0 / p)
 
 
 def validate_kernel_estimates(t_samples, grid, truncation=10, p_gauss=2, a_gauss=1.0):

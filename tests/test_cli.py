@@ -308,6 +308,15 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
             ["experiment", "mdp-tail"],
             "tail_p must be >= 1",
         ),
+        # for `rate`, the second argv entry is the --target file's text
+        (SMALL_SOLVER, ["rate", '{"kind": "spectral", "values": ["a"]}'], "flat list of numbers"),
+        (SMALL_SOLVER, ["rate", '{"kind": "spectral", "values": [NaN, 1.0]}'], "NaN is not a finite"),
+        (
+            SMALL_SOLVER,
+            ["rate", '{"kind": "grid", "values": [' + "0.0, " * 63 + "1e400]}"],
+            "1e400 is not a finite",
+        ),
+        (SMALL_SOLVER, ["rate", '{"kind": "spectral", "values": [null]}'], "must be finite"),
     ],
     ids=[
         "nu-nan",
@@ -331,10 +340,16 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "kernel-time-zero",
         "tail-p-zero",
         "tail-p-negative",
+        "target-string",
+        "target-nan",
+        "target-grid-overflow",
+        "target-null",
     ],
 )
 def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):
     cfg = _write(tmp_path, text)
+    if argv[0] == "rate":
+        argv = ["rate", "--target", _write(tmp_path, argv[1], "target.json")]
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
@@ -657,31 +672,54 @@ def test_reports_identical_across_blas_threads_and_workers(tmp_path, kind):
     assert all(r == reports[0] for r in reports[1:])
 
 
-BLAS_THREADS_AROUND_MAIN = """\
-import ctypes, sys
-from sgbh import cli
-get = cli._openblas_function("get")
-get.argtypes, get.restype = [], ctypes.c_int
-before = get()
-cli.main(sys.argv[1:])
-print(before, get())
+BLAS_THREADS_AFTER_IMPORT = """\
+import ctypes, glob, os
+import sgbh
+import numpy as np
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+names = [p + "get_num_threads" + s for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
+found = [getattr(lib, n) for lib in map(ctypes.CDLL, sorted(libs)) for n in names if hasattr(lib, n)]
+count = "none"
+if found:
+    found[0].argtypes, found[0].restype = [], ctypes.c_int
+    count = found[0]()
+print(count, os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
-@pytest.mark.parametrize("blas_threads", [None, "2"])
-def test_cli_uses_one_blas_thread_unless_the_user_set_one(tmp_path, blas_threads):
-    from sgbh.cli import _openblas_function
-
-    if _openblas_function("get") is None:
-        pytest.skip("numpy's OpenBLAS exports no get_num_threads symbol")
-    cfg = _write(tmp_path, SMALL_SOLVER)
+def _blas_threads_after_import(env):
+    """numpy's OpenBLAS thread count and OPENBLAS_NUM_THREADS (or None) in a
+    fresh interpreter that imports sgbh before numpy."""
     proc = subprocess.run(
-        [sys.executable, "-c", BLAS_THREADS_AROUND_MAIN, "simulate", "--config", cfg],
-        capture_output=True,
-        text=True,
-        env=_checkout_env(blas_threads),
-        cwd=tmp_path,
+        [sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    before, after = map(int, proc.stdout.split()[-2:])
-    assert after == (1 if blas_threads is None else before)
+    count, variable = proc.stdout.split()
+    if count == "none":
+        pytest.skip("numpy's OpenBLAS exports no get_num_threads symbol")
+    return int(count), None if variable == "None" else variable
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_cli_uses_one_blas_thread_unless_the_user_set_one(blas_threads):
+    count, variable = _blas_threads_after_import(_checkout_env(blas_threads))
+    assert count == (1 if blas_threads is None else min(2, os.cpu_count() or 1))
+    assert variable == ("1" if blas_threads is None else blas_threads)
+
+
+def test_omp_num_threads_keeps_openblas_num_threads_unset():
+    env = _checkout_env(None)
+    env["OMP_NUM_THREADS"] = "2"
+    count, variable = _blas_threads_after_import(env)
+    assert variable is None
+    assert count == min(2, os.cpu_count() or 1)
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency; scipy serves the tests alone."""
+    script = "import sys, sgbh.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(None)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
