@@ -416,7 +416,25 @@ _EXPERIMENT_NAMES = {
 }
 
 
+def _keep_freed_heap():
+    """Start glibc's malloc at the mmap and trim thresholds (32 and 64 MB) its
+    own tuning reaches after the first large free.  Until then it returns the
+    top of the heap to the OS whenever two freed (B, n) step temporaries sit
+    there, and an ensemble's first block page-faults on most steps.  Pool
+    workers inherit the setting; a C library without mallopt keeps its own."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def cmd_experiment(config, args):
+    _keep_freed_heap()
     kind = _EXPERIMENT_NAMES[args.kind]
     params = config.model_params()
     scfg = config.solver_config()
@@ -573,6 +591,8 @@ def main(argv=None):
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if args.config is not None:
             try:
                 config = RunConfig.load(args.config)

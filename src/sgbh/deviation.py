@@ -125,7 +125,6 @@ class EndpointControlMap:
         """(Phi* w): shape (J_noise, n_steps) for w of shape (J,), and
         (B, J_noise, n_steps) for a batch of B rows w of shape (B, J)."""
         eng = self.eng
-        p = eng.params
         dt = eng.dt
         q = eng.q[: self.n_control_modes]
         phi_n = eng.phi[: self.n_control_modes]
@@ -140,9 +139,7 @@ class EndpointControlMap:
             if self.c1 is not None:
                 lt = eng.project(self.c1[k] * rho_grid)
             if self.p1 is not None:
-                adv = (p.alpha / (p.delta + 1)) * eng.project(
-                    self.p1[k] * (e_rho @ eng.dphi)
-                )
+                adv = eng.project(self.p1[k] * (e_rho @ eng.dphi))
                 lt = adv if isinstance(lt, float) else lt + adv
             rho = e_rho if isinstance(lt, float) else e_rho + dt * lt
         return out

@@ -74,14 +74,13 @@ def advective_derivative(u0, delta):
 
 
 def reaction_nonlinearity(u, gamma, delta):
-    """c(u) = u (1 - u^delta)(u^delta - gamma), with two temporaries of u's
-    shape; ``u`` itself is not written (``u**1`` is a copy)."""
+    """c(u) = u (1 - u^delta)(u^delta - gamma) in four passes over u's shape
+    at delta = 1 (five above); ``u`` itself is not written."""
     u = np.asarray(u, dtype=float)
-    ud = u**delta
+    ud = u**delta if delta > 1 else u
     out = 1.0 - ud
     out *= u
-    ud -= gamma
-    out *= ud
+    out *= ud - gamma
     return out
 
 

@@ -21,7 +21,8 @@ paths) as a separate column.  The two are never conflated.
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 _EXPERIMENTS = ("strong_rate", "clt", "mdp_tail", "heat_oracle")
+
+# the largest array a block may allocate: 2^24 float64 entries (128 MB), which
+# admits a 128-path heat block of 2500 steps and 32 noise modes
+MAX_BLOCK_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -233,16 +238,37 @@ def _block_spans(n_paths, block_size):
     return [(a, min(a + block_size, n_paths)) for a in range(0, n_paths, block_size)]
 
 
+def _blas_oversubscription(workers):
+    """The stderr line for a pool whose workers each run more than one BLAS
+    thread, a count only the user sets (``sgbh`` sets one otherwise), or None."""
+    # OpenBLAS reads the first of these that is set
+    var = next((v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if v in os.environ), None)
+    try:
+        threads = int(os.environ[var]) if var else 1
+    except ValueError:
+        return None
+    if threads <= 1:
+        return None
+    return (
+        f"sgbh: {var}={threads} BLAS threads x {workers} workers = "
+        f"{threads * workers} threads on {os.cpu_count()} CPUs"
+    )
+
+
 def _run_blocks(fn, payload, spec, workers):
+    """Run the blocks in order, inline or on a pool of min(workers, blocks)
+    processes (the pool starts every worker at its first submit)."""
     spans = _block_spans(spec.n_paths, spec.block_size)
-    if workers <= 1 or len(spans) == 1:
+    workers = min(workers, len(spans))
+    if workers <= 1:
         return [fn(payload, a, b) for a, b in spans]
-    results = [None] * len(spans)
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays this import
+
+    if (line := _blas_oversubscription(workers)) is not None:
+        print(line, file=sys.stderr)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, payload, a, b) for a, b in spans]
-        for i, fut in enumerate(futures):
-            results[i] = fut.result()
-    return results
+        return [fut.result() for fut in futures]
 
 
 def _worker_engine(payload):
@@ -296,7 +322,9 @@ def _censored_march(eng, guard, states, steps, observe):
         nonlocal alive
         stat, norm = observe(k, *grids)
         ok = alive & ~guard.trips(norm) & np.isfinite(stat)
-        supv[ok] = np.maximum(supv[ok], stat[ok])
+        np.maximum(supv, stat, out=supv, where=ok)
+        if ok.all():
+            return  # no path is dead: nothing to zero
         dead = ~ok
         tripped[alive & dead] = True
         alive = ok
@@ -392,6 +420,13 @@ def _build_payload(spec, params, g, cfg, noise_spec, u0=None, reference=True):
     from zero and take ``reference=False``."""
     if noise_spec is None:
         noise_spec = NoiseSpec(n_modes=cfg.n_modes)
+    # a block's (K, B, J_noise) increments and, marching from a reference,
+    # its (K + 1, n_points) reference grid
+    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
+    grid = (cfg.n_steps + 1) * cfg.n_points if reference else 0
+    for name, size in (("block_size*n_steps*noise n_modes", draw), ("(n_steps+1)*n_points", grid)):
+        if size > MAX_BLOCK_ENTRIES:
+            raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
     u0_coeffs = None
     if reference:

@@ -36,6 +36,7 @@ time is ``BlowupGuard``: single paths raise at its first trip, ensembles
 censor the paths that trip.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -271,6 +272,7 @@ class SolverEngine:
             self.q = noise_spec.q
         else:
             self.q = None
+        self.kappa0_q = None if g is None or self.q is None else g.kappa0 * self.q
 
     # representation changes ------------------------------------------------
 
@@ -278,11 +280,15 @@ class SolverEngine:
         return coeffs @ self.phi
 
     def project(self, values):
-        return (values @ self.phi.T) * self.h
+        out = values @ self.phi.T
+        out *= self.h
+        return out
 
     def project_divergence(self, values):
         """Mode coefficients of the divergence-form advective pairing <., phi_j'>."""
-        return (values @ self.dphi.T) * self.h
+        out = values @ self.dphi.T
+        out *= self.h
+        return out
 
     def initial_coeffs(self, u0):
         if isinstance(u0, Field):
@@ -292,42 +298,95 @@ class SolverEngine:
             return u0.copy()
         raise ValueError(f"initial coefficients must have length {self.cfg.n_modes}")
 
-    # drift pieces -----------------------------------------------------------
+    # the explicit terms -----------------------------------------------------
+    #
+    # Exponential Euler evaluates every explicit term at the left endpoint, so
+    # the reaction (or its linearization) and the kappa1 u dW product of a step
+    # are one grid field and take one projection; the advective field takes one
+    # divergence projection.  The drift and forcing methods and both steppers
+    # build their terms from these three helpers.
+
+    def _drift_fields(self, u_grid, weight=1.0):
+        """weight * N(u) as (grid field, weight) pairs, (c(u), weight beta) and
+        (p(u), weight alpha/(delta+1)), None where the coefficient is zero;
+        ``u_grid`` is read only then."""
+        p = self.params
+        react = adv = None
+        if p.beta > 0:
+            react = reaction_nonlinearity(u_grid, p.gamma, p.delta), weight * p.beta
+        if p.alpha > 0:
+            adv = advective_nonlinearity(u_grid, p.delta), weight * (p.alpha / (p.delta + 1))
+        return react, adv
+
+    @staticmethod
+    def _linear_fields(z_grid, p1, c1, weight=1.0):
+        """weight times the linearized drift as (grid field, weight) pairs,
+        (c1 z, weight) and (p1 z, weight), for ``linearization_profiles``."""
+        return (
+            None if c1 is None else (c1 * z_grid, weight),
+            None if p1 is None else (p1 * z_grid, weight),
+        )
+
+    def _explicit_modes(self, shape, react, adv, u_grid=None, forcings=()):
+        """r project(c + kappa1 u w / r) + a project_divergence(f) + the kappa0
+        modes, for react = (c, r) and adv = (f, a), each None when absent.
+
+        ``forcings`` holds (c, dB) pairs of a weight and (..., J_noise) mode
+        increments, w = sum c sum_j q_j phi_j dB_j.  Of g = kappa0 + kappa1 u the
+        kappa0 part projects to kappa0 q_j dB_j exactly (the sine modes are
+        discretely orthonormal on the grid), zero beyond J_noise, so only
+        kappa1 != 0 takes the grid product and reads ``u_grid``.  The weights
+        scale mode coefficients, a pass over (B, J) where the grid is (B, n);
+        the grid fields are written in place.  Every input has the batch axes
+        of ``shape``, the state's, except that ``u_grid`` may be one grid row.
+        Returns a new array of ``shape``.
+        """
+        kappa1 = self.g.kappa1 if forcings else 0.0
+        out = None
+        if react is not None or kappa1 != 0.0:
+            field, weight = (None, 1.0) if react is None else react
+            if kappa1 != 0.0:
+                scale = kappa1 / weight
+                parts = [self.colored_increment_grid((c * scale) * x) for c, x in forcings]
+                w = functools.reduce(np.add, parts)
+                w *= u_grid
+                field = w if field is None else np.add(field, w, out=field)
+            out = self.project(field)
+            out *= weight
+        if adv is not None:
+            field, weight = adv
+            div = self.project_divergence(field)
+            div *= weight
+            out = div if out is None else np.add(out, div, out=out)
+        if out is None:
+            out = np.zeros(shape)
+        for c, x in forcings:
+            jn = x.shape[-1]
+            k0 = self.kappa0_q[:jn] * x
+            k0 *= c
+            out[..., :jn] += k0
+        return out
 
     def nonlinear_drift(self, u_grid):
         """beta c(u) + (alpha/(delta+1)) <p(u), phi'> as mode coefficients."""
-        p = self.params
-        out = 0.0
-        if p.beta > 0:
-            out = p.beta * self.project(reaction_nonlinearity(u_grid, p.gamma, p.delta))
-        if p.alpha > 0:
-            adv = (p.alpha / (p.delta + 1)) * self.project_divergence(
-                advective_nonlinearity(u_grid, p.delta)
-            )
-            out = adv if isinstance(out, float) else out + adv
-        if isinstance(out, float):
-            return np.zeros(u_grid.shape[:-1] + (self.cfg.n_modes,))
-        return out
+        shape = u_grid.shape[:-1] + (self.cfg.n_modes,)
+        return self._explicit_modes(shape, *self._drift_fields(u_grid))
 
     def linearization_profiles(self, u0_grid):
-        """(p'(u0), beta*c'(u0)) grid profiles used by the linear solvers."""
+        """(alpha/(delta+1) p'(u0), beta c'(u0)): the grid profiles of the drift's
+        linearization at u0, None where the coefficient is zero."""
         p = self.params
-        p1 = advective_derivative(u0_grid, p.delta) if p.alpha > 0 else None
+        p1 = None
+        if p.alpha > 0:
+            p1 = (p.alpha / (p.delta + 1)) * advective_derivative(u0_grid, p.delta)
         c1 = p.beta * reaction_derivative(u0_grid, p.gamma, p.delta) if p.beta > 0 else None
         return p1, c1
 
     def linearized_drift(self, z_grid, p1, c1):
-        """Drift of the linearization at u0: beta c'(u0) z + (alpha/(delta+1)) <p'(u0) z, phi_j'>."""
-        p = self.params
-        out = 0.0
-        if c1 is not None:
-            out = self.project(c1 * z_grid)
-        if p1 is not None:
-            adv = (p.alpha / (p.delta + 1)) * self.project_divergence(p1 * z_grid)
-            out = adv if isinstance(out, float) else out + adv
-        if isinstance(out, float):
-            return np.zeros(z_grid.shape[:-1] + (self.cfg.n_modes,))
-        return out
+        """Drift of the linearization at u0, c1 z + <p1 z, phi_j'>, for the
+        profiles (p1, c1) of ``linearization_profiles``."""
+        shape = z_grid.shape[:-1] + (self.cfg.n_modes,)
+        return self._explicit_modes(shape, *self._linear_fields(z_grid, p1, c1))
 
     # noise and control ------------------------------------------------------
 
@@ -337,24 +396,15 @@ class SolverEngine:
         return (self.q[:jn] * mode_increments) @ self.phi[:jn]
 
     def forcing_term(self, t, u_grid, mode_increments):
-        """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control.
-
-        With g = kappa0 + kappa1 u, the kappa0 part projects to kappa0 q_j dB_j
-        exactly (the sine modes are discretely orthonormal on the grid), zero
-        beyond the increments' J_noise modes, so only kappa1 != 0 takes the
-        grid product; ``u_grid`` is read only then.
-        """
-        jn = mode_increments.shape[-1]
-        out = np.zeros(mode_increments.shape[:-1] + (self.cfg.n_modes,))
-        out[..., :jn] = self.g.kappa0 * self.q[:jn] * mode_increments
-        if self.g.kappa1 != 0.0:
-            w = self.colored_increment_grid(mode_increments)
-            out = out + self.project(self.g.kappa1 * u_grid * w)
-        return out
+        """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control;
+        ``u_grid`` is read only when kappa1 != 0."""
+        shape = mode_increments.shape[:-1] + (self.cfg.n_modes,)
+        return self._explicit_modes(shape, None, None, u_grid, ((1.0, mode_increments),))
 
     # steppers ---------------------------------------------------------------
     #
-    # Each returns step(k, state, state_grid) -> state at step k + 1.  Increment
+    # Each returns step(k, state, state_grid) -> state at step k + 1, a new
+    # array: a step never writes into the state or grid it is given.  Increment
     # buffers are step-major: inc[k] holds the (..., J_noise) increments of step
     # k, so a single path passes ``noise.increments.T``.
 
@@ -366,19 +416,20 @@ class SolverEngine:
         state is never read, so callers may pass ``None`` for it.
         """
         dt = self.dt
-        drift = self.params.alpha > 0 or self.params.beta > 0
 
         def step(k, a, u_grid):
-            terms = a + dt * self.nonlinear_drift(u_grid) if drift else a
-            if inc is not None:
-                terms = terms + root_eps * self.forcing_term(k * dt, u_grid, inc[k])
-            return self.semigroup * terms
+            forcings = () if inc is None else ((root_eps, inc[k]),)
+            fields = self._drift_fields(u_grid, dt)
+            out = self._explicit_modes(a.shape, *fields, u_grid, forcings)
+            out += a
+            out *= self.semigroup
+            return out
 
         return step
 
     def deviation_reference(self, u0_grid, linear):
         """What the deviation drift needs of the reference path u0, for every
-        step at once: the profiles (p'(u0), beta c'(u0)) of the linearization,
+        step at once: the profiles of the linearization (linearization_profiles),
         else the drift N(u0) that the difference quotient subtracts."""
         if linear:
             return self.linearization_profiles(u0_grid)
@@ -400,22 +451,28 @@ class SolverEngine:
         linear = s == 0.0
         if linear:
             p1, c1 = ref
+        else:
+            ref = (dt / s) * ref
+        drives = [
+            (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
+        ]
 
         def step(k, z, z_grid, u_grid=None):
+            forcings = [(c, inc[k]) for c, inc in drives]
             if linear:
                 u_grid = u0_grid[k]
-                drift = self.linearized_drift(
-                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k]
+                fields = self._linear_fields(
+                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt
                 )
             else:
                 u_grid = u0_grid[k] + s * z_grid if u_grid is None else u_grid
-                drift = (self.nonlinear_drift(u_grid) - ref[k]) / s
-            terms = z + dt * drift
-            if noise_inc is not None:
-                terms = terms + noise_scale * self.forcing_term(k * dt, u_grid, noise_inc[k])
-            if control_inc is not None:
-                terms = terms + dt * self.forcing_term(k * dt, u_grid, control_inc[k])
-            return self.semigroup * terms
+                fields = self._drift_fields(u_grid, dt / s)
+            out = self._explicit_modes(z.shape, *fields, u_grid, forcings)
+            if not linear:
+                out -= ref[k]
+            out += z
+            out *= self.semigroup
+            return out
 
         return step
 

@@ -58,30 +58,41 @@ class Grid1D:
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
-    def trapezoid(self, values):
-        """Trapezoid quadrature of interior samples; boundary values are zero."""
-        values = np.asarray(values)
+    def _samples(self, values, dtype=None):
+        values = np.asarray(values, dtype=dtype)
         if values.shape[-1] != self.n_points:
             raise ValueError(
                 f"expected {self.n_points} interior samples, got {values.shape[-1]}"
             )
-        return self.spacing * values.sum(axis=-1)
+        return values
+
+    def trapezoid(self, values):
+        """Trapezoid quadrature of interior samples; boundary values are zero."""
+        return self.spacing * self._samples(values).sum(axis=-1)
 
     def lp_integral(self, values, p):
-        """Trapezoid quadrature of |values|^p over the last axis, p >= 1.  An even
-        integer p takes (x^2)^(p/2) by repeated squaring: no abs, no libm pow."""
+        """Trapezoid quadrature of |values|^p over the last axis, p >= 1.
+
+        An even p = 2m >= 4 takes no abs and no libm pow: it squares up to
+        (x^2)^floor(m/2) and ends in the row-wise dot product
+        (x^2)^ceil(m/2) . (x^2)^floor(m/2), so x^p is never formed."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         if p % 2:
             return self.trapezoid(np.abs(values) ** p)
-        x2 = np.square(np.asarray(values, dtype=float))
-        bits = bin(int(p) // 2)[3:]  # the bits of p/2 after its leading one
-        power = x2.copy() if "1" in bits else x2
+        x2 = np.square(self._samples(values, float))
+        m = int(p) // 2
+        if m == 1:
+            return self.trapezoid(x2)
+        bits = bin(m // 2)[3:]  # the bits of floor(m/2) after its leading one
+        # squaring in place overwrites x2, which odd m and set bits read again
+        low = x2.copy() if bits and (m % 2 or "1" in bits) else x2
         for bit in bits:
-            power *= power
+            low *= low
             if bit == "1":
-                power *= x2
-        return self.trapezoid(power)
+                low *= x2
+        high = low * x2 if m % 2 else low
+        return self.spacing * np.vecdot(high, low)
 
     def lp_norm(self, values, p):
         """L^p norm over the last axis by trapezoid quadrature, p >= 1."""

@@ -237,6 +237,18 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             ["experiment", "heat-oracle"],
             "got 16",
         ),
+        # one path's draw passes the 2^22 bound; a 128-path block of it would be 3.3 GB
+        (
+            "[solver]\ndt = 1e-5\nt_end = 1.0\n",
+            ["experiment", "strong-rate"],
+            "block_size*n_steps*noise n_modes = 409600000 exceeds 16777216",
+        ),
+        (
+            "[solver]\ndt = 0.000244140625\nt_end = 1.0\nn_modes = 1\nn_points = 4096\n"
+            "[noise]\nn_modes = 1\n[experiment]\nn_paths = 1\n",
+            ["experiment", "clt"],
+            "(n_steps+1)*n_points = 16781312 exceeds 16777216",
+        ),
     ],
     ids=[
         "aliasing",
@@ -246,6 +258,8 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "clt-uncoupled",
         "rho-above-guard",
         "heat-unforced-modes",
+        "block-noise-draw",
+        "block-reference-grid",
     ],
 )
 def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
@@ -353,6 +367,14 @@ def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, 
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    cfg = _write(tmp_path, SMALL_SOLVER + "[experiment]\nn_paths = 4\n")
+    argv = ["experiment", "strong-rate", "--config", cfg, "--out", str(tmp_path / "w")]
+    assert main([*argv, "--workers", workers]) == EXIT_CONFIG
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_simulate_unknown_kind_in_config(tmp_path):
@@ -723,3 +745,37 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    """concurrent.futures (and multiprocessing behind it) loads only when a
+    pool starts."""
+    script = (
+        "import sys, sgbh.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(None)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+def test_ensemble_block_keeps_its_heap(tmp_path):
+    """One 128-path strong-rate block at the default shapes: its (B, n) step
+    temporaries reuse heap memory instead of faulting fresh pages in.  With
+    glibc's start-up thresholds the block alone made about 130k minor faults;
+    the interpreter and numpy take about 7k."""
+    import ctypes
+
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    cfg = _write(tmp_path, "[experiment]\nn_paths = 128\n")
+    command = [sys.executable, "-m", "sgbh", "experiment", "strong-rate", "--config", cfg]
+    proc = subprocess.Popen(
+        [*command, "--out", str(tmp_path / "o"), "--workers", "1"],
+        stdout=subprocess.DEVNULL,
+        env=_checkout_env(None),
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) in (EXIT_PASS, EXIT_SCI_FAIL)
+    assert usage.ru_minflt < 40_000

@@ -7,6 +7,7 @@ byte-for-byte across worker counts and reruns.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sgbh.solvers import (
     NumericalAbortError,
     SetupError,
     SolverConfig,
+    march,
     solve_clt_limit,
     solve_deterministic,
     solve_mdp_process,
@@ -217,6 +219,88 @@ def test_block_size_only_regroups_arithmetic():
     np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
     np.testing.assert_allclose(a.stderr, b.stderr, rtol=1e-12)
     assert a.n_rejected == b.n_rejected
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by a recording fake that runs blocks inline;
+    yields the max_workers of every pool started.  No real pool starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "n_paths,workers,pool", [(8, 64, 2), (12, 2, 2), (16, 3, 3), (4, 8, None), (8, 1, None)]
+)
+def test_pool_starts_no_more_workers_than_blocks(pool_sizes, n_paths, workers, pool):
+    spec = EnsembleSpec(n_paths=n_paths, base_seed=19, eps_list=[0.5, 0.25, 0.125], block_size=4)
+    got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
+    assert pool_sizes == ([] if pool is None else [pool])
+    inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert got.to_json() == inline.to_json()
+
+
+@pytest.mark.parametrize(
+    "env,line",
+    [
+        ({"OPENBLAS_NUM_THREADS": "3"}, "OPENBLAS_NUM_THREADS=3 BLAS threads x 2 workers = 6"),
+        ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2 BLAS threads x 2 workers = 4"),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, None),
+        ({"OPENBLAS_NUM_THREADS": "many"}, None),
+        ({}, None),
+    ],
+    ids=["openblas-3", "omp-2", "openblas-1-wins", "not-a-number", "unset"],
+)
+def test_pool_names_user_set_blas_threads_on_stderr(pool_sizes, monkeypatch, capsys, env, line):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    spec = EnsembleSpec(n_paths=8, base_seed=20, eps_list=[0.5, 0.25, 0.125], block_size=4)
+    run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=2)
+    assert pool_sizes == [2]
+    err = capsys.readouterr().err
+    if line is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and line in err
+        assert err.endswith(f" threads on {os.cpu_count()} CPUs\n")
+
+
+def test_block_allocations_are_bounded():
+    """A block's increments and reference grid are capped at 2^24 entries."""
+    # 41944 paths x 50 steps x 8 noise modes = 16,777,600, just over 16,777,216
+    for block_size in (41944, 10**6):
+        spec = EnsembleSpec(n_paths=41944, base_seed=1, eps_list=[0.1], block_size=block_size)
+        with pytest.raises(SetupError, match=r"noise n_modes = 16777600 exceeds 16777216"):
+            run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    # the bound counts the paths a block holds, not its nominal size
+    few = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.5, 0.25, 0.125], block_size=10**6)
+    run_strong_rate(few, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    # a (4096 + 1) x 4096 reference grid: 16,781,312 entries
+    cfg = SolverConfig(dt=1 / 4096, t_end=1.0, n_modes=1, n_points=4096)
+    spec = EnsembleSpec(n_paths=1, base_seed=1, eps_list=[0.1])
+    with pytest.raises(SetupError, match=r"\(n_steps\+1\)\*n_points = 16781312 exceeds"):
+        run_strong_rate(spec, DESK, G_AFFINE, cfg, noise_spec=NoiseSpec(n_modes=1))
 
 
 def test_stderr_shrinks_with_ensemble_size():
@@ -474,3 +558,48 @@ def test_guard_thresholds_must_be_positive(thr):
         BlowupGuard(thr)
     with pytest.raises(ValueError):
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], guard_threshold=thr)
+
+
+# --- censoring fast path ----------------------------------------------------------------
+
+
+def _censored_march_masked(eng, guard, states, steps, observe):
+    """Reference censoring loop: the masked sup update and the masked zeroing
+    run at every step, whether or not a path has died."""
+    B = states[0].shape[0]
+    alive = np.ones(B, dtype=bool)
+    tripped = np.zeros(B, dtype=bool)
+    supv = np.zeros(B)
+
+    def censor(k, states, grids):
+        nonlocal alive
+        stat, norm = observe(k, *grids)
+        ok = alive & ~guard.trips(norm) & np.isfinite(stat)
+        supv[ok] = np.maximum(supv[ok], stat[ok])
+        dead = ~ok
+        tripped[alive & dead] = True
+        alive = ok
+        for x in (*states, *grids):
+            x[dead] = 0.0
+
+    march(eng, states, steps, censor)
+    return {"sup": supv, "tripped": tripped}
+
+
+def test_censoring_fast_path_is_byte_identical(monkeypatch):
+    """At guard 0.22 most eps = 0.1 paths trip, some eps = 0.01 ones, no
+    eps = 0.001 one: the report does not depend on skipping the zeroing."""
+    import sgbh.montecarlo as mc
+
+    spec = EnsembleSpec(
+        n_paths=16,
+        base_seed=7,
+        eps_list=[0.1, 0.01, 0.001],
+        experiment="clt",
+        block_size=8,
+        guard_threshold=0.22,
+    )
+    fast = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert 0 < fast.n_rejected[1] < fast.n_rejected[0] < 16 and fast.n_rejected[2] == 0
+    monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
+    assert run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8).to_json() == fast.to_json()

@@ -16,7 +16,10 @@ from scipy.integrate import solve_ivp
 from sgbh.model import (
     ModelParams,
     NoiseCoefficient,
+    advective_derivative,
+    advective_nonlinearity,
     noise_coefficient_eval,
+    reaction_derivative,
     reaction_nonlinearity,
 )
 from sgbh.noise import BinaryFormatError, ControlPath, NoiseRealization, NoiseSpec, sample_noise
@@ -356,6 +359,126 @@ def test_forcing_term_equals_grid_projection(g, batch, j_noise):
     np.testing.assert_allclose(got, grid_formula, rtol=0, atol=1e-13)
     if g.kappa1 == 0.0:
         assert np.all(got[..., j_noise:] == 0.0)
+
+
+# --- the fused steppers against the unfused formulas ----------------------------------
+#
+# The steppers sum every explicit grid term into one field before projecting.
+# The references below project each term alone, straight from the model
+# functions, as E (x + dt D + c F(u, dB) + ...) with F = project(g(u) w).
+
+
+def _unfused_forcing(eng, g, u_grid, dB):
+    return eng.project(
+        noise_coefficient_eval(g, 0.0, eng.grid.nodes, u_grid) * eng.colored_increment_grid(dB)
+    )
+
+
+def _unfused_drift(eng, u_grid):
+    p = eng.params
+    return p.beta * eng.project(reaction_nonlinearity(u_grid, p.gamma, p.delta)) + (
+        p.alpha / (p.delta + 1)
+    ) * eng.project_divergence(advective_nonlinearity(u_grid, p.delta))
+
+
+def _unfused_linear_drift(eng, u0_grid, z_grid):
+    p = eng.params
+    c1 = p.beta * reaction_derivative(u0_grid, p.gamma, p.delta)
+    p1 = advective_derivative(u0_grid, p.delta)
+    return eng.project(c1 * z_grid) + (p.alpha / (p.delta + 1)) * eng.project_divergence(
+        p1 * z_grid
+    )
+
+
+def _step_inputs(g, batch, j_noise, seed, n_steps=3):
+    cfg = SolverConfig(dt=0.001, t_end=0.001 * n_steps, n_modes=16, n_points=128)
+    eng = SolverEngine(ModelParams(**DESK), cfg, g=g, noise_spec=NoiseSpec(n_modes=j_noise))
+    rng = np.random.default_rng(seed)
+    x = 0.3 * rng.standard_normal(batch + (cfg.n_modes,))
+    dB = np.sqrt(cfg.dt) * rng.standard_normal((n_steps,) + batch + (j_noise,))
+    hdot = rng.standard_normal((n_steps,) + batch + (j_noise,))
+    u0_grid = eng.grid_values(0.3 * rng.standard_normal((n_steps + 1, cfg.n_modes)))
+    return eng, x, dB, hdot, u0_grid
+
+
+def _assert_rel(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def _stepped(step, k, x, *grids):
+    """step(k, x, *grids), checking that it writes into none of its inputs."""
+    before = [a.copy() for a in (x, *grids)]
+    out = step(k, x, *grids)
+    assert all(np.array_equal(a, b) for a, b in zip((x, *grids), before))
+    return out
+
+
+STEP_CASES = dict(
+    argnames="g,batch,j_noise",
+    argvalues=[
+        (G_CONSTANT, (), 16),
+        (G_AFFINE, (), 6),
+        (G_AFFINE, (1,), 16),
+        (G_CONSTANT, (5,), 6),
+        (G_AFFINE, (5,), 16),
+        (G_AFFINE, (5,), 6),
+    ],
+    ids=["constant-path", "affine-path-Jn6", "affine-B1", "constant-B5-Jn6", "affine-B5",
+         "affine-B5-Jn6"],
+)
+
+
+@pytest.mark.parametrize(**STEP_CASES)
+def test_spde_step_equals_the_unfused_formula(g, batch, j_noise):
+    eng, a, dB, _, _ = _step_inputs(g, batch, j_noise, seed=j_noise + len(batch))
+    u = eng.grid_values(a)
+    k, root_eps = 1, 0.3
+    got = _stepped(eng.spde_step(root_eps, dB), k, a, u)
+    want = eng.semigroup * (
+        a + eng.dt * _unfused_drift(eng, u) + root_eps * _unfused_forcing(eng, g, u, dB[k])
+    )
+    _assert_rel(got, want)
+    _assert_rel(eng.spde_step()(k, a, u), eng.semigroup * (a + eng.dt * _unfused_drift(eng, u)))
+
+
+@pytest.mark.parametrize("s", [0.05, 0.0], ids=["s>0", "s=0"])
+@pytest.mark.parametrize(**STEP_CASES)
+def test_deviation_step_equals_the_unfused_formula(g, batch, j_noise, s):
+    """Noise and control together, at s > 0 (the difference quotient) and at
+    s = 0 (the linearization), and each forcing alone."""
+    eng, z, dB, hdot, u0_grid = _step_inputs(g, batch, j_noise, seed=7 * j_noise + len(batch))
+    zg = eng.grid_values(z)
+    k, scale, dt = 2, 0.7, eng.dt
+    if s:
+        u = u0_grid[k] + s * zg
+        drift = (_unfused_drift(eng, u) - _unfused_drift(eng, u0_grid[k])) / s
+    else:
+        u = u0_grid[k]
+        drift = _unfused_linear_drift(eng, u0_grid[k], zg)
+    noise = scale * _unfused_forcing(eng, g, u, dB[k])
+    control = dt * _unfused_forcing(eng, g, u, hdot[k])
+    ref = eng.deviation_reference(u0_grid, linear=s == 0.0)
+    for kwargs, forcing in (
+        (dict(noise_inc=dB, noise_scale=scale, control_inc=hdot), noise + control),
+        (dict(noise_inc=dB, noise_scale=scale), noise),
+        (dict(control_inc=hdot), control),
+    ):
+        got = _stepped(eng.deviation_step(u0_grid, s, ref, **kwargs), k, z, zg)
+        _assert_rel(got, eng.semigroup * (z + dt * drift + forcing))
+
+
+@pytest.mark.parametrize("batch,j_noise", [((), 16), ((1,), 6), ((5,), 16)])
+def test_heat_step_is_bitwise_the_modal_forcing(batch, j_noise):
+    """No drift and constant g: E (a + sqrt(eps) kappa0 q dB) in modes, bit for bit."""
+    eng, a, dB, _, _ = _step_inputs(G_CONSTANT, batch, j_noise, seed=3)
+    heat = ModelParams(**dict(DESK, alpha=0.0, beta=0.0))
+    eng = SolverEngine(heat, eng.cfg, g=G_CONSTANT, noise_spec=NoiseSpec(n_modes=j_noise))
+    k, root_eps = 1, 0.3
+    forcing = np.zeros(batch + (eng.cfg.n_modes,))
+    forcing[..., :j_noise] = G_CONSTANT.kappa0 * eng.q[:j_noise] * dB[k]
+    want = eng.semigroup * (a + root_eps * forcing)
+    assert np.array_equal(eng.spde_step(root_eps, dB)(k, a, None), want)
 
 
 # --- trajectory object and persistence ----------------------------------------------
