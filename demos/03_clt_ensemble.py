@@ -19,7 +19,6 @@ spec = EnsembleSpec(
     n_paths=64,
     base_seed=2024,
     eps_list=(1e-1, 1e-2, 1e-3),
-    experiment="clt",
 )
 report = run_clt(spec, params, g, cfg, noise_spec=NoiseSpec(32, 0.3))
 

@@ -21,7 +21,6 @@ spec = EnsembleSpec(
     n_paths=96,
     base_seed=7,
     eps_list=(1e-2, 1e-4),
-    experiment="mdp_tail",
 )
 report = run_mdp_tail(
     spec,

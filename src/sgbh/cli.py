@@ -274,7 +274,7 @@ class RunConfig:
         thr = self.values["solver"]["guard_threshold"]
         return self._wrap(lambda: BlowupGuard(threshold=thr))
 
-    def ensemble_spec(self, kind):
+    def ensemble_spec(self):
         e = self.values["experiment"]
         return self._wrap(
             lambda: EnsembleSpec(
@@ -282,7 +282,6 @@ class RunConfig:
                 base_seed=self.seed,
                 eps_list=tuple(e["eps_list"]),
                 coupled=e["coupled"],
-                experiment=kind,
                 block_size=e["block_size"],
                 guard_threshold=e["guard_threshold"],
             )
@@ -408,50 +407,23 @@ def cmd_simulate(config, args):
     return EXIT_PASS
 
 
-_EXPERIMENT_NAMES = {
-    "strong-rate": "strong_rate",
-    "clt": "clt",
-    "heat-oracle": "heat_oracle",
-    "mdp-tail": "mdp_tail",
-}
-
-
-def _keep_freed_heap():
-    """Start glibc's malloc at the mmap and trim thresholds (32 and 64 MB) its
-    own tuning reaches after the first large free.  Until then it returns the
-    top of the heap to the OS whenever two freed (B, n) step temporaries sit
-    there, and an ensemble's first block page-faults on most steps.  Pool
-    workers inherit the setting; a C library without mallopt keeps its own."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def cmd_experiment(config, args):
-    _keep_freed_heap()
-    kind = _EXPERIMENT_NAMES[args.kind]
     params = config.model_params()
     scfg = config.solver_config()
     nspec = config.noise_spec()
-    spec = config.ensemble_spec(kind)
+    spec = config.ensemble_spec()
     e = config.values["experiment"]
     workers = args.workers
     outdir = config.outdir
     u0 = config.initial_data(scfg)
 
-    if kind == "heat_oracle":
+    if args.kind == "heat-oracle":
         report = run_heat_oracle(
             spec, params, scfg, noise_spec=nspec, workers=workers, g_constant=e["oracle_g"]
         )
         passed = report.passed
         summary = f"frac_z_within={report.frac_within} means_ok={report.means_ok}"
-    elif kind == "mdp_tail":
+    elif args.kind == "mdp-tail":
         g = config.noise_coefficient()
         speed = SpeedFunction(e["theta"])
         report = run_mdp_tail(
@@ -470,7 +442,7 @@ def cmd_experiment(config, args):
         summary = f"monotone_in_rho={passed}"
     else:
         g = config.noise_coefficient()
-        runner = run_strong_rate if kind == "strong_rate" else run_clt
+        runner = run_strong_rate if args.kind == "strong-rate" else run_clt
         report = runner(spec, params, g, scfg, u0=u0, noise_spec=nspec, workers=workers)
         passed = report.passed
         summary = (
@@ -568,7 +540,7 @@ def _build_parser():
     ps.add_argument("--control", help="control path binary for controlled/skeleton runs")
 
     pe = sub.add_parser("experiment", parents=[common], help="ensemble experiment")
-    pe.add_argument("kind", choices=sorted(_EXPERIMENT_NAMES))
+    pe.add_argument("kind", choices=["clt", "heat-oracle", "mdp-tail", "strong-rate"])
 
     pr = sub.add_parser("rate", parents=[common], help="minimum-energy rate function")
     pr.add_argument("--target", required=True, help="endpoint target Field as JSON")

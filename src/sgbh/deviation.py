@@ -111,7 +111,7 @@ class EndpointControlMap:
         self.n_steps = cfg.n_steps
         self.n_control_modes = spec.n_modes
         self.u0_grid = u0_traj.grid_values()
-        self.profiles = self.eng.deviation_reference(self.u0_grid, linear=True)
+        self.profiles = self.eng.linearization_profiles(self.u0_grid)
         self.p1, self.c1 = self.profiles
 
     def forward(self, hdot):

@@ -8,6 +8,13 @@ results are reduced in block order.  Every array op sees the same shapes and
 the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
+Each runner builds one frozen run record (engine, reference path, guard and
+specs) before any block starts; blocks read it inline or, pickled, on the pool
+workers, and build nothing themselves.  The runner called is the experiment
+and names its report.  Every ``run_*`` call first sets glibc's malloc
+thresholds (``_keep_freed_heap``), so a block's step temporaries reuse heap
+memory instead of faulting fresh pages in.
+
 Coupling across epsilon reuses one Brownian path per path index (the same
 increments drive every epsilon), which makes pathwise differences nearly
 deterministic functions of epsilon and sharpens slope fits by orders of
@@ -46,8 +53,6 @@ __all__ = [
     "default_initial",
 ]
 
-_EXPERIMENTS = ("strong_rate", "clt", "mdp_tail", "heat_oracle")
-
 # the largest array a block may allocate: 2^24 float64 entries (128 MB), which
 # admits a 128-path heat block of 2500 steps and 32 noise modes
 MAX_BLOCK_ENTRIES = 1 << 24
@@ -55,13 +60,12 @@ MAX_BLOCK_ENTRIES = 1 << 24
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Size, seeding, epsilon schedule, and kind of one ensemble experiment."""
+    """Size, seeding and epsilon schedule of one ensemble experiment."""
 
     n_paths: int
     base_seed: int
     eps_list: tuple
     coupled: bool = True
-    experiment: str = "strong_rate"
     block_size: int = 128
     guard_threshold: float = 1e3
 
@@ -77,8 +81,6 @@ class EnsembleSpec:
             raise ValueError(f"eps values must lie in (0, 1], got {self.eps_list}")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
-        if self.experiment not in _EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
         if not self.guard_threshold > 0:
             raise ValueError(f"guard_threshold must be > 0, got {self.guard_threshold}")
 
@@ -234,6 +236,64 @@ class OracleReport:
 # block engine ----------------------------------------------------------------
 
 
+def _keep_freed_heap():
+    """Start glibc's malloc at the mmap and trim thresholds (32 and 64 MB) its
+    own tuning reaches after the first large free.  Until then it returns the
+    top of the heap to the OS whenever two freed (B, n) step temporaries sit
+    there, and an ensemble's first block page-faults on most steps.  Pool
+    workers inherit the setting; a C library without mallopt keeps its own."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Everything a block reads, built once per runner call and pickled as it
+    stands to pool workers.  Blocks march from the reference path u0, its
+    (K + 1, J) coefficients and (K + 1, n_points) grid; the heat oracle's
+    start from zero and have neither."""
+
+    eng: SolverEngine
+    spec: EnsembleSpec
+    noise_spec: NoiseSpec
+    guard: BlowupGuard
+    u0_coeffs: np.ndarray | None
+    u0_grid: np.ndarray | None
+    theta: float | None = None  # mdp-tail's speed exponent
+    tail_p: int | None = None  # and the L^p of its tail statistic
+
+
+def _build_run(spec, params, g, cfg, noise_spec, u0=None, reference=True, theta=None, tail_p=None):
+    """The run record.  Its engine is built and the reference solved here,
+    before any worker starts, so setup errors surface first.  The reference
+    solve starts from ``u0``, the parabolic bump when None."""
+    _keep_freed_heap()
+    if noise_spec is None:
+        noise_spec = NoiseSpec(n_modes=cfg.n_modes)
+    # a block's (K, B, J_noise) increments and, marching from a reference,
+    # the (K + 1, n_points) reference grid
+    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
+    grid = (cfg.n_steps + 1) * cfg.n_points if reference else 0
+    for name, size in (("block_size*n_steps*noise n_modes", draw), ("(n_steps+1)*n_points", grid)):
+        if size > MAX_BLOCK_ENTRIES:
+            raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    u0_coeffs = u0_grid = None
+    if reference:
+        u0 = default_initial(eng.grid) if u0 is None else u0
+        u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
+        u0_grid = u0_coeffs @ eng.phi
+    guard = BlowupGuard(spec.guard_threshold)
+    return _Run(eng, spec, noise_spec, guard, u0_coeffs, u0_grid, theta, tail_p)
+
+
 def _block_spans(n_paths, block_size):
     return [(a, min(a + block_size, n_paths)) for a in range(0, n_paths, block_size)]
 
@@ -255,53 +315,39 @@ def _blas_oversubscription(workers):
     )
 
 
-def _run_blocks(fn, payload, spec, workers):
+def _run_blocks(fn, run, workers):
     """Run the blocks in order, inline or on a pool of min(workers, blocks)
     processes (the pool starts every worker at its first submit)."""
-    spans = _block_spans(spec.n_paths, spec.block_size)
+    spans = _block_spans(run.spec.n_paths, run.spec.block_size)
     workers = min(workers, len(spans))
     if workers <= 1:
-        return [fn(payload, a, b) for a, b in spans]
+        return [fn(run, a, b) for a, b in spans]
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays this import
 
     if (line := _blas_oversubscription(workers)) is not None:
         print(line, file=sys.stderr)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, payload, a, b) for a, b in spans]
+        futures = [pool.submit(fn, run, a, b) for a, b in spans]
         return [fut.result() for fut in futures]
 
 
-def _worker_engine(payload):
-    eng = SolverEngine(
-        payload["params"],
-        payload["cfg"],
-        g=payload["g"],
-        noise_spec=payload["noise_spec"],
-    )
-    u0_grid = None
-    if payload.get("u0_coeffs") is not None:
-        u0_grid = payload["u0_coeffs"] @ eng.phi
-    return eng, u0_grid
-
-
-def _block_increments(payload, start, stop, eps_index):
+def _block_increments(run, start, stop, eps_index):
     """Per-path increments step-major, (K, B, J), so step k reads a contiguous
     inc[k]; the path index shifts per eps when uncoupled."""
-    spec = payload["noise_spec"]
-    cfg = payload["cfg"]
-    offset = 0 if payload["coupled"] else eps_index * payload["n_paths"]
-    inc = np.empty((cfg.n_steps, stop - start, spec.n_modes))
+    spec, cfg = run.spec, run.eng.cfg
+    offset = 0 if spec.coupled else eps_index * spec.n_paths
+    inc = np.empty((cfg.n_steps, stop - start, run.noise_spec.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(spec, cfg.dt, cfg.n_steps, payload["base_seed"], offset + i)
+        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, offset + i)
         inc[:, b, :] = r.increments.T
     return inc
 
 
-def _eps_increments(payload, start, stop):
+def _eps_increments(run, start, stop):
     """Yield (eps, increments) per eps; coupled runs draw once and share it."""
-    shared = _block_increments(payload, start, stop, 0) if payload["coupled"] else None
-    for ei, eps in enumerate(payload["eps_list"]):
-        yield eps, shared if shared is not None else _block_increments(payload, start, stop, ei)
+    shared = _block_increments(run, start, stop, 0) if run.spec.coupled else None
+    for ei, eps in enumerate(run.spec.eps_list):
+        yield eps, shared if shared is not None else _block_increments(run, start, stop, ei)
 
 
 def _censored_march(eng, guard, states, steps, observe):
@@ -335,9 +381,9 @@ def _censored_march(eng, guard, states, steps, observe):
     return {"sup": supv, "tripped": tripped}
 
 
-def _block_strong_rate(payload, start, stop):
-    eng, u0_grid = _worker_engine(payload)
-    p = payload["params"].p_norm
+def _block_strong_rate(run, start, stop):
+    eng, u0_grid = run.eng, run.u0_grid
+    p = eng.params.p_norm
 
     def observe(k, u_grid):
         return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
@@ -345,25 +391,25 @@ def _block_strong_rate(payload, start, stop):
     return [
         _censored_march(
             eng,
-            payload["guard"],
-            [np.tile(payload["u0_coeffs"][0], (stop - start, 1))],
+            run.guard,
+            [np.tile(run.u0_coeffs[0], (stop - start, 1))],
             [eng.spde_step(np.sqrt(eps), inc)],
             observe,
         )
-        for eps, inc in _eps_increments(payload, start, stop)
+        for eps, inc in _eps_increments(run, start, stop)
     ]
 
 
-def _block_clt(payload, start, stop):
-    eng, u0_grid = _worker_engine(payload)
-    p = payload["params"].p_norm
+def _block_clt(run, start, stop):
+    eng, u0_grid = run.eng, run.u0_grid
+    p = eng.params.p_norm
     B, J = stop - start, eng.cfg.n_modes
-    ref_z = eng.deviation_reference(u0_grid, linear=False)
-    ref_v = eng.deviation_reference(u0_grid, linear=True)
+    drift0 = eng.nonlinear_drift(u0_grid)
+    profiles = eng.linearization_profiles(u0_grid)
     out = []
-    for eps, inc in _eps_increments(payload, start, stop):
+    for eps, inc in _eps_increments(run, start, stop):
         s = np.sqrt(eps)
-        step_z = eng.deviation_step(u0_grid, s, ref_z, noise_inc=inc)
+        step_z = eng.deviation_step(u0_grid, s, drift0, noise_inc=inc)
 
         def observe(k, zg, vg):
             stat = eng.grid.lp_norm(zg - vg, p)
@@ -373,17 +419,17 @@ def _block_clt(payload, start, stop):
 
         steps = [
             lambda k, z, ug, step_z=step_z: step_z(k, z, None, ug),
-            eng.deviation_step(u0_grid, 0.0, ref_v, noise_inc=inc),
+            eng.deviation_step(u0_grid, 0.0, profiles, noise_inc=inc),
         ]
         states = [np.zeros((B, J)), np.zeros((B, J))]
-        out.append(_censored_march(eng, payload["guard"], states, steps, observe))
+        out.append(_censored_march(eng, run.guard, states, steps, observe))
     return out
 
 
-def _block_heat(payload, start, stop):
-    eng, _ = _worker_engine(payload)
+def _block_heat(run, start, stop):
+    eng = run.eng
     out = []
-    for eps, inc in _eps_increments(payload, start, stop):
+    for eps, inc in _eps_increments(run, start, stop):
         step = eng.spde_step(np.sqrt(eps), inc)
         a = np.zeros((stop - start, eng.cfg.n_modes))
         for k in range(eng.cfg.n_steps):
@@ -392,63 +438,25 @@ def _block_heat(payload, start, stop):
     return out
 
 
-def _block_mdp(payload, start, stop):
-    eng, u0_grid = _worker_engine(payload)
-    p = payload["tail_p"]
-    ref = eng.deviation_reference(u0_grid, linear=False)
+def _block_mdp(run, start, stop):
+    eng, u0_grid = run.eng, run.u0_grid
+    p = run.tail_p
+    drift0 = eng.nonlinear_drift(u0_grid)
 
     def observe(k, zg):
         stat = eng.grid.lp_norm(zg, p)
         return stat, stat
 
     out = []
-    for eps, inc in _eps_increments(payload, start, stop):
-        lam = eps ** (-payload["theta"])
-        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, ref, inc, 1.0 / lam)
+    for eps, inc in _eps_increments(run, start, stop):
+        lam = eps ** (-run.theta)
+        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, drift0, inc, 1.0 / lam)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
-        out.append(_censored_march(eng, payload["guard"], states, [step], observe))
+        out.append(_censored_march(eng, run.guard, states, [step], observe))
     return out
 
 
 # runners ---------------------------------------------------------------------
-
-
-def _build_payload(spec, params, g, cfg, noise_spec, u0=None, reference=True):
-    """Everything a block needs.  The engine is built here first, so setup
-    errors surface before any worker starts.  Blocks march from the reference
-    solve of ``u0`` (the parabolic bump when None); the heat oracle's start
-    from zero and take ``reference=False``."""
-    if noise_spec is None:
-        noise_spec = NoiseSpec(n_modes=cfg.n_modes)
-    # a block's (K, B, J_noise) increments and, marching from a reference,
-    # its (K + 1, n_points) reference grid
-    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
-    grid = (cfg.n_steps + 1) * cfg.n_points if reference else 0
-    for name, size in (("block_size*n_steps*noise n_modes", draw), ("(n_steps+1)*n_points", grid)):
-        if size > MAX_BLOCK_ENTRIES:
-            raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
-    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    u0_coeffs = None
-    if reference:
-        u0 = default_initial(eng.grid) if u0 is None else u0
-        u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    return {
-        "params": params,
-        "cfg": cfg,
-        "g": g,
-        "noise_spec": noise_spec,
-        "eps_list": spec.eps_list,
-        "base_seed": spec.base_seed,
-        "coupled": spec.coupled,
-        "n_paths": spec.n_paths,
-        "guard": BlowupGuard(spec.guard_threshold),
-        "u0_coeffs": u0_coeffs,
-    }
-
-
-def _check_experiment(spec, kind):
-    if spec.experiment != kind:
-        raise SetupError(f"spec.experiment is {spec.experiment!r}, expected {kind!r}")
 
 
 def _reduce_sups(blocks, n_eps):
@@ -468,7 +476,7 @@ def _mean_stderr(x):
     return m, s
 
 
-def _convergence_report(spec, p, statistic, sups, trips, slope_target, pass_rule):
+def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_target, pass_rule):
     eps = list(spec.eps_list)
     mean, stderr, nrej, cmean, cstderr = [], [], [], [], []
     for sup, trip in zip(sups, trips):
@@ -495,7 +503,7 @@ def _convergence_report(spec, p, statistic, sups, trips, slope_target, pass_rule
         passed = False if verdict is None else bool(verdict and rejection_ok)
 
     return ConvergenceReport(
-        experiment=spec.experiment,
+        experiment=experiment,
         statistic=statistic,
         p_norm=p,
         n_paths=spec.n_paths,
@@ -522,9 +530,8 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     with r^2 >= 0.99 (the theory guarantees only an upper bound of order
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
-    _check_experiment(spec, "strong_rate")
-    payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(_block_strong_rate, payload, spec, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, u0)
+    blocks = _run_blocks(_block_strong_rate, run, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
     target = params.p_norm / 2
 
@@ -536,6 +543,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         return details["slope_ok"] and details["r2_ok"]
 
     return _convergence_report(
+        "strong_rate",
         spec,
         params.p_norm,
         "sup_t lp_norm(u_eps - u0, p)^p",
@@ -554,15 +562,14 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     like the leading sqrt(eps) remainder.  Pass requires strictly decreasing
     means and fitted order >= 0.4.
     """
-    _check_experiment(spec, "clt")
     if not spec.coupled:
         raise SetupError("run_clt requires coupled=True (v and v_eps share noise)")
     try:
         params.validate_for_clt()
     except ValueError as exc:
         raise SetupError(str(exc)) from None
-    payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(_block_clt, payload, spec, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, u0)
+    blocks = _run_blocks(_block_clt, run, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
 
     def rule(fit, mean, details):
@@ -575,6 +582,7 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         return decreasing and details["slope_ok"]
 
     return _convergence_report(
+        "clt",
         spec,
         params.p_norm,
         "sup_t lp_norm(v_eps - v, p)",
@@ -594,7 +602,6 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     endpoint variances are compared per mode via chi-square z-scores; pass
     requires |z| <= 3 for >= 95% of modes and |mean| <= 3 stderr everywhere.
     """
-    _check_experiment(spec, "heat_oracle")
     if params.alpha != 0 or params.beta != 0:
         raise SetupError("heat oracle requires alpha = beta = 0")
     if noise_spec is not None and noise_spec.n_modes != cfg.n_modes:
@@ -604,12 +611,11 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
             f"got {noise_spec.n_modes}"
         )
     g = NoiseCoefficient("constant", kappa0=float(g_constant))
-    payload = _build_payload(spec, params, g, cfg, noise_spec, reference=False)
-    blocks = _run_blocks(_block_heat, payload, spec, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, reference=False)
+    blocks = _run_blocks(_block_heat, run, workers)
 
-    eng = SolverEngine(params, cfg, g=g, noise_spec=payload["noise_spec"])
-    lam = eng.basis.eigenvalues
-    q = payload["noise_spec"].q
+    lam = run.eng.basis.eigenvalues
+    q = run.noise_spec.q
     T = cfg.t_end
     M = spec.n_paths
     n_eps = len(spec.eps_list)
@@ -652,16 +658,13 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     speed.  Tightness of the family shows up as tails that are non-increasing
     in rho and bounded in eps.
     """
-    _check_experiment(spec, "mdp_tail")
     theta = getattr(speed, "theta", None)
     if theta is None:
         raise SetupError("speed must be a SpeedFunction with a theta attribute")
     if np.any(np.asarray(rho_list, dtype=float) > spec.guard_threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    payload = _build_payload(spec, params, g, cfg, noise_spec, u0)
-    payload["theta"] = float(theta)
-    payload["tail_p"] = int(tail_p)
-    blocks = _run_blocks(_block_mdp, payload, spec, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, u0, theta=float(theta), tail_p=int(tail_p))
+    blocks = _run_blocks(_block_mdp, run, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
     by_eps = {}
     for eps, sup, trip in zip(spec.eps_list, sups, trips):

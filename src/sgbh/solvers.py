@@ -137,14 +137,13 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlowupGuard:
     """Discrete stopping rule: first time the L^p norm exceeds ``threshold``
     or is not finite (as it is for a non-finite state).  Single paths raise
     at a trip (``check``); ensembles censor the paths that trip (``trips``)."""
 
     threshold: float = 1e3
-    tripped_at: float | None = None
 
     def __post_init__(self):
         if not self.threshold > 0:
@@ -155,8 +154,6 @@ class BlowupGuard:
 
     def check(self, time, norm):
         if self.trips(norm):
-            if self.tripped_at is None:
-                self.tripped_at = time
             if not np.isfinite(norm):
                 raise NumericalAbortError(time)
             raise BlowupError(time, norm, self.threshold)
@@ -427,14 +424,6 @@ class SolverEngine:
 
         return step
 
-    def deviation_reference(self, u0_grid, linear):
-        """What the deviation drift needs of the reference path u0, for every
-        step at once: the profiles of the linearization (linearization_profiles),
-        else the drift N(u0) that the difference quotient subtracts."""
-        if linear:
-            return self.linearization_profiles(u0_grid)
-        return self.nonlinear_drift(u0_grid)
-
     def deviation_step(
         self, u0_grid, s, ref, noise_inc=None, noise_scale=1.0, control_inc=None
     ):
@@ -443,9 +432,11 @@ class SolverEngine:
             E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
 
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
-        (then u = u0: the CLT limit and the skeleton).  ``ref`` is
-        ``deviation_reference(u0_grid, s == 0)``.  At s != 0 a caller that
-        has already formed u on the grid may pass it as ``u_grid``.
+        (then u = u0: the CLT limit and the skeleton).  ``ref`` is what the
+        step needs of u0, for every step at once: ``nonlinear_drift(u0_grid)``,
+        the N(u0) that the quotient subtracts, or at s = 0
+        ``linearization_profiles(u0_grid)``.  At s != 0 a caller that has
+        already formed u on the grid may pass it as ``u_grid``.
         """
         dt = self.dt
         linear = s == 0.0
@@ -557,7 +548,7 @@ def solve_clt_limit(u0_traj, params, g, noise, cfg, guard=None):
     _check_time_grid(cfg, trajectory=u0_traj, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
     u0_grid = u0_traj.grid_values()
-    ref = eng.deviation_reference(u0_grid, linear=True)
+    ref = eng.linearization_profiles(u0_grid)
     step = eng.deviation_step(u0_grid, 0.0, ref, noise_inc=noise.increments.T)
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
 
@@ -598,7 +589,7 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
     step = eng.deviation_step(
         u0_grid,
         s,
-        eng.deviation_reference(u0_grid, linear=s == 0.0),
+        eng.linearization_profiles(u0_grid) if s == 0.0 else eng.nonlinear_drift(u0_grid),
         # eps = 0 drops the noise: only the control drives the skeleton
         noise_inc=noise.increments.T if noise is not None and eps > 0 else None,
         noise_scale=1.0 / lam if eps > 0 else 0.0,

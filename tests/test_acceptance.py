@@ -113,9 +113,7 @@ def test_criterion_3_heat_oracle():
     with _criterion(3, "stochastic-heat variance oracle", budget=120.0):
         params = ModelParams(nu=0.025, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
         cfg = SolverConfig(dt=1e-4, t_end=0.25, n_modes=32, n_points=128)
-        spec = EnsembleSpec(
-            n_paths=2000, base_seed=101, eps_list=(1.0,), experiment="heat_oracle"
-        )
+        spec = EnsembleSpec(n_paths=2000, base_seed=101, eps_list=(1.0,))
         report = run_heat_oracle(spec, params, cfg, noise_spec=SPEC32, g_constant=1.0)
         assert report.frac_within[0] >= 0.95
         assert report.passed is True
@@ -143,9 +141,7 @@ def test_criterion_4_strong_rate_scaling():
 def test_criterion_5_clt_convergence():
     with _criterion(5, "central-limit convergence", budget=300.0):
         cfg = SolverConfig(dt=1e-3, t_end=0.25, n_modes=32, n_points=256)
-        spec = EnsembleSpec(
-            n_paths=128, base_seed=505, eps_list=(1e-1, 1e-2, 1e-3), experiment="clt"
-        )
+        spec = EnsembleSpec(n_paths=128, base_seed=505, eps_list=(1e-1, 1e-2, 1e-3))
         rep = run_clt(spec, DESK, G_AFFINE, cfg, noise_spec=SPEC32)
         means = np.asarray(rep.mean)
         assert np.all(means[:-1] > means[1:])  # strictly decreasing in eps
@@ -153,9 +149,7 @@ def test_criterion_5_clt_convergence():
         assert rep.passed is True
 
         # linear drift with constant noise: the deviation field is exact
-        lin = EnsembleSpec(
-            n_paths=16, base_seed=506, eps_list=(1e-1, 1e-2, 1e-3), experiment="clt"
-        )
+        lin = EnsembleSpec(n_paths=16, base_seed=506, eps_list=(1e-1, 1e-2, 1e-3))
         rep = run_clt(lin, LINEAR, G_CONST, cfg, noise_spec=SPEC32)
         assert max(rep.mean) < 1e-9
 
@@ -224,9 +218,7 @@ def test_criterion_7_mdp_process_consistency():
         v_eps = (u_eps.coeffs - u0.coeffs) / np.sqrt(eps)
         assert np.max(np.abs(z0.coeffs - v_eps)) <= 1e-9
 
-        spec = EnsembleSpec(
-            n_paths=48, base_seed=709, eps_list=(1e-2, 1e-4), experiment="mdp_tail"
-        )
+        spec = EnsembleSpec(n_paths=48, base_seed=709, eps_list=(1e-2, 1e-4))
         report = run_mdp_tail(
             spec, DESK, G_AFFINE, cfg, SpeedFunction(0.25),
             rho_list=(0.25, 0.5, 1.0, 2.0), noise_spec=spec16, tail_p=2,

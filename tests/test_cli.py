@@ -760,22 +760,53 @@ def test_import_loads_no_process_pool():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
+
+def _minor_faults(argv):
+    """Exit code and minor page faults of a fresh interpreter running ``argv``."""
+    import ctypes
+
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    proc = subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.DEVNULL, env=_checkout_env(None)
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_minflt
+
+
 def test_ensemble_block_keeps_its_heap(tmp_path):
     """One 128-path strong-rate block at the default shapes: its (B, n) step
     temporaries reuse heap memory instead of faulting fresh pages in.  With
     glibc's start-up thresholds the block alone made about 130k minor faults;
     the interpreter and numpy take about 7k."""
-    import ctypes
-
-    if not hasattr(ctypes.CDLL(None), "mallopt"):
-        pytest.skip("the C library has no mallopt")
     cfg = _write(tmp_path, "[experiment]\nn_paths = 128\n")
-    command = [sys.executable, "-m", "sgbh", "experiment", "strong-rate", "--config", cfg]
-    proc = subprocess.Popen(
-        [*command, "--out", str(tmp_path / "o"), "--workers", "1"],
-        stdout=subprocess.DEVNULL,
-        env=_checkout_env(None),
+    code, faults = _minor_faults(
+        ["-m", "sgbh", "experiment", "strong-rate", "--config", cfg,
+         "--out", str(tmp_path / "o"), "--workers", "1"]
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) in (EXIT_PASS, EXIT_SCI_FAIL)
-    assert usage.ru_minflt < 40_000
+    assert code in (EXIT_PASS, EXIT_SCI_FAIL)
+    assert faults < 40_000
+
+
+_LIBRARY_RUN = """
+from sgbh.model import ModelParams, NoiseCoefficient
+from sgbh.montecarlo import EnsembleSpec, run_strong_rate
+from sgbh.noise import NoiseSpec
+from sgbh.solvers import SolverConfig
+
+run_strong_rate(
+    EnsembleSpec(n_paths=128, base_seed=1, eps_list=(1e-2, 1e-3, 1e-4)),
+    ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8),
+    NoiseCoefficient("affine", 1.0, 0.5),
+    SolverConfig(dt=1e-3, t_end=0.25, n_modes=32, n_points=256),
+    noise_spec=NoiseSpec(n_modes=32, eta=0.3),
+)
+"""
+
+
+def test_library_run_keeps_its_heap():
+    """The same block from a direct ``run_strong_rate`` call, as a library
+    caller makes it: the runner sets the malloc thresholds, not the CLI."""
+    code, faults = _minor_faults(["-c", _LIBRARY_RUN])
+    assert code == 0
+    assert faults < 40_000

@@ -88,7 +88,7 @@ def test_config_text_raises_only_config_error(text):
         cfg.noise_coefficient,
         cfg.solver_config,
         cfg.blowup_guard,
-        lambda: cfg.ensemble_spec("strong_rate"),
+        cfg.ensemble_spec,
     ):
         try:
             build()

@@ -61,8 +61,6 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.01, 0.1])
     with pytest.raises(ValueError):
-        EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], experiment="weak_rate")
-    with pytest.raises(ValueError):
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], block_size=0)
     with pytest.raises(ValueError):
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], guard_threshold=0.0)
@@ -157,55 +155,55 @@ def test_strong_rate_full_rejection_fails_honestly(tmp_path):
     assert "nan" in csv.read_text()
 
 
-def test_runner_rejects_wrong_experiment_kind():
-    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], experiment="clt")
-    with pytest.raises(ValueError):
-        run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    with pytest.raises(ValueError):
-        run_heat_oracle(spec, LINEAR, CFG_SMALL, noise_spec=SPEC8)
-    spec2 = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], experiment="strong_rate")
-    with pytest.raises(ValueError):
-        run_clt(spec2, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    with pytest.raises(ValueError):
-        run_mdp_tail(
-            spec2, DESK, G_AFFINE, CFG_SMALL, SpeedFunction(0.25), [0.5], noise_spec=SPEC8
-        )
-
-
 # --- worker reproducibility ---------------------------------------------------------
 
 
-def test_reports_are_byte_identical_across_worker_counts():
-    spec = EnsembleSpec(
-        n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4
-    )
-    serial = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    parallel = run_strong_rate(
-        spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=3
-    )
-    again = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+HEAT_CFG = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
+
+# each runner at small sizes, as runner(spec, workers)
+RUNNERS = {
+    "strong-rate": lambda spec, workers: run_strong_rate(
+        spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers
+    ),
+    "clt": lambda spec, workers: run_clt(
+        spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers
+    ),
+    "mdp-tail": lambda spec, workers: run_mdp_tail(
+        spec, DESK, G_AFFINE, CFG_SMALL, SpeedFunction(0.25), [0.12, 0.15, 0.18],
+        noise_spec=SPEC8, tail_p=4, workers=workers,
+    ),
+    "heat-oracle": lambda spec, workers: run_heat_oracle(
+        spec, LINEAR, HEAT_CFG, noise_spec=NoiseSpec(n_modes=4, eta=0.3), workers=workers
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+def test_reports_are_byte_identical_across_worker_counts(runner):
+    """Every runner's record reaches real pool workers intact: mdp-tail's
+    theta and tail_p, and the heat oracle's record without a reference."""
+    spec = EnsembleSpec(n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4)
+    serial = runner(spec, 1)
+    parallel = runner(spec, 3)
+    again = runner(spec, 1)
     assert serial.to_json() == parallel.to_json()
     assert serial.to_json() == again.to_json()
 
 
 @pytest.mark.parametrize("coupled", [True, False])
 def test_block_increments_are_step_major_path_draws(coupled):
-    from sgbh.montecarlo import _block_increments
+    from sgbh.montecarlo import _block_increments, _build_run
 
-    payload = {
-        "noise_spec": NoiseSpec(n_modes=6, eta=0.3),
-        "cfg": CFG_SMALL,
-        "coupled": coupled,
-        "n_paths": 20,
-        "base_seed": 31,
-    }
+    spec = EnsembleSpec(n_paths=20, base_seed=31, eps_list=[0.5, 0.25, 0.125], coupled=coupled)
+    noise_spec = NoiseSpec(n_modes=6, eta=0.3)
+    run = _build_run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec, reference=False)
     start, stop, eps_index = 5, 12, 2
-    inc = _block_increments(payload, start, stop, eps_index)
+    inc = _block_increments(run, start, stop, eps_index)
     assert inc.shape == (CFG_SMALL.n_steps, stop - start, 6)
     assert inc[3].flags.c_contiguous
-    offset = 0 if coupled else eps_index * payload["n_paths"]
+    offset = 0 if coupled else eps_index * spec.n_paths
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(payload["noise_spec"], CFG_SMALL.dt, CFG_SMALL.n_steps, 31, offset + i)
+        r = sample_noise(noise_spec, CFG_SMALL.dt, CFG_SMALL.n_steps, 31, offset + i)
         assert np.array_equal(inc[:, b, :], r.increments.T)
 
 
@@ -320,10 +318,9 @@ def test_stderr_shrinks_with_ensemble_size():
 def test_clt_linear_case_is_exactly_zero():
     """Constant g and a linear drift make the rescaled process and the limit
     field identical path by path, so the statistic vanishes identically."""
-    spec = EnsembleSpec(
-        n_paths=8, base_seed=18, eps_list=[0.09, 0.04, 0.01], experiment="clt"
-    )
+    spec = EnsembleSpec(n_paths=8, base_seed=18, eps_list=[0.09, 0.04, 0.01])
     rep = run_clt(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
+    assert rep.experiment == "clt"
     assert rep.mean == [0.0, 0.0, 0.0]
     assert rep.n_rejected == [0, 0, 0]
     # exact zeros cannot be fitted on a log scale; the rule reports failure
@@ -332,9 +329,7 @@ def test_clt_linear_case_is_exactly_zero():
 
 
 def test_clt_nonlinear_remainder_decays_at_root_eps():
-    spec = EnsembleSpec(
-        n_paths=64, base_seed=19, eps_list=[1e-1, 1e-2, 1e-3], experiment="clt"
-    )
+    spec = EnsembleSpec(n_paths=64, base_seed=19, eps_list=[1e-1, 1e-2, 1e-3])
     rep = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert rep.passed is True
     assert rep.slope == pytest.approx(0.5, abs=0.1)
@@ -343,13 +338,11 @@ def test_clt_nonlinear_remainder_decays_at_root_eps():
 
 
 def test_clt_requires_coupling_and_high_norm():
-    spec = EnsembleSpec(
-        n_paths=4, base_seed=1, eps_list=[0.1], experiment="clt", coupled=False
-    )
+    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], coupled=False)
     with pytest.raises(ValueError):
         run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     low_p = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=6)
-    spec2 = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], experiment="clt")
+    spec2 = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1])
     with pytest.raises(ValueError):
         run_clt(spec2, low_p, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
 
@@ -359,9 +352,7 @@ def test_clt_requires_coupling_and_high_norm():
 
 def test_heat_oracle_matches_ou_closed_form():
     cfg = SolverConfig(dt=0.001, t_end=0.1, n_modes=4, n_points=16)
-    spec = EnsembleSpec(
-        n_paths=200, base_seed=20, eps_list=[1.0, 0.25], experiment="heat_oracle"
-    )
+    spec = EnsembleSpec(n_paths=200, base_seed=20, eps_list=[1.0, 0.25])
     noise = NoiseSpec(n_modes=4, eta=0.3)
     rep = run_heat_oracle(spec, LINEAR, cfg, noise_spec=noise)
     assert rep.passed is True
@@ -375,7 +366,7 @@ def test_heat_oracle_matches_ou_closed_form():
 
 def test_heat_oracle_serialization(tmp_path):
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
-    spec = EnsembleSpec(n_paths=50, base_seed=21, eps_list=[1.0], experiment="heat_oracle")
+    spec = EnsembleSpec(n_paths=50, base_seed=21, eps_list=[1.0])
     rep = run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
     d = json.loads(rep.to_json())
     assert d["experiment"] == "heat_oracle"
@@ -391,7 +382,7 @@ def test_heat_oracle_serialization(tmp_path):
 
 def test_heat_oracle_rejects_nonlinear_params():
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
-    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0], experiment="heat_oracle")
+    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0])
     with pytest.raises(ValueError):
         run_heat_oracle(spec, DESK, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
 
@@ -399,7 +390,7 @@ def test_heat_oracle_rejects_nonlinear_params():
 def test_heat_oracle_rejects_unforced_modes():
     # modes beyond the noise's J have zero theoretical variance: no z-score
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=8, n_points=32)
-    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0], experiment="heat_oracle")
+    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0])
     with pytest.raises(SetupError, match="noise n_modes"):
         run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
 
@@ -408,9 +399,7 @@ def test_heat_oracle_rejects_unforced_modes():
 
 
 def test_mdp_tail_report_is_monotone_and_tightens():
-    spec = EnsembleSpec(
-        n_paths=48, base_seed=22, eps_list=[1e-2, 1e-4], experiment="mdp_tail"
-    )
+    spec = EnsembleSpec(n_paths=48, base_seed=22, eps_list=[1e-2, 1e-4])
     rep = run_mdp_tail(
         spec,
         DESK,
@@ -431,7 +420,6 @@ def test_mdp_tail_threshold_guard_interaction():
         n_paths=4,
         base_seed=23,
         eps_list=[1e-2],
-        experiment="mdp_tail",
         guard_threshold=10.0,
     )
     with pytest.raises(ValueError):
@@ -472,7 +460,7 @@ def test_strong_rate_ensemble_is_the_spde_solver(g):
 
 @pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
 def test_clt_ensemble_is_the_deviation_and_limit_solvers(g):
-    spec = EnsembleSpec(n_paths=1, base_seed=42, eps_list=[0.1, 0.01, 0.001], experiment="clt")
+    spec = EnsembleSpec(n_paths=1, base_seed=42, eps_list=[0.1, 0.01, 0.001])
     rep = run_clt(spec, DESK, g, CFG_SMALL, noise_spec=SPEC8)
     _, u0_traj, noise = _single_paths(spec)
     v = solve_clt_limit(u0_traj, DESK, g, noise, CFG_SMALL)
@@ -485,7 +473,7 @@ def test_clt_ensemble_is_the_deviation_and_limit_solvers(g):
 @pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
 def test_mdp_tail_ensemble_is_the_deviation_solver(g):
     # one path: its sup sits between two rho a relative 1e-12 apart
-    spec = EnsembleSpec(n_paths=1, base_seed=43, eps_list=[1e-2, 1e-4], experiment="mdp_tail")
+    spec = EnsembleSpec(n_paths=1, base_seed=43, eps_list=[1e-2, 1e-4])
     speed = SpeedFunction(0.25)
     _, u0_traj, noise = _single_paths(spec)
     for i, eps in enumerate(spec.eps_list):
@@ -527,7 +515,7 @@ def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
         guard = BlowupGuard(thr)
         with pytest.raises(BlowupError) as err:
             solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL, guard=guard)
-        assert err.value.time == guard.tripped_at == k_cross * CFG_SMALL.dt
+        assert err.value.time == k_cross * CFG_SMALL.dt
         assert rep.n_rejected[i] == 1
         assert rep.censored_mean[i] == pytest.approx(stat[:k_cross].max(), rel=1e-12, abs=0)
     assert int(np.flatnonzero(norms > thr)[0]) == k_star
@@ -595,7 +583,6 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
         n_paths=16,
         base_seed=7,
         eps_list=[0.1, 0.01, 0.001],
-        experiment="clt",
         block_size=8,
         guard_threshold=0.22,
     )
