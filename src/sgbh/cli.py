@@ -96,7 +96,6 @@ _SCHEMA = {
         "guard_threshold": 1000.0,
     },
     "experiment": {
-        "kind": "strong_rate",
         "n_paths": 500,
         "eps_list": [0.01, 0.001, 0.0001],
         "coupled": True,

@@ -11,21 +11,23 @@ a linear map Phi from piecewise-constant controls to endpoint coefficients.
 Scaling the controls by sqrt(dt) makes the control norm Euclidean, so Phi
 becomes a matrix A with one row per endpoint mode, and the infimum is the
 minimum-norm solution x* = A^+ psi, I(psi) = (1/2)||x*||^2 = (1/2) psi^T G^+ psi
-for the controllability Gramian G = A A^T.  The adjoint Phi* is the exact
-discrete adjoint of the forward scheme (transposed dynamics run backward in
-time), so <Phi h, w> = <h, Phi* w> holds to roundoff, and one backward sweep
-over the unit endpoint vectors reads off all of A.  A is small (endpoint
-modes x control entries) and dense, so the rate function is a truncated SVD
-of it: directions below a fixed relative cutoff count as unreachable, and a
-target with a component there surfaces as a residual.
+for the controllability Gramian G = A A^T.  A is read off the skeleton
+solver's own step: one sweep from the last step to the first applies it to
+the unit states and unit controls, which gives every step's linear map, and
+multiplies those into A.  The adjoint Phi* is A^T up to the sqrt(dt) scaling,
+so <Phi h, w> = <h, Phi* w> holds to roundoff.  A is small (endpoint modes x
+control entries) and dense, so the rate function is a truncated SVD of it:
+directions below a fixed relative cutoff count as unreachable, and a target
+with a component there surfaces as a residual.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import noise_coefficient_eval
+from .model import noise_coefficient_eval  # noqa: F401  (perfbench/probe.py patches it here by name)
 from .noise import ControlPath, NoiseSpec
 from .solvers import SetupError, SolverEngine, _check_time_grid, march
 
@@ -60,18 +62,6 @@ class SpeedFunction:
             raise ValueError(f"eps must be > 0, got {eps}")
         return float(eps) ** (-self.theta)
 
-    @property
-    def is_mdp_scale(self):
-        return 0 < self.theta < 0.5
-
-    def check_sequence(self, eps_seq):
-        """On a decreasing eps sequence: lambda increases, sqrt(eps)*lambda decreases."""
-        eps = np.asarray(eps_seq, dtype=float)
-        if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("eps_seq must be positive and strictly decreasing")
-        lam = eps ** (-self.theta)
-        return bool(np.all(np.diff(lam) >= 0) and np.all(np.diff(np.sqrt(eps) * lam) <= 0))
-
 
 @dataclass
 class RateFunctionResult:
@@ -95,13 +85,13 @@ class RateFunctionResult:
 
 
 class EndpointControlMap:
-    """Discrete linear map Phi: control -> skeleton endpoint, with exact adjoint.
+    """Discrete linear map Phi: control -> skeleton endpoint, and its adjoint.
 
-    Forward marches the skeleton scheme
-        z_{k+1} = E (z_k + dt L_k z_k + dt C_k hdot_k),
-    adjoint runs the transposed recursion backward:
-        rho_K = w;  (Phi* w)_k = C_k^T E rho_{k+1};  rho_k = (I + dt L_k^T) E rho_{k+1},
-    with the control inner product <h, g> = sum_k dt hdot_k . gdot_k.
+    The skeleton step is ``deviation_step`` at s = 0,
+        z_{k+1} = M_k z_k + B_k hdot_k,   M_k = E (I + dt L_k),   B_k = E dt C_k,
+    so Phi hdot = sum_k M_{K-1} ... M_{k+1} B_k hdot_k.  ``forward`` marches
+    that step; ``matrix`` reads A off it, and the adjoint for the control
+    inner product <h, g> = sum_k dt hdot_k . gdot_k is Phi* w = A^T w / sqrt(dt).
     """
 
     def __init__(self, u0_traj, params, g, cfg, noise_spec=None):
@@ -111,46 +101,52 @@ class EndpointControlMap:
         self.n_steps = cfg.n_steps
         self.n_control_modes = spec.n_modes
         self.u0_grid = u0_traj.grid_values()
-        self.profiles = self.eng.linearization_profiles(self.u0_grid)
-        self.p1, self.c1 = self.profiles
 
     def forward(self, hdot):
         """Endpoint coefficients Z_h(T) for hdot of shape (J_noise, n_steps)."""
         eng = self.eng
         # the skeleton solver's march and stepper, so endpoints agree bitwise
-        step = eng.deviation_step(self.u0_grid, 0.0, self.profiles, control_inc=hdot.T)
+        step = eng.deviation_step(self.u0_grid, 0.0, control_inc=hdot.T)
         return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg: None)[0]
 
     def adjoint(self, w):
         """(Phi* w): shape (J_noise, n_steps) for w of shape (J,), and
         (B, J_noise, n_steps) for a batch of B rows w of shape (B, J)."""
-        eng = self.eng
-        dt = eng.dt
-        q = eng.q[: self.n_control_modes]
-        phi_n = eng.phi[: self.n_control_modes]
-        rho = np.asarray(w, dtype=float)
-        out = np.empty(rho.shape[:-1] + (self.n_control_modes, self.n_steps))
-        for k in range(self.n_steps - 1, -1, -1):
-            e_rho = eng.semigroup * rho
-            rho_grid = e_rho @ eng.phi
-            gv = noise_coefficient_eval(eng.g, k * dt, eng.grid.nodes, self.u0_grid[k])
-            out[..., k] = eng.h * (q * ((gv * rho_grid) @ phi_n.T))
-            lt = 0.0
-            if self.c1 is not None:
-                lt = eng.project(self.c1[k] * rho_grid)
-            if self.p1 is not None:
-                adv = eng.project(self.p1[k] * (e_rho @ eng.dphi))
-                lt = adv if isinstance(lt, float) else lt + adv
-            rho = e_rho if isinstance(lt, float) else e_rho + dt * lt
-        return out
+        w = np.asarray(w, dtype=float)
+        out = (w @ self.matrix) / np.sqrt(self.eng.dt)
+        return out.reshape(w.shape[:-1] + (self.n_control_modes, self.n_steps))
 
-    def matrix(self, n_rows=None):
-        """The sqrt(dt)-scaled map A, of shape (n_rows, J_noise * n_steps):
-        row i is sqrt(dt) Phi* e_i, so A x = Phi(x / sqrt(dt)) and the
-        Euclidean norm of x is the control norm.  One batched adjoint sweep."""
-        n_rows = self.eng.cfg.n_modes if n_rows is None else n_rows
-        rows = self.adjoint(np.eye(self.eng.cfg.n_modes)[:n_rows])
-        return np.sqrt(self.eng.dt) * rows.reshape(n_rows, -1)
+    @functools.cached_property
+    def matrix(self):
+        """The sqrt(dt)-scaled map A, read-only, of shape (J, J_noise * n_steps):
+        A x = Phi(x / sqrt(dt)), so the Euclidean norm of x is the control norm,
+        and A's block for step k is M_{K-1} ... M_{k+1} B_k / sqrt(dt).
+
+        One sweep k = K-1 .. 0 steps the J unit states without control, which
+        gives the rows of M_k^T, and J_noise zero states under unit controls,
+        which gives B_k^T.  The step at s = 0 is linear and never writes into
+        its inputs, so every k gets the same states and controls.  Only the
+        product R = M_{K-1} ... M_{k+1} / sqrt(dt) carries from step to step.
+        """
+        eng = self.eng
+        J, jn, K = eng.cfg.n_modes, self.n_control_modes, self.n_steps
+        states = np.zeros((J + jn, J))
+        states[:J] = np.eye(J)
+        units = np.zeros((J + jn, jn))
+        units[J:] = np.eye(jn)
+        step = eng.deviation_step(
+            self.u0_grid, 0.0, control_inc=np.broadcast_to(units, (K,) + units.shape)
+        )
+        grid = eng.grid_values(states)
+        a = np.empty((J, jn, K))
+        r = np.eye(J) / np.sqrt(eng.dt)
+        for k in range(K - 1, -1, -1):
+            out = step(k, states, grid)
+            a[:, :, k] = r @ out[J:].T
+            r = r @ out[:J].T
+        a = a.reshape(J, -1)
+        a.flags.writeable = False
+        return a
 
     def control_path(self, hdot):
         return ControlPath(dt=self.eng.dt, n_steps=self.n_steps, hdot=hdot)
@@ -187,7 +183,7 @@ def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec
         control = cmap.control_path(np.zeros((cmap.n_control_modes, cmap.n_steps)))
         return RateFunctionResult(0.0, control, 0.0, 0, True)
 
-    a = cmap.matrix()
+    a = cmap.matrix
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
     x = vt[:rank].T @ ((u[:, :rank].T @ psi) / s[:rank])
@@ -201,7 +197,7 @@ def controllability_gramian(u0_traj, params, g, cfg, mode_cap, noise_spec=None):
     """Gramian G = Phi Phi* = A A^T restricted to the first mode_cap endpoint modes."""
     if mode_cap > cfg.n_modes:
         raise ValueError(f"mode_cap {mode_cap} exceeds n_modes {cfg.n_modes}")
-    a = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec).matrix(mode_cap)
+    a = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec).matrix[:mode_cap]
     return a @ a.T
 
 

@@ -404,12 +404,10 @@ def _block_clt(run, start, stop):
     eng, u0_grid = run.eng, run.u0_grid
     p = eng.params.p_norm
     B, J = stop - start, eng.cfg.n_modes
-    drift0 = eng.nonlinear_drift(u0_grid)
-    profiles = eng.linearization_profiles(u0_grid)
     out = []
     for eps, inc in _eps_increments(run, start, stop):
         s = np.sqrt(eps)
-        step_z = eng.deviation_step(u0_grid, s, drift0, noise_inc=inc)
+        step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
         def observe(k, zg, vg):
             stat = eng.grid.lp_norm(zg - vg, p)
@@ -419,7 +417,7 @@ def _block_clt(run, start, stop):
 
         steps = [
             lambda k, z, ug, step_z=step_z: step_z(k, z, None, ug),
-            eng.deviation_step(u0_grid, 0.0, profiles, noise_inc=inc),
+            eng.deviation_step(u0_grid, 0.0, noise_inc=inc),
         ]
         states = [np.zeros((B, J)), np.zeros((B, J))]
         out.append(_censored_march(eng, run.guard, states, steps, observe))
@@ -441,7 +439,6 @@ def _block_heat(run, start, stop):
 def _block_mdp(run, start, stop):
     eng, u0_grid = run.eng, run.u0_grid
     p = run.tail_p
-    drift0 = eng.nonlinear_drift(u0_grid)
 
     def observe(k, zg):
         stat = eng.grid.lp_norm(zg, p)
@@ -450,7 +447,7 @@ def _block_mdp(run, start, stop):
     out = []
     for eps, inc in _eps_increments(run, start, stop):
         lam = eps ** (-run.theta)
-        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, drift0, inc, 1.0 / lam)
+        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, inc, 1.0 / lam)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
         out.append(_censored_march(eng, run.guard, states, [step], observe))
     return out
@@ -601,9 +598,15 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     eps q_j^2 (1 - exp(-2 nu lambda_j T)) / (2 nu lambda_j).  Empirical
     endpoint variances are compared per mode via chi-square z-scores; pass
     requires |z| <= 3 for >= 95% of modes and |mean| <= 3 stderr everywhere.
+    It needs n_paths >= 2 and a nonzero ``g_constant``.
     """
     if params.alpha != 0 or params.beta != 0:
         raise SetupError("heat oracle requires alpha = beta = 0")
+    if spec.n_paths < 2:
+        raise SetupError(f"heat oracle needs n_paths >= 2 (a sample variance), got {spec.n_paths}")
+    if g_constant == 0:
+        # zero noise has zero theoretical variance: no z-score to take
+        raise SetupError("heat oracle needs a nonzero oracle_g")
     if noise_spec is not None and noise_spec.n_modes != cfg.n_modes:
         # an unforced mode has zero theoretical variance: no z-score to take
         raise SetupError(
@@ -656,12 +659,16 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
 
     Z_eps is the rescaled deviation process at the given moderate-deviation
     speed.  Tightness of the family shows up as tails that are non-increasing
-    in rho and bounded in eps.
+    in rho and bounded in eps.  ``rho_list`` must be nonempty, positive and
+    strictly increasing, and at most the guard threshold.
     """
     theta = getattr(speed, "theta", None)
     if theta is None:
         raise SetupError("speed must be a SpeedFunction with a theta attribute")
-    if np.any(np.asarray(rho_list, dtype=float) > spec.guard_threshold):
+    rho = np.asarray(rho_list, dtype=float)
+    if rho.ndim != 1 or rho.size == 0 or not np.all(rho > 0) or np.any(np.diff(rho) <= 0):
+        raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
+    if np.any(rho > spec.guard_threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
     run = _build_run(spec, params, g, cfg, noise_spec, u0, theta=float(theta), tail_p=int(tail_p))
     blocks = _run_blocks(_block_mdp, run, workers)

@@ -127,10 +127,6 @@ class ControlPath:
     def action(self):
         return action(self)
 
-    def in_ball(self, n_bound):
-        """Membership in the level set sum_j int |hdot_j|^2 dt <= n_bound."""
-        return float(np.sum(self.hdot**2) * self.dt) <= n_bound
-
     @classmethod
     def zero(cls, n_modes, dt, n_steps):
         return cls(dt=dt, n_steps=n_steps, hdot=np.zeros((n_modes, n_steps)))

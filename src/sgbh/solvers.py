@@ -190,10 +190,6 @@ class Trajectory:
             return self.coeffs @ self.basis.phi
         return self.coeffs[k] @ self.basis.phi
 
-    def lp_norms(self, p):
-        grid = self.basis.grid
-        return grid.lp_norm(self.grid_values(), p)
-
     def to_csv(self, path):
         l2 = np.linalg.norm(self.coeffs, axis=1)
         lp = self.norms
@@ -240,7 +236,7 @@ class SolverEngine:
 
     All methods broadcast over leading batch axes: coefficient arrays may be
     (J,) or (B, J), grid arrays (n,) or (B, n).  Shared by the single-path
-    solvers here, the ensemble runners, and the adjoint machinery.
+    solvers here, the ensemble runners, and the endpoint control map.
     """
 
     def __init__(self, params, cfg, g=None, noise_spec=None):
@@ -424,26 +420,24 @@ class SolverEngine:
 
         return step
 
-    def deviation_step(
-        self, u0_grid, s, ref, noise_inc=None, noise_scale=1.0, control_inc=None
-    ):
+    def deviation_step(self, u0_grid, s, noise_inc=None, noise_scale=1.0, control_inc=None):
         """The deviation equation at scale s around u0, with u = u0 + s z:
 
             E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
 
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
-        (then u = u0: the CLT limit and the skeleton).  ``ref`` is what the
-        step needs of u0, for every step at once: ``nonlinear_drift(u0_grid)``,
-        the N(u0) that the quotient subtracts, or at s = 0
-        ``linearization_profiles(u0_grid)``.  At s != 0 a caller that has
-        already formed u on the grid may pass it as ``u_grid``.
+        (then u = u0: the CLT limit and the skeleton).  What the step needs of
+        u0 is computed here once, for every step: the N(u0) that the quotient
+        subtracts, or at s = 0 the ``linearization_profiles``.  At s != 0 a
+        caller that has already formed u on the grid may pass it as ``u_grid``.
         """
         dt = self.dt
         linear = s == 0.0
         if linear:
-            p1, c1 = ref
+            p1, c1 = self.linearization_profiles(u0_grid)
         else:
-            ref = (dt / s) * ref
+            ref = self.nonlinear_drift(u0_grid)
+            ref *= dt / s
         drives = [
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
@@ -547,9 +541,7 @@ def solve_clt_limit(u0_traj, params, g, noise, cfg, guard=None):
     """
     _check_time_grid(cfg, trajectory=u0_traj, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
-    u0_grid = u0_traj.grid_values()
-    ref = eng.linearization_profiles(u0_grid)
-    step = eng.deviation_step(u0_grid, 0.0, ref, noise_inc=noise.increments.T)
+    step = eng.deviation_step(u0_traj.grid_values(), 0.0, noise_inc=noise.increments.T)
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
 
 
@@ -585,11 +577,9 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         spec = NoiseSpec(n_modes=min(h.n_modes, cfg.n_modes))
     eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
 
-    u0_grid = u0_traj.grid_values()
     step = eng.deviation_step(
-        u0_grid,
+        u0_traj.grid_values(),
         s,
-        eng.linearization_profiles(u0_grid) if s == 0.0 else eng.nonlinear_drift(u0_grid),
         # eps = 0 drops the noise: only the control drives the skeleton
         noise_inc=noise.increments.T if noise is not None and eps > 0 else None,
         noise_scale=1.0 / lam if eps > 0 else 0.0,

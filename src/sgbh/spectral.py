@@ -339,20 +339,6 @@ class EstimateFitReport:
     def to_json(self):
         return json.dumps([f.to_dict() for f in self.fits], indent=2)
 
-    @classmethod
-    def from_json(cls, text):
-        fits = tuple(
-            EstimateFit(
-                estimate_id=d["estimate_id"],
-                fitted_C=d["fitted_C"],
-                fitted_a=d["fitted_a"],
-                max_violation=d["max_violation"],
-                passed=d["pass"],
-            )
-            for d in json.loads(text)
-        )
-        return cls(fits=fits)
-
 
 _A_CANDIDATES = np.concatenate([np.arange(2.0, 8.1, 0.5), np.arange(9.0, 17.0, 1.0)])
 

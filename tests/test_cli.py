@@ -237,6 +237,24 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             ["experiment", "heat-oracle"],
             "got 16",
         ),
+        (
+            LINEAR_MODEL + "[experiment]\nn_paths = 1\n",
+            ["experiment", "heat-oracle"],
+            "n_paths >= 2",
+        ),
+        (
+            LINEAR_MODEL + "[experiment]\nn_paths = 8\noracle_g = 0.0\n",
+            ["experiment", "heat-oracle"],
+            "nonzero oracle_g",
+        ),
+        *(
+            (
+                SMALL_SOLVER + f"[experiment]\nn_paths = 8\nrho_list = {rho}\n",
+                ["experiment", "mdp-tail"],
+                "rho_list must be",
+            )
+            for rho in ("[]", "[-1.0, 0.5]", "[0.5, 0.5]", "[0.05, 0.02]")
+        ),
         # one path's draw passes the 2^22 bound; a 128-path block of it would be 3.3 GB
         (
             "[solver]\ndt = 1e-5\nt_end = 1.0\n",
@@ -258,6 +276,12 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "clt-uncoupled",
         "rho-above-guard",
         "heat-unforced-modes",
+        "heat-one-path",
+        "heat-zero-g",
+        "rho-empty",
+        "rho-negative",
+        "rho-repeated",
+        "rho-descending",
         "block-noise-draw",
         "block-reference-grid",
     ],

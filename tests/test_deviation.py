@@ -58,25 +58,13 @@ def test_speed_function_values_and_regime():
     s = SpeedFunction(theta=0.25)
     assert s(1e-4) == pytest.approx(10.0, rel=1e-12)
     assert s(1.0) == 1.0
-    assert s.is_mdp_scale
     clt = SpeedFunction(theta=0.0)
     assert clt(1e-8) == 1.0
-    assert not clt.is_mdp_scale
     for theta in (-0.1, 0.5, 0.7):
         with pytest.raises(ValueError):
             SpeedFunction(theta=theta)
     with pytest.raises(ValueError):
         s(0.0)
-
-
-def test_speed_sequence_check():
-    s = SpeedFunction(theta=0.4)
-    assert s.check_sequence([0.1, 0.01, 0.001])
-    assert SpeedFunction(theta=0.0).check_sequence([0.1, 0.01])
-    with pytest.raises(ValueError):
-        s.check_sequence([0.01, 0.1])
-    with pytest.raises(ValueError):
-        s.check_sequence([0.1, -0.01])
 
 
 # --- the endpoint map and its adjoint ----------------------------------------------

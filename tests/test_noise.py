@@ -152,13 +152,9 @@ def test_action_quadratic_homogeneity():
     assert h.action() > 0
 
 
-def test_zero_control_and_ball_membership():
+def test_zero_control_has_zero_action():
     z = ControlPath.zero(4, 0.1, 10)
     assert z.action() == 0.0
-    assert z.in_ball(0.0)
-    h = ControlPath(dt=0.1, n_steps=10, hdot=np.ones((1, 10)))
-    assert h.in_ball(1.0)
-    assert not h.in_ball(0.999)
 
 
 def test_control_validation():

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 from sgbh.solvers import BlowupGuard
 from sgbh.spectral import (
-    EstimateFitReport,
     Field,
     apply_semigroup,
     build_basis,
@@ -366,8 +365,6 @@ def test_validate_kernel_estimates_fits_and_roundtrip():
     ]
     assert gauss.fitted_C == pytest.approx(max(ratios), rel=0.05)
     assert gauss.max_violation <= 1e-12
-    round_trip = EstimateFitReport.from_json(report.to_json())
-    assert round_trip == report
     parsed = json.loads(report.to_json())
     assert {d["estimate_id"] for d in parsed} == {
         "kernel_sup",
