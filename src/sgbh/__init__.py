@@ -5,7 +5,7 @@ Subpackages by capability:
 
 spectral    sine basis, heat kernel (images and eigen), semigroup, kernel-estimate fits
 model       parameters, polynomial nonlinearities and derivatives, noise coefficient family
-noise       Q-Wiener realizations, Cameron-Martin controls, binary persistence
+noise       Q-Wiener sampling, Cameron-Martin controls and their binary files
 solvers     exponential-Euler mild-form integrators for all five evolution problems
 deviation   speed functions, minimum-energy rate function, Gramian, tail estimates
 montecarlo  coupled-epsilon ensembles, convergence-rate fits, OU oracle

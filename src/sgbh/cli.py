@@ -88,7 +88,6 @@ _SCHEMA = {
         "t_end": 0.25,
         "n_modes": 32,
         "n_points": 256,
-        "scheme": "exponential-euler",
         "kind": "deterministic",
         "eps": 0.01,
         "theta": 0.25,
@@ -100,8 +99,6 @@ _SCHEMA = {
         "eps_list": [0.01, 0.001, 0.0001],
         "coupled": True,
         "block_size": 128,
-        "guard_threshold": 1000.0,
-        "theta": 0.25,
         "rho_list": [0.5, 1.0, 2.0, 4.0],
         "tail_p": 2,
         "oracle_g": 1.0,
@@ -265,7 +262,6 @@ class RunConfig:
                 t_end=s["t_end"],
                 n_modes=s["n_modes"],
                 n_points=s["n_points"],
-                scheme=s["scheme"],
             )
         )
 
@@ -282,7 +278,7 @@ class RunConfig:
                 eps_list=tuple(e["eps_list"]),
                 coupled=e["coupled"],
                 block_size=e["block_size"],
-                guard_threshold=e["guard_threshold"],
+                guard_threshold=self.values["solver"]["guard_threshold"],
             )
         )
 
@@ -424,7 +420,7 @@ def cmd_experiment(config, args):
         summary = f"frac_z_within={report.frac_within} means_ok={report.means_ok}"
     elif args.kind == "mdp-tail":
         g = config.noise_coefficient()
-        speed = SpeedFunction(e["theta"])
+        speed = SpeedFunction(config.values["solver"]["theta"])
         report = run_mdp_tail(
             spec,
             params,

@@ -53,8 +53,8 @@ __all__ = [
     "default_initial",
 ]
 
-# the largest array a block may allocate: 2^24 float64 entries (128 MB), which
-# admits a 128-path heat block of 2500 steps and 32 noise modes
+# the largest array a block or the reduction may allocate: 2^24 float64 entries
+# (128 MB), which admits a 128-path heat block of 2500 steps and 32 noise modes
 MAX_BLOCK_ENTRIES = 1 << 24
 
 
@@ -257,15 +257,15 @@ def _keep_freed_heap():
 class _Run:
     """Everything a block reads, built once per runner call and pickled as it
     stands to pool workers.  Blocks march from the reference path u0, its
-    (K + 1, J) coefficients and (K + 1, n_points) grid; the heat oracle's
-    start from zero and have neither."""
+    (K + 1, J) coefficients, and synthesise its (K + 1, n_points) grid
+    themselves, which keeps the grid out of the pickle; the heat oracle's
+    start from zero and have no reference."""
 
     eng: SolverEngine
     spec: EnsembleSpec
     noise_spec: NoiseSpec
     guard: BlowupGuard
     u0_coeffs: np.ndarray | None
-    u0_grid: np.ndarray | None
     theta: float | None = None  # mdp-tail's speed exponent
     tail_p: int | None = None  # and the L^p of its tail statistic
 
@@ -277,21 +277,26 @@ def _build_run(spec, params, g, cfg, noise_spec, u0=None, reference=True, theta=
     _keep_freed_heap()
     if noise_spec is None:
         noise_spec = NoiseSpec(n_modes=cfg.n_modes)
-    # a block's (K, B, J_noise) increments and, marching from a reference,
-    # the (K + 1, n_points) reference grid
+    # a block's (K, B, J_noise) increments, marching from a reference the
+    # (K + 1, n_points) reference grid each block synthesises, and what the
+    # reduction holds: a sup per path and eps, or the heat oracle's endpoints
     draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
     grid = (cfg.n_steps + 1) * cfg.n_points if reference else 0
-    for name, size in (("block_size*n_steps*noise n_modes", draw), ("(n_steps+1)*n_points", grid)):
+    kept = spec.n_paths * len(spec.eps_list) * (1 if reference else noise_spec.n_modes)
+    for name, size in (
+        ("block_size*n_steps*noise n_modes", draw),
+        ("(n_steps+1)*n_points", grid),
+        ("n_paths*n_eps" if reference else "n_paths*n_eps*noise n_modes", kept),
+    ):
         if size > MAX_BLOCK_ENTRIES:
             raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    u0_coeffs = u0_grid = None
+    u0_coeffs = None
     if reference:
         u0 = default_initial(eng.grid) if u0 is None else u0
         u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-        u0_grid = u0_coeffs @ eng.phi
     guard = BlowupGuard(spec.guard_threshold)
-    return _Run(eng, spec, noise_spec, guard, u0_coeffs, u0_grid, theta, tail_p)
+    return _Run(eng, spec, noise_spec, guard, u0_coeffs, theta, tail_p)
 
 
 def _block_spans(n_paths, block_size):
@@ -382,7 +387,8 @@ def _censored_march(eng, guard, states, steps, observe):
 
 
 def _block_strong_rate(run, start, stop):
-    eng, u0_grid = run.eng, run.u0_grid
+    eng = run.eng
+    u0_grid = eng.grid_values(run.u0_coeffs)
     p = eng.params.p_norm
 
     def observe(k, u_grid):
@@ -401,7 +407,8 @@ def _block_strong_rate(run, start, stop):
 
 
 def _block_clt(run, start, stop):
-    eng, u0_grid = run.eng, run.u0_grid
+    eng = run.eng
+    u0_grid = eng.grid_values(run.u0_coeffs)
     p = eng.params.p_norm
     B, J = stop - start, eng.cfg.n_modes
     out = []
@@ -437,7 +444,8 @@ def _block_heat(run, start, stop):
 
 
 def _block_mdp(run, start, stop):
-    eng, u0_grid = run.eng, run.u0_grid
+    eng = run.eng
+    u0_grid = eng.grid_values(run.u0_coeffs)
     p = run.tail_p
 
     def observe(k, zg):

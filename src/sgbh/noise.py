@@ -26,8 +26,6 @@ __all__ = [
     "ControlPath",
     "sample_noise",
     "action",
-    "save_realization",
-    "load_realization",
     "save_control",
     "load_control",
 ]
@@ -139,11 +137,10 @@ def action(h):
 
 # --- flat binary persistence -------------------------------------------------
 #
-# realization: int64 J, int64 n_steps, float64 dt, uint64 seed, then the
-# (J, n_steps) increment matrix row-major as float64.  Everything little-endian.
-# control: same layout without the seed word.
+# control: int64 J, int64 n_steps, float64 dt, then the (J, n_steps) hdot
+# matrix row-major as float64.  Everything little-endian.  A noise realization
+# is never stored: sample_noise rebuilds it from (seed, path_index).
 
-_REAL_HEADER = struct.Struct("<qqdQ")
 _CTRL_HEADER = struct.Struct("<qqd")
 
 
@@ -177,22 +174,6 @@ def _read_flat_binary(path, header, shape):
             f"{path}: payload is {payload} bytes, header shape {dims} needs {need}"
         )
     return fields, np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(dims)
-
-
-def save_realization(r, path):
-    with open(path, "wb") as fh:
-        fh.write(_REAL_HEADER.pack(r.n_modes, r.n_steps, r.dt, r.seed & _MASK64))
-        fh.write(np.ascontiguousarray(r.increments, dtype="<f8").tobytes())
-
-
-def load_realization(path, spec=None):
-    """Load a persisted realization; ``spec`` reattaches the coloring (not stored)."""
-    (j, n_steps, dt, seed), data = _read_flat_binary(path, _REAL_HEADER, lambda f: f[:2])
-    if spec is not None and spec.n_modes != j:
-        raise ValueError(f"spec has {spec.n_modes} modes but file has {j}")
-    return NoiseRealization(
-        dt=dt, n_steps=n_steps, increments=data, seed=seed, spec=spec
-    )
 
 
 def save_control(h, path):

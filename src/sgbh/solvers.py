@@ -106,7 +106,6 @@ class SolverConfig:
     t_end: float
     n_modes: int = 32
     n_points: int = 256
-    scheme: str = "exponential-euler"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -118,8 +117,6 @@ class SolverConfig:
             raise ValueError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
-        if self.scheme != "exponential-euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if self.n_points < 4 * self.n_modes:

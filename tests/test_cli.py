@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: config parsing with line
 diagnostics, the four subcommands, exit codes, and byte-stable artifacts."""
 
+import ast
 import importlib.metadata
 import json
 import os
@@ -12,7 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgbh.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_PASS, EXIT_SCI_FAIL, RunConfig, main
+from sgbh.cli import (
+    _SCHEMA,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_PASS,
+    EXIT_SCI_FAIL,
+    RunConfig,
+    main,
+)
 from sgbh.noise import load_control
 
 SMALL_SOLVER = """
@@ -56,12 +65,62 @@ def _write(tmp_path, text, name="run.cfg"):
 def test_config_defaults_round_trip():
     cfg = RunConfig()
     assert cfg.values["model"]["nu"] == 0.1
-    assert cfg.values["solver"]["scheme"] == "exponential-euler"
     assert RunConfig.parse(cfg.serialize()) == cfg
     parsed = RunConfig.parse("[model]\nnu = 0.2\n\n# comment\n[output]\nseed = 7\n")
     assert parsed.values["model"]["nu"] == 0.2
     assert parsed.seed == 7
     assert parsed.values["model"]["alpha"] == 1.0  # untouched default
+
+
+def _values_section(node):
+    """The section name when ``node`` is ``<x>.values["section"]``, else None."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "values"
+        and isinstance(node.slice, ast.Constant)
+    ):
+        return node.slice.value
+    return None
+
+
+def _config_reads():
+    """(section, key) pairs that cli.py's functions read from a config's values,
+    directly (``values["s"]["k"]``) or through a local (``e = values["s"]``)."""
+    import sgbh.cli
+
+    tree = ast.parse(Path(sgbh.cli.__file__).read_text())
+    reads = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        local = {
+            node.targets[0].id: _values_section(node.value)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Constant)
+            ):
+                continue
+            base = node.value
+            section = _values_section(base)
+            if section is None and isinstance(base, ast.Name):
+                section = local.get(base.id)
+            if section is not None:
+                reads.add((section, node.slice.value))
+    return reads
+
+
+def test_every_schema_key_has_a_reader():
+    # a key that nothing reads is a knob that does nothing, as [experiment]
+    # kind was
+    reads = _config_reads()
+    unread = [(s, k) for s, keys in _SCHEMA.items() for k in keys if (s, k) not in reads]
+    assert unread == []
 
 
 @pytest.mark.parametrize(
@@ -267,6 +326,17 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             ["experiment", "clt"],
             "(n_steps+1)*n_points = 16781312 exceeds 16777216",
         ),
+        # refused before _block_spans lists the blocks or any block allocates
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 1000000000000\n",
+            ["experiment", "strong-rate"],
+            "n_paths*n_eps = 3000000000000 exceeds 16777216",
+        ),
+        (
+            LINEAR_MODEL + "[experiment]\nn_paths = 1000000000000\n",
+            ["experiment", "heat-oracle"],
+            "n_paths*n_eps*noise n_modes = 24000000000000 exceeds 16777216",
+        ),
     ],
     ids=[
         "aliasing",
@@ -284,6 +354,8 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "rho-descending",
         "block-noise-draw",
         "block-reference-grid",
+        "reduction-paths",
+        "reduction-heat-endpoints",
     ],
 )
 def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
@@ -320,15 +392,28 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         (SMALL_SOLVER + "[solver]\nguard_threshold = NaN\n", ["simulate"], "not a finite"),
         (SMALL_SOLVER + "[solver]\nguard_threshold = -1.0\n", ["simulate"], "must be > 0"),
         (SMALL_SOLVER + "[solver]\nguard_threshold = 0.0\n", ["simulate"], "must be > 0"),
+        # an experiment's guard is the [solver] one
         (
-            SMALL_SOLVER + "[experiment]\nn_paths = 4\nguard_threshold = NaN\n",
+            SMALL_SOLVER + "[solver]\nguard_threshold = NaN\n[experiment]\nn_paths = 4\n",
             ["experiment", "strong-rate"],
             "not a finite",
         ),
         (
-            SMALL_SOLVER + "[experiment]\nn_paths = 4\nguard_threshold = 0.0\n",
+            SMALL_SOLVER + "[solver]\nguard_threshold = 0.0\n[experiment]\nn_paths = 4\n",
             ["experiment", "strong-rate"],
             "must be > 0",
+        ),
+        # removed keys: one key per setting, and one scheme
+        ('[solver]\nscheme = "exponential-euler"\n', ["simulate"], "unknown key 'scheme'"),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\ntheta = 0.25\n",
+            ["experiment", "mdp-tail"],
+            "unknown key 'theta' in [experiment]",
+        ),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\nguard_threshold = 1000.0\n",
+            ["experiment", "strong-rate"],
+            "unknown key 'guard_threshold' in [experiment]",
         ),
         ("[solver]\nn_points = 1000000000000000\n", ["simulate"], "n_points*n_modes"),
         ("[solver]\ndt = 1e-9\n", ["simulate"], "n_steps*n_modes"),
@@ -370,6 +455,9 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "solver-guard-zero",
         "experiment-guard-nan",
         "experiment-guard-zero",
+        "removed-solver-scheme",
+        "removed-experiment-theta",
+        "removed-experiment-guard",
         "huge-grid",
         "huge-step-count",
         "huge-noise-draw",
@@ -513,6 +601,34 @@ def test_experiment_mdp_tail_monotone(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["monotone_in_rho"] is True
     assert (out / "report.csv").read_text().startswith("eps,rho,n_paths")
+
+
+def test_experiment_mdp_tail_reads_solver_theta(tmp_path):
+    from sgbh.deviation import SpeedFunction
+    from sgbh.montecarlo import run_mdp_tail
+
+    text = SMALL_SOLVER + "[experiment]\nn_paths = 16\nrho_list = [0.05, 0.25, 1.0]\n"
+    reports = {}
+    for theta in (0.25, 0.4):
+        cfg = _write(tmp_path, text + f"[solver]\ntheta = {theta}\n", f"theta{theta}.cfg")
+        out = tmp_path / f"theta{theta}"
+        assert main(["experiment", "mdp-tail", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        reports[theta] = (out / "report.json").read_text()
+    assert reports[0.4] != reports[0.25]
+    config = RunConfig.load(cfg)
+    scfg = config.solver_config()
+    direct = run_mdp_tail(
+        config.ensemble_spec(),
+        config.model_params(),
+        config.noise_coefficient(),
+        scfg,
+        SpeedFunction(0.4),
+        config.values["experiment"]["rho_list"],
+        u0=config.initial_data(scfg),
+        noise_spec=config.noise_spec(),
+        tail_p=config.tail_p,
+    )
+    assert reports[0.4] == direct.to_json()
 
 
 # --- rate -----------------------------------------------------------------------

@@ -20,11 +20,8 @@ from sgbh.cli import _SCHEMA, ConfigError, RunConfig  # noqa: E402
 from sgbh.noise import (  # noqa: E402
     BinaryFormatError,
     ControlPath,
-    NoiseRealization,
     load_control,
-    load_realization,
     save_control,
-    save_realization,
 )
 from sgbh.solvers import (  # noqa: E402
     MAX_ARRAY_ENTRIES,
@@ -134,12 +131,6 @@ _SAVED = {
         struct.Struct("<qqd"),
         ControlPath(dt=0.01, n_steps=5, hdot=_RNG.standard_normal((3, 5))),
     ),
-    "realization": (
-        load_realization,
-        save_realization,
-        struct.Struct("<qqdQ"),
-        NoiseRealization(dt=0.01, n_steps=5, increments=_RNG.standard_normal((3, 5)), seed=7),
-    ),
     "trajectory": (
         load_trajectory,
         save_trajectory,
@@ -153,7 +144,6 @@ _SAVED = {
 }
 _FIELD = {
     "q": st.integers(-(2**63), 2**63 - 1),
-    "Q": st.integers(0, 2**64 - 1),
     "d": st.floats(),
 }
 

@@ -16,10 +16,8 @@ from sgbh.noise import (
     NoiseSpec,
     action,
     load_control,
-    load_realization,
     sample_noise,
     save_control,
-    save_realization,
 )
 
 
@@ -169,23 +167,6 @@ def test_control_validation():
 # --- persistence -------------------------------------------------------------
 
 
-def test_realization_round_trip(tmp_path):
-    spec = NoiseSpec(n_modes=6, eta=0.4)
-    r = sample_noise(spec, 0.005, 30, seed=1234)
-    path = tmp_path / "real.bin"
-    save_realization(r, path)
-    back = load_realization(path, spec=spec)
-    assert np.array_equal(back.increments, r.increments)
-    assert back.dt == r.dt
-    assert back.n_steps == r.n_steps
-    assert back.seed == r.seed
-    assert back.spec == spec
-    # reattaching a spec with the wrong mode count must fail
-    with pytest.raises(ValueError):
-        load_realization(path, spec=NoiseSpec(n_modes=4, eta=0.4))
-    assert load_realization(path).spec is None
-
-
 def test_control_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     h = ControlPath(dt=0.02, n_steps=12, hdot=rng.standard_normal((3, 12)))
@@ -198,33 +179,28 @@ def test_control_round_trip(tmp_path):
     assert back.action() == pytest.approx(h.action(), rel=1e-15)
 
 
-def _flat_binary_cases(tmp_path):
-    """One saved realization and one saved control, with their loaders."""
-    spec = NoiseSpec(n_modes=3, eta=0.3)
-    real = tmp_path / "real.bin"
-    save_realization(sample_noise(spec, 0.01, 7, seed=5), real)
-    ctrl = tmp_path / "ctrl.bin"
-    save_control(ControlPath(dt=0.01, n_steps=7, hdot=np.ones((3, 7))), ctrl)
-    return [(real, load_realization), (ctrl, load_control)]
+def _saved_control(tmp_path):
+    path = tmp_path / "ctrl.bin"
+    save_control(ControlPath(dt=0.01, n_steps=7, hdot=np.ones((3, 7))), path)
+    return path
 
 
 @pytest.mark.parametrize("cut", [0, 3, 24, -8, -1])
 def test_truncated_binary_files_raise_format_error(tmp_path, cut):
-    for path, load in _flat_binary_cases(tmp_path):
-        raw = path.read_bytes()
-        path.write_bytes(raw[:cut])
-        with pytest.raises(BinaryFormatError):
-            load(path)
+    path = _saved_control(tmp_path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(BinaryFormatError):
+        load_control(path)
 
 
 def test_overlong_or_inconsistent_binary_files_raise_format_error(tmp_path):
-    for path, load in _flat_binary_cases(tmp_path):
-        raw = path.read_bytes()
-        path.write_bytes(raw + bytes(8))
+    path = _saved_control(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(8))
+    with pytest.raises(BinaryFormatError):
+        load_control(path)
+    # header claiming zero modes, and one claiming a negative step
+    for offset, word in ((0, np.int64(0)), (16, np.float64(-0.01))):
+        path.write_bytes(raw[:offset] + word.tobytes() + raw[offset + 8 :])
         with pytest.raises(BinaryFormatError):
-            load(path)
-        # header claiming zero modes, and one claiming a negative step
-        for offset, word in ((0, np.int64(0)), (16, np.float64(-0.01))):
-            path.write_bytes(raw[:offset] + word.tobytes() + raw[offset + 8 :])
-            with pytest.raises(BinaryFormatError):
-                load(path)
+            load_control(path)

@@ -62,8 +62,6 @@ def test_config_validation():
         SolverConfig(dt=0.001, t_end=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.003, t_end=0.25)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.001, t_end=0.25, scheme="crank-nicolson")
     with pytest.raises(ValueError, match="grid too coarse"):
         SolverConfig(dt=0.001, t_end=0.25, n_modes=32, n_points=64)
     with pytest.raises(ValueError):
