@@ -97,7 +97,6 @@ _SCHEMA = {
     "experiment": {
         "n_paths": 500,
         "eps_list": [0.01, 0.001, 0.0001],
-        "coupled": True,
         "block_size": 128,
         "rho_list": [0.5, 1.0, 2.0, 4.0],
         "tail_p": 2,
@@ -125,10 +124,7 @@ def _finite_float(token):
 
 def _check_type(section, key, value, default, lineno):
     where = f"line {lineno}: [{section}] {key}"
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where} must be true/false, got {value!r}")
-    elif isinstance(default, int):
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
     elif isinstance(default, float):
@@ -276,7 +272,6 @@ class RunConfig:
                 n_paths=e["n_paths"],
                 base_seed=self.seed,
                 eps_list=tuple(e["eps_list"]),
-                coupled=e["coupled"],
                 block_size=e["block_size"],
                 guard_threshold=self.values["solver"]["guard_threshold"],
             )
@@ -351,7 +346,9 @@ def cmd_simulate(config, args):
     scfg = config.solver_config()
     nspec = config.noise_spec()
     g = config.noise_coefficient()
-    kind = args.solver if args.solver else config.values["solver"]["kind"]
+    if args.solver:
+        config.values["solver"]["kind"] = args.solver  # recorded in config.txt
+    kind = config.values["solver"]["kind"]
     eps = config.values["solver"]["eps"]
     theta = config.values["solver"]["theta"]
     guard = config.blowup_guard()
@@ -460,6 +457,8 @@ def cmd_rate(config, args):
     scfg = config.solver_config()
     nspec = config.noise_spec()
     g = config.noise_coefficient()
+    if (tol := config.values["experiment"]["rate_tol"]) < 0:
+        raise ConfigError(f"[experiment] rate_tol must be >= 0, got {tol}")
     target = _load_target_field(args.target, scfg)
     u0 = config.initial_data(scfg)
     u0_traj = solve_deterministic(u0, params, scfg)
@@ -469,7 +468,7 @@ def cmd_rate(config, args):
         params,
         g,
         scfg,
-        tol=config.values["experiment"]["rate_tol"],
+        tol=tol,
         noise_spec=nspec,
     )
     outdir = config.outdir

@@ -156,7 +156,7 @@ def _target_coeffs(target, eng):
     from .spectral import Field, to_spectral
 
     if isinstance(target, Field):
-        return to_spectral(target, eng.basis).data
+        return to_spectral(target, eng.basis)
     target = np.asarray(target, dtype=float)
     if target.shape != (eng.cfg.n_modes,):
         raise ValueError(f"target must have {eng.cfg.n_modes} coefficients")

@@ -15,11 +15,13 @@ and names its report.  Every ``run_*`` call first sets glibc's malloc
 thresholds (``_keep_freed_heap``), so a block's step temporaries reuse heap
 memory instead of faulting fresh pages in.
 
-Coupling across epsilon reuses one Brownian path per path index (the same
-increments drive every epsilon), which makes pathwise differences nearly
-deterministic functions of epsilon and sharpens slope fits by orders of
-magnitude.  Since a single solver config serves all epsilon values, the
-coupled runs share (dt, n_modes) by construction.
+Every ensemble is coupled across epsilon, as the paper's bounds are: each
+path index draws one Brownian path and the same increments drive every
+epsilon, so u_eps, u_0 and the limit are compared path by path.  This makes
+pathwise differences nearly deterministic functions of epsilon and sharpens
+slope fits by orders of magnitude.  A single solver config serves all
+epsilon values, so they share (dt, n_modes) by construction.  Reports still
+write ``"coupled": true`` so their keys stay those of earlier reports.
 
 Censoring: paths whose solution L^p norm crosses the guard threshold are
 rejected from the full-horizon statistic and counted; the report also carries
@@ -65,7 +67,6 @@ class EnsembleSpec:
     n_paths: int
     base_seed: int
     eps_list: tuple
-    coupled: bool = True
     block_size: int = 128
     guard_threshold: float = 1e3
 
@@ -127,7 +128,6 @@ class ConvergenceReport:
     statistic: str
     p_norm: int
     n_paths: int
-    coupled: bool
     eps: list
     mean: list
     stderr: list
@@ -159,7 +159,7 @@ class ConvergenceReport:
             "statistic": self.statistic,
             "p_norm": self.p_norm,
             "n_paths": self.n_paths,
-            "coupled": self.coupled,
+            "coupled": True,  # every eps shares each path's draw
             "eps": [float(e) for e in self.eps],
             "mean": [clean(m) for m in self.mean],
             "stderr": [clean(s) for s in self.stderr],
@@ -336,23 +336,15 @@ def _run_blocks(fn, run, workers):
         return [fut.result() for fut in futures]
 
 
-def _block_increments(run, start, stop, eps_index):
-    """Per-path increments step-major, (K, B, J), so step k reads a contiguous
-    inc[k]; the path index shifts per eps when uncoupled."""
+def _block_increments(run, start, stop):
+    """The block's per-path increments step-major, (K, B, J), so step k reads a
+    contiguous inc[k]; every eps of the block reuses them."""
     spec, cfg = run.spec, run.eng.cfg
-    offset = 0 if spec.coupled else eps_index * spec.n_paths
     inc = np.empty((cfg.n_steps, stop - start, run.noise_spec.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, offset + i)
+        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, i)
         inc[:, b, :] = r.increments.T
     return inc
-
-
-def _eps_increments(run, start, stop):
-    """Yield (eps, increments) per eps; coupled runs draw once and share it."""
-    shared = _block_increments(run, start, stop, 0) if run.spec.coupled else None
-    for ei, eps in enumerate(run.spec.eps_list):
-        yield eps, shared if shared is not None else _block_increments(run, start, stop, ei)
 
 
 def _censored_march(eng, guard, states, steps, observe):
@@ -390,6 +382,7 @@ def _block_strong_rate(run, start, stop):
     eng = run.eng
     u0_grid = eng.grid_values(run.u0_coeffs)
     p = eng.params.p_norm
+    inc = _block_increments(run, start, stop)
 
     def observe(k, u_grid):
         return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
@@ -402,7 +395,7 @@ def _block_strong_rate(run, start, stop):
             [eng.spde_step(np.sqrt(eps), inc)],
             observe,
         )
-        for eps, inc in _eps_increments(run, start, stop)
+        for eps in run.spec.eps_list
     ]
 
 
@@ -411,8 +404,9 @@ def _block_clt(run, start, stop):
     u0_grid = eng.grid_values(run.u0_coeffs)
     p = eng.params.p_norm
     B, J = stop - start, eng.cfg.n_modes
+    inc = _block_increments(run, start, stop)
     out = []
-    for eps, inc in _eps_increments(run, start, stop):
+    for eps in run.spec.eps_list:
         s = np.sqrt(eps)
         step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
@@ -433,8 +427,9 @@ def _block_clt(run, start, stop):
 
 def _block_heat(run, start, stop):
     eng = run.eng
+    inc = _block_increments(run, start, stop)
     out = []
-    for eps, inc in _eps_increments(run, start, stop):
+    for eps in run.spec.eps_list:
         step = eng.spde_step(np.sqrt(eps), inc)
         a = np.zeros((stop - start, eng.cfg.n_modes))
         for k in range(eng.cfg.n_steps):
@@ -452,8 +447,9 @@ def _block_mdp(run, start, stop):
         stat = eng.grid.lp_norm(zg, p)
         return stat, stat
 
+    inc = _block_increments(run, start, stop)
     out = []
-    for eps, inc in _eps_increments(run, start, stop):
+    for eps in run.spec.eps_list:
         lam = eps ** (-run.theta)
         step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, inc, 1.0 / lam)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
@@ -512,7 +508,6 @@ def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_targe
         statistic=statistic,
         p_norm=p,
         n_paths=spec.n_paths,
-        coupled=spec.coupled,
         eps=eps,
         mean=mean,
         stderr=stderr,
@@ -567,8 +562,6 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     like the leading sqrt(eps) remainder.  Pass requires strictly decreasing
     means and fitted order >= 0.4.
     """
-    if not spec.coupled:
-        raise SetupError("run_clt requires coupled=True (v and v_eps share noise)")
     try:
         params.validate_for_clt()
     except ValueError as exc:

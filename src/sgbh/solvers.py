@@ -178,9 +178,6 @@ class Trajectory:
     def n_modes(self):
         return self.coeffs.shape[1]
 
-    def field(self, k):
-        return Field.from_coeffs(self.coeffs[k])
-
     def grid_values(self, k=None):
         """Interior grid samples at step k, or all steps when k is None."""
         if k is None:
@@ -282,7 +279,7 @@ class SolverEngine:
 
     def initial_coeffs(self, u0):
         if isinstance(u0, Field):
-            return to_spectral(u0, self.basis).data.copy()
+            return to_spectral(u0, self.basis)
         u0 = np.asarray(u0, dtype=float)
         if u0.shape[-1] == self.cfg.n_modes:
             return u0.copy()
@@ -553,7 +550,7 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
 
     The control coloring uses q from the noise realization's spec when one is
     given, else from ``noise_spec``, else the default NoiseSpec over the
-    control's modes.
+    control's modes; the control may not have more modes than that spec.
     """
     if not 0 <= eps <= 1:
         raise SetupError(f"eps must be in [0, 1], got {eps}")
@@ -572,6 +569,8 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         spec = noise_spec
     else:
         spec = NoiseSpec(n_modes=min(h.n_modes, cfg.n_modes))
+    if h is not None and h.n_modes > spec.n_modes:
+        raise SetupError(f"control has {h.n_modes} modes > noise n_modes {spec.n_modes}")
     eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
 
     step = eng.deviation_step(

@@ -2,9 +2,10 @@
 
 The Dirichlet Laplacian on (0,1) has eigenpairs lambda_j = (j*pi)**2,
 phi_j(x) = sqrt(2)*sin(j*pi*x), j >= 1.  Everything in this package lives in
-that basis: fields are either sine coefficients or samples on a uniform
-interior grid, the heat semigroup is a diagonal multiplier, and the heat
-kernel is available both as an eigen sum and as the method-of-images sum
+that basis: a state is an array of sine coefficients, a ``Field`` holds the
+samples of a function on the uniform interior grid, the heat semigroup is a
+diagonal multiplier on coefficients, and the heat kernel is available both as
+an eigen sum and as the method-of-images sum
 
     G(t,x,y) = (4*pi*t)**(-1/2) * sum_m [ exp(-(y-x-2m)^2/(4t))
                                         - exp(-(y+x-2m)^2/(4t)) ].
@@ -12,8 +13,8 @@ kernel is available both as an eigen sum and as the method-of-images sum
 Quadrature is composite trapezoid on the uniform grid; since every field
 vanishes at the boundary this is just spacing * sum(interior values), and on
 the interior grid x_i = i/(n+1) the sine modes are exactly discretely
-orthonormal, so grid <-> spectral round trips are exact for band-limited
-fields.
+orthonormal, so projecting the grid samples of a band-limited field
+recovers its coefficients exactly.
 """
 
 import json
@@ -33,7 +34,6 @@ __all__ = [
     "build_grid",
     "build_basis",
     "to_spectral",
-    "to_grid",
     "apply_semigroup",
     "heat_kernel",
     "heat_kernel_dy",
@@ -146,17 +146,11 @@ def build_basis(n_modes, grid):
 
 @dataclass(frozen=True)
 class Field:
-    """A function on (0,1) with zero boundary values, in one representation.
+    """Interior grid samples of a function on (0,1) with zero boundary values."""
 
-    ``kind`` is "grid" (interior samples) or "spectral" (sine coefficients).
-    """
-
-    kind: str
     data: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("grid", "spectral"):
-            raise ValueError(f"kind must be 'grid' or 'spectral', got {self.kind!r}")
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 1:
             raise ValueError(f"field data must be 1-d, got shape {data.shape}")
@@ -166,63 +160,31 @@ class Field:
 
     @classmethod
     def from_grid(cls, values):
-        return cls("grid", np.asarray(values, dtype=float))
-
-    @classmethod
-    def from_coeffs(cls, coeffs):
-        return cls("spectral", np.asarray(coeffs, dtype=float))
+        return cls(values)
 
 
 def to_spectral(f, basis):
-    """Project a field onto the basis; returns a spectral Field.
+    """Sine coefficients of a grid field, as an array.
 
-    For grid input the projection is the trapezoid quadrature
+    The projection is the trapezoid quadrature
     coeff_j = h * sum_i f(x_i) phi_j(x_i), which is exact for fields
-    band-limited to the grid's resolved modes.  Spectral input passes through.
+    band-limited to the grid's resolved modes.
     """
-    if f.kind == "spectral":
-        if f.data.shape[0] != basis.n_modes:
-            raise ValueError(
-                f"coefficient length {f.data.shape[0]} != n_modes {basis.n_modes}"
-            )
-        return f
     if f.data.shape[0] != basis.grid.n_points:
         raise ValueError(
             f"grid length {f.data.shape[0]} != n_points {basis.grid.n_points}"
         )
-    coeffs = basis.grid.spacing * (basis.phi @ f.data)
-    return Field.from_coeffs(coeffs)
+    return basis.grid.spacing * (basis.phi @ f.data)
 
 
-def to_grid(f, basis):
-    """Evaluate a field on the basis grid; returns a grid Field."""
-    if f.kind == "grid":
-        if f.data.shape[0] != basis.grid.n_points:
-            raise ValueError(
-                f"grid length {f.data.shape[0]} != n_points {basis.grid.n_points}"
-            )
-        return f
-    if f.data.shape[0] != basis.n_modes:
-        raise ValueError(
-            f"coefficient length {f.data.shape[0]} != n_modes {basis.n_modes}"
-        )
-    return Field.from_grid(f.data @ basis.phi)
-
-
-def apply_semigroup(f, nu_t, basis):
+def apply_semigroup(coeffs, nu_t, basis):
     """Apply the Dirichlet heat semigroup: coefficient j -> e^{-lambda_j*nu_t} coeff_j.
 
     ``nu_t`` is the diffusivity-time product; nu_t = 0 is the identity.
-    The result keeps the input's representation kind.
     """
     if nu_t < 0:
         raise ValueError(f"nu_t must be >= 0, got {nu_t}")
-    coeffs = to_spectral(f, basis).data
-    decayed = np.exp(-basis.eigenvalues * nu_t) * coeffs
-    out = Field.from_coeffs(decayed)
-    if f.kind == "grid":
-        return to_grid(out, basis)
-    return out
+    return np.exp(-basis.eigenvalues * nu_t) * coeffs
 
 
 @dataclass(frozen=True)

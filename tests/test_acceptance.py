@@ -38,7 +38,7 @@ from sgbh.solvers import (
     solve_skeleton,
     solve_spde,
 )
-from sgbh.spectral import Field, Grid1D, SpectralBasis, apply_semigroup, heat_kernel
+from sgbh.spectral import Grid1D, SpectralBasis, apply_semigroup, heat_kernel
 
 DESK = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8)
 LINEAR = ModelParams(nu=0.1, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
@@ -76,11 +76,11 @@ def test_criterion_1_kernel_cross_validation():
 
         basis = SpectralBasis(Grid1D(128), 16)
         rng = np.random.default_rng(11)
-        f = Field("spectral", rng.standard_normal(16))
+        f = rng.standard_normal(16)
         for s, t in ((0.05, 0.2), (0.01, 0.01), (0.3, 0.15)):
             two_step = apply_semigroup(apply_semigroup(f, s, basis), t, basis)
             one_step = apply_semigroup(f, s + t, basis)
-            assert np.max(np.abs(two_step.data - one_step.data)) < 1e-12
+            assert np.max(np.abs(two_step - one_step)) < 1e-12
 
 
 def _fd1(fn, u, h=1e-5):
@@ -123,15 +123,11 @@ def test_criterion_4_strong_rate_scaling():
     with _criterion(4, "strong deviation scaling", budget=300.0):
         cfg = SolverConfig(dt=1e-3, t_end=0.25, n_modes=32, n_points=256)
         # linear case: coupled statistic scales exactly like eps^(p/2)
-        lin = EnsembleSpec(
-            n_paths=100, base_seed=404, eps_list=(1e-2, 1e-3, 1e-4), coupled=True
-        )
+        lin = EnsembleSpec(n_paths=100, base_seed=404, eps_list=(1e-2, 1e-3, 1e-4))
         rep = run_strong_rate(lin, LINEAR, G_CONST, cfg)
         assert abs(rep.slope - DESK.p_norm / 2) <= 0.05
 
-        full = EnsembleSpec(
-            n_paths=500, base_seed=405, eps_list=(1e-2, 1e-3, 1e-4), coupled=True
-        )
+        full = EnsembleSpec(n_paths=500, base_seed=405, eps_list=(1e-2, 1e-3, 1e-4))
         rep = run_strong_rate(full, DESK, G_AFFINE, cfg, noise_spec=SPEC32)
         assert rep.slope >= DESK.p_norm / 2 - 0.3
         assert rep.r_squared >= 0.99

@@ -134,7 +134,7 @@ def test_every_schema_key_has_a_reader():
         ("[model]\nnu = \"fast\"\n", "must be a number"),
         ("[model]\ndelta = 1.5\n", "must be an integer"),
         ("[experiment]\nn_paths = true\n", "must be an integer"),
-        ("[experiment]\ncoupled = 1\n", "must be true/false"),
+        ("[experiment]\ncoupled = true\n", "unknown key"),
         ("[experiment]\neps_list = 0.1\n", "must be a list"),
         ("[output]\ndirectory = 3\n", "must be a string"),
     ],
@@ -175,6 +175,18 @@ def test_simulate_deterministic_writes_artifacts(tmp_path):
     lines = (out / "norms.csv").read_text().strip().split("\n")
     assert lines[0] == "time,l2_norm,l8_norm"
     assert len(lines) == 12  # 10 steps + initial + header
+
+
+def test_simulate_records_solver_flag_and_reruns_from_config(tmp_path):
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["simulate", "--solver", "spde", "--config", cfg, "--out", str(first)]
+    assert main(argv) == EXIT_PASS
+    recorded = first / "config.txt"
+    assert 'kind = "spde"' in recorded.read_text().splitlines()
+    rerun = ["simulate", "--config", str(recorded), "--out", str(again)]
+    assert main(rerun) == EXIT_PASS
+    assert (again / "trajectory.bin").read_bytes() == (first / "trajectory.bin").read_bytes()
 
 
 def test_simulate_is_byte_stable_across_reruns_and_flag_position(tmp_path):
@@ -281,10 +293,13 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         ),
         ("[noise]\nn_modes = 40\n", ["simulate", "--solver", "spde"], "noise has 40 modes"),
         ("[experiment]\nn_paths = 4\n", ["experiment", "heat-oracle"], "alpha = beta = 0"),
-        (
-            SMALL_SOLVER + "[experiment]\nn_paths = 4\ncoupled = false\n",
-            ["experiment", "clt"],
-            "coupled=True",
+        *(
+            (
+                SMALL_SOLVER + "[solver]\nn_modes = 16\nn_points = 128\n",
+                ["simulate", "--solver", kind, "--control", "{ctrl16}"],
+                "control has 16 modes > noise n_modes 8",
+            )
+            for kind in ("skeleton", "controlled")
         ),
         (
             SMALL_SOLVER + "[experiment]\nn_paths = 4\nrho_list = [0.5, 2000.0]\n",
@@ -343,7 +358,8 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "control-steps",
         "noise-modes",
         "heat-nonlinear",
-        "clt-uncoupled",
+        "skeleton-control-wider-than-noise",
+        "controlled-control-wider-than-noise",
         "rho-above-guard",
         "heat-unforced-modes",
         "heat-one-path",
@@ -363,8 +379,10 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
 
     ctrl7 = tmp_path / "ctrl7.bin"
     save_control(ControlPath.zero(8, 0.005, 7), ctrl7)  # the config has 10 steps
+    ctrl16 = tmp_path / "ctrl16.bin"
+    save_control(ControlPath.zero(16, 0.005, 10), ctrl16)
     cfg = _write(tmp_path, text)
-    argv = [a.format(ctrl7=ctrl7) for a in argv]
+    argv = [a.format(ctrl7=ctrl7, ctrl16=ctrl16) for a in argv]
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "setup error" in err and fragment in err
@@ -440,6 +458,11 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
             "1e400 is not a finite",
         ),
         (SMALL_SOLVER, ["rate", '{"kind": "spectral", "values": [null]}'], "must be finite"),
+        (
+            SMALL_SOLVER + "[experiment]\nrate_tol = -1.0\n",
+            ["rate", '{"kind": "spectral", "values": [0.001]}'],
+            "rate_tol must be >= 0",
+        ),
     ],
     ids=[
         "nu-nan",
@@ -470,6 +493,7 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "target-nan",
         "target-grid-overflow",
         "target-null",
+        "rate-tol-negative",
     ],
 )
 def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):
@@ -546,6 +570,37 @@ def test_experiment_is_byte_stable_and_worker_independent(tmp_path):
     for o in outs[1:]:
         assert (o / "report.json").read_bytes() == ref_json
         assert (o / "report.csv").read_bytes() == ref_csv
+
+
+@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+def test_convergence_report_key_order_is_pinned(tmp_path, kind):
+    # every ensemble is coupled, yet reports keep the "coupled" key: readers
+    # compare report keys with earlier reports
+    cfg = _write(tmp_path, SMALL_SOLVER + "[experiment]\nn_paths = 4\n")
+    out = tmp_path / kind
+    code = main(["experiment", kind, "--config", cfg, "--out", str(out)])
+    assert code in (EXIT_PASS, EXIT_SCI_FAIL)
+    rep = json.loads((out / "report.json").read_text())
+    assert list(rep) == [
+        "experiment",
+        "statistic",
+        "p_norm",
+        "n_paths",
+        "coupled",
+        "eps",
+        "mean",
+        "stderr",
+        "n_rejected",
+        "censored_mean",
+        "censored_stderr",
+        "slope",
+        "intercept",
+        "r_squared",
+        "slope_target",
+        "passed",
+        "pass_details",
+    ]
+    assert rep["coupled"] is True
 
 
 def test_experiment_clt_degenerate_is_unjudged(tmp_path):

@@ -110,16 +110,6 @@ def test_strong_rate_coupled_linear_scales_exactly():
     assert rep.censored_stderr == rep.stderr
 
 
-def test_strong_rate_uncoupled_still_sees_the_rate():
-    spec = EnsembleSpec(
-        n_paths=32, base_seed=12, eps_list=[1.0, 0.5, 0.25], coupled=False, block_size=16
-    )
-    rep = run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.coupled is False
-    assert 3.0 < rep.slope < 5.0
-    assert all(b < a for a, b in zip(rep.mean, rep.mean[1:]))
-
-
 def test_strong_rate_report_serialization(tmp_path):
     spec = EnsembleSpec(n_paths=8, base_seed=13, eps_list=[1.0, 0.5, 0.25], block_size=8)
     rep = run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
@@ -190,20 +180,18 @@ def test_reports_are_byte_identical_across_worker_counts(runner):
     assert serial.to_json() == again.to_json()
 
 
-@pytest.mark.parametrize("coupled", [True, False])
-def test_block_increments_are_step_major_path_draws(coupled):
+def test_block_increments_are_step_major_path_draws():
     from sgbh.montecarlo import _block_increments, _build_run
 
-    spec = EnsembleSpec(n_paths=20, base_seed=31, eps_list=[0.5, 0.25, 0.125], coupled=coupled)
+    spec = EnsembleSpec(n_paths=20, base_seed=31, eps_list=[0.5, 0.25, 0.125])
     noise_spec = NoiseSpec(n_modes=6, eta=0.3)
     run = _build_run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec, reference=False)
-    start, stop, eps_index = 5, 12, 2
-    inc = _block_increments(run, start, stop, eps_index)
+    start, stop = 5, 12
+    inc = _block_increments(run, start, stop)
     assert inc.shape == (CFG_SMALL.n_steps, stop - start, 6)
     assert inc[3].flags.c_contiguous
-    offset = 0 if coupled else eps_index * spec.n_paths
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(noise_spec, CFG_SMALL.dt, CFG_SMALL.n_steps, 31, offset + i)
+        r = sample_noise(noise_spec, CFG_SMALL.dt, CFG_SMALL.n_steps, 31, i)
         assert np.array_equal(inc[:, b, :], r.increments.T)
 
 
@@ -338,13 +326,11 @@ def test_clt_nonlinear_remainder_decays_at_root_eps():
 
 
 def test_clt_requires_coupling_and_high_norm():
-    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], coupled=False)
-    with pytest.raises(ValueError):
-        run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    # coupling is how every ensemble runs; only the norm can rule a CLT run out
     low_p = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=6)
-    spec2 = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1])
+    spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1])
     with pytest.raises(ValueError):
-        run_clt(spec2, low_p, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+        run_clt(spec, low_p, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
 
 
 # --- heat oracle -------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_pure_heat_decay_is_exact():
     cfg = SolverConfig(dt=0.001, t_end=0.25, n_modes=8, n_points=64)
     c0 = np.zeros(8)
     c0[0] = 1.0
-    traj = solve_deterministic(Field.from_coeffs(c0), params, cfg)
+    traj = solve_deterministic(c0, params, cfg)
     assert traj.coeffs[-1, 0] == pytest.approx(np.exp(-0.1 * np.pi**2 * 0.25), rel=1e-12)
     np.testing.assert_allclose(traj.coeffs[-1, 1:], 0.0, atol=1e-15)
     assert traj.times[-1] == pytest.approx(0.25, rel=1e-12)
@@ -484,7 +484,6 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     assert u0.n_steps == cfg.n_steps
     assert u0.n_modes == cfg.n_modes
     assert u0.dt == pytest.approx(cfg.dt, rel=1e-15)
-    np.testing.assert_allclose(u0.field(3).data, u0.coeffs[3], atol=0)
     basis = build_basis(cfg.n_modes, build_grid(cfg.n_points))
     np.testing.assert_allclose(u0.grid_values(5), u0.coeffs[5] @ basis.phi, atol=1e-14)
     path = tmp_path / "traj.bin"
