@@ -8,12 +8,12 @@ results are reduced in block order.  Every array op sees the same shapes and
 the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
-Each runner builds one frozen run record (engine, reference path, guard and
-specs) before any block starts; blocks read it inline or, pickled, on the pool
-workers, and build nothing themselves.  The runner called is the experiment
-and names its report.  Every ``run_*`` call first sets glibc's malloc
-thresholds (``_keep_freed_heap``), so a block's step temporaries reuse heap
-memory instead of faulting fresh pages in.
+Each runner builds one frozen run record (engine, reference path or heat
+weights, guard and specs) before any block starts; blocks read it inline or,
+pickled, on the pool workers, and build nothing themselves.  The runner
+called is the experiment and names its report.  Every ``run_*`` call first
+sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's step
+temporaries reuse heap memory instead of faulting fresh pages in.
 
 Every ensemble is coupled across epsilon, as the paper's bounds are: each
 path index draws one Brownian path and the same increments drive every
@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 # the largest array a block or the reduction may allocate: 2^24 float64 entries
-# (128 MB), which admits a 128-path heat block of 2500 steps and 32 noise modes
+# (128 MB), which admits a 128-path block of 4096 steps and 32 noise modes.  A
+# heat-oracle block holds one path's (J, K) draw and the run's (J, K) weights,
+# which SolverConfig already bounds, so only its reduction is checked here.
 MAX_BLOCK_ENTRIES = 1 << 24
 
 
@@ -258,8 +260,9 @@ class _Run:
     """Everything a block reads, built once per runner call and pickled as it
     stands to pool workers.  Blocks march from the reference path u0, its
     (K + 1, J) coefficients, and synthesise its (K + 1, n_points) grid
-    themselves, which keeps the grid out of the pickle; the heat oracle's
-    start from zero and have no reference."""
+    themselves, which keeps the grid out of the pickle.  The heat oracle has no
+    reference and does not march: its blocks price each path's endpoint with
+    ``heat_weights`` (``_heat_weights``)."""
 
     eng: SolverEngine
     spec: EnsembleSpec
@@ -268,35 +271,59 @@ class _Run:
     u0_coeffs: np.ndarray | None
     theta: float | None = None  # mdp-tail's speed exponent
     tail_p: int | None = None  # and the L^p of its tail statistic
+    heat_weights: np.ndarray | None = None  # the heat oracle's (J, K) endpoint weights
 
 
-def _build_run(spec, params, g, cfg, noise_spec, u0=None, reference=True, theta=None, tail_p=None):
-    """The run record.  Its engine is built and the reference solved here,
-    before any worker starts, so setup errors surface first.  The reference
-    solve starts from ``u0``, the parabolic bump when None."""
+def _heat_weights(eng):
+    """The pure heat endpoint's response to a unit increment at each step, read
+    off the stepper as a (J, K) array w, so a path's endpoint at eps = 1 is
+    sum_k w[:, k] dB_k.
+
+    With alpha = beta = 0 and constant g a step is a -> E (a + kappa0 q dB_k):
+    one kick at step K - 1 gives w[:, K - 1] = E kappa0 q, and each free step
+    backward multiplies by E, so w[:, k] = E^(K - k) kappa0 q.
+    """
+    K, J, jn = eng.cfg.n_steps, eng.cfg.n_modes, len(eng.q)
+    kick = eng.spde_step(1.0, np.broadcast_to(np.ones(jn), (K, jn)))
+    free = eng.spde_step()
+    w = np.empty((J, K))
+    w[:, K - 1] = kick(K - 1, np.zeros(J), None)
+    for k in range(K - 2, -1, -1):
+        w[:, k] = free(k, w[:, k + 1], None)
+    w.flags.writeable = False
+    return w
+
+
+def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, theta=None, tail_p=None):
+    """The run record.  Its engine is built and the reference solved (or, for
+    the heat oracle, its weights read) here, before any worker starts, so setup
+    errors surface first.  The reference solve starts from ``u0``, the
+    parabolic bump when None."""
     _keep_freed_heap()
     if noise_spec is None:
         noise_spec = NoiseSpec(n_modes=cfg.n_modes)
-    # a block's (K, B, J_noise) increments, marching from a reference the
-    # (K + 1, n_points) reference grid each block synthesises, and what the
-    # reduction holds: a sup per path and eps, or the heat oracle's endpoints
-    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
-    grid = (cfg.n_steps + 1) * cfg.n_points if reference else 0
-    kept = spec.n_paths * len(spec.eps_list) * (1 if reference else noise_spec.n_modes)
+    # what a marching block allocates, its (K, B, J_noise) increments and the
+    # (K + 1, n_points) reference grid it synthesises, and what the reduction
+    # holds: a sup per path and eps, or the heat oracle's endpoints
+    draw = 0 if heat else min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
+    grid = 0 if heat else (cfg.n_steps + 1) * cfg.n_points
+    kept = spec.n_paths * len(spec.eps_list) * (noise_spec.n_modes if heat else 1)
     for name, size in (
         ("block_size*n_steps*noise n_modes", draw),
         ("(n_steps+1)*n_points", grid),
-        ("n_paths*n_eps" if reference else "n_paths*n_eps*noise n_modes", kept),
+        ("n_paths*n_eps*noise n_modes" if heat else "n_paths*n_eps", kept),
     ):
         if size > MAX_BLOCK_ENTRIES:
             raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    u0_coeffs = None
-    if reference:
+    u0_coeffs = weights = None
+    if heat:
+        weights = _heat_weights(eng)
+    else:
         u0 = default_initial(eng.grid) if u0 is None else u0
         u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
     guard = BlowupGuard(spec.guard_threshold)
-    return _Run(eng, spec, noise_spec, guard, u0_coeffs, theta, tail_p)
+    return _Run(eng, spec, noise_spec, guard, u0_coeffs, theta, tail_p, weights)
 
 
 def _block_spans(n_paths, block_size):
@@ -426,15 +453,14 @@ def _block_clt(run, start, stop):
 
 
 def _block_heat(run, start, stop):
-    eng = run.eng
-    inc = _block_increments(run, start, stop)
-    out = []
-    for eps in run.spec.eps_list:
-        step = eng.spde_step(np.sqrt(eps), inc)
-        a = np.zeros((stop - start, eng.cfg.n_modes))
-        for k in range(eng.cfg.n_steps):
-            a = step(k, a, None)  # no drift and constant g: the grid is never read
-        out.append({"endpoint": a})
+    """The block's (B, J) endpoints at eps = 1: each path's (J, K) draw dotted
+    with the run's heat weights, one path's draw held at a time.  Every eps
+    scales them by sqrt(eps)."""
+    cfg = run.eng.cfg
+    out = np.empty((stop - start, cfg.n_modes))
+    for b, i in enumerate(range(start, stop)):
+        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, run.spec.base_seed, i)
+        out[b] = np.vecdot(run.heat_weights, r.increments)
     return out
 
 
@@ -599,15 +625,13 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     eps q_j^2 (1 - exp(-2 nu lambda_j T)) / (2 nu lambda_j).  Empirical
     endpoint variances are compared per mode via chi-square z-scores; pass
     requires |z| <= 3 for >= 95% of modes and |mean| <= 3 stderr everywhere.
-    It needs n_paths >= 2 and a nonzero ``g_constant``.
+    It needs n_paths >= 2 and a ``g_constant`` whose theoretical variance is
+    finite and > 0 in every mode and for every eps.
     """
     if params.alpha != 0 or params.beta != 0:
         raise SetupError("heat oracle requires alpha = beta = 0")
     if spec.n_paths < 2:
         raise SetupError(f"heat oracle needs n_paths >= 2 (a sample variance), got {spec.n_paths}")
-    if g_constant == 0:
-        # zero noise has zero theoretical variance: no z-score to take
-        raise SetupError("heat oracle needs a nonzero oracle_g")
     if noise_spec is not None and noise_spec.n_modes != cfg.n_modes:
         # an unforced mode has zero theoretical variance: no z-score to take
         raise SetupError(
@@ -615,26 +639,34 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
             f"got {noise_spec.n_modes}"
         )
     g = NoiseCoefficient("constant", kappa0=float(g_constant))
-    run = _build_run(spec, params, g, cfg, noise_spec, reference=False)
-    blocks = _run_blocks(_block_heat, run, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, heat=True)
 
     lam = run.eng.basis.eigenvalues
     q = run.noise_spec.q
     T = cfg.t_end
+    eps_col = np.array(spec.eps_list)[:, None]
+    with np.errstate(over="ignore"):
+        var_th = eps_col * np.float64(g_constant) ** 2 * q**2 * (
+            1 - np.exp(-2 * params.nu * lam * T)
+        ) / (2 * params.nu * lam)
+    if not np.all(np.isfinite(var_th) & (var_th > 0)):
+        # zero, overflowed or underflowed noise has no z-score to take
+        raise SetupError(
+            f"heat oracle needs a nonzero oracle_g whose theoretical variance is finite "
+            f"and > 0 in every mode, got oracle_g = {g_constant!r}"
+        )
+    unit = np.concatenate(_run_blocks(_block_heat, run, workers), axis=0)
+
     M = spec.n_paths
     n_eps = len(spec.eps_list)
     var_emp = np.empty((n_eps, cfg.n_modes))
-    var_th = np.empty((n_eps, cfg.n_modes))
     zs = np.empty((n_eps, cfg.n_modes))
     means = np.empty((n_eps, cfg.n_modes))
     mstderr = np.empty((n_eps, cfg.n_modes))
     frac, mok = [], []
     for e, eps in enumerate(spec.eps_list):
-        endpoints = np.concatenate([b[e]["endpoint"] for b in blocks], axis=0)
+        endpoints = np.sqrt(eps) * unit
         var_emp[e] = np.var(endpoints, axis=0, ddof=1)
-        var_th[e] = eps * g_constant**2 * q**2 * (1 - np.exp(-2 * params.nu * lam * T)) / (
-            2 * params.nu * lam
-        )
         zs[e] = (var_emp[e] - var_th[e]) / (var_th[e] * np.sqrt(2.0 / (M - 1)))
         means[e] = endpoints.mean(axis=0)
         mstderr[e] = np.std(endpoints, axis=0, ddof=1) / np.sqrt(M)

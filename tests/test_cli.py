@@ -321,6 +321,15 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             ["experiment", "heat-oracle"],
             "nonzero oracle_g",
         ),
+        # refused before any block: g^2 overflows or underflows the variance
+        *(
+            (
+                LINEAR_MODEL + f"[experiment]\nn_paths = 8\noracle_g = {g}\n",
+                ["experiment", "heat-oracle"],
+                f"variance is finite and > 0 in every mode, got oracle_g = {float(g)!r}",
+            )
+            for g in ("1e200", "1e-200")
+        ),
         *(
             (
                 SMALL_SOLVER + f"[experiment]\nn_paths = 8\nrho_list = {rho}\n",
@@ -364,6 +373,8 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "heat-unforced-modes",
         "heat-one-path",
         "heat-zero-g",
+        "heat-g-overflow",
+        "heat-g-underflow",
         "rho-empty",
         "rho-negative",
         "rho-repeated",

@@ -185,7 +185,7 @@ def test_block_increments_are_step_major_path_draws():
 
     spec = EnsembleSpec(n_paths=20, base_seed=31, eps_list=[0.5, 0.25, 0.125])
     noise_spec = NoiseSpec(n_modes=6, eta=0.3)
-    run = _build_run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec, reference=False)
+    run = _build_run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec)
     start, stop = 5, 12
     inc = _block_increments(run, start, stop)
     assert inc.shape == (CFG_SMALL.n_steps, stop - start, 6)
@@ -379,6 +379,97 @@ def test_heat_oracle_rejects_unforced_modes():
     spec = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[1.0])
     with pytest.raises(SetupError, match="noise n_modes"):
         run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
+
+
+@pytest.mark.parametrize("t_end", [0.1, 2.5], ids=["K100", "K2500"])
+def test_heat_block_matches_the_stepper_march(t_end):
+    """The march the heat block's dot products replace, kept as their reference:
+    exponential Euler stepped over the same sample_noise increments."""
+    from sgbh.montecarlo import _block_heat, _build_run
+
+    cfg = SolverConfig(dt=0.001, t_end=t_end, n_modes=4, n_points=16)
+    noise = NoiseSpec(n_modes=4, eta=0.3)
+    spec = EnsembleSpec(n_paths=6, base_seed=23, eps_list=[1.0, 0.3])
+    run = _build_run(spec, LINEAR, NoiseCoefficient("constant", kappa0=1.7), cfg, noise, heat=True)
+    unit = _block_heat(run, 0, spec.n_paths)
+    K = cfg.n_steps
+    inc = np.stack(
+        [sample_noise(noise, cfg.dt, K, 23, i).increments.T for i in range(spec.n_paths)], axis=1
+    )
+    # each mode's endpoint std at eps = 1: dt (kappa0 q)^2 sum_{m=1..K} E^(2m)
+    x = LINEAR.nu * run.eng.basis.eigenvalues * cfg.dt
+    std = 1.7 * noise.q * np.sqrt(cfg.dt * np.exp(-2 * x) * np.expm1(-2 * x * K) / np.expm1(-2 * x))
+    for eps in spec.eps_list:
+        step = run.eng.spde_step(np.sqrt(eps), inc)
+        a = np.zeros((spec.n_paths, cfg.n_modes))
+        for k in range(K):
+            a = step(k, a, None)
+        assert np.all(np.abs(np.sqrt(eps) * unit - a) <= 1e-12 * np.sqrt(eps) * std)
+
+
+def test_heat_weights_are_the_discrete_semigroup():
+    from sgbh.montecarlo import _build_run
+
+    params = ModelParams(nu=0.025, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
+    cfg = SolverConfig(dt=1e-4, t_end=0.25, n_modes=32, n_points=128)
+    noise = NoiseSpec(n_modes=32, eta=0.3)
+    spec = EnsembleSpec(n_paths=2, base_seed=1, eps_list=[1.0])
+    run = _build_run(spec, params, NoiseCoefficient("constant", kappa0=1.7), cfg, noise, heat=True)
+    K = cfg.n_steps
+    expect = 1.7 * noise.q[:, None] * run.eng.semigroup[:, None] ** (K - np.arange(K))
+    np.testing.assert_allclose(run.heat_weights, expect, rtol=1e-13, atol=0)
+    assert run.heat_weights.flags.c_contiguous and not run.heat_weights.flags.writeable
+
+
+def test_heat_report_is_byte_identical_across_block_sizes():
+    reports = [
+        run_heat_oracle(
+            EnsembleSpec(n_paths=10, base_seed=24, eps_list=[1.0, 0.5], block_size=b),
+            LINEAR,
+            HEAT_CFG,
+            noise_spec=NoiseSpec(n_modes=4, eta=0.3),
+        ).to_json()
+        for b in (3, 128)
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_heat_block_holds_one_path_draw():
+    import tracemalloc
+
+    from sgbh.montecarlo import _block_heat, _build_run
+
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, n_modes=8, n_points=32)
+    spec = EnsembleSpec(n_paths=64, base_seed=25, eps_list=[1.0])
+    run = _build_run(spec, LINEAR, G_CONST, cfg, SPEC8, heat=True)
+    one_path = cfg.n_modes * cfg.n_steps * 8
+    _block_heat(run, 0, 16)  # warm: the first call's one-off allocations are not the block's
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for B in (16, 64):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _block_heat(run, 0, B)
+            peaks[B] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peaks[64] < 8 * one_path
+    # only the (B, J) endpoints it returns grow with the block
+    assert peaks[64] <= peaks[16] + 64 * cfg.n_modes * 8
+
+
+def test_heat_oracle_block_draw_is_not_bounded(monkeypatch):
+    import sgbh.montecarlo as montecarlo
+
+    # a marching block's (K, B, J) draw is 50 * 8 * 4 = 1600 entries; the
+    # heat oracle's reduction keeps 8 * 4
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_ENTRIES", 1000)
+    spec = EnsembleSpec(n_paths=8, base_seed=26, eps_list=[1.0])
+    noise = NoiseSpec(n_modes=4, eta=0.3)
+    assert run_heat_oracle(spec, LINEAR, HEAT_CFG, noise_spec=noise).n_paths == 8
+    with pytest.raises(SetupError, match=r"n_modes = 1600 exceeds 1000"):
+        run_strong_rate(spec, LINEAR, G_CONST, HEAT_CFG, noise_spec=noise)
 
 
 # --- mdp tails ---------------------------------------------------------------------
