@@ -30,6 +30,7 @@ import numpy as np
 from .deviation import SpeedFunction, rate_function_endpoint
 from .model import ModelParams, NoiseCoefficient
 from .montecarlo import (
+    MAX_BLOCK_ENTRIES,
     EnsembleSpec,
     default_initial,
     run_clt,
@@ -79,7 +80,6 @@ _SCHEMA = {
     "noise": {
         "n_modes": 32,
         "eta": 0.3,
-        "g_kind": "affine",
         "g_kappa0": 1.0,
         "g_kappa1": 0.5,
     },
@@ -245,10 +245,8 @@ class RunConfig:
         return spec
 
     def noise_coefficient(self):
-        n = self.values["noise"]
-        return self._wrap(
-            lambda: NoiseCoefficient(n["g_kind"], kappa0=n["g_kappa0"], kappa1=n["g_kappa1"])
-        )
+        n = self.values["noise"]  # kappa1 = 0 is the constant kind
+        return NoiseCoefficient("affine", kappa0=n["g_kappa0"], kappa1=n["g_kappa1"])
 
     def solver_config(self):
         s = self.values["solver"]
@@ -488,11 +486,17 @@ def cmd_validate_kernel(config, args):
     n_points = config.values["solver"]["n_points"]
     if e["kernel_t_count"] < 2:
         raise ConfigError("kernel_t_count must be >= 2")
-    # each kernel is an n_points x n_points matrix
-    if max(e["kernel_t_count"], n_points**2) > MAX_ARRAY_ENTRIES:
-        raise ConfigError(f"kernel_t_count and n_points^2 must be <= {MAX_ARRAY_ENTRIES}")
+    truncation = 10
+    images = (2 * truncation + 1) * n_points**2
+    if e["kernel_t_count"] > MAX_ARRAY_ENTRIES or images > MAX_BLOCK_ENTRIES:
+        raise ConfigError(
+            f"kernel_t_count must be <= {MAX_ARRAY_ENTRIES} and the image stack "
+            f"(2*{truncation}+1)*n_points^2 = {images} <= {MAX_BLOCK_ENTRIES} entries"
+        )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
-    report = config._wrap(lambda: validate_kernel_estimates(t_samples, build_grid(n_points)))
+    report = config._wrap(
+        lambda: validate_kernel_estimates(t_samples, build_grid(n_points), truncation=truncation)
+    )
     outdir = config.outdir
     _write_provenance(config, outdir)
     with open(os.path.join(outdir, "kernel_report.json"), "w") as fh:

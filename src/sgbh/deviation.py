@@ -1,6 +1,5 @@
 """Moderate-deviation machinery: speed functions, the minimum-energy rate
-function over the skeleton dynamics, controllability Gramians, and tail
-(tightness) reports.
+function over the skeleton dynamics, and tail (tightness) reports.
 
 The rate function for an endpoint target psi is
 
@@ -11,14 +10,17 @@ a linear map Phi from piecewise-constant controls to endpoint coefficients.
 Scaling the controls by sqrt(dt) makes the control norm Euclidean, so Phi
 becomes a matrix A with one row per endpoint mode, and the infimum is the
 minimum-norm solution x* = A^+ psi, I(psi) = (1/2)||x*||^2 = (1/2) psi^T G^+ psi
-for the controllability Gramian G = A A^T.  A is read off the skeleton
-solver's own step: one sweep from the last step to the first applies it to
-the unit states and unit controls, which gives every step's linear map, and
-multiplies those into A.  The adjoint Phi* is A^T up to the sqrt(dt) scaling,
-so <Phi h, w> = <h, Phi* w> holds to roundoff.  A is small (endpoint modes x
-control entries) and dense, so the rate function is a truncated SVD of it:
-directions below a fixed relative cutoff count as unreachable, and a target
-with a component there surfaces as a residual.
+for the Gramian G = A A^T.  A is read off the skeleton solver's own step: one
+sweep from the last step to the first applies it to the unit states and unit
+controls, which gives every step's linear map, and multiplies those into A.
+The adjoint Phi* is A^T up to the sqrt(dt) scaling, so <Phi h, w> =
+<h, Phi* w> holds to roundoff.  A is small (endpoint modes x control entries)
+and dense, so the rate function is a truncated SVD of it: directions below a
+fixed relative cutoff count as unreachable, and a target with a component
+there surfaces as a residual.
+
+The same A carries the CLT limit: its endpoint is A xi for the noise increments
+xi = dW / sqrt(dt), so G (``A[:m] @ A[:m].T`` for m modes) is v(T)'s covariance.
 """
 
 import functools
@@ -37,7 +39,6 @@ __all__ = [
     "TailReport",
     "EndpointControlMap",
     "rate_function_endpoint",
-    "controllability_gramian",
     "tail_report",
     "wilson_interval",
 ]
@@ -191,14 +192,6 @@ def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec
     control = cmap.control_path(hdot)
     residual = float(np.linalg.norm(cmap.forward(hdot) - psi))
     return RateFunctionResult(control.action(), control, residual, rank, residual <= tol * b_norm)
-
-
-def controllability_gramian(u0_traj, params, g, cfg, mode_cap, noise_spec=None):
-    """Gramian G = Phi Phi* = A A^T restricted to the first mode_cap endpoint modes."""
-    if mode_cap > cfg.n_modes:
-        raise ValueError(f"mode_cap {mode_cap} exceeds n_modes {cfg.n_modes}")
-    a = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec).matrix[:mode_cap]
-    return a @ a.T
 
 
 def wilson_interval(successes, n, z=1.96):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import tail_report
+from .deviation import SpeedFunction, tail_report
 from .model import NoiseCoefficient
 from .noise import NoiseSpec, sample_noise
 from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
@@ -55,11 +55,13 @@ __all__ = [
     "default_initial",
 ]
 
-# the largest array a block or the reduction may allocate: 2^24 float64 entries
-# (128 MB), which admits a 128-path block of 4096 steps and 32 noise modes.  A
-# heat-oracle block holds one path's (J, K) draw and the run's (J, K) weights,
-# which SolverConfig already bounds, so only its reduction is checked here.
+# the largest array a block, the reduction or validate-kernel's image stack may
+# allocate: 2^24 float64 entries (128 MB), a 128-path block of 4096 steps and 32
+# noise modes.  A heat-oracle block holds one path's (J, K) draw and the (J, K)
+# weights, which SolverConfig already bounds, so only its reduction is checked.
 MAX_BLOCK_ENTRIES = 1 << 24
+
+Z_WITHIN, FRAC_REQUIRED = 3.0, 0.95  # heat oracle: |z| <= 3 in 95% of the modes
 
 
 @dataclass(frozen=True)
@@ -195,15 +197,13 @@ class OracleReport:
     frac_within: list
     means_ok: list
     passed: bool
-    z_threshold: float = 3.0
-    frac_required: float = 0.95
 
     def to_dict(self):
         return {
             "experiment": "heat_oracle",
             "n_paths": self.n_paths,
-            "z_threshold": self.z_threshold,
-            "frac_required": self.frac_required,
+            "z_threshold": Z_WITHIN,
+            "frac_required": FRAC_REQUIRED,
             "per_eps": [
                 {
                     "eps": float(e),
@@ -269,7 +269,7 @@ class _Run:
     noise_spec: NoiseSpec
     guard: BlowupGuard
     u0_coeffs: np.ndarray | None
-    theta: float | None = None  # mdp-tail's speed exponent
+    speed: SpeedFunction | None = None  # mdp-tail's lambda(eps)
     tail_p: int | None = None  # and the L^p of its tail statistic
     heat_weights: np.ndarray | None = None  # the heat oracle's (J, K) endpoint weights
 
@@ -294,7 +294,7 @@ def _heat_weights(eng):
     return w
 
 
-def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, theta=None, tail_p=None):
+def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, speed=None, tail_p=None):
     """The run record.  Its engine is built and the reference solved (or, for
     the heat oracle, its weights read) here, before any worker starts, so setup
     errors surface first.  The reference solve starts from ``u0``, the
@@ -323,7 +323,7 @@ def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, theta=None
         u0 = default_initial(eng.grid) if u0 is None else u0
         u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
     guard = BlowupGuard(spec.guard_threshold)
-    return _Run(eng, spec, noise_spec, guard, u0_coeffs, theta, tail_p, weights)
+    return _Run(eng, spec, noise_spec, guard, u0_coeffs, speed, tail_p, weights)
 
 
 def _block_spans(n_paths, block_size):
@@ -476,7 +476,7 @@ def _block_mdp(run, start, stop):
     inc = _block_increments(run, start, stop)
     out = []
     for eps in run.spec.eps_list:
-        lam = eps ** (-run.theta)
+        lam = run.speed(eps)
         step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, inc, 1.0 / lam)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
         out.append(_censored_march(eng, run.guard, states, [step], observe))
@@ -670,9 +670,9 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
         zs[e] = (var_emp[e] - var_th[e]) / (var_th[e] * np.sqrt(2.0 / (M - 1)))
         means[e] = endpoints.mean(axis=0)
         mstderr[e] = np.std(endpoints, axis=0, ddof=1) / np.sqrt(M)
-        frac.append(float(np.mean(np.abs(zs[e]) <= 3.0)))
-        mok.append(bool(np.all(np.abs(means[e]) <= 3.0 * mstderr[e])))
-    passed = all(f >= 0.95 for f in frac) and all(mok)
+        frac.append(float(np.mean(np.abs(zs[e]) <= Z_WITHIN)))
+        mok.append(bool(np.all(np.abs(means[e]) <= Z_WITHIN * mstderr[e])))
+    passed = all(f >= FRAC_REQUIRED for f in frac) and all(mok)
     return OracleReport(
         eps_list=list(spec.eps_list),
         n_paths=M,
@@ -695,15 +695,14 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     in rho and bounded in eps.  ``rho_list`` must be nonempty, positive and
     strictly increasing, and at most the guard threshold.
     """
-    theta = getattr(speed, "theta", None)
-    if theta is None:
+    if not isinstance(speed, SpeedFunction):
         raise SetupError("speed must be a SpeedFunction with a theta attribute")
     rho = np.asarray(rho_list, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all(rho > 0) or np.any(np.diff(rho) <= 0):
         raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
     if np.any(rho > spec.guard_threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    run = _build_run(spec, params, g, cfg, noise_spec, u0, theta=float(theta), tail_p=int(tail_p))
+    run = _build_run(spec, params, g, cfg, noise_spec, u0, speed=speed, tail_p=int(tail_p))
     blocks = _run_blocks(_block_mdp, run, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
     by_eps = {}

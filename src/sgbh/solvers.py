@@ -558,10 +558,12 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
     if noise is None and h is None:
         raise SetupError("need a noise realization or a control path (or both)")
 
-    lam = float(speed(eps)) if callable(speed) else float(speed)
-    if eps > 0 and lam <= 0:
-        raise SetupError(f"speed lambda(eps) must be > 0, got {lam}")
-    s = np.sqrt(eps) * lam if eps > 0 else 0.0
+    s = noise_scale = 0.0  # eps = 0 reads neither s nor lambda(eps)
+    if eps > 0:
+        lam = float(speed(eps)) if callable(speed) else float(speed)
+        if lam <= 0:
+            raise SetupError(f"speed lambda(eps) must be > 0, got {lam}")
+        s, noise_scale = np.sqrt(eps) * lam, 1.0 / lam
 
     if noise is not None:
         spec = noise.spec
@@ -578,7 +580,7 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         s,
         # eps = 0 drops the noise: only the control drives the skeleton
         noise_inc=noise.increments.T if noise is not None and eps > 0 else None,
-        noise_scale=1.0 / lam if eps > 0 else 0.0,
+        noise_scale=noise_scale,
         control_inc=None if h is None else h.hdot.T,
     )
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)

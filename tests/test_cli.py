@@ -41,7 +41,6 @@ LINEAR_MODEL = """
 alpha = 0.0
 beta = 0.0
 [noise]
-g_kind = "constant"
 g_kappa0 = 1.0
 g_kappa1 = 0.0
 n_modes = 8
@@ -121,6 +120,32 @@ def test_every_schema_key_has_a_reader():
     reads = _config_reads()
     unread = [(s, k) for s, keys in _SCHEMA.items() for k in keys if (s, k) not in reads]
     assert unread == []
+
+
+def _readme_config_defaults():
+    """{section: {key: value}} as the two-column defaults block under
+    "## Configuration files" in README.md lists them, in its order."""
+    text = (REPO / "README.md").read_text()
+    lines = text.split("## Configuration files", 1)[1].split("```\n", 2)[1].splitlines()
+    split = lines[0].index("[", 1)  # the right column starts at its first header
+    sections = {}
+    for column in (slice(None, split), slice(split, None)):
+        for line in lines:
+            cell = line[column].split("#")[0].strip()
+            if cell.startswith("["):
+                section = sections.setdefault(cell[1:-1], {})
+            elif cell:
+                key, _, value = cell.partition("=")
+                section[key.strip()] = json.loads(value)
+    return sections
+
+
+def test_readme_lists_exactly_the_schema_defaults():
+    listed = _readme_config_defaults()
+    assert listed.keys() == _SCHEMA.keys()
+    for section, defaults in _SCHEMA.items():
+        typed = [(k, v, type(v)) for k, v in listed[section].items()]
+        assert typed == [(k, v, type(v)) for k, v in defaults.items()], section
 
 
 @pytest.mark.parametrize(
@@ -229,6 +254,26 @@ def test_simulate_all_stochastic_kinds_run(tmp_path):
         code = main(["simulate", "--solver", kind, "--config", cfg, "--out", str(out)])
         assert code == EXIT_PASS, kind
         assert (out / "trajectory.bin").exists()
+
+
+def test_simulate_at_eps_zero_is_the_skeleton(tmp_path):
+    """At eps = 0 the deviation problems are the skeleton and lambda(eps) is
+    never evaluated: controlled writes the skeleton's trajectory, and mdp,
+    which has no control, stays at zero."""
+    from sgbh.noise import ControlPath, save_control
+    from sgbh.solvers import load_trajectory
+
+    ctrl = tmp_path / "c.bin"
+    save_control(ControlPath(0.005, 10, np.random.default_rng(6).standard_normal((8, 10))), ctrl)
+    cfg = _write(tmp_path, SMALL_SOLVER + "[solver]\neps = 0.0\n")
+    for kind in ("skeleton", "controlled", "mdp"):
+        control = [] if kind == "mdp" else ["--control", str(ctrl)]
+        argv = ["simulate", "--solver", kind, *control, "--config", cfg]
+        assert main([*argv, "--out", str(tmp_path / kind)]) == EXIT_PASS, kind
+    skeleton = (tmp_path / "skeleton" / "trajectory.bin").read_bytes()
+    assert (tmp_path / "controlled" / "trajectory.bin").read_bytes() == skeleton
+    assert np.any(load_trajectory(tmp_path / "skeleton" / "trajectory.bin").coeffs != 0)
+    assert np.all(load_trajectory(tmp_path / "mdp" / "trajectory.bin").coeffs == 0)
 
 
 def test_simulate_skeleton_requires_control(tmp_path):
@@ -444,6 +489,7 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
             ["experiment", "strong-rate"],
             "unknown key 'guard_threshold' in [experiment]",
         ),
+        ('[noise]\ng_kind = "constant"\n', ["simulate"], "unknown key 'g_kind' in [noise]"),
         ("[solver]\nn_points = 1000000000000000\n", ["simulate"], "n_points*n_modes"),
         ("[solver]\ndt = 1e-9\n", ["simulate"], "n_steps*n_modes"),
         ("[noise]\nn_modes = 1000000000\n", ["simulate", "--solver", "spde"], "noise draw"),
@@ -492,6 +538,7 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "removed-solver-scheme",
         "removed-experiment-theta",
         "removed-experiment-guard",
+        "removed-noise-g-kind",
         "huge-grid",
         "huge-step-count",
         "huge-noise-draw",
@@ -768,6 +815,29 @@ def test_validate_kernel_writes_passing_report(tmp_path):
     fits = json.loads((out / "kernel_report.json").read_text())
     assert {f["estimate_id"] for f in fits} == {"kernel_sup", "kernel_gradient", "gaussian_lp"}
     assert all(f["pass"] for f in fits)
+
+
+@pytest.mark.parametrize("n_points", [893, 894, 2048])
+def test_validate_kernel_bounds_its_image_stack(tmp_path, capsys, monkeypatch, n_points):
+    """A kernel holds 21 n_points^2 image terms at once: n_points = 893 keeps
+    them within MAX_BLOCK_ENTRIES and runs, 894 and up exit 2 before any
+    allocation."""
+
+    class Ran(Exception):
+        pass
+
+    def ran(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr("sgbh.cli.validate_kernel_estimates", ran)
+    cfg = _write(tmp_path, f"[solver]\nn_points = {n_points}\n")
+    argv = ["validate-kernel", "--config", cfg, "--out", str(tmp_path / "k")]
+    if n_points == 893:
+        with pytest.raises(Ran):
+            main(argv)
+        return
+    assert main(argv) == EXIT_CONFIG
+    assert f"(2*10+1)*n_points^2 = {21 * n_points**2}" in capsys.readouterr().err
 
 
 def test_validate_kernel_bad_t_count(tmp_path):

@@ -1,11 +1,12 @@
 """Tests for the deviation machinery: speeds, adjoints, the minimum-energy
-rate function, Gramians, and tail reports.
+rate function, the Gramian of the endpoint map, and tail reports.
 
 The load-bearing identities are checked against independent constructions:
 the adjoint against the defining inner-product identity, the Gramian
-against forward sweeps of adjoint columns, the rate value against the
-Gramian's quadratic form and the action of minimum-norm controls, and
-feasibility against explicitly known controls.
+G = A A^T against forward sweeps of adjoint columns, the map A itself
+against the CLT-limit solver and the heat oracle's weights, the rate value
+against the Gramian's quadratic form and the action of minimum-norm controls,
+and feasibility against explicitly known controls.
 """
 
 import json
@@ -17,14 +18,14 @@ from sgbh.cli import RunConfig
 from sgbh.deviation import (
     EndpointControlMap,
     SpeedFunction,
-    controllability_gramian,
     rate_function_endpoint,
     tail_report,
     wilson_interval,
 )
 from sgbh.model import ModelParams, NoiseCoefficient
-from sgbh.noise import ControlPath, NoiseSpec
-from sgbh.solvers import SolverConfig, solve_deterministic, solve_skeleton
+from sgbh.montecarlo import _heat_weights
+from sgbh.noise import ControlPath, NoiseSpec, sample_noise
+from sgbh.solvers import SolverConfig, solve_clt_limit, solve_deterministic, solve_skeleton
 from sgbh.spectral import Field, build_grid
 
 
@@ -92,6 +93,47 @@ def test_forward_agrees_with_skeleton_solver(desk):
     assert np.array_equal(cmap.forward(hdot), traj.coeffs[-1])
 
 
+# the linear-Gaussian core at J = 16, K = 50: the CLI's model with affine g and
+# all 16 noise modes, the same with constant g and 10 noise modes, and the pure
+# heat model the oracle prices
+_CORE_CFG = SolverConfig(dt=0.001, t_end=0.05, n_modes=16, n_points=128)
+_CORE_DESK = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8)
+_CORE_CASES = {
+    "affine": (_CORE_DESK, NoiseCoefficient("affine", 1.0, 0.5), 16),
+    "constant-10-modes": (_CORE_DESK, NoiseCoefficient("constant", 0.7), 10),
+    "heat-weights": (
+        ModelParams(nu=0.1, alpha=0.0, beta=0.0, gamma=0.5, delta=1),
+        NoiseCoefficient("constant", 1.7),
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _CORE_CASES, ids=_CORE_CASES.keys())
+def test_clt_limit_endpoint_is_the_endpoint_map_of_the_increments(case):
+    """v(T) = A xi with xi = dW / sqrt(dt), path by path, so Cov v(T) = A A^T
+    exactly; and the heat oracle's weights are A's diagonal blocks / sqrt(dt)."""
+    params, g, jn = _CORE_CASES[case]
+    cfg = _CORE_CFG
+    spec = NoiseSpec(n_modes=jn, eta=0.3)
+    x = build_grid(cfg.n_points).nodes
+    initial = np.zeros_like(x) if case == "heat-weights" else x * (1.0 - x)
+    u0 = solve_deterministic(Field.from_grid(initial), params, cfg)
+    cmap = EndpointControlMap(u0, params, g, cfg, noise_spec=spec)
+    a = cmap.matrix
+    if case == "heat-weights":
+        modes = np.arange(cfg.n_modes)
+        diag = a.reshape(cfg.n_modes, jn, cfg.n_steps)[modes, modes] / np.sqrt(cfg.dt)
+        w = _heat_weights(cmap.eng)
+        assert np.linalg.norm(w - diag) <= 1e-12 * np.linalg.norm(w)
+        return
+    for path in range(4):
+        noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=41, path_index=path)
+        v = solve_clt_limit(u0, params, g, noise, cfg).coeffs[-1]
+        xi = noise.increments.ravel() / np.sqrt(cfg.dt)
+        assert np.linalg.norm(v - a @ xi) <= 1e-12 * np.linalg.norm(v)
+
+
 # --- rate function ----------------------------------------------------------------
 
 
@@ -130,7 +172,8 @@ def test_rate_quadratic_homogeneity(desk):
 def test_rate_matches_dense_gramian_solve(desk):
     """I(psi) = (1/2) psi^T (Phi Phi*)^{-1} psi when the Gramian is invertible."""
     params, cfg, spec, g, u0 = desk
-    gram = controllability_gramian(u0, params, g, cfg, mode_cap=8, noise_spec=spec)
+    a = EndpointControlMap(u0, params, g, cfg, noise_spec=spec).matrix[:8]
+    gram = a @ a.T
     assert np.array_equal(gram, gram.T)
     eig = np.linalg.eigvalsh(gram)
     assert eig.min() > 0
@@ -233,18 +276,10 @@ def test_rate_result_serialization(desk):
     assert set(d) == {"value", "endpoint_residual", "iterations", "converged", "control_file"}
 
 
-def test_gramian_mode_cap_limits(desk):
-    params, cfg, spec, g, u0 = desk
-    with pytest.raises(ValueError):
-        controllability_gramian(u0, params, g, cfg, mode_cap=9, noise_spec=spec)
-    gram = controllability_gramian(u0, params, g, cfg, mode_cap=4, noise_spec=spec)
-    assert gram.shape == (4, 4)
-
-
 def test_gramian_is_the_gram_matrix_of_the_endpoint_map(cli_defaults):
     params, cfg, spec, g, u0 = cli_defaults
-    gram = controllability_gramian(u0, params, g, cfg, mode_cap=32, noise_spec=spec)
     cmap = EndpointControlMap(u0, params, g, cfg, noise_spec=spec)
+    gram = cmap.matrix @ cmap.matrix.T
     rows = np.stack([cmap.adjoint(e).ravel() for e in np.eye(cfg.n_modes)])
     np.testing.assert_allclose(gram, cfg.dt * rows @ rows.T, rtol=1e-12, atol=1e-14 * gram.max())
     # column i is Phi Phi* e_i, one forward sweep of the adjoint column

@@ -8,6 +8,7 @@ byte-for-byte across worker counts and reruns.
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ RUNNERS = {
 @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
 def test_reports_are_byte_identical_across_worker_counts(runner):
     """Every runner's record reaches real pool workers intact: mdp-tail's
-    theta and tail_p, and the heat oracle's record without a reference."""
+    speed and tail_p, and the heat oracle's record without a reference."""
     spec = EnsembleSpec(n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4)
     serial = runner(spec, 1)
     parallel = runner(spec, 3)
@@ -504,8 +505,10 @@ def test_mdp_tail_threshold_guard_interaction():
             spec, DESK, G_AFFINE, CFG_SMALL, SpeedFunction(0.25), [5.0, 20.0],
             noise_spec=SPEC8,
         )
-    with pytest.raises(ValueError):
-        run_mdp_tail(spec, DESK, G_AFFINE, CFG_SMALL, 2.0, [5.0], noise_spec=SPEC8)
+    # lambda(eps) comes from a SpeedFunction only, not from anything with a theta
+    for speed in (2.0, SimpleNamespace(theta=0.25)):
+        with pytest.raises(ValueError, match="must be a SpeedFunction"):
+            run_mdp_tail(spec, DESK, G_AFFINE, CFG_SMALL, speed, [5.0], noise_spec=SPEC8)
 
 
 # --- ensembles integrate the single-path schemes -------------------------------------
