@@ -1,7 +1,7 @@
 """Spectral simulation and deviation analysis for the stochastic generalized
 Burgers-Huxley equation on (0,1) with Dirichlet boundary conditions.
 
-Subpackages by capability:
+Modules by capability:
 
 spectral    sine basis, heat kernel (images and eigen), semigroup, kernel-estimate fits
 model       parameters, polynomial nonlinearities and derivatives, noise coefficient family

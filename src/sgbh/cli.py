@@ -54,7 +54,7 @@ from .solvers import (
     solve_skeleton,
     solve_spde,
 )
-from .spectral import Field, build_grid, validate_kernel_estimates
+from .spectral import IMAGES_TRUNCATION, Field, Grid1D, validate_kernel_estimates
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -278,7 +278,7 @@ class RunConfig:
     def initial_data(self, scfg):
         choice = self.values["solver"]["initial"]
         if choice == "bump":
-            return default_initial(build_grid(scfg.n_points))
+            return default_initial(Grid1D(scfg.n_points))
         if choice == "zero":
             return np.zeros(scfg.n_modes)
         raise ConfigError(f"[solver] initial must be 'bump' or 'zero', got {choice!r}")
@@ -327,7 +327,7 @@ def _load_target_field(path, scfg):
             raise ConfigError(
                 f"grid target needs {scfg.n_points} values, got {values.size}"
             )
-        return Field.from_grid(values)
+        return Field(values)
     if doc["kind"] == "spectral":
         if values.size > scfg.n_modes:
             raise ConfigError(
@@ -486,17 +486,15 @@ def cmd_validate_kernel(config, args):
     n_points = config.values["solver"]["n_points"]
     if e["kernel_t_count"] < 2:
         raise ConfigError("kernel_t_count must be >= 2")
-    truncation = 10
-    images = (2 * truncation + 1) * n_points**2
+    images = (2 * IMAGES_TRUNCATION + 1) * n_points**2
     if e["kernel_t_count"] > MAX_ARRAY_ENTRIES or images > MAX_BLOCK_ENTRIES:
         raise ConfigError(
-            f"kernel_t_count must be <= {MAX_ARRAY_ENTRIES} and the image stack "
-            f"(2*{truncation}+1)*n_points^2 = {images} <= {MAX_BLOCK_ENTRIES} entries"
+            f"kernel_t_count must be <= {MAX_ARRAY_ENTRIES} and the image terms per "
+            f"sample time (2*{IMAGES_TRUNCATION}+1)*n_points^2 = {images} <= "
+            f"{MAX_BLOCK_ENTRIES}"
         )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
-    report = config._wrap(
-        lambda: validate_kernel_estimates(t_samples, build_grid(n_points), truncation=truncation)
-    )
+    report = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))
     outdir = config.outdir
     _write_provenance(config, outdir)
     with open(os.path.join(outdir, "kernel_report.json"), "w") as fh:

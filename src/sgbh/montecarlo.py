@@ -116,7 +116,7 @@ def fit_loglog(points):
 def default_initial(grid):
     """Parabolic bump x(1-x), the desk-scale default initial condition."""
     x = grid.nodes
-    return Field.from_grid(x * (1 - x))
+    return Field(x * (1 - x))
 
 
 @dataclass

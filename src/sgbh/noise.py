@@ -15,7 +15,7 @@ ensembles are bit-reproducible for a fixed base seed.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,7 @@ class NoiseRealization:
     dt: float
     n_steps: int
     increments: np.ndarray
-    seed: int
-    path_index: int = 0
-    spec: NoiseSpec | None = field(default=None, compare=False)
+    spec: NoiseSpec
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -93,9 +91,7 @@ def sample_noise(spec, dt, n_steps, seed, path_index=0):
     rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, path_index & _MASK64]))
     inc = rng.standard_normal((spec.n_modes, n_steps))
     inc *= np.sqrt(dt)
-    return NoiseRealization(
-        dt=dt, n_steps=n_steps, increments=inc, seed=seed, path_index=path_index, spec=spec
-    )
+    return NoiseRealization(dt=dt, n_steps=n_steps, increments=inc, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -124,10 +120,6 @@ class ControlPath:
 
     def action(self):
         return action(self)
-
-    @classmethod
-    def zero(cls, n_modes, dt, n_steps):
-        return cls(dt=dt, n_steps=n_steps, hdot=np.zeros((n_modes, n_steps)))
 
 
 def action(h):

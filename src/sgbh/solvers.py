@@ -50,7 +50,7 @@ from .model import (
     reaction_nonlinearity,
 )
 from .noise import BinaryFormatError, NoiseSpec, _read_flat_binary
-from .spectral import Field, Grid1D, build_basis, to_spectral
+from .spectral import Field, Grid1D, SpectralBasis, to_spectral
 
 __all__ = [
     "SolverConfig",
@@ -221,7 +221,7 @@ def load_trajectory(path):
         raise BinaryFormatError(
             f"{path}: header gives n_points={n_points}, n_modes={n_modes}, n_steps={n_steps}"
         )
-    basis = build_basis(n_modes, Grid1D(n_points))
+    basis = SpectralBasis(Grid1D(n_points), n_modes)
     return Trajectory(times=dt * np.arange(n_steps + 1), coeffs=coeffs.copy(), basis=basis)
 
 
@@ -237,7 +237,7 @@ class SolverEngine:
         self.params = params
         self.cfg = cfg
         self.grid = Grid1D(cfg.n_points)
-        self.basis = build_basis(cfg.n_modes, self.grid)
+        self.basis = SpectralBasis(self.grid, cfg.n_modes)
         if (params.alpha > 0 or params.beta > 0) and cfg.n_points < 2 * (
             2 * params.delta + 1
         ) * cfg.n_modes:
@@ -458,8 +458,8 @@ class SolverEngine:
 
 def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
     """Reference trajectory, noise and control must share the config's time
-    grid; the trajectory also its modes, the noise its q weights, and the
-    control must fit in the modes."""
+    grid; the trajectory also its modes, and the control must fit in the
+    modes."""
     for name, path in (("trajectory", trajectory), ("noise", noise), ("control", control)):
         if path is not None and (
             path.n_steps != cfg.n_steps or abs(path.dt - cfg.dt) > 1e-12 * cfg.dt
@@ -470,8 +470,6 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
             )
     if trajectory is not None and trajectory.n_modes != cfg.n_modes:
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
-    if noise is not None and noise.spec is None:
-        raise SetupError("noise realization carries no NoiseSpec (needed for q weights)")
     if control is not None and control.n_modes > cfg.n_modes:
         raise SetupError(f"control has {control.n_modes} modes > solver n_modes {cfg.n_modes}")
 

@@ -28,11 +28,9 @@ __all__ = [
     "Grid1D",
     "SpectralBasis",
     "Field",
-    "HeatKernelEval",
     "EstimateFit",
     "EstimateFitReport",
-    "build_grid",
-    "build_basis",
+    "IMAGES_TRUNCATION",
     "to_spectral",
     "apply_semigroup",
     "heat_kernel",
@@ -99,13 +97,10 @@ class Grid1D:
         return self.lp_integral(values, p) ** (1.0 / p)
 
 
-def build_grid(n_points):
-    return Grid1D(n_points)
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First ``n_modes`` Dirichlet sine modes sampled on a grid.
+    """First ``n_modes`` Dirichlet sine modes sampled on a grid; requires
+    grid.n_points >= 4*n_modes.
 
     Attributes
     ----------
@@ -139,11 +134,6 @@ class SpectralBasis:
             object.__setattr__(self, name, arr)
 
 
-def build_basis(n_modes, grid):
-    """Build the sine basis; requires grid.n_points >= 4*n_modes."""
-    return SpectralBasis(grid, n_modes)
-
-
 @dataclass(frozen=True)
 class Field:
     """Interior grid samples of a function on (0,1) with zero boundary values."""
@@ -157,10 +147,6 @@ class Field:
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_grid(cls, values):
-        return cls(values)
 
 
 def to_spectral(f, basis):
@@ -187,32 +173,32 @@ def apply_semigroup(coeffs, nu_t, basis):
     return np.exp(-basis.eigenvalues * nu_t) * coeffs
 
 
-@dataclass(frozen=True)
-class HeatKernelEval:
-    """Dirichlet heat kernel G(t, x_i, y_k) tabulated over grid node pairs."""
-
-    t: float
-    values: np.ndarray
-    construction_tag: str
+IMAGES_TRUNCATION = 10  # image pairs |m| <= 10: heat_kernel_dy's, and heat_kernel's default
 
 
-def _images_terms(t, x, y, truncation):
-    # (y - x - 2m) and (y + x - 2m) over m in [-truncation, truncation]
-    m = 2.0 * np.arange(-truncation, truncation + 1)
-    dm = y[None, None, :] - x[None, :, None] - m[:, None, None]
-    sm = y[None, None, :] + x[None, :, None] - m[:, None, None]
-    return dm, sm
+def _image_sum(x, truncation, f):
+    """sum_m [f(y - x - 2m) - f(y + x - 2m)] over node pairs (row x, column y),
+    added one image at a time in the order m = -truncation..truncation."""
+    total = None
+    for m in 2.0 * np.arange(-truncation, truncation + 1):
+        v = f(x[None, :] - x[:, None] - m)
+        v -= f(x[None, :] + x[:, None] - m)
+        if total is None:
+            total = v
+        else:
+            total += v
+    return total
 
 
 def heat_kernel(t, grid, method="images", truncation=None):
-    """Tabulate the Dirichlet heat kernel on grid node pairs.
+    """Tabulate the Dirichlet heat kernel G(t, x_i, y_k) as an (n, n) array.
 
     Parameters
     ----------
     t : float, > 0
     method : "images" (method of images, default) or "eigen" (mode sum)
     truncation : int, image pairs |m| <= truncation, or eigenmode count.
-        Defaults: 10 image pairs; min(200, 4*n_points) eigenmodes.
+        Defaults: IMAGES_TRUNCATION image pairs; min(200, 4*n_points) eigenmodes.
 
     A warning is emitted when the requested truncation cannot exhaust the
     tail of the sum at this t to ~1e-12 absolute.
@@ -222,7 +208,7 @@ def heat_kernel(t, grid, method="images", truncation=None):
     x = grid.nodes
     if method == "images":
         if truncation is None:
-            truncation = 10
+            truncation = IMAGES_TRUNCATION
         if truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {truncation}")
         # nearest dropped image sits at distance >= 2*truncation + 1
@@ -232,8 +218,7 @@ def heat_kernel(t, grid, method="images", truncation=None):
                 f"images truncation {truncation} leaves tail ~{tail:.2e} at t={t}",
                 RuntimeWarning,
             )
-        dm, sm = _images_terms(t, x, x, truncation)
-        vals = (np.exp(-(dm**2) / (4 * t)) - np.exp(-(sm**2) / (4 * t))).sum(axis=0)
+        vals = _image_sum(x, truncation, lambda z: np.exp(-(z**2) / (4 * t)))
         vals *= (4 * np.pi * t) ** -0.5
     elif method == "eigen":
         if truncation is None:
@@ -252,19 +237,18 @@ def heat_kernel(t, grid, method="images", truncation=None):
         vals = (2.0 * s.T * np.exp(-((j * np.pi) ** 2) * t)) @ s
     else:
         raise ValueError(f"method must be 'images' or 'eigen', got {method!r}")
-    return HeatKernelEval(t=t, values=vals, construction_tag=method)
+    return vals
 
 
-def heat_kernel_dy(t, grid, truncation=10):
+def heat_kernel_dy(t, grid):
     """dG/dy on grid node pairs by analytic differentiation of the image sum."""
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
-    x = grid.nodes
-    dm, sm = _images_terms(t, x, x, truncation)
-    terms = -(dm / (2 * t)) * np.exp(-(dm**2) / (4 * t)) + (sm / (2 * t)) * np.exp(
-        -(sm**2) / (4 * t)
-    )
-    return (4 * np.pi * t) ** -0.5 * terms.sum(axis=0)
+
+    def f(z):
+        return -(z / (2 * t)) * np.exp(-(z**2) / (4 * t))
+
+    return (4 * np.pi * t) ** -0.5 * _image_sum(grid.nodes, IMAGES_TRUNCATION, f)
 
 
 @dataclass(frozen=True)
@@ -289,12 +273,6 @@ class EstimateFit:
 class EstimateFitReport:
     fits: tuple
 
-    def __getitem__(self, estimate_id):
-        for f in self.fits:
-            if f.estimate_id == estimate_id:
-                return f
-        raise KeyError(estimate_id)
-
     def all_pass(self):
         return all(f.passed for f in self.fits)
 
@@ -305,26 +283,25 @@ class EstimateFitReport:
 _A_CANDIDATES = np.concatenate([np.arange(2.0, 8.1, 0.5), np.arange(9.0, 17.0, 1.0)])
 
 
-def _fit_gaussian_envelope(t_samples, grid, kernel_fn, t_power, a_candidates):
+def _fit_gaussian_envelope(t_samples, grid, kernel_fn, t_power):
     """Smallest (C, a) with |K(t,x,y)| <= C t^{-t_power} exp(-|x-y|^2/(a t)).
 
-    Scans ``a_candidates``, takes C(a) = sup of the ratio over all samples
+    Scans ``_A_CANDIDATES``, takes C(a) = sup of the ratio over all samples
     (computed in log space so that undersized ``a`` overflows to +inf rather
-    than crashing), and returns the pair minimizing C.
+    than crashing), and returns the pair minimizing C.  One sample time's
+    kernel is held at a time, with a running sup per candidate.
     """
     x = grid.nodes
     r2 = (x[:, None] - x[None, :]) ** 2
-    best = (np.inf, np.nan)
-    log_abs = {}
+    log_c = [-np.inf] * len(_A_CANDIDATES)
     for t in t_samples:
         with np.errstate(divide="ignore"):
-            log_abs[t] = np.log(np.abs(kernel_fn(t))) + t_power * np.log(t)
-    for a in a_candidates:
-        log_c = -np.inf
-        for t in t_samples:
-            log_ratio = log_abs[t] + r2 / (a * t)
-            log_c = max(log_c, log_ratio.max())
-        c = np.exp(log_c)
+            log_abs = np.log(np.abs(kernel_fn(t))) + t_power * np.log(t)
+        for i, a in enumerate(_A_CANDIDATES):
+            log_c[i] = max(log_c[i], (log_abs + r2 / (a * t)).max())
+    best = (np.inf, np.nan)
+    for lc, a in zip(log_c, _A_CANDIDATES):
+        c = np.exp(lc)
         if np.isfinite(c) and c < best[0]:
             best = (c, a)
     return best
@@ -358,14 +335,14 @@ def gaussian_lp_norm_closed_form(s, p, a):
     return (math.sqrt(math.pi * a * s / p) * math.erf(math.sqrt(p / (a * s)))) ** (1.0 / p)
 
 
-def validate_kernel_estimates(t_samples, grid, truncation=10, p_gauss=2, a_gauss=1.0):
+def validate_kernel_estimates(t_samples, grid):
     """Fit the Gaussian-envelope kernel estimates over a time sample set.
 
     Three estimates are fitted and reported:
 
     kernel_sup       |G(t,x,y)|   <= C t^{-1/2} exp(-|x-y|^2/(a t))
     kernel_gradient  |dG/dy|      <= C t^{-1}   exp(-|x-y|^2/(a t))
-    gaussian_lp      ||exp(-|.|^2/(a s))||_{L^p} <= C s^{1/(2p)}  (a, p given)
+    gaussian_lp      ||exp(-|.|^2/(a s))||_{L^p} <= C s^{1/(2p)}  (a = 1, p = 2)
 
     For the first two, (C, a) is scanned over a candidate list and the pair
     with the smallest C wins; ``max_violation`` re-checks the fitted envelope
@@ -376,24 +353,19 @@ def validate_kernel_estimates(t_samples, grid, truncation=10, p_gauss=2, a_gauss
     if not t_samples or any(t <= 0 or t > 1 for t in t_samples):
         raise ValueError("t_samples must be non-empty with every t in (0, 1]")
 
-    def g_images(t):
-        return heat_kernel(t, grid, method="images", truncation=truncation).values
-
-    def g_dy(t):
-        return heat_kernel_dy(t, grid, truncation=truncation)
-
     fits = []
     for est_id, fn, power in (
-        ("kernel_sup", g_images, 0.5),
-        ("kernel_gradient", g_dy, 1.0),
+        ("kernel_sup", lambda t: heat_kernel(t, grid), 0.5),
+        ("kernel_gradient", lambda t: heat_kernel_dy(t, grid), 1.0),
     ):
-        c, a = _fit_gaussian_envelope(t_samples, grid, fn, power, _A_CANDIDATES)
+        c, a = _fit_gaussian_envelope(t_samples, grid, fn, power)
         viol = _envelope_violation(t_samples, grid, fn, power, c, a)
         fits.append(
             EstimateFit(est_id, float(c), float(a), float(viol), bool(np.isfinite(c)))
         )
 
-    # gaussian_lp: a and p are inputs, only C is fitted; sup of norm/s^{1/(2p)}
+    # gaussian_lp: a and p are fixed, only C is fitted; sup of norm/s^{1/(2p)}
+    p_gauss, a_gauss = 2, 1.0
     ratios = [
         gaussian_lp_norm(s, p_gauss, a_gauss) / s ** (1.0 / (2 * p_gauss))
         for s in t_samples

@@ -286,7 +286,7 @@ def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
     from sgbh.noise import ControlPath, save_control
 
     ctrl = tmp_path / "zero.bin"
-    save_control(ControlPath.zero(8, 0.005, 10), ctrl)
+    save_control(ControlPath(0.005, 10, np.zeros((8, 10))), ctrl)
     cfg = _write(tmp_path, SMALL_SOLVER)
     out = tmp_path / "sk"
     code = main(
@@ -312,7 +312,7 @@ def test_simulate_malformed_control_file_exits_2(tmp_path, capsys, damage):
     from sgbh.noise import ControlPath, save_control
 
     ctrl = tmp_path / "ctrl.bin"
-    save_control(ControlPath.zero(8, 0.005, 10), ctrl)
+    save_control(ControlPath(0.005, 10, np.zeros((8, 10))), ctrl)
     raw = ctrl.read_bytes()
     ctrl.write_bytes(raw[:3] if damage == "truncated" else raw + bytes(8))
     cfg = _write(tmp_path, SMALL_SOLVER)
@@ -434,9 +434,9 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
     from sgbh.noise import ControlPath, save_control
 
     ctrl7 = tmp_path / "ctrl7.bin"
-    save_control(ControlPath.zero(8, 0.005, 7), ctrl7)  # the config has 10 steps
+    save_control(ControlPath(0.005, 7, np.zeros((8, 7))), ctrl7)  # the config has 10 steps
     ctrl16 = tmp_path / "ctrl16.bin"
-    save_control(ControlPath.zero(16, 0.005, 10), ctrl16)
+    save_control(ControlPath(0.005, 10, np.zeros((16, 10))), ctrl16)
     cfg = _write(tmp_path, text)
     argv = [a.format(ctrl7=ctrl7, ctrl16=ctrl16) for a in argv]
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -819,9 +819,9 @@ def test_validate_kernel_writes_passing_report(tmp_path):
 
 @pytest.mark.parametrize("n_points", [893, 894, 2048])
 def test_validate_kernel_bounds_its_image_stack(tmp_path, capsys, monkeypatch, n_points):
-    """A kernel holds 21 n_points^2 image terms at once: n_points = 893 keeps
-    them within MAX_BLOCK_ENTRIES and runs, 894 and up exit 2 before any
-    allocation."""
+    """Each sample time sums 21 n_points^2 image terms, one image at a time:
+    n_points = 893 keeps them within MAX_BLOCK_ENTRIES and runs, 894 and up
+    exit 2 before any kernel is tabulated."""
 
     class Ran(Exception):
         pass

@@ -26,7 +26,7 @@ from sgbh.model import ModelParams, NoiseCoefficient
 from sgbh.montecarlo import _heat_weights
 from sgbh.noise import ControlPath, NoiseSpec, sample_noise
 from sgbh.solvers import SolverConfig, solve_clt_limit, solve_deterministic, solve_skeleton
-from sgbh.spectral import Field, build_grid
+from sgbh.spectral import Field, Grid1D
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,9 @@ def desk():
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=8, n_points=64)
     spec = NoiseSpec(n_modes=8, eta=0.3)
     g = NoiseCoefficient(kind="affine", kappa0=1.0, kappa1=0.5)
-    grid = build_grid(cfg.n_points)
+    grid = Grid1D(cfg.n_points)
     u0 = solve_deterministic(
-        Field.from_grid(grid.nodes * (1.0 - grid.nodes)), params, cfg
+        Field(grid.nodes * (1.0 - grid.nodes)), params, cfg
     )
     return params, cfg, spec, g, u0
 
@@ -116,9 +116,9 @@ def test_clt_limit_endpoint_is_the_endpoint_map_of_the_increments(case):
     params, g, jn = _CORE_CASES[case]
     cfg = _CORE_CFG
     spec = NoiseSpec(n_modes=jn, eta=0.3)
-    x = build_grid(cfg.n_points).nodes
+    x = Grid1D(cfg.n_points).nodes
     initial = np.zeros_like(x) if case == "heat-weights" else x * (1.0 - x)
-    u0 = solve_deterministic(Field.from_grid(initial), params, cfg)
+    u0 = solve_deterministic(Field(initial), params, cfg)
     cmap = EndpointControlMap(u0, params, g, cfg, noise_spec=spec)
     a = cmap.matrix
     if case == "heat-weights":
@@ -260,8 +260,8 @@ def test_rate_target_validation(desk):
     params, cfg, spec, g, u0 = desk
     with pytest.raises(ValueError):
         rate_function_endpoint(np.zeros(5), u0, params, g, cfg, noise_spec=spec)
-    grid = build_grid(cfg.n_points)
-    target = Field.from_grid(0.01 * np.sin(np.pi * grid.nodes))
+    grid = Grid1D(cfg.n_points)
+    target = Field(0.01 * np.sin(np.pi * grid.nodes))
     res = rate_function_endpoint(target, u0, params, g, cfg, noise_spec=spec)
     assert res.converged
 

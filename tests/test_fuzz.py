@@ -29,7 +29,7 @@ from sgbh.solvers import (  # noqa: E402
     load_trajectory,
     save_trajectory,
 )
-from sgbh.spectral import Grid1D, build_basis  # noqa: E402
+from sgbh.spectral import Grid1D, SpectralBasis  # noqa: E402
 
 FUZZ = settings(
     database=None,
@@ -138,7 +138,7 @@ _SAVED = {
         Trajectory(
             times=0.01 * np.arange(6),
             coeffs=_RNG.standard_normal((6, 3)),
-            basis=build_basis(3, Grid1D(16)),
+            basis=SpectralBasis(Grid1D(16), 3),
         ),
     ),
 }

@@ -37,7 +37,7 @@ from sgbh.solvers import (
     solve_mdp_process,
     solve_spde,
 )
-from sgbh.spectral import build_grid
+from sgbh.spectral import Grid1D
 
 LINEAR = ModelParams(nu=0.1, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
 DESK = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8)
@@ -85,7 +85,7 @@ def test_fit_loglog_exact_and_noisy():
 
 
 def test_default_initial_is_the_parabolic_bump():
-    grid = build_grid(16)
+    grid = Grid1D(16)
     f = default_initial(grid)
     np.testing.assert_allclose(f.data, grid.nodes * (1 - grid.nodes), rtol=1e-15)
 
@@ -516,14 +516,14 @@ def test_mdp_tail_threshold_guard_interaction():
 
 def _single_paths(spec):
     """Reference trajectory and the noise of path 0, as the ensembles draw it."""
-    u0 = default_initial(build_grid(CFG_SMALL.n_points))
+    u0 = default_initial(Grid1D(CFG_SMALL.n_points))
     u0_traj = solve_deterministic(u0, DESK, CFG_SMALL)
     noise = sample_noise(SPEC8, CFG_SMALL.dt, CFG_SMALL.n_steps, spec.base_seed, 0)
     return u0, u0_traj, noise
 
 
 def _sup_lp(traj_grid, p):
-    return float(np.max(build_grid(CFG_SMALL.n_points).lp_norm(traj_grid, p)))
+    return float(np.max(Grid1D(CFG_SMALL.n_points).lp_norm(traj_grid, p)))
 
 
 @pytest.mark.parametrize("g", [G_CONST, G_AFFINE], ids=["constant", "affine"])
@@ -583,7 +583,7 @@ def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
     for i, eps in enumerate(spec.eps_list):
         traj = paths[eps]
         crossed = np.flatnonzero(traj.norms > thr)
-        stat = build_grid(CFG_SMALL.n_points).lp_norm(
+        stat = Grid1D(CFG_SMALL.n_points).lp_norm(
             traj.grid_values() - u0_traj.grid_values(), p
         ) ** p
         if crossed.size == 0:

@@ -93,7 +93,7 @@ def test_sampling_validation():
     with pytest.raises(ValueError):
         sample_noise(spec, 0.01, 0, seed=1)
     with pytest.raises(ValueError):
-        NoiseRealization(dt=0.01, n_steps=10, increments=np.zeros((4, 9)), seed=1)
+        NoiseRealization(dt=0.01, n_steps=10, increments=np.zeros((4, 9)), spec=spec)
 
 
 def test_increment_variance_matches_dt():
@@ -151,7 +151,7 @@ def test_action_quadratic_homogeneity():
 
 
 def test_zero_control_has_zero_action():
-    z = ControlPath.zero(4, 0.1, 10)
+    z = ControlPath(0.1, 10, np.zeros((4, 10)))
     assert z.action() == 0.0
 
 

@@ -38,7 +38,7 @@ from sgbh.solvers import (
     solve_skeleton,
     solve_spde,
 )
-from sgbh.spectral import Field, build_basis, build_grid
+from sgbh.spectral import Field, Grid1D, SpectralBasis
 
 DESK = dict(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=8)
 G_CONSTANT = NoiseCoefficient(kind="constant", kappa0=0.7)
@@ -46,8 +46,8 @@ G_AFFINE = NoiseCoefficient(kind="affine", kappa0=0.7, kappa1=-1.3)
 
 
 def _parabola(cfg):
-    grid = build_grid(cfg.n_points)
-    return Field.from_grid(grid.nodes * (1.0 - grid.nodes))
+    grid = Grid1D(cfg.n_points)
+    return Field(grid.nodes * (1.0 - grid.nodes))
 
 
 # --- configuration -----------------------------------------------------------
@@ -185,9 +185,6 @@ def test_spde_eps_range_and_noise_grid_checks():
     wrong = sample_noise(spec, cfg.dt, cfg.n_steps - 1, seed=1)
     with pytest.raises(ValueError):
         solve_spde(_parabola(cfg), params, g, 0.1, wrong, cfg)
-    bare = NoiseRealization(dt=cfg.dt, n_steps=cfg.n_steps, increments=noise.increments, seed=1)
-    with pytest.raises(ValueError):
-        solve_spde(_parabola(cfg), params, g, 0.1, bare, cfg)
 
 
 def test_spde_is_deterministic_given_the_realization():
@@ -243,7 +240,6 @@ def test_clt_limit_is_linear_in_the_noise():
         dt=cfg.dt,
         n_steps=cfg.n_steps,
         increments=r1.increments + r2.increments,
-        seed=0,
         spec=spec,
     )
     v1 = solve_clt_limit(u0, params, g, r1, cfg)
@@ -484,7 +480,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     assert u0.n_steps == cfg.n_steps
     assert u0.n_modes == cfg.n_modes
     assert u0.dt == pytest.approx(cfg.dt, rel=1e-15)
-    basis = build_basis(cfg.n_modes, build_grid(cfg.n_points))
+    basis = SpectralBasis(Grid1D(cfg.n_points), cfg.n_modes)
     np.testing.assert_allclose(u0.grid_values(5), u0.coeffs[5] @ basis.phi, atol=1e-14)
     path = tmp_path / "traj.bin"
     save_trajectory(u0, path)

@@ -43,3 +43,58 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+READERS = sorted(Path(sgbh.__file__).parent.glob("*.py")) + sorted(
+    p for d in ("tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py")
+)
+
+
+def dataclass_fields(source):
+    """(class, field) for each annotated field of a ``@dataclass`` class."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            fields += [
+                (node.name, s.target.id)
+                for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+    return fields
+
+
+def attribute_reads(source):
+    """Every attribute name ``source`` loads, as in ``x.name``."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each dataclass field in the package is read as an attribute somewhere in
+    the package, its tests, demos or benchmark harness; a field nothing reads
+    is state that does nothing.  The check matches names only, so a field
+    shares a reader with any attribute of the same name: ``RunConfig.seed``
+    would hide an unread ``seed`` field on another class."""
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
+        "b.z = a.x\n"
+    )
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
+    assert attribute_reads(source) == {"x"}
+    reads = set().union(*(attribute_reads(p.read_text()) for p in READERS))
+    unread = [
+        f"{cls}.{name}"
+        for path in MODULES
+        for cls, name in dataclass_fields(path.read_text())
+        if name not in reads
+    ]
+    assert unread == []

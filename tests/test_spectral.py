@@ -7,6 +7,7 @@ values, and plain Python re-summation of the image and eigen series.
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,9 +17,9 @@ from scipy.integrate import quad
 from sgbh.solvers import BlowupGuard
 from sgbh.spectral import (
     Field,
+    Grid1D,
+    SpectralBasis,
     apply_semigroup,
-    build_basis,
-    build_grid,
     gaussian_lp_norm,
     gaussian_lp_norm_closed_form,
     heat_kernel,
@@ -32,7 +33,7 @@ from sgbh.spectral import (
 
 
 def test_grid_nodes_and_spacing():
-    grid = build_grid(7)
+    grid = Grid1D(7)
     assert grid.spacing == pytest.approx(1.0 / 8.0, rel=1e-15)
     np.testing.assert_allclose(grid.nodes, np.arange(1, 8) / 8.0, rtol=1e-15)
     with pytest.raises(ValueError):
@@ -41,26 +42,26 @@ def test_grid_nodes_and_spacing():
 
 def test_grid_rejects_empty():
     with pytest.raises(ValueError):
-        build_grid(0)
+        Grid1D(0)
 
 
 def test_trapezoid_is_exact_on_the_resolved_modes():
     # discrete orthonormality of sin(j pi x) on the uniform interior grid
-    grid = build_grid(64)
-    basis = build_basis(8, grid)
+    grid = Grid1D(64)
+    basis = SpectralBasis(grid, 8)
     assert grid.trapezoid(basis.phi[1] ** 2) == pytest.approx(1.0, abs=1e-12)
     assert grid.trapezoid(basis.phi[0] * basis.phi[2]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trapezoid_shape_check():
-    grid = build_grid(16)
+    grid = Grid1D(16)
     with pytest.raises(ValueError):
         grid.trapezoid(np.zeros(15))
 
 
 def test_lp_norm_values_and_batching():
-    grid = build_grid(64)
-    basis = build_basis(4, grid)
+    grid = Grid1D(64)
+    basis = SpectralBasis(grid, 4)
     assert grid.lp_norm(basis.phi[0], 2) == pytest.approx(1.0, abs=1e-12)
     batch = np.stack([basis.phi[0], 2.0 * basis.phi[0], np.zeros(64)])
     out = grid.lp_norm(batch, 2)
@@ -72,7 +73,7 @@ def test_lp_norm_values_and_batching():
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 10])
 def test_lp_norm_matches_abs_pow(p):
     # even p is formed by repeated squaring, odd p by abs(x)**p
-    grid = build_grid(64)
+    grid = Grid1D(64)
     rng = np.random.default_rng(p)
     rows = np.stack([rng.standard_normal(64), -3.0 * np.abs(rng.standard_normal(64)), np.zeros(64)])
     integral = grid.trapezoid(np.abs(rows) ** p)
@@ -90,8 +91,8 @@ def test_lp_norm_matches_abs_pow(p):
 
 def test_eigenvalues_and_mode_samples():
     # n_points = 63 puts x = 1/2 exactly at node index 31
-    grid = build_grid(63)
-    basis = build_basis(4, grid)
+    grid = Grid1D(63)
+    basis = SpectralBasis(grid, 4)
     np.testing.assert_allclose(
         basis.eigenvalues, [(j * np.pi) ** 2 for j in (1, 2, 3, 4)], rtol=1e-14
     )
@@ -106,14 +107,14 @@ def test_eigenvalues_and_mode_samples():
 
 def test_basis_rejects_coarse_grid():
     with pytest.raises(ValueError):
-        build_basis(8, build_grid(31))
+        SpectralBasis(Grid1D(31), 8)
     with pytest.raises(ValueError):
-        build_basis(0, build_grid(64))
+        SpectralBasis(Grid1D(64), 0)
 
 
 def test_discrete_gram_identity():
-    grid = build_grid(64)
-    basis = build_basis(8, grid)
+    grid = Grid1D(64)
+    basis = SpectralBasis(grid, 8)
     gram = grid.spacing * (basis.phi @ basis.phi.T)
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-10)
 
@@ -123,16 +124,16 @@ def test_discrete_gram_identity():
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        Field.from_grid(np.zeros((2, 2)))
-    f = Field.from_grid([1.0, 0.0])
+        Field(np.zeros((2, 2)))
+    f = Field([1.0, 0.0])
     with pytest.raises(ValueError):
         f.data[0] = 2.0
 
 
 def test_project_pure_mode():
-    grid = build_grid(64)
-    basis = build_basis(8, grid)
-    f = Field.from_grid(basis.phi[2])
+    grid = Grid1D(64)
+    basis = SpectralBasis(grid, 8)
+    f = Field(basis.phi[2])
     coeffs = to_spectral(f, basis)
     expected = np.zeros(8)
     expected[2] = 1.0
@@ -141,24 +142,24 @@ def test_project_pure_mode():
 
 def test_round_trip_band_limited():
     rng = np.random.default_rng(7)
-    grid = build_grid(64)
-    basis = build_basis(8, grid)
+    grid = Grid1D(64)
+    basis = SpectralBasis(grid, 8)
     c = rng.standard_normal(8)
-    back = to_spectral(Field.from_grid(c @ basis.phi), basis)
+    back = to_spectral(Field(c @ basis.phi), basis)
     np.testing.assert_allclose(back, c, atol=1e-12)
 
 
 def test_conversion_shape_errors():
-    basis = build_basis(8, build_grid(64))
+    basis = SpectralBasis(Grid1D(64), 8)
     with pytest.raises(ValueError):
-        to_spectral(Field.from_grid(np.zeros(32)), basis)
+        to_spectral(Field(np.zeros(32)), basis)
 
 
 def test_parabola_projection_against_quadrature():
     """Coefficients of x(1-x) agree with adaptive quadrature and closed form."""
-    grid = build_grid(2048)
-    basis = build_basis(8, grid)
-    f = Field.from_grid(grid.nodes * (1.0 - grid.nodes))
+    grid = Grid1D(2048)
+    basis = SpectralBasis(grid, 8)
+    f = Field(grid.nodes * (1.0 - grid.nodes))
     coeffs = to_spectral(f, basis)
     for j in range(1, 9):
         oracle, _ = quad(
@@ -174,8 +175,8 @@ def test_parabola_projection_against_quadrature():
 
 def test_parseval_band_limited():
     rng = np.random.default_rng(11)
-    grid = build_grid(128)
-    basis = build_basis(16, grid)
+    grid = Grid1D(128)
+    basis = SpectralBasis(grid, 16)
     c = rng.standard_normal(16)
     u = c @ basis.phi
     assert grid.trapezoid(u**2) == pytest.approx(float(np.sum(c**2)), rel=1e-12)
@@ -185,14 +186,14 @@ def test_parseval_band_limited():
 
 
 def test_semigroup_mode_decay():
-    basis = build_basis(4, build_grid(64))
+    basis = SpectralBasis(Grid1D(64), 4)
     out = apply_semigroup(np.array([1.0, 0.0, 0.0, 0.0]), 1.0 / np.pi**2, basis)
     assert out[0] == pytest.approx(math.exp(-1.0), rel=1e-13)
     np.testing.assert_allclose(out[1:], 0.0, atol=1e-15)
 
 
 def test_semigroup_identity_and_kind():
-    basis = build_basis(4, build_grid(64))
+    basis = SpectralBasis(Grid1D(64), 4)
     c = np.array([0.3, -0.2, 0.1, 0.0])
     out = apply_semigroup(c, 0.0, basis)
     assert out.shape == c.shape
@@ -203,7 +204,7 @@ def test_semigroup_identity_and_kind():
 
 def test_semigroup_composition():
     rng = np.random.default_rng(3)
-    basis = build_basis(8, build_grid(64))
+    basis = SpectralBasis(Grid1D(64), 8)
     c = rng.standard_normal(8)
     one = apply_semigroup(apply_semigroup(c, 0.004, basis), 0.006, basis)
     two = apply_semigroup(c, 0.01, basis)
@@ -213,12 +214,12 @@ def test_semigroup_composition():
 def test_semigroup_matches_kernel_quadrature():
     """Diagonal multiplier equals trapezoid integration against the kernel."""
     rng = np.random.default_rng(5)
-    grid = build_grid(128)
-    basis = build_basis(16, grid)
+    grid = Grid1D(128)
+    basis = SpectralBasis(grid, 16)
     c = rng.standard_normal(16)
     t = 0.01
     smooth = apply_semigroup(c, t, basis) @ basis.phi
-    kern = heat_kernel(t, grid).values
+    kern = heat_kernel(t, grid)
     quadrature = grid.spacing * (kern @ (c @ basis.phi))
     np.testing.assert_allclose(quadrature, smooth, atol=1e-8)
 
@@ -248,24 +249,24 @@ def _eigen_sum_scalar(t, x, y, n_terms):
 
 
 def test_heat_kernel_values_against_loop_oracles():
-    grid = build_grid(127)
+    grid = Grid1D(127)
     mid, quarter = 63, 31
     assert grid.nodes[mid] == pytest.approx(0.5, abs=1e-15)
     assert grid.nodes[quarter] == pytest.approx(0.25, abs=1e-15)
     t = 0.05
-    img = heat_kernel(t, grid, method="images").values
+    img = heat_kernel(t, grid, method="images")
     assert img[mid, mid] == pytest.approx(_image_sum_scalar(t, 0.5, 0.5, 10), rel=1e-14)
     assert img[quarter, mid] == pytest.approx(
         _image_sum_scalar(t, 0.25, 0.5, 10), rel=1e-14
     )
-    eig = heat_kernel(t, grid, method="eigen", truncation=200).values
+    eig = heat_kernel(t, grid, method="eigen", truncation=200)
     assert eig[mid, mid] == pytest.approx(_eigen_sum_scalar(t, 0.5, 0.5, 200), rel=1e-13)
 
 
 def test_heat_kernel_symmetry_positivity_substochastic():
-    grid = build_grid(128)
+    grid = Grid1D(128)
     for t in (0.01, 0.05, 0.2):
-        vals = heat_kernel(t, grid).values
+        vals = heat_kernel(t, grid)
         np.testing.assert_allclose(vals, vals.T, atol=1e-13)
         assert vals.min() >= -1e-12
         mass = grid.spacing * vals.sum(axis=1)
@@ -274,14 +275,14 @@ def test_heat_kernel_symmetry_positivity_substochastic():
 
 
 def test_heat_kernel_methods_agree():
-    grid = build_grid(64)
-    img = heat_kernel(0.1, grid, method="images").values
-    eig = heat_kernel(0.1, grid, method="eigen", truncation=200).values
+    grid = Grid1D(64)
+    img = heat_kernel(0.1, grid, method="images")
+    eig = heat_kernel(0.1, grid, method="eigen", truncation=200)
     assert np.abs(img - eig).max() < 1e-12
 
 
 def test_heat_kernel_truncation_warnings():
-    grid = build_grid(32)
+    grid = Grid1D(32)
     with pytest.warns(RuntimeWarning):
         heat_kernel(0.5, grid, method="images", truncation=1)
     with pytest.warns(RuntimeWarning):
@@ -293,7 +294,7 @@ def test_heat_kernel_truncation_warnings():
 
 
 def test_heat_kernel_validation():
-    grid = build_grid(32)
+    grid = Grid1D(32)
     with pytest.raises(ValueError):
         heat_kernel(0.0, grid)
     with pytest.raises(ValueError):
@@ -308,7 +309,7 @@ def test_heat_kernel_validation():
 
 def test_kernel_dy_matches_eigen_derivative():
     """Image-series derivative vs term-by-term eigen-series derivative."""
-    grid = build_grid(64)
+    grid = Grid1D(64)
     t = 0.05
     got = heat_kernel_dy(t, grid)
     j = np.arange(1, 401)
@@ -332,38 +333,64 @@ def test_gaussian_lp_norm_against_closed_form():
 
 
 def test_validate_kernel_estimates_fits_and_roundtrip():
-    grid = build_grid(128)
+    grid = Grid1D(128)
     t_samples = np.linspace(0.01, 0.5, 8)
     report = validate_kernel_estimates(t_samples, grid)
     assert report.all_pass()
-    sup = report["kernel_sup"]
+    sup, grad, gauss = report.fits
     # the on-diagonal value at small t forces C >= (4 pi)^(-1/2)
     assert sup.fitted_C >= (4.0 * np.pi) ** -0.5 - 1e-9
     assert sup.fitted_C < 1.0
-    grad = report["kernel_gradient"]
     assert np.isfinite(grad.fitted_C) and grad.fitted_C > 0
-    gauss = report["gaussian_lp"]
     ratios = [
         gaussian_lp_norm_closed_form(s, 2, 1.0) / s**0.25 for s in t_samples
     ]
     assert gauss.fitted_C == pytest.approx(max(ratios), rel=0.05)
     assert gauss.max_violation <= 1e-12
     parsed = json.loads(report.to_json())
-    assert {d["estimate_id"] for d in parsed} == {
+    assert [d["estimate_id"] for d in parsed] == [
         "kernel_sup",
         "kernel_gradient",
         "gaussian_lp",
-    }
+    ]
     assert all("pass" in d for d in parsed)
-    with pytest.raises(KeyError):
-        report["unknown"]
 
 
 def test_validate_kernel_estimates_input_checks():
-    grid = build_grid(64)
+    grid = Grid1D(64)
     with pytest.raises(ValueError):
         validate_kernel_estimates([], grid)
     with pytest.raises(ValueError):
         validate_kernel_estimates([0.1, 1.5], grid)
     with pytest.raises(ValueError):
         validate_kernel_estimates([0.0, 0.1], grid)
+
+
+def _warm_traced_peak(fn):
+    """tracemalloc peak, in bytes, of a second call of ``fn``."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_sums_and_fit_hold_one_image_and_one_time_at_a_time():
+    """The images sums add one m at a time and the envelope fit streams over
+    the sample times, so each holds a few (n, n) arrays whatever the
+    truncation and the number of times.  Stacking all 21 images and keeping
+    every time's log-kernel took 105, 126 and 142 such arrays at n = 128."""
+    grid = Grid1D(128)
+    n2 = 8 * 128**2
+    assert _warm_traced_peak(lambda: heat_kernel(0.1, grid)) <= 8 * n2
+    assert _warm_traced_peak(lambda: heat_kernel_dy(0.1, grid)) <= 8 * n2
+    fit = {
+        count: _warm_traced_peak(
+            lambda: validate_kernel_estimates(np.linspace(0.01, 0.5, count), grid)
+        )
+        for count in (2, 16)
+    }
+    assert fit[16] <= 12 * n2
+    assert fit[16] - fit[2] < 2 * n2
