@@ -30,7 +30,6 @@ import numpy as np
 from .deviation import SpeedFunction, rate_function_endpoint
 from .model import ModelParams, NoiseCoefficient
 from .montecarlo import (
-    MAX_BLOCK_ENTRIES,
     EnsembleSpec,
     default_initial,
     run_clt,
@@ -54,7 +53,7 @@ from .solvers import (
     solve_skeleton,
     solve_spde,
 )
-from .spectral import IMAGES_TRUNCATION, Field, Grid1D, validate_kernel_estimates
+from .spectral import Field, Grid1D, validate_kernel_estimates
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -486,12 +485,12 @@ def cmd_validate_kernel(config, args):
     n_points = config.values["solver"]["n_points"]
     if e["kernel_t_count"] < 2:
         raise ConfigError("kernel_t_count must be >= 2")
-    images = (2 * IMAGES_TRUNCATION + 1) * n_points**2
-    if e["kernel_t_count"] > MAX_ARRAY_ENTRIES or images > MAX_BLOCK_ENTRIES:
+    # the command holds a few (n_points, n_points) kernels, each bounded like
+    # SolverConfig's arrays
+    if e["kernel_t_count"] > MAX_ARRAY_ENTRIES or n_points**2 > MAX_ARRAY_ENTRIES:
         raise ConfigError(
-            f"kernel_t_count must be <= {MAX_ARRAY_ENTRIES} and the image terms per "
-            f"sample time (2*{IMAGES_TRUNCATION}+1)*n_points^2 = {images} <= "
-            f"{MAX_BLOCK_ENTRIES}"
+            f"kernel_t_count and the kernel's n_points^2 = {n_points**2} must each be "
+            f"<= {MAX_ARRAY_ENTRIES}"
         )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
     report = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import noise_coefficient_eval  # noqa: F401  (perfbench/probe.py patches it here by name)
-from .noise import ControlPath, NoiseSpec
-from .solvers import SetupError, SolverEngine, _check_time_grid, march
+from .noise import ControlPath
+from .solvers import NumericalAbortError, SetupError, SolverEngine, _check_time_grid, march
 
 __all__ = [
     "SpeedFunction",
@@ -62,6 +62,12 @@ class SpeedFunction:
         if eps <= 0:
             raise ValueError(f"eps must be > 0, got {eps}")
         return float(eps) ** (-self.theta)
+
+    def scales(self, eps):
+        """(s, noise weight) = (sqrt(eps) lambda(eps), 1/lambda(eps)): the scale of
+        the deviation process Z = (u_eps - u0)/s and the weight its noise enters at."""
+        lam = self(eps)
+        return np.sqrt(eps) * lam, 1.0 / lam
 
 
 @dataclass
@@ -97,10 +103,9 @@ class EndpointControlMap:
 
     def __init__(self, u0_traj, params, g, cfg, noise_spec=None):
         _check_time_grid(cfg, trajectory=u0_traj)
-        spec = noise_spec if noise_spec is not None else NoiseSpec(n_modes=cfg.n_modes)
-        self.eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
+        self.eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
         self.n_steps = cfg.n_steps
-        self.n_control_modes = spec.n_modes
+        self.n_control_modes = self.eng.noise_spec.n_modes
         self.u0_grid = u0_traj.grid_values()
 
     def forward(self, hdot):
@@ -153,17 +158,7 @@ class EndpointControlMap:
         return ControlPath(dt=self.eng.dt, n_steps=self.n_steps, hdot=hdot)
 
 
-def _target_coeffs(target, eng):
-    from .spectral import Field, to_spectral
-
-    if isinstance(target, Field):
-        return to_spectral(target, eng.basis)
-    target = np.asarray(target, dtype=float)
-    if target.shape != (eng.cfg.n_modes,):
-        raise ValueError(f"target must have {eng.cfg.n_modes} coefficients")
-    return target
-
-
+@np.errstate(over="ignore")  # an overflow surfaces through _finite
 def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec=None):
     """Minimum Cameron-Martin action over controls steering the skeleton to ``target``.
 
@@ -175,11 +170,12 @@ def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec
     (the L^2 distance, by Parseval) recomputed through the forward map, and r
     as ``iterations`` (the number of directions used; 0 for a zero target).
     ``converged`` records whether the residual is at most tol * ||psi||, so a
-    target outside the reachable subspace surfaces as not converged.
+    target outside the reachable subspace surfaces as not converged.  A target
+    norm, value or residual that overflows raises NumericalAbortError.
     """
     cmap = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec)
-    psi = _target_coeffs(target, cmap.eng)
-    b_norm = float(np.linalg.norm(psi))
+    psi = cmap.eng.initial_coeffs(target)
+    b_norm = _finite(float(np.linalg.norm(psi)), "target norm", cfg)
     if b_norm == 0.0:
         control = cmap.control_path(np.zeros((cmap.n_control_modes, cmap.n_steps)))
         return RateFunctionResult(0.0, control, 0.0, 0, True)
@@ -190,8 +186,16 @@ def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec
     x = vt[:rank].T @ ((u[:, :rank].T @ psi) / s[:rank])
     hdot = x.reshape(cmap.n_control_modes, cmap.n_steps) / np.sqrt(cmap.eng.dt)
     control = cmap.control_path(hdot)
-    residual = float(np.linalg.norm(cmap.forward(hdot) - psi))
-    return RateFunctionResult(control.action(), control, residual, rank, residual <= tol * b_norm)
+    value = _finite(control.action(), "rate function value", cfg)
+    residual = _finite(float(np.linalg.norm(cmap.forward(hdot) - psi)), "endpoint residual", cfg)
+    return RateFunctionResult(value, control, residual, rank, residual <= tol * b_norm)
+
+
+def _finite(x, quantity, cfg):
+    """``x``, unless it is inf or nan: then the endpoint problem at T aborts."""
+    if not np.isfinite(x):
+        raise NumericalAbortError(cfg.t_end, f"{quantity} ({x})")
+    return x
 
 
 def wilson_interval(successes, n, z=1.96):

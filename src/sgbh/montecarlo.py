@@ -8,10 +8,11 @@ results are reduced in block order.  Every array op sees the same shapes and
 the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
-Each runner builds one frozen run record (engine, reference path or heat
-weights, guard and specs) before any block starts; blocks read it inline or,
-pickled, on the pool workers, and build nothing themselves.  The runner
-called is the experiment and names its report.  Every ``run_*`` call first
+Each runner builds one frozen run record (engine with its noise spec,
+reference path or heat weights, guard and ensemble spec) before any block
+starts; blocks read it inline or, pickled, on the pool workers, and build
+nothing themselves.  The runner called is the experiment and names its
+report.  Every ``run_*`` call first
 sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's step
 temporaries reuse heap memory instead of faulting fresh pages in.
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .deviation import SpeedFunction, tail_report
 from .model import NoiseCoefficient
-from .noise import NoiseSpec, sample_noise
+from .noise import sample_noise
 from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
 from .spectral import Field
 
@@ -55,10 +56,10 @@ __all__ = [
     "default_initial",
 ]
 
-# the largest array a block, the reduction or validate-kernel's image stack may
-# allocate: 2^24 float64 entries (128 MB), a 128-path block of 4096 steps and 32
-# noise modes.  A heat-oracle block holds one path's (J, K) draw and the (J, K)
-# weights, which SolverConfig already bounds, so only its reduction is checked.
+# the largest array a block or the reduction may allocate: 2^24 float64
+# entries (128 MB), a 128-path block of 4096 steps and 32 noise modes.  A
+# heat-oracle block holds one path's draw and the (J, K) weights, which
+# SolverConfig already bounds, so only its reduction is checked.
 MAX_BLOCK_ENTRIES = 1 << 24
 
 Z_WITHIN, FRAC_REQUIRED = 3.0, 0.95  # heat oracle: |z| <= 3 in 95% of the modes
@@ -266,7 +267,6 @@ class _Run:
 
     eng: SolverEngine
     spec: EnsembleSpec
-    noise_spec: NoiseSpec
     guard: BlowupGuard
     u0_coeffs: np.ndarray | None
     speed: SpeedFunction | None = None  # mdp-tail's lambda(eps)
@@ -283,7 +283,7 @@ def _heat_weights(eng):
     one kick at step K - 1 gives w[:, K - 1] = E kappa0 q, and each free step
     backward multiplies by E, so w[:, k] = E^(K - k) kappa0 q.
     """
-    K, J, jn = eng.cfg.n_steps, eng.cfg.n_modes, len(eng.q)
+    K, J, jn = eng.cfg.n_steps, eng.cfg.n_modes, eng.noise_spec.n_modes
     kick = eng.spde_step(1.0, np.broadcast_to(np.ones(jn), (K, jn)))
     free = eng.spde_step()
     w = np.empty((J, K))
@@ -300,14 +300,14 @@ def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, speed=None
     errors surface first.  The reference solve starts from ``u0``, the
     parabolic bump when None."""
     _keep_freed_heap()
-    if noise_spec is None:
-        noise_spec = NoiseSpec(n_modes=cfg.n_modes)
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    jn = eng.noise_spec.n_modes
     # what a marching block allocates, its (K, B, J_noise) increments and the
     # (K + 1, n_points) reference grid it synthesises, and what the reduction
     # holds: a sup per path and eps, or the heat oracle's endpoints
-    draw = 0 if heat else min(spec.block_size, spec.n_paths) * cfg.n_steps * noise_spec.n_modes
+    draw = 0 if heat else min(spec.block_size, spec.n_paths) * cfg.n_steps * jn
     grid = 0 if heat else (cfg.n_steps + 1) * cfg.n_points
-    kept = spec.n_paths * len(spec.eps_list) * (noise_spec.n_modes if heat else 1)
+    kept = spec.n_paths * len(spec.eps_list) * (jn if heat else 1)
     for name, size in (
         ("block_size*n_steps*noise n_modes", draw),
         ("(n_steps+1)*n_points", grid),
@@ -315,7 +315,6 @@ def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, speed=None
     ):
         if size > MAX_BLOCK_ENTRIES:
             raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
-    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
     u0_coeffs = weights = None
     if heat:
         weights = _heat_weights(eng)
@@ -323,7 +322,7 @@ def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, speed=None
         u0 = default_initial(eng.grid) if u0 is None else u0
         u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
     guard = BlowupGuard(spec.guard_threshold)
-    return _Run(eng, spec, noise_spec, guard, u0_coeffs, speed, tail_p, weights)
+    return _Run(eng, spec, guard, u0_coeffs, speed, tail_p, weights)
 
 
 def _block_spans(n_paths, block_size):
@@ -367,9 +366,9 @@ def _block_increments(run, start, stop):
     """The block's per-path increments step-major, (K, B, J), so step k reads a
     contiguous inc[k]; every eps of the block reuses them."""
     spec, cfg = run.spec, run.eng.cfg
-    inc = np.empty((cfg.n_steps, stop - start, run.noise_spec.n_modes))
+    inc = np.empty((cfg.n_steps, stop - start, run.eng.noise_spec.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, i)
+        r = sample_noise(run.eng.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, i)
         inc[:, b, :] = r.increments.T
     return inc
 
@@ -459,7 +458,7 @@ def _block_heat(run, start, stop):
     cfg = run.eng.cfg
     out = np.empty((stop - start, cfg.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(run.noise_spec, cfg.dt, cfg.n_steps, run.spec.base_seed, i)
+        r = sample_noise(run.eng.noise_spec, cfg.dt, cfg.n_steps, run.spec.base_seed, i)
         out[b] = np.vecdot(run.heat_weights, r.increments)
     return out
 
@@ -476,8 +475,8 @@ def _block_mdp(run, start, stop):
     inc = _block_increments(run, start, stop)
     out = []
     for eps in run.spec.eps_list:
-        lam = run.speed(eps)
-        step = eng.deviation_step(u0_grid, np.sqrt(eps) * lam, inc, 1.0 / lam)
+        s, noise_scale = run.speed.scales(eps)
+        step = eng.deviation_step(u0_grid, s, inc, noise_scale)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
         out.append(_censored_march(eng, run.guard, states, [step], observe))
     return out
@@ -642,7 +641,7 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     run = _build_run(spec, params, g, cfg, noise_spec, heat=True)
 
     lam = run.eng.basis.eigenvalues
-    q = run.noise_spec.q
+    q = run.eng.noise_spec.q
     T = cfg.t_end
     eps_col = np.array(spec.eps_list)[:, None]
     with np.errstate(over="ignore"):

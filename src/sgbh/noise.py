@@ -8,9 +8,9 @@ with eta > 1/4 so that sum q_j^2 < infinity (trace class).  A realization
 stores only the raw mode increments dB_{j,k} ~ N(0, dt); the q_j phi_j(x)
 coloring is applied by the solvers.
 
-Sampling is counter-based (numpy Philox) keyed by (seed, path_index),
-so any worker can reproduce any path independently of scheduling, and
-ensembles are bit-reproducible for a fixed base seed.
+Sampling is counter-based (numpy Philox) keyed by (seed, path_index), each
+taken mod 2^64, so any worker can reproduce any path independently of
+scheduling, and ensembles are bit-reproducible for a fixed base seed.
 """
 
 import math
@@ -88,7 +88,9 @@ def sample_noise(spec, dt, n_steps, seed, path_index=0):
         raise ValueError(f"dt must be > 0, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, path_index & _MASK64]))
+    # a uint64 array: a list with a word >= 2^63 would pass through float64
+    key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     inc = rng.standard_normal((spec.n_modes, n_steps))
     inc *= np.sqrt(dt)
     return NoiseRealization(dt=dt, n_steps=n_steps, increments=inc, spec=spec)

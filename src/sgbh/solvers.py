@@ -90,10 +90,10 @@ class SetupError(ValueError):
 
 
 class NumericalAbortError(RuntimeError):
-    """Non-finite state encountered."""
+    """A non-finite state, or another non-finite quantity, at ``time``."""
 
-    def __init__(self, time):
-        super().__init__(f"non-finite state at t={time:.6g}")
+    def __init__(self, time, quantity="state"):
+        super().__init__(f"non-finite {quantity} at t={time:.6g}")
         self.time = time
 
 
@@ -251,15 +251,14 @@ class SolverEngine:
         self.h = self.grid.spacing
         self.semigroup = np.exp(-params.nu * self.basis.eigenvalues * cfg.dt)
         self.g = g
-        if noise_spec is not None:
-            if noise_spec.n_modes > cfg.n_modes:
-                raise SetupError(
-                    f"noise has {noise_spec.n_modes} modes > solver n_modes {cfg.n_modes}"
-                )
-            self.q = noise_spec.q
-        else:
-            self.q = None
-        self.kappa0_q = None if g is None or self.q is None else g.kappa0 * self.q
+        # the one default noise: every solver mode forced (q_j depends on j alone)
+        if noise_spec is None:
+            noise_spec = NoiseSpec(n_modes=cfg.n_modes)
+        elif noise_spec.n_modes > cfg.n_modes:
+            raise SetupError(f"noise has {noise_spec.n_modes} modes > solver n_modes {cfg.n_modes}")
+        self.noise_spec = noise_spec
+        self.q = noise_spec.q
+        self.kappa0_q = None if g is None else g.kappa0 * self.q
 
     # representation changes ------------------------------------------------
 
@@ -278,12 +277,14 @@ class SolverEngine:
         return out
 
     def initial_coeffs(self, u0):
+        """One state's (n_modes,) sine coefficients: a grid ``Field`` projected
+        onto the mode band, or a copy of a coefficient array of that shape."""
         if isinstance(u0, Field):
             return to_spectral(u0, self.basis)
         u0 = np.asarray(u0, dtype=float)
-        if u0.shape[-1] == self.cfg.n_modes:
-            return u0.copy()
-        raise ValueError(f"initial coefficients must have length {self.cfg.n_modes}")
+        if u0.shape != (n := self.cfg.n_modes,):
+            raise ValueError(f"coefficients must have shape ({n},), got {u0.shape}")
+        return u0.copy()
 
     # the explicit terms -----------------------------------------------------
     #
@@ -542,13 +543,14 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
 
     Nonlinear terms are difference quotients [N(u0 + s Z) - N(u0)] / s; noise
     enters at weight 1/lambda(eps) and the control forcing at weight dt, both
-    with coefficients evaluated at u0 + s Z.  ``speed`` may be a callable
-    lambda(eps) or the number lambda itself.  eps = 0 freezes coefficients at
-    u0 (analytic linearization), which is exactly the skeleton dynamics.
+    with coefficients evaluated at u0 + s Z.  ``speed`` is a ``SpeedFunction``,
+    which gives (s, 1/lambda(eps)).  eps = 0 freezes coefficients at u0
+    (analytic linearization), which is exactly the skeleton dynamics, and
+    reads no speed.
 
     The control coloring uses q from the noise realization's spec when one is
-    given, else from ``noise_spec``, else the default NoiseSpec over the
-    control's modes; the control may not have more modes than that spec.
+    given, else from ``noise_spec``, else the engine's default over the
+    solver's modes; the control may not have more modes than that spec.
     """
     if not 0 <= eps <= 1:
         raise SetupError(f"eps must be in [0, 1], got {eps}")
@@ -556,22 +558,11 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
     if noise is None and h is None:
         raise SetupError("need a noise realization or a control path (or both)")
 
-    s = noise_scale = 0.0  # eps = 0 reads neither s nor lambda(eps)
-    if eps > 0:
-        lam = float(speed(eps)) if callable(speed) else float(speed)
-        if lam <= 0:
-            raise SetupError(f"speed lambda(eps) must be > 0, got {lam}")
-        s, noise_scale = np.sqrt(eps) * lam, 1.0 / lam
-
-    if noise is not None:
-        spec = noise.spec
-    elif noise_spec is not None:
-        spec = noise_spec
-    else:
-        spec = NoiseSpec(n_modes=min(h.n_modes, cfg.n_modes))
-    if h is not None and h.n_modes > spec.n_modes:
-        raise SetupError(f"control has {h.n_modes} modes > noise n_modes {spec.n_modes}")
-    eng = SolverEngine(params, cfg, g=g, noise_spec=spec)
+    # eps = 0 reads neither s nor lambda(eps)
+    s, noise_scale = speed.scales(eps) if eps > 0 else (0.0, 0.0)
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec if noise is None else noise.spec)
+    if h is not None and h.n_modes > eng.noise_spec.n_modes:
+        raise SetupError(f"control has {h.n_modes} modes > noise n_modes {eng.noise_spec.n_modes}")
 
     step = eng.deviation_step(
         u0_traj.grid_values(),
@@ -600,5 +591,5 @@ def solve_skeleton(u0_traj, params, g, h, cfg, guard=None, noise_spec=None):
     and the forcing is the control coloring with g evaluated at u0.
     """
     return solve_controlled(
-        u0_traj, params, g, 0.0, 1.0, None, h, cfg, guard=guard, noise_spec=noise_spec
+        u0_traj, params, g, 0.0, None, None, h, cfg, guard=guard, noise_spec=noise_spec
     )

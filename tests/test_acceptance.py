@@ -31,7 +31,6 @@ from sgbh.montecarlo import (
 from sgbh.noise import NoiseSpec, sample_noise
 from sgbh.solvers import (
     SolverConfig,
-    solve_clt_limit,
     solve_deterministic,
     solve_mdp_process,
     solve_skeleton,

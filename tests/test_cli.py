@@ -796,6 +796,32 @@ def test_rate_rejects_malformed_targets(tmp_path, doc):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "values, quantity",
+    [
+        ([1e155, 1.0], "target norm"),
+        ([1e200], "target norm"),
+        ([1e154], "rate function value"),
+        ([1e140, 1.0], None),
+    ],
+    ids=["norm-1e155", "norm-1e200", "value-1e154", "finite-1e140"],
+)
+def test_rate_overflow_is_a_numerical_abort(tmp_path, capsys, values, quantity):
+    """At the CLI defaults a target whose norm or value overflows exits 3,
+    names the quantity and writes no rate.json; [1e140, 1] still prices to a
+    finite value (about 8.7e280)."""
+    target = _write_target(tmp_path, {"kind": "spectral", "values": values})
+    out = tmp_path / "r"
+    code = main(["rate", "--target", target, "--out", str(out)])
+    if quantity is None:
+        assert code == EXIT_PASS
+        assert 1e280 < json.loads((out / "rate.json").read_text())["value"] < np.inf
+        return
+    assert code == EXIT_NUMERIC
+    assert not (out / "rate.json").exists()
+    assert f"numerical abort: non-finite {quantity} (inf)" in capsys.readouterr().err
+
+
 def test_rate_missing_target_file(tmp_path):
     cfg = _write(tmp_path, SMALL_SOLVER)
     code = main(
@@ -817,10 +843,10 @@ def test_validate_kernel_writes_passing_report(tmp_path):
     assert all(f["pass"] for f in fits)
 
 
-@pytest.mark.parametrize("n_points", [893, 894, 2048])
+@pytest.mark.parametrize("n_points", [2048, 2049])
 def test_validate_kernel_bounds_its_image_stack(tmp_path, capsys, monkeypatch, n_points):
-    """Each sample time sums 21 n_points^2 image terms, one image at a time:
-    n_points = 893 keeps them within MAX_BLOCK_ENTRIES and runs, 894 and up
+    """Each sample time sums its images into one (n_points, n_points) kernel:
+    n_points = 2048 keeps it within MAX_ARRAY_ENTRIES and runs, 2049 and up
     exit 2 before any kernel is tabulated."""
 
     class Ran(Exception):
@@ -832,12 +858,12 @@ def test_validate_kernel_bounds_its_image_stack(tmp_path, capsys, monkeypatch, n
     monkeypatch.setattr("sgbh.cli.validate_kernel_estimates", ran)
     cfg = _write(tmp_path, f"[solver]\nn_points = {n_points}\n")
     argv = ["validate-kernel", "--config", cfg, "--out", str(tmp_path / "k")]
-    if n_points == 893:
+    if n_points == 2048:
         with pytest.raises(Ran):
             main(argv)
         return
     assert main(argv) == EXIT_CONFIG
-    assert f"(2*10+1)*n_points^2 = {21 * n_points**2}" in capsys.readouterr().err
+    assert f"n_points^2 = {n_points**2} must each be <= {1 << 22}" in capsys.readouterr().err
 
 
 def test_validate_kernel_bad_t_count(tmp_path):

@@ -23,7 +23,7 @@ from sgbh.deviation import (
     wilson_interval,
 )
 from sgbh.model import ModelParams, NoiseCoefficient
-from sgbh.montecarlo import _heat_weights
+from sgbh.montecarlo import EnsembleSpec, _heat_weights, run_strong_rate
 from sgbh.noise import ControlPath, NoiseSpec, sample_noise
 from sgbh.solvers import SolverConfig, solve_clt_limit, solve_deterministic, solve_skeleton
 from sgbh.spectral import Field, Grid1D
@@ -91,6 +91,37 @@ def test_forward_agrees_with_skeleton_solver(desk):
     h = ControlPath(cfg.dt, cfg.n_steps, hdot)
     traj = solve_skeleton(u0, params, g, h, cfg, noise_spec=spec)
     assert np.array_equal(cmap.forward(hdot), traj.coeffs[-1])
+
+
+def _skeleton(params, cfg, g, u0, **spec):
+    hdot = np.random.default_rng(5).standard_normal((5, cfg.n_steps))
+    return solve_skeleton(u0, params, g, ControlPath(cfg.dt, cfg.n_steps, hdot), cfg, **spec).coeffs
+
+
+def _endpoint_map(params, cfg, g, u0, **spec):
+    return EndpointControlMap(u0, params, g, cfg, **spec).matrix
+
+
+def _strong_rate(params, cfg, g, u0, **spec):
+    ens = EnsembleSpec(n_paths=6, base_seed=9, eps_list=[0.5, 0.25, 0.125], block_size=4)
+    return run_strong_rate(ens, params, g, cfg, **spec).to_json()
+
+
+@pytest.mark.parametrize(
+    "run, widths",
+    [(_skeleton, (5, 8)), (_endpoint_map, (8,)), (_strong_rate, (8,))],
+    ids=["skeleton", "endpoint_map", "strong_rate"],
+)
+def test_default_noise_spec_forces_every_solver_mode(desk, run, widths):
+    """Without a noise spec every entry point runs bitwise as with
+    NoiseSpec(n_modes=cfg.n_modes), the engine's one default.  The skeleton's
+    control has 5 of the 8 modes, and a spec over just those runs the same too,
+    since q_j depends on j alone."""
+    params, cfg, _, g, u0 = desk
+    default = run(params, cfg, g, u0)
+    for n_modes in widths:
+        explicit = run(params, cfg, g, u0, noise_spec=NoiseSpec(n_modes=n_modes))
+        assert np.array_equal(explicit, default)
 
 
 # the linear-Gaussian core at J = 16, K = 50: the CLI's model with affine g and

@@ -76,6 +76,22 @@ def test_sampling_is_deterministic_and_keyed():
     assert not np.array_equal(a.increments, d.increments)
 
 
+def test_every_key_word_is_taken_mod_2_64():
+    """Negative and wide seeds and path indices key their own streams: -1 is
+    2^64 - 1, not seed 0's stream, and no two keys below 2^64 share one."""
+    spec = NoiseSpec(n_modes=4, eta=0.3)
+
+    def draw(seed, path_index=0):
+        return sample_noise(spec, 0.01, 20, seed=seed, path_index=path_index).increments
+
+    assert not np.array_equal(draw(-1), draw(0))
+    assert not np.array_equal(draw(-2), draw(-3))
+    assert not np.array_equal(draw(2**63), draw(2**63 + 1))
+    assert np.array_equal(draw(-1), draw(2**64 - 1))
+    assert np.array_equal(draw(7, -1), draw(7, 2**64 - 1))
+    assert not np.array_equal(draw(7, -1), draw(7, 0))
+
+
 def test_sampling_is_the_scaled_philox_stream():
     # key words (seed, path_index); dt scaling in place keeps the bits
     spec = NoiseSpec(n_modes=5, eta=0.3)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from sgbh.deviation import SpeedFunction
 from sgbh.model import (
     ModelParams,
     NoiseCoefficient,
@@ -216,7 +217,7 @@ def test_coupling_identity_links_spde_and_deviation_process():
     noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=42)
     eps, lam = 0.01, 0.01**-0.25
     u_eps = solve_spde(_parabola(cfg), params, g, eps, noise, cfg)
-    z = solve_mdp_process(u0, params, g, eps, lam, noise, cfg)
+    z = solve_mdp_process(u0, params, g, eps, SpeedFunction(0.25), noise, cfg)
     recon = u0.coeffs + np.sqrt(eps) * lam * z.coeffs
     np.testing.assert_allclose(recon, u_eps.coeffs, atol=1e-9)
 
@@ -226,7 +227,7 @@ def test_theta_zero_reduces_to_clt_scale():
     noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=43)
     eps = 0.04
     u_eps = solve_spde(_parabola(cfg), params, g, eps, noise, cfg)
-    z = solve_mdp_process(u0, params, g, eps, 1.0, noise, cfg)
+    z = solve_mdp_process(u0, params, g, eps, SpeedFunction(0.0), noise, cfg)
     np.testing.assert_allclose(
         z.coeffs, (u_eps.coeffs - u0.coeffs) / np.sqrt(eps), atol=1e-9
     )
@@ -267,14 +268,13 @@ def test_skeleton_is_linear_in_the_control():
 def test_controlled_requires_some_forcing_and_valid_eps():
     params, cfg, spec, g, u0 = _desk_setup()
     noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=1)
+    speed = SpeedFunction(0.1)
     with pytest.raises(ValueError):
-        solve_controlled(u0, params, g, 0.01, 2.0, None, None, cfg)
+        solve_controlled(u0, params, g, 0.01, speed, None, None, cfg)
     with pytest.raises(ValueError):
-        solve_controlled(u0, params, g, -0.01, 2.0, noise, None, cfg)
+        solve_controlled(u0, params, g, -0.01, speed, noise, None, cfg)
     with pytest.raises(ValueError):
-        solve_controlled(u0, params, g, 1.5, 2.0, noise, None, cfg)
-    with pytest.raises(ValueError):
-        solve_controlled(u0, params, g, 0.01, -1.0, noise, None, cfg)
+        solve_controlled(u0, params, g, 1.5, speed, noise, None, cfg)
     bad_h = ControlPath(cfg.dt, cfg.n_steps - 1, np.zeros((16, cfg.n_steps - 1)))
     with pytest.raises(ValueError):
         solve_skeleton(u0, params, g, bad_h, cfg, noise_spec=spec)

@@ -1,5 +1,5 @@
 """Static checks on the package source, standing in for a linter: every name a
-module imports is read somewhere in that module."""
+module, test or demo imports is read somewhere in that file."""
 
 import ast
 from pathlib import Path
@@ -40,12 +40,20 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import numpy as np\n__all__ = ['np']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+REPO = Path(__file__).resolve().parents[1]
+# the package modules (by file name), then the tests and demos (by path)
+IMPORTERS = [(p, p.name) for p in MODULES] + [
+    (p, p.relative_to(REPO).as_posix())
+    for d in ("tests", "demos")
+    for p in sorted((REPO / d).rglob("*.py"))
+]
+
+
+@pytest.mark.parametrize("path", [p for p, _ in IMPORTERS], ids=[i for _, i in IMPORTERS])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-REPO = Path(__file__).resolve().parents[1]
 READERS = sorted(Path(sgbh.__file__).parent.glob("*.py")) + sorted(
     p for d in ("tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py")
 )
