@@ -147,11 +147,8 @@ def _check_type(section, key, value, default, lineno):
 class RunConfig:
     """Validated run configuration; ``values[section][key]`` holds JSON data."""
 
-    def __init__(self, values=None):
+    def __init__(self):
         self.values = {s: dict(d) for s, d in _SCHEMA.items()}
-        if values is not None:
-            for s, d in values.items():
-                self.values[s].update(d)
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.values == other.values
@@ -353,11 +350,15 @@ def cmd_simulate(config, args):
 
     control = None
     if args.control is not None:
+        if kind not in ("controlled", "skeleton"):
+            raise ConfigError(
+                f"--control is read only by the controlled and skeleton solvers, not {kind}"
+            )
         try:
             control = load_control(args.control)
         except OSError as exc:
             raise ConfigError(f"cannot read control file {args.control!r}: {exc}")
-    if kind in ("skeleton",) and control is None:
+    if kind == "skeleton" and control is None:
         raise ConfigError(f"--control is required for the {kind} solver")
 
     def noise():

@@ -39,7 +39,6 @@ __all__ = [
     "TailReport",
     "EndpointControlMap",
     "rate_function_endpoint",
-    "tail_report",
     "wilson_interval",
 ]
 
@@ -199,38 +198,34 @@ def _finite(x, quantity, cfg):
 
 
 def wilson_interval(successes, n, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion: ``successes`` out of
+    ``n``, a count or an array of counts."""
     if n <= 0:
         raise ValueError("n must be positive")
     phat = successes / n
     denom = 1.0 + z**2 / n
     center = (phat + z**2 / (2 * n)) / denom
     half = (z / denom) * np.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2))
-    return max(0.0, center - half), min(1.0, center + half)
+    return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
 
 
 @dataclass
 class TailReport:
-    """Empirical tail probabilities P(sup_t ||Z(t)||_p > rho) per (eps, rho)."""
+    """Empirical tail probabilities P(sup_t ||Z(t)||_p > rho) per (eps, rho),
+    every eps over the same ``n_paths`` coupled paths."""
 
     eps_list: list
     rho_list: list
-    n_paths: list
+    n_paths: int
     counts: np.ndarray  # (n_eps, n_rho) exceedance counts
     p_norm: int
 
     @property
     def p_hat(self):
-        n = np.asarray(self.n_paths, dtype=float)[:, None]
-        return self.counts / n
+        return self.counts / self.n_paths
 
     def wilson_bounds(self):
-        lo = np.empty_like(self.counts, dtype=float)
-        hi = np.empty_like(self.counts, dtype=float)
-        for i, n in enumerate(self.n_paths):
-            for j in range(len(self.rho_list)):
-                lo[i, j], hi[i, j] = wilson_interval(self.counts[i, j], n)
-        return lo, hi
+        return wilson_interval(self.counts, self.n_paths)
 
     def monotone_in_rho(self):
         """Estimates are non-increasing in rho for each eps (nested events)."""
@@ -244,13 +239,13 @@ class TailReport:
             "per_eps": [
                 {
                     "eps": float(e),
-                    "n_paths": int(n),
+                    "n_paths": int(self.n_paths),
                     "exceed_counts": [int(c) for c in self.counts[i]],
                     "p_hat": [float(x) for x in self.p_hat[i]],
                     "wilson_lo": [float(x) for x in lo[i]],
                     "wilson_hi": [float(x) for x in hi[i]],
                 }
-                for i, (e, n) in enumerate(zip(self.eps_list, self.n_paths))
+                for i, e in enumerate(self.eps_list)
             ],
             "monotone_in_rho": self.monotone_in_rho(),
         }
@@ -262,30 +257,10 @@ class TailReport:
         lo, hi = self.wilson_bounds()
         with open(path, "w") as fh:
             fh.write("eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi\n")
-            for i, (e, n) in enumerate(zip(self.eps_list, self.n_paths)):
+            for i, e in enumerate(self.eps_list):
                 for j, rho in enumerate(self.rho_list):
                     fh.write(
-                        f"{float(e)!r},{float(rho)!r},{int(n)},{int(self.counts[i, j])},"
+                        f"{float(e)!r},{float(rho)!r},{int(self.n_paths)},{int(self.counts[i, j])},"
                         f"{float(self.p_hat[i, j])!r},{float(lo[i, j])!r},{float(hi[i, j])!r}\n"
                     )
-
-
-def tail_report(sup_norms_by_eps, rho_list, p_norm):
-    """Build a TailReport from per-eps arrays of sup-in-time L^p norms."""
-    rho_list = [float(r) for r in np.atleast_1d(rho_list)]
-    eps_list, n_paths, rows = [], [], []
-    for eps, sups in sup_norms_by_eps.items():
-        sups = np.asarray(sups, dtype=float)
-        if sups.size == 0:
-            raise ValueError(f"empty ensemble for eps={eps}")
-        eps_list.append(float(eps))
-        n_paths.append(int(sups.size))
-        rows.append([int(np.sum(sups > rho)) for rho in rho_list])
-    return TailReport(
-        eps_list=eps_list,
-        rho_list=rho_list,
-        n_paths=n_paths,
-        counts=np.asarray(rows, dtype=int),
-        p_norm=p_norm,
-    )
 

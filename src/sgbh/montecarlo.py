@@ -8,11 +8,11 @@ results are reduced in block order.  Every array op sees the same shapes and
 the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
-Each runner builds one frozen run record (engine with its noise spec,
-reference path or heat weights, guard and ensemble spec) before any block
-starts; blocks read it inline or, pickled, on the pool workers, and build
-nothing themselves.  The runner called is the experiment and names its
-report.  Every ``run_*`` call first
+Each runner builds what its blocks read before any block starts (a marching
+runner, one frozen run record: engine with its noise spec, reference path,
+guard and ensemble spec) and binds it to its block function; blocks read it
+inline or, pickled, on the pool workers, and build nothing themselves.  The
+runner called is the experiment and names its report.  ``_run_blocks`` first
 sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's step
 temporaries reuse heap memory instead of faulting fresh pages in.
 
@@ -30,6 +30,7 @@ the censored statistic (sup over steps strictly before the crossing, all
 paths) as a separate column.  The two are never conflated.
 """
 
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import SpeedFunction, tail_report
+from .deviation import SpeedFunction, TailReport
 from .model import NoiseCoefficient
 from .noise import sample_noise
 from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
@@ -57,9 +58,7 @@ __all__ = [
 ]
 
 # the largest array a block or the reduction may allocate: 2^24 float64
-# entries (128 MB), a 128-path block of 4096 steps and 32 noise modes.  A
-# heat-oracle block holds one path's draw and the (J, K) weights, which
-# SolverConfig already bounds, so only its reduction is checked.
+# entries (128 MB), a 128-path block of 4096 steps and 32 noise modes
 MAX_BLOCK_ENTRIES = 1 << 24
 
 Z_WITHIN, FRAC_REQUIRED = 3.0, 0.95  # heat oracle: |z| <= 3 in 95% of the modes
@@ -258,20 +257,15 @@ def _keep_freed_heap():
 
 @dataclass(frozen=True)
 class _Run:
-    """Everything a block reads, built once per runner call and pickled as it
-    stands to pool workers.  Blocks march from the reference path u0, its
-    (K + 1, J) coefficients, and synthesise its (K + 1, n_points) grid
-    themselves, which keeps the grid out of the pickle.  The heat oracle has no
-    reference and does not march: its blocks price each path's endpoint with
-    ``heat_weights`` (``_heat_weights``)."""
+    """Everything a marching block reads, built once per runner call and
+    pickled as it stands to pool workers.  Blocks march from the reference path
+    u0, its (K + 1, J) coefficients, and synthesise its (K + 1, n_points) grid
+    themselves, which keeps the grid out of the pickle."""
 
     eng: SolverEngine
     spec: EnsembleSpec
     guard: BlowupGuard
-    u0_coeffs: np.ndarray | None
-    speed: SpeedFunction | None = None  # mdp-tail's lambda(eps)
-    tail_p: int | None = None  # and the L^p of its tail statistic
-    heat_weights: np.ndarray | None = None  # the heat oracle's (J, K) endpoint weights
+    u0_coeffs: np.ndarray
 
 
 def _heat_weights(eng):
@@ -294,35 +288,26 @@ def _heat_weights(eng):
     return w
 
 
-def _build_run(spec, params, g, cfg, noise_spec, u0=None, heat=False, speed=None, tail_p=None):
-    """The run record.  Its engine is built and the reference solved (or, for
-    the heat oracle, its weights read) here, before any worker starts, so setup
-    errors surface first.  The reference solve starts from ``u0``, the
-    parabolic bump when None."""
-    _keep_freed_heap()
+def _check_entries(name, size):
+    if size > MAX_BLOCK_ENTRIES:
+        raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
+
+
+def _build_run(spec, params, g, cfg, noise_spec, u0=None):
+    """The run record.  Its engine is built and the reference solved here,
+    before any worker starts, so setup errors surface first.  The reference
+    solve starts from ``u0``, the parabolic bump when None."""
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    jn = eng.noise_spec.n_modes
-    # what a marching block allocates, its (K, B, J_noise) increments and the
+    # what a block allocates, its (K, B, J_noise) increments and the
     # (K + 1, n_points) reference grid it synthesises, and what the reduction
-    # holds: a sup per path and eps, or the heat oracle's endpoints
-    draw = 0 if heat else min(spec.block_size, spec.n_paths) * cfg.n_steps * jn
-    grid = 0 if heat else (cfg.n_steps + 1) * cfg.n_points
-    kept = spec.n_paths * len(spec.eps_list) * (jn if heat else 1)
-    for name, size in (
-        ("block_size*n_steps*noise n_modes", draw),
-        ("(n_steps+1)*n_points", grid),
-        ("n_paths*n_eps*noise n_modes" if heat else "n_paths*n_eps", kept),
-    ):
-        if size > MAX_BLOCK_ENTRIES:
-            raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
-    u0_coeffs = weights = None
-    if heat:
-        weights = _heat_weights(eng)
-    else:
-        u0 = default_initial(eng.grid) if u0 is None else u0
-        u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    guard = BlowupGuard(spec.guard_threshold)
-    return _Run(eng, spec, guard, u0_coeffs, speed, tail_p, weights)
+    # holds, a sup per path and eps
+    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * eng.noise_spec.n_modes
+    _check_entries("block_size*n_steps*noise n_modes", draw)
+    _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
+    _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
+    u0 = default_initial(eng.grid) if u0 is None else u0
+    u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
+    return _Run(eng, spec, BlowupGuard(spec.guard_threshold), u0_coeffs)
 
 
 def _block_spans(n_paths, block_size):
@@ -346,19 +331,30 @@ def _blas_oversubscription(workers):
     )
 
 
-def _run_blocks(fn, run, workers):
-    """Run the blocks in order, inline or on a pool of min(workers, blocks)
-    processes (the pool starts every worker at its first submit)."""
-    spans = _block_spans(run.spec.n_paths, run.spec.block_size)
-    workers = min(workers, len(spans))
+def _available_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(block, spec, workers):
+    """Run ``block(start, stop)`` over the blocks in order, inline or on a pool
+    of min(workers, blocks, available CPUs) processes (the pool starts every
+    worker at its first submit).  A runner binds what its block reads with
+    ``functools.partial`` over a module-level function, so the pool pickles it
+    with each block."""
+    _keep_freed_heap()
+    spans = _block_spans(spec.n_paths, spec.block_size)
+    workers = min(workers, len(spans), _available_cpus())
     if workers <= 1:
-        return [fn(run, a, b) for a, b in spans]
+        return [block(a, b) for a, b in spans]
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays this import
 
     if (line := _blas_oversubscription(workers)) is not None:
         print(line, file=sys.stderr)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, run, a, b) for a, b in spans]
+        futures = [pool.submit(block, a, b) for a, b in spans]
         return [fut.result() for fut in futures]
 
 
@@ -451,22 +447,21 @@ def _block_clt(run, start, stop):
     return out
 
 
-def _block_heat(run, start, stop):
+def _block_heat(eng, weights, seed, start, stop):
     """The block's (B, J) endpoints at eps = 1: each path's (J, K) draw dotted
-    with the run's heat weights, one path's draw held at a time.  Every eps
-    scales them by sqrt(eps)."""
-    cfg = run.eng.cfg
+    with the heat weights (``_heat_weights``), one path's draw held at a time.
+    Every eps scales them by sqrt(eps)."""
+    cfg = eng.cfg
     out = np.empty((stop - start, cfg.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(run.eng.noise_spec, cfg.dt, cfg.n_steps, run.spec.base_seed, i)
-        out[b] = np.vecdot(run.heat_weights, r.increments)
+        r = sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i)
+        out[b] = np.vecdot(weights, r.increments)
     return out
 
 
-def _block_mdp(run, start, stop):
+def _block_mdp(run, speed, p, start, stop):
     eng = run.eng
     u0_grid = eng.grid_values(run.u0_coeffs)
-    p = run.tail_p
 
     def observe(k, zg):
         stat = eng.grid.lp_norm(zg, p)
@@ -475,7 +470,7 @@ def _block_mdp(run, start, stop):
     inc = _block_increments(run, start, stop)
     out = []
     for eps in run.spec.eps_list:
-        s, noise_scale = run.speed.scales(eps)
+        s, noise_scale = speed.scales(eps)
         step = eng.deviation_step(u0_grid, s, inc, noise_scale)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
         out.append(_censored_march(eng, run.guard, states, [step], observe))
@@ -556,7 +551,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
     run = _build_run(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(_block_strong_rate, run, workers)
+    blocks = _run_blocks(functools.partial(_block_strong_rate, run), spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
     target = params.p_norm / 2
 
@@ -592,7 +587,7 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     except ValueError as exc:
         raise SetupError(str(exc)) from None
     run = _build_run(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(_block_clt, run, workers)
+    blocks = _run_blocks(functools.partial(_block_clt, run), spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
 
     def rule(fit, mean, details):
@@ -638,10 +633,14 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
             f"got {noise_spec.n_modes}"
         )
     g = NoiseCoefficient("constant", kappa0=float(g_constant))
-    run = _build_run(spec, params, g, cfg, noise_spec, heat=True)
-
-    lam = run.eng.basis.eigenvalues
-    q = run.eng.noise_spec.q
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    # a block holds one path's draw and the (J, K) weights, which SolverConfig
+    # already bounds; the reduction keeps every path's endpoints
+    _check_entries(
+        "n_paths*n_eps*noise n_modes", spec.n_paths * len(spec.eps_list) * eng.noise_spec.n_modes
+    )
+    lam = eng.basis.eigenvalues
+    q = eng.noise_spec.q
     T = cfg.t_end
     eps_col = np.array(spec.eps_list)[:, None]
     with np.errstate(over="ignore"):
@@ -654,7 +653,8 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
             f"heat oracle needs a nonzero oracle_g whose theoretical variance is finite "
             f"and > 0 in every mode, got oracle_g = {g_constant!r}"
         )
-    unit = np.concatenate(_run_blocks(_block_heat, run, workers), axis=0)
+    block = functools.partial(_block_heat, eng, _heat_weights(eng), spec.base_seed)
+    unit = np.concatenate(_run_blocks(block, spec, workers), axis=0)
 
     M = spec.n_paths
     n_eps = len(spec.eps_list)
@@ -701,11 +701,10 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
         raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
     if np.any(rho > spec.guard_threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    run = _build_run(spec, params, g, cfg, noise_spec, u0, speed=speed, tail_p=int(tail_p))
-    blocks = _run_blocks(_block_mdp, run, workers)
+    run = _build_run(spec, params, g, cfg, noise_spec, u0)
+    blocks = _run_blocks(functools.partial(_block_mdp, run, speed, int(tail_p)), spec, workers)
     sups, trips = _reduce_sups(blocks, len(spec.eps_list))
-    by_eps = {}
-    for eps, sup, trip in zip(spec.eps_list, sups, trips):
-        # a tripped path exceeded the guard, hence every admissible rho
-        by_eps[eps] = np.where(trip, np.inf, sup)
-    return tail_report(by_eps, rho_list, tail_p)
+    # a tripped path exceeded the guard, hence every admissible rho
+    sups = np.where(trips, np.inf, sups)  # (n_eps, n_paths)
+    counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)
+    return TailReport(list(spec.eps_list), rho.tolist(), spec.n_paths, counts, tail_p)

@@ -25,7 +25,6 @@ __all__ = [
     "BinaryFormatError",
     "ControlPath",
     "sample_noise",
-    "action",
     "save_control",
     "load_control",
 ]
@@ -121,12 +120,8 @@ class ControlPath:
         return self.hdot.shape[0]
 
     def action(self):
-        return action(self)
-
-
-def action(h):
-    """Cameron-Martin action (1/2) sum_j int_0^T |hdot_j(s)|^2 ds."""
-    return 0.5 * float(np.sum(h.hdot**2)) * h.dt
+        """Cameron-Martin action (1/2) sum_j int_0^T |hdot_j(s)|^2 ds."""
+        return 0.5 * float(np.sum(self.hdot**2)) * self.dt
 
 
 # --- flat binary persistence -------------------------------------------------

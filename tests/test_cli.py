@@ -282,6 +282,20 @@ def test_simulate_skeleton_requires_control(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("kind", ["deterministic", "spde", "clt", "mdp"])
+def test_simulate_control_for_a_kind_that_ignores_it_exits_2(tmp_path, capsys, kind):
+    from sgbh.noise import ControlPath, save_control
+
+    ctrl = tmp_path / "c.bin"
+    save_control(ControlPath(0.005, 10, np.ones((8, 10))), ctrl)
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    out = tmp_path / "s"
+    argv = ["simulate", "--solver", kind, "--control", str(ctrl), "--config", cfg]
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "controlled and skeleton" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
     from sgbh.noise import ControlPath, save_control
 

@@ -18,8 +18,8 @@ from sgbh.cli import RunConfig
 from sgbh.deviation import (
     EndpointControlMap,
     SpeedFunction,
+    TailReport,
     rate_function_endpoint,
-    tail_report,
     wilson_interval,
 )
 from sgbh.model import ModelParams, NoiseCoefficient
@@ -347,16 +347,18 @@ def test_wilson_interval_formula_and_edges():
 
 
 def test_tail_report_counts_and_serialization(tmp_path):
-    sups = {1.0: np.array([0.5, 1.5, 2.5]), 0.5: np.array([0.1, 0.2, 0.3, 0.4])}
-    rep = tail_report(sups, [1.0, 2.0], p_norm=8)
-    np.testing.assert_array_equal(rep.counts, [[2, 1], [0, 0]])
+    rep = TailReport([1.0, 0.5], [1.0, 2.0], 3, np.array([[2, 1], [0, 0]]), p_norm=8)
     np.testing.assert_allclose(rep.p_hat, [[2 / 3, 1 / 3], [0.0, 0.0]])
     assert rep.monotone_in_rho()
     lo, hi = rep.wilson_bounds()
     assert np.all(lo <= rep.p_hat + 1e-12) and np.all(rep.p_hat <= hi + 1e-12)
+    # the array form is the scalar interval cell by cell
+    for (i, j), c in np.ndenumerate(rep.counts):
+        assert (lo[i, j], hi[i, j]) == wilson_interval(c, 3)
     d = rep.to_dict()
     assert d["rho"] == [1.0, 2.0]
     assert d["per_eps"][0]["exceed_counts"] == [2, 1]
+    assert [e["n_paths"] for e in d["per_eps"]] == [3, 3]
     assert d["monotone_in_rho"] is True
     json.loads(rep.to_json())
     csv = tmp_path / "tails.csv"
@@ -365,5 +367,3 @@ def test_tail_report_counts_and_serialization(tmp_path):
     assert lines[0] == "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi"
     assert len(lines) == 5
     assert "np.float64" not in csv.read_text()
-    with pytest.raises(ValueError):
-        tail_report({1.0: np.array([])}, [1.0], p_norm=8)

@@ -31,6 +31,7 @@ from sgbh.solvers import (
     NumericalAbortError,
     SetupError,
     SolverConfig,
+    SolverEngine,
     march,
     solve_clt_limit,
     solve_deterministic,
@@ -211,9 +212,13 @@ def test_block_size_only_regroups_arithmetic():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool by a recording fake that runs blocks inline;
-    yields the max_workers of every pool started.  No real pool starts."""
+    yields the max_workers of every pool started.  No real pool starts.  The
+    process may use 64 CPUs, so only the workers and blocks bound the pool."""
     import concurrent.futures
 
+    import sgbh.montecarlo as montecarlo
+
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 64)
     sizes = []
 
     class RecordingExecutor:
@@ -242,6 +247,22 @@ def test_pool_starts_no_more_workers_than_blocks(pool_sizes, n_paths, workers, p
     spec = EnsembleSpec(n_paths=n_paths, base_seed=19, eps_list=[0.5, 0.25, 0.125], block_size=4)
     got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
     assert pool_sizes == ([] if pool is None else [pool])
+    inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert got.to_json() == inline.to_json()
+
+
+@pytest.mark.parametrize("n_paths,block_size,workers", [(16, 4, 3), (40, 1, 5000)])
+def test_pool_starts_no_more_workers_than_cpus(
+    pool_sizes, monkeypatch, n_paths, block_size, workers
+):
+    import sgbh.montecarlo as montecarlo
+
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    spec = EnsembleSpec(
+        n_paths=n_paths, base_seed=19, eps_list=[0.5, 0.25, 0.125], block_size=block_size
+    )
+    got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
+    assert pool_sizes == [2]
     inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert got.to_json() == inline.to_json()
 
@@ -386,22 +407,22 @@ def test_heat_oracle_rejects_unforced_modes():
 def test_heat_block_matches_the_stepper_march(t_end):
     """The march the heat block's dot products replace, kept as their reference:
     exponential Euler stepped over the same sample_noise increments."""
-    from sgbh.montecarlo import _block_heat, _build_run
+    from sgbh.montecarlo import _block_heat, _heat_weights
 
     cfg = SolverConfig(dt=0.001, t_end=t_end, n_modes=4, n_points=16)
     noise = NoiseSpec(n_modes=4, eta=0.3)
     spec = EnsembleSpec(n_paths=6, base_seed=23, eps_list=[1.0, 0.3])
-    run = _build_run(spec, LINEAR, NoiseCoefficient("constant", kappa0=1.7), cfg, noise, heat=True)
-    unit = _block_heat(run, 0, spec.n_paths)
+    eng = SolverEngine(LINEAR, cfg, g=NoiseCoefficient("constant", kappa0=1.7), noise_spec=noise)
+    unit = _block_heat(eng, _heat_weights(eng), 23, 0, spec.n_paths)
     K = cfg.n_steps
     inc = np.stack(
         [sample_noise(noise, cfg.dt, K, 23, i).increments.T for i in range(spec.n_paths)], axis=1
     )
     # each mode's endpoint std at eps = 1: dt (kappa0 q)^2 sum_{m=1..K} E^(2m)
-    x = LINEAR.nu * run.eng.basis.eigenvalues * cfg.dt
+    x = LINEAR.nu * eng.basis.eigenvalues * cfg.dt
     std = 1.7 * noise.q * np.sqrt(cfg.dt * np.exp(-2 * x) * np.expm1(-2 * x * K) / np.expm1(-2 * x))
     for eps in spec.eps_list:
-        step = run.eng.spde_step(np.sqrt(eps), inc)
+        step = eng.spde_step(np.sqrt(eps), inc)
         a = np.zeros((spec.n_paths, cfg.n_modes))
         for k in range(K):
             a = step(k, a, None)
@@ -409,17 +430,17 @@ def test_heat_block_matches_the_stepper_march(t_end):
 
 
 def test_heat_weights_are_the_discrete_semigroup():
-    from sgbh.montecarlo import _build_run
+    from sgbh.montecarlo import _heat_weights
 
     params = ModelParams(nu=0.025, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
     cfg = SolverConfig(dt=1e-4, t_end=0.25, n_modes=32, n_points=128)
     noise = NoiseSpec(n_modes=32, eta=0.3)
-    spec = EnsembleSpec(n_paths=2, base_seed=1, eps_list=[1.0])
-    run = _build_run(spec, params, NoiseCoefficient("constant", kappa0=1.7), cfg, noise, heat=True)
+    eng = SolverEngine(params, cfg, g=NoiseCoefficient("constant", kappa0=1.7), noise_spec=noise)
+    w = _heat_weights(eng)
     K = cfg.n_steps
-    expect = 1.7 * noise.q[:, None] * run.eng.semigroup[:, None] ** (K - np.arange(K))
-    np.testing.assert_allclose(run.heat_weights, expect, rtol=1e-13, atol=0)
-    assert run.heat_weights.flags.c_contiguous and not run.heat_weights.flags.writeable
+    expect = 1.7 * noise.q[:, None] * eng.semigroup[:, None] ** (K - np.arange(K))
+    np.testing.assert_allclose(w, expect, rtol=1e-13, atol=0)
+    assert w.flags.c_contiguous and not w.flags.writeable
 
 
 def test_heat_report_is_byte_identical_across_block_sizes():
@@ -438,20 +459,20 @@ def test_heat_report_is_byte_identical_across_block_sizes():
 def test_heat_block_holds_one_path_draw():
     import tracemalloc
 
-    from sgbh.montecarlo import _block_heat, _build_run
+    from sgbh.montecarlo import _block_heat, _heat_weights
 
     cfg = SolverConfig(dt=1e-3, t_end=1.0, n_modes=8, n_points=32)
-    spec = EnsembleSpec(n_paths=64, base_seed=25, eps_list=[1.0])
-    run = _build_run(spec, LINEAR, G_CONST, cfg, SPEC8, heat=True)
+    eng = SolverEngine(LINEAR, cfg, g=G_CONST, noise_spec=SPEC8)
+    w = _heat_weights(eng)
     one_path = cfg.n_modes * cfg.n_steps * 8
-    _block_heat(run, 0, 16)  # warm: the first call's one-off allocations are not the block's
+    _block_heat(eng, w, 25, 0, 16)  # warm: the first call's one-off allocations are not the block's
     peaks = {}
     tracemalloc.start()
     try:
         for B in (16, 64):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _block_heat(run, 0, B)
+            _block_heat(eng, w, 25, 0, B)
             peaks[B] = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

@@ -14,7 +14,6 @@ from sgbh.noise import (
     ControlPath,
     NoiseRealization,
     NoiseSpec,
-    action,
     load_control,
     sample_noise,
     save_control,
@@ -154,7 +153,6 @@ def test_field_covariance_matches_mode_sum():
 def test_action_unit_rate_single_mode():
     # hdot = 1 on [0,1] in one mode: (1/2) * int 1 dt = 1/2
     h = ControlPath(dt=0.1, n_steps=10, hdot=np.ones((1, 10)))
-    assert action(h) == pytest.approx(0.5, rel=1e-14)
     assert h.action() == pytest.approx(0.5, rel=1e-14)
 
 

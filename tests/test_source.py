@@ -1,5 +1,6 @@
 """Static checks on the package source, standing in for a linter: every name a
-module, test or demo imports is read somewhere in that file."""
+module, test or demo imports is read somewhere in that file, and every name a
+module exports in ``__all__`` is defined there."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,38 @@ IMPORTERS = [(p, p.name) for p in MODULES] + [
 @pytest.mark.parametrize("path", [p for p, _ in IMPORTERS], ids=[i for _, i in IMPORTERS])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def undefined_exports(source):
+    """Names in ``source``'s ``__all__`` that no top-level statement binds: a
+    def, class, assignment or import."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_checker_flags_an_undefined_export():
+    source = (
+        "from os import path\nX, Y = 1, 2\n__all__ = ['f', 'g', 'C', 'path', 'Y']\n"
+        "def f(): pass\nclass C: pass\n"
+    )
+    assert undefined_exports(source) == ["g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_defines_every_name_it_exports(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 READERS = sorted(Path(sgbh.__file__).parent.glob("*.py")) + sorted(
