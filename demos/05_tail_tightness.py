@@ -43,4 +43,4 @@ for i, eps in enumerate(report.eps_list):
     ]
     print(f"{eps:<8g}  " + "  ".join(cells))
 
-print(f"\nmonotone non-increasing in rho: {report.monotone_in_rho()}")
+print(f"\nmonotone non-increasing in rho: {report.passed}")

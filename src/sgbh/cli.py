@@ -49,7 +49,6 @@ from .solvers import (
     solve_clt_limit,
     solve_controlled,
     solve_deterministic,
-    solve_mdp_process,
     solve_skeleton,
     solve_spde,
 )
@@ -121,18 +120,24 @@ def _finite_float(token):
     return value
 
 
-def _check_type(section, key, value, default, lineno):
-    where = f"line {lineno}: [{section}] {key}"
+def _as_float(where, value):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+
+
+def _check_type(where, value, default):
+    """``value`` checked against the type of its ``default``.  An integer too
+    large for a float is refused too: the numerics read integers as floats."""
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
+        _as_float(where, value)
     elif isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{where} is too large for a float") from None
+        value = _as_float(where, value)
     elif isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string, got {value!r}")
@@ -140,7 +145,7 @@ def _check_type(section, key, value, default, lineno):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         for item in value:  # every list in the schema holds numbers
-            _check_type(section, key, item, 0.0, lineno)
+            _check_type(where, item, 0.0)
     return value
 
 
@@ -190,13 +195,13 @@ class RunConfig:
                     f"line {lineno}: value for {key!r} is not valid JSON ({exc})"
                 ) from None
             cfg.values[section][key] = _check_type(
-                section, key, value, _SCHEMA[section][key], lineno
+                f"line {lineno}: [{section}] {key}", value, _SCHEMA[section][key]
             )
         return cfg
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.parse(fh.read())
 
     def serialize(self):
@@ -267,7 +272,7 @@ class RunConfig:
                 base_seed=self.seed,
                 eps_list=tuple(e["eps_list"]),
                 block_size=e["block_size"],
-                guard_threshold=self.values["solver"]["guard_threshold"],
+                guard=self.blowup_guard(),
             )
         )
 
@@ -295,9 +300,12 @@ class RunConfig:
 
 
 def _write_provenance(config, outdir):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.txt"), "w") as fh:
-        fh.write(config.serialize())
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "config.txt"), "w") as fh:
+            fh.write(config.serialize())
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {outdir!r}: {exc}") from None
 
 
 def _load_target_field(path, scfg):
@@ -371,12 +379,7 @@ def cmd_simulate(config, args):
     elif kind == "clt":
         u0_traj = solve_deterministic(u0, params, scfg)
         traj = solve_clt_limit(u0_traj, params, g, noise(), scfg, guard=guard)
-    elif kind == "mdp":
-        u0_traj = solve_deterministic(u0, params, scfg)
-        traj = solve_mdp_process(
-            u0_traj, params, g, eps, SpeedFunction(theta), noise(), scfg, guard=guard
-        )
-    elif kind == "controlled":
+    elif kind in ("mdp", "controlled"):  # mdp refuses --control above
         u0_traj = solve_deterministic(u0, params, scfg)
         traj = solve_controlled(
             u0_traj, params, g, eps, SpeedFunction(theta), noise(), control, scfg, guard=guard
@@ -411,7 +414,6 @@ def cmd_experiment(config, args):
         report = run_heat_oracle(
             spec, params, scfg, noise_spec=nspec, workers=workers, g_constant=e["oracle_g"]
         )
-        passed = report.passed
         summary = f"frac_z_within={report.frac_within} means_ok={report.means_ok}"
     elif args.kind == "mdp-tail":
         g = config.noise_coefficient()
@@ -428,13 +430,11 @@ def cmd_experiment(config, args):
             tail_p=config.tail_p,
             workers=workers,
         )
-        passed = report.monotone_in_rho()
-        summary = f"monotone_in_rho={passed}"
+        summary = f"monotone_in_rho={report.passed}"
     else:
         g = config.noise_coefficient()
         runner = run_strong_rate if args.kind == "strong-rate" else run_clt
         report = runner(spec, params, g, scfg, u0=u0, noise_spec=nspec, workers=workers)
-        passed = report.passed
         summary = (
             f"slope={report.slope} target={report.slope_target} "
             f"r2={report.r_squared} passed={report.passed}"
@@ -445,7 +445,7 @@ def cmd_experiment(config, args):
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     print(f"experiment {args.kind}: {summary} -> {outdir}/report.json")
-    if passed is None or passed:
+    if report.passed is None or report.passed:  # None: a run too small to judge
         return EXIT_PASS
     return EXIT_SCI_FAIL
 
@@ -564,12 +564,12 @@ def main(argv=None):
         if args.config is not None:
             try:
                 config = RunConfig.load(args.config)
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
         else:
             config = RunConfig()
         if args.seed is not None:
-            config.values["output"]["seed"] = args.seed
+            config.values["output"]["seed"] = _check_type("--seed", args.seed, 0)
         if args.out is not None:
             config.values["output"]["directory"] = args.out
 

@@ -227,7 +227,8 @@ class TailReport:
     def wilson_bounds(self):
         return wilson_interval(self.counts, self.n_paths)
 
-    def monotone_in_rho(self):
+    @property
+    def passed(self):
         """Estimates are non-increasing in rho for each eps (nested events)."""
         return bool(np.all(np.diff(self.p_hat, axis=1) <= 0))
 
@@ -247,7 +248,7 @@ class TailReport:
                 }
                 for i, e in enumerate(self.eps_list)
             ],
-            "monotone_in_rho": self.monotone_in_rho(),
+            "monotone_in_rho": self.passed,
         }
 
     def to_json(self):

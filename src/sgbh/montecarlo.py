@@ -8,13 +8,16 @@ results are reduced in block order.  Every array op sees the same shapes and
 the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
-Each runner builds what its blocks read before any block starts (a marching
-runner, one frozen run record: engine with its noise spec, reference path,
-guard and ensemble spec) and binds it to its block function; blocks read it
-inline or, pickled, on the pool workers, and build nothing themselves.  The
-runner called is the experiment and names its report.  ``_run_blocks`` first
-sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's step
-temporaries reuse heap memory instead of faulting fresh pages in.
+Each runner builds what its blocks read before any block starts and binds it
+to its block function with ``functools.partial``; blocks read it inline or,
+pickled, on the pool workers.  The three marching runners (strong rate, CLT,
+MDP tail) share one path, ``_run_marching``: it builds the engine, solves the
+reference path and runs ``block(eng, spec, u0_coeffs, start, stop)``, which
+returns a sup and a guard-trip mask per eps; the runners differ only in that
+block and in their verdict.  The runner called is the experiment and names
+its report.  ``_run_blocks`` first sets glibc's malloc thresholds
+(``_keep_freed_heap``), so a block's step temporaries reuse heap memory
+instead of faulting fresh pages in.
 
 Every ensemble is coupled across epsilon, as the paper's bounds are: each
 path index draws one Brownian path and the same increments drive every
@@ -24,7 +27,7 @@ slope fits by orders of magnitude.  A single solver config serves all
 epsilon values, so they share (dt, n_modes) by construction.  Reports still
 write ``"coupled": true`` so their keys stay those of earlier reports.
 
-Censoring: paths whose solution L^p norm crosses the guard threshold are
+Censoring: paths whose solution L^p norm crosses ``EnsembleSpec.guard`` are
 rejected from the full-horizon statistic and counted; the report also carries
 the censored statistic (sup over steps strictly before the crossing, all
 paths) as a separate column.  The two are never conflated.
@@ -66,13 +69,13 @@ Z_WITHIN, FRAC_REQUIRED = 3.0, 0.95  # heat oracle: |z| <= 3 in 95% of the modes
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Size, seeding and epsilon schedule of one ensemble experiment."""
+    """Size, seeding, epsilon schedule and blow-up guard of one ensemble experiment."""
 
     n_paths: int
     base_seed: int
     eps_list: tuple
     block_size: int = 128
-    guard_threshold: float = 1e3
+    guard: BlowupGuard = BlowupGuard()
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
@@ -86,8 +89,6 @@ class EnsembleSpec:
             raise ValueError(f"eps values must lie in (0, 1], got {self.eps_list}")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
-        if not self.guard_threshold > 0:
-            raise ValueError(f"guard_threshold must be > 0, got {self.guard_threshold}")
 
 
 @dataclass(frozen=True)
@@ -255,19 +256,6 @@ def _keep_freed_heap():
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-@dataclass(frozen=True)
-class _Run:
-    """Everything a marching block reads, built once per runner call and
-    pickled as it stands to pool workers.  Blocks march from the reference path
-    u0, its (K + 1, J) coefficients, and synthesise its (K + 1, n_points) grid
-    themselves, which keeps the grid out of the pickle."""
-
-    eng: SolverEngine
-    spec: EnsembleSpec
-    guard: BlowupGuard
-    u0_coeffs: np.ndarray
-
-
 def _heat_weights(eng):
     """The pure heat endpoint's response to a unit increment at each step, read
     off the stepper as a (J, K) array w, so a path's endpoint at eps = 1 is
@@ -291,23 +279,6 @@ def _heat_weights(eng):
 def _check_entries(name, size):
     if size > MAX_BLOCK_ENTRIES:
         raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
-
-
-def _build_run(spec, params, g, cfg, noise_spec, u0=None):
-    """The run record.  Its engine is built and the reference solved here,
-    before any worker starts, so setup errors surface first.  The reference
-    solve starts from ``u0``, the parabolic bump when None."""
-    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    # what a block allocates, its (K, B, J_noise) increments and the
-    # (K + 1, n_points) reference grid it synthesises, and what the reduction
-    # holds, a sup per path and eps
-    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * eng.noise_spec.n_modes
-    _check_entries("block_size*n_steps*noise n_modes", draw)
-    _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
-    _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
-    u0 = default_initial(eng.grid) if u0 is None else u0
-    u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    return _Run(eng, spec, BlowupGuard(spec.guard_threshold), u0_coeffs)
 
 
 def _block_spans(n_paths, block_size):
@@ -358,13 +329,13 @@ def _run_blocks(block, spec, workers):
         return [fut.result() for fut in futures]
 
 
-def _block_increments(run, start, stop):
+def _block_increments(eng, seed, start, stop):
     """The block's per-path increments step-major, (K, B, J), so step k reads a
     contiguous inc[k]; every eps of the block reuses them."""
-    spec, cfg = run.spec, run.eng.cfg
-    inc = np.empty((cfg.n_steps, stop - start, run.eng.noise_spec.n_modes))
+    cfg = eng.cfg
+    inc = np.empty((cfg.n_steps, stop - start, eng.noise_spec.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(run.eng.noise_spec, cfg.dt, cfg.n_steps, spec.base_seed, i)
+        r = sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i)
         inc[:, b, :] = r.increments.T
     return inc
 
@@ -376,7 +347,8 @@ def _censored_march(eng, guard, states, steps, observe):
     ``observe(k, *grids)`` returns the per-path statistic and the norm the
     guard watches.  A path dies at its first guard trip or non-finite
     statistic: its rows are zeroed from then on and it keeps the sup over the
-    steps strictly before (censoring excludes the crossing).
+    steps strictly before (censoring excludes the crossing).  Returns the
+    (B,) sups and trip mask.
     """
     B = states[0].shape[0]
     alive = np.ones(B, dtype=bool)
@@ -397,14 +369,13 @@ def _censored_march(eng, guard, states, steps, observe):
             x[dead] = 0.0
 
     march(eng, states, steps, censor)
-    return {"sup": supv, "tripped": tripped}
+    return supv, tripped
 
 
-def _block_strong_rate(run, start, stop):
-    eng = run.eng
-    u0_grid = eng.grid_values(run.u0_coeffs)
+def _block_strong_rate(eng, spec, u0_coeffs, start, stop):
+    u0_grid = eng.grid_values(u0_coeffs)
     p = eng.params.p_norm
-    inc = _block_increments(run, start, stop)
+    inc = _block_increments(eng, spec.base_seed, start, stop)
 
     def observe(k, u_grid):
         return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
@@ -412,23 +383,22 @@ def _block_strong_rate(run, start, stop):
     return [
         _censored_march(
             eng,
-            run.guard,
-            [np.tile(run.u0_coeffs[0], (stop - start, 1))],
+            spec.guard,
+            [np.tile(u0_coeffs[0], (stop - start, 1))],
             [eng.spde_step(np.sqrt(eps), inc)],
             observe,
         )
-        for eps in run.spec.eps_list
+        for eps in spec.eps_list
     ]
 
 
-def _block_clt(run, start, stop):
-    eng = run.eng
-    u0_grid = eng.grid_values(run.u0_coeffs)
+def _block_clt(eng, spec, u0_coeffs, start, stop):
+    u0_grid = eng.grid_values(u0_coeffs)
     p = eng.params.p_norm
     B, J = stop - start, eng.cfg.n_modes
-    inc = _block_increments(run, start, stop)
+    inc = _block_increments(eng, spec.base_seed, start, stop)
     out = []
-    for eps in run.spec.eps_list:
+    for eps in spec.eps_list:
         s = np.sqrt(eps)
         step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
@@ -443,7 +413,7 @@ def _block_clt(run, start, stop):
             eng.deviation_step(u0_grid, 0.0, noise_inc=inc),
         ]
         states = [np.zeros((B, J)), np.zeros((B, J))]
-        out.append(_censored_march(eng, run.guard, states, steps, observe))
+        out.append(_censored_march(eng, spec.guard, states, steps, observe))
     return out
 
 
@@ -459,33 +429,47 @@ def _block_heat(eng, weights, seed, start, stop):
     return out
 
 
-def _block_mdp(run, speed, p, start, stop):
-    eng = run.eng
-    u0_grid = eng.grid_values(run.u0_coeffs)
+def _block_mdp(eng, spec, u0_coeffs, start, stop, speed, p):
+    u0_grid = eng.grid_values(u0_coeffs)
 
     def observe(k, zg):
         stat = eng.grid.lp_norm(zg, p)
         return stat, stat
 
-    inc = _block_increments(run, start, stop)
+    inc = _block_increments(eng, spec.base_seed, start, stop)
     out = []
-    for eps in run.spec.eps_list:
+    for eps in spec.eps_list:
         s, noise_scale = speed.scales(eps)
         step = eng.deviation_step(u0_grid, s, inc, noise_scale)
         states = [np.zeros((stop - start, eng.cfg.n_modes))]
-        out.append(_censored_march(eng, run.guard, states, [step], observe))
+        out.append(_censored_march(eng, spec.guard, states, [step], observe))
     return out
 
 
 # runners ---------------------------------------------------------------------
 
 
-def _reduce_sups(blocks, n_eps):
-    """Concatenate per-block sups/trip masks in block order, one pair per eps."""
-    sups, trips = [], []
-    for e in range(n_eps):
-        sups.append(np.concatenate([b[e]["sup"] for b in blocks]))
-        trips.append(np.concatenate([b[e]["tripped"] for b in blocks]))
+def _run_marching(block, spec, params, g, cfg, noise_spec, u0, workers):
+    """Run a marching ensemble and return (sups, trips), each (n_eps, n_paths)
+    in path order; ``block(eng, spec, u0_coeffs, start, stop)`` returns a
+    (sup, tripped) pair of (B,) arrays per eps.  The engine, the bound checks
+    and the reference solve (from ``u0``, the parabolic bump when None) come
+    before any worker starts, so setup errors surface first.  Blocks
+    synthesise the reference grid themselves, which keeps it out of the
+    pool's pickle."""
+    eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
+    # what a block allocates, its (K, B, J_noise) increments and the
+    # (K + 1, n_points) reference grid it synthesises, and what the reduction
+    # holds, a sup per path and eps
+    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * eng.noise_spec.n_modes
+    _check_entries("block_size*n_steps*noise n_modes", draw)
+    _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
+    _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
+    u0 = default_initial(eng.grid) if u0 is None else u0
+    u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
+    blocks = _run_blocks(functools.partial(block, eng, spec, u0_coeffs), spec, workers)
+    sups = np.concatenate([[sup for sup, _ in b] for b in blocks], axis=1)
+    trips = np.concatenate([[trip for _, trip in b] for b in blocks], axis=1)
     return sups, trips
 
 
@@ -497,7 +481,11 @@ def _mean_stderr(x):
     return m, s
 
 
-def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_target, pass_rule):
+def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_target, checks):
+    """The report of a marching run.  ``checks(fit, mean)`` returns the named
+    verdicts of a sized run (fit is None when the means cannot be fitted),
+    which join ``pass_details``; such a run passes when it was fitted, rejected
+    at most 5% of its paths at every eps and every verdict holds."""
     eps = list(spec.eps_list)
     mean, stderr, nrej, cmean, cstderr = [], [], [], [], []
     for sup, trip in zip(sups, trips):
@@ -516,12 +504,11 @@ def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_targe
 
     degenerate = len(eps) < 3 or spec.n_paths < 2
     details = {"rejection_ok": rejection_ok, "degenerate": degenerate}
-    if degenerate:
-        passed = None
-    else:
-        verdict = pass_rule(fit, mean, details)
-        # a sized run that cannot even be fitted is a failure, not "unjudged"
-        passed = False if verdict is None else bool(verdict and rejection_ok)
+    passed = None  # too small to judge
+    if not degenerate:
+        verdicts = checks(fit, mean)
+        details.update(verdicts)
+        passed = fit is not None and rejection_ok and all(verdicts.values())
 
     return ConvergenceReport(
         experiment=experiment,
@@ -550,17 +537,13 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     with r^2 >= 0.99 (the theory guarantees only an upper bound of order
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
-    run = _build_run(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(functools.partial(_block_strong_rate, run), spec, workers)
-    sups, trips = _reduce_sups(blocks, len(spec.eps_list))
+    sups, trips = _run_marching(_block_strong_rate, spec, params, g, cfg, noise_spec, u0, workers)
     target = params.p_norm / 2
 
-    def rule(fit, mean, details):
+    def checks(fit, mean):
         if fit is None:
-            return None
-        details["slope_ok"] = fit.slope >= target - 0.3
-        details["r2_ok"] = fit.r_squared >= 0.99
-        return details["slope_ok"] and details["r2_ok"]
+            return {}
+        return {"slope_ok": fit.slope >= target - 0.3, "r2_ok": fit.r_squared >= 0.99}
 
     return _convergence_report(
         "strong_rate",
@@ -570,7 +553,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         sups,
         trips,
         target,
-        rule,
+        checks,
     )
 
 
@@ -586,18 +569,13 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         params.validate_for_clt()
     except ValueError as exc:
         raise SetupError(str(exc)) from None
-    run = _build_run(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(functools.partial(_block_clt, run), spec, workers)
-    sups, trips = _reduce_sups(blocks, len(spec.eps_list))
+    sups, trips = _run_marching(_block_clt, spec, params, g, cfg, noise_spec, u0, workers)
 
-    def rule(fit, mean, details):
-        decreasing = all(b < a for a, b in zip(mean, mean[1:]))
-        details["strictly_decreasing"] = decreasing
-        if fit is None:
-            details["slope_ok"] = False
-            return False
-        details["slope_ok"] = fit.slope >= 0.4
-        return decreasing and details["slope_ok"]
+    def checks(fit, mean):
+        return {
+            "strictly_decreasing": all(b < a for a, b in zip(mean, mean[1:])),
+            "slope_ok": fit is not None and fit.slope >= 0.4,
+        }
 
     return _convergence_report(
         "clt",
@@ -607,7 +585,7 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         sups,
         trips,
         0.5,
-        rule,
+        checks,
     )
 
 
@@ -699,12 +677,11 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     rho = np.asarray(rho_list, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or not np.all(rho > 0) or np.any(np.diff(rho) <= 0):
         raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
-    if np.any(rho > spec.guard_threshold):
+    if np.any(rho > spec.guard.threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    run = _build_run(spec, params, g, cfg, noise_spec, u0)
-    blocks = _run_blocks(functools.partial(_block_mdp, run, speed, int(tail_p)), spec, workers)
-    sups, trips = _reduce_sups(blocks, len(spec.eps_list))
+    block = functools.partial(_block_mdp, speed=speed, p=int(tail_p))
+    sups, trips = _run_marching(block, spec, params, g, cfg, noise_spec, u0, workers)
     # a tripped path exceeded the guard, hence every admissible rho
-    sups = np.where(trips, np.inf, sups)  # (n_eps, n_paths)
+    sups = np.where(trips, np.inf, sups)
     counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)
     return TailReport(list(spec.eps_list), rho.tolist(), spec.n_paths, counts, tail_p)

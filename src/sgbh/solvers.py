@@ -459,8 +459,7 @@ class SolverEngine:
 
 def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
     """Reference trajectory, noise and control must share the config's time
-    grid; the trajectory also its modes, and the control must fit in the
-    modes."""
+    grid; the trajectory also its modes."""
     for name, path in (("trajectory", trajectory), ("noise", noise), ("control", control)):
         if path is not None and (
             path.n_steps != cfg.n_steps or abs(path.dt - cfg.dt) > 1e-12 * cfg.dt
@@ -471,8 +470,6 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
             )
     if trajectory is not None and trajectory.n_modes != cfg.n_modes:
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
-    if control is not None and control.n_modes > cfg.n_modes:
-        raise SetupError(f"control has {control.n_modes} modes > solver n_modes {cfg.n_modes}")
 
 
 def march(eng, states, steps, observe):

@@ -175,6 +175,25 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xff[model]\nnu = 0.1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read config file {str(cfg)!r}" in err and "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["", "afile", "afile/sub"], ids=["empty", "file", "under-file"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory\n")
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert f"config error: cannot write output directory {out!r}" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
 def test_bad_config_file_exits_2(tmp_path):
     # value-level validation happens in the command that builds the model
     cfg = _write(tmp_path, "[model]\nnu = -1\n")
@@ -360,6 +379,12 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             )
             for kind in ("skeleton", "controlled")
         ),
+        # wider than the solver too: the noise modes never exceed the solver's
+        (
+            SMALL_SOLVER,
+            ["simulate", "--solver", "controlled", "--control", "{ctrl16}"],
+            "control has 16 modes > noise n_modes 8",
+        ),
         (
             SMALL_SOLVER + "[experiment]\nn_paths = 4\nrho_list = [0.5, 2000.0]\n",
             ["experiment", "mdp-tail"],
@@ -428,6 +453,7 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "heat-nonlinear",
         "skeleton-control-wider-than-noise",
         "controlled-control-wider-than-noise",
+        "control-wider-than-solver",
         "rho-above-guard",
         "heat-unforced-modes",
         "heat-one-path",
@@ -471,6 +497,14 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         ),
         ("[model]\nnu = " + "[" * 100000 + "\n", ["simulate"], "recursion"),
         ("[model]\nnu = 1" + "0" * 400 + "\n", ["simulate"], "too large for a float"),
+        # integers too: an even p_norm, an odd tail_p and a --seed
+        ("[model]\np_norm = 1" + "0" * 400 + "\n", ["simulate"], "too large for a float"),
+        (
+            SMALL_SOLVER + "[experiment]\nn_paths = 4\ntail_p = 1" + "0" * 399 + "1\n",
+            ["experiment", "mdp-tail"],
+            "too large for a float",
+        ),
+        (SMALL_SOLVER, ["simulate", "--seed", "1" + "0" * 400], "--seed is too large for a float"),
         (
             "[experiment]\nn_paths = 4\neps_list = [[0.1]]\n",
             ["experiment", "strong-rate"],
@@ -542,6 +576,9 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "eps-list-infinity",
         "deep-nesting",
         "int-overflows-float",
+        "p-norm-overflows-float",
+        "tail-p-overflows-float",
+        "seed-overflows-float",
         "nested-list",
         "steps-overflow",
         "solver-guard-nan",

@@ -349,7 +349,7 @@ def test_wilson_interval_formula_and_edges():
 def test_tail_report_counts_and_serialization(tmp_path):
     rep = TailReport([1.0, 0.5], [1.0, 2.0], 3, np.array([[2, 1], [0, 0]]), p_norm=8)
     np.testing.assert_allclose(rep.p_hat, [[2 / 3, 1 / 3], [0.0, 0.0]])
-    assert rep.monotone_in_rho()
+    assert rep.passed
     lo, hi = rep.wilson_bounds()
     assert np.all(lo <= rep.p_hat + 1e-12) and np.all(rep.p_hat <= hi + 1e-12)
     # the array form is the scalar interval cell by cell

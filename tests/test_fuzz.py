@@ -79,6 +79,10 @@ def test_config_text_raises_only_config_error(text):
     except ConfigError:
         return
     assert RunConfig.parse(cfg.serialize()) == cfg
+    for section in cfg.values.values():
+        for value in section.values():
+            if isinstance(value, int):
+                float(value)  # every accepted integer converts to a float
     for build in (
         cfg.model_params,
         cfg.noise_spec,

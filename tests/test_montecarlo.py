@@ -64,8 +64,6 @@ def test_ensemble_spec_validation():
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.01, 0.1])
     with pytest.raises(ValueError):
         EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], block_size=0)
-    with pytest.raises(ValueError):
-        EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], guard_threshold=0.0)
 
 
 def test_fit_loglog_exact_and_noisy():
@@ -133,7 +131,7 @@ def test_strong_rate_report_serialization(tmp_path):
 def test_strong_rate_full_rejection_fails_honestly(tmp_path):
     # a guard below the initial norm censors every path at t = 0
     spec = EnsembleSpec(
-        n_paths=6, base_seed=14, eps_list=[1.0, 0.5, 0.25], guard_threshold=1e-6
+        n_paths=6, base_seed=14, eps_list=[1.0, 0.5, 0.25], guard=BlowupGuard(1e-6)
     )
     rep = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert rep.n_rejected == [6, 6, 6]
@@ -151,8 +149,10 @@ def test_strong_rate_full_rejection_fails_honestly(tmp_path):
 
 
 HEAT_CFG = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
+TRIP_GUARD = 0.25  # trips some paths of every marching runner below, not all
 
-# each runner at small sizes, as runner(spec, workers)
+# each runner at small sizes, as runner(spec, workers); mdp-tail's last rho is
+# TRIP_GUARD, where a path counts exactly when the TRIP_GUARD guard trips it
 RUNNERS = {
     "strong-rate": lambda spec, workers: run_strong_rate(
         spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers
@@ -161,35 +161,49 @@ RUNNERS = {
         spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers
     ),
     "mdp-tail": lambda spec, workers: run_mdp_tail(
-        spec, DESK, G_AFFINE, CFG_SMALL, SpeedFunction(0.25), [0.12, 0.15, 0.18],
+        spec, DESK, G_AFFINE, CFG_SMALL, SpeedFunction(0.25), [0.12, 0.15, 0.18, TRIP_GUARD],
         noise_spec=SPEC8, tail_p=4, workers=workers,
     ),
     "heat-oracle": lambda spec, workers: run_heat_oracle(
         spec, LINEAR, HEAT_CFG, noise_spec=NoiseSpec(n_modes=4, eta=0.3), workers=workers
     ),
 }
+POOL_SPEC = EnsembleSpec(n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4)
+TRIP_SPEC = EnsembleSpec(
+    n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4,
+    guard=BlowupGuard(TRIP_GUARD),
+)
 
 
-@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
-def test_reports_are_byte_identical_across_worker_counts(runner):
-    """Every runner's record reaches real pool workers intact: mdp-tail's
-    speed and tail_p, and the heat oracle's record without a reference."""
-    spec = EnsembleSpec(n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4)
-    serial = runner(spec, 1)
-    parallel = runner(spec, 3)
-    again = runner(spec, 1)
+@pytest.mark.parametrize(
+    "kind,spec",
+    [pytest.param(kind, POOL_SPEC, id=kind) for kind in RUNNERS]
+    + [
+        pytest.param(kind, TRIP_SPEC, id=f"{kind}-trips")
+        for kind in ("strong-rate", "clt", "mdp-tail")
+    ],
+)
+def test_reports_are_byte_identical_across_worker_counts(kind, spec):
+    """Every runner's inputs reach real pool workers intact (mdp-tail's speed
+    and tail_p, the heat oracle's weights), and a marching runner's trip masks
+    join in path order."""
+    serial = RUNNERS[kind](spec, 1)
+    parallel = RUNNERS[kind](spec, 3)
+    again = RUNNERS[kind](spec, 1)
     assert serial.to_json() == parallel.to_json()
     assert serial.to_json() == again.to_json()
+    if spec is TRIP_SPEC:
+        tripped = serial.counts[:, -1] if kind == "mdp-tail" else serial.n_rejected
+        assert 0 < sum(tripped) < spec.n_paths * len(spec.eps_list)
 
 
 def test_block_increments_are_step_major_path_draws():
-    from sgbh.montecarlo import _block_increments, _build_run
+    from sgbh.montecarlo import _block_increments
 
-    spec = EnsembleSpec(n_paths=20, base_seed=31, eps_list=[0.5, 0.25, 0.125])
     noise_spec = NoiseSpec(n_modes=6, eta=0.3)
-    run = _build_run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec)
+    eng = SolverEngine(DESK, CFG_SMALL, g=G_AFFINE, noise_spec=noise_spec)
     start, stop = 5, 12
-    inc = _block_increments(run, start, stop)
+    inc = _block_increments(eng, 31, start, stop)
     assert inc.shape == (CFG_SMALL.n_steps, stop - start, 6)
     assert inc[3].flags.c_contiguous
     for b, i in enumerate(range(start, stop)):
@@ -508,7 +522,7 @@ def test_mdp_tail_report_is_monotone_and_tightens():
         [0.25, 0.5, 1.0, 2.0],
         noise_spec=SPEC8,
     )
-    assert rep.monotone_in_rho()
+    assert rep.passed
     assert np.all(rep.p_hat >= 0) and np.all(rep.p_hat <= 1)
     # smaller eps concentrates the family: tails do not grow
     assert np.all(rep.p_hat[1] <= rep.p_hat[0])
@@ -519,7 +533,7 @@ def test_mdp_tail_threshold_guard_interaction():
         n_paths=4,
         base_seed=23,
         eps_list=[1e-2],
-        guard_threshold=10.0,
+        guard=BlowupGuard(10.0),
     )
     with pytest.raises(ValueError):
         run_mdp_tail(
@@ -598,7 +612,7 @@ def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
     k_star = int(np.argmax(norms))
     assert k_star > 0
     thr = 0.5 * (norms[:k_star].max() + norms[k_star])
-    spec = EnsembleSpec(n_paths=1, base_seed=44, eps_list=spec0.eps_list, guard_threshold=thr)
+    spec = EnsembleSpec(n_paths=1, base_seed=44, eps_list=spec0.eps_list, guard=BlowupGuard(thr))
     rep = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert rep.n_rejected[0] == 1
     for i, eps in enumerate(spec.eps_list):
@@ -627,7 +641,9 @@ def test_non_finite_path_aborts_alone_and_is_censored_in_the_ensemble():
     # cubic reaction overflows: the state itself goes non-finite at step 2
     params = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=2)
     g = NoiseCoefficient(kind="constant", kappa0=1e110)
-    spec = EnsembleSpec(n_paths=1, base_seed=45, eps_list=[1.0, 0.5, 0.25], guard_threshold=1e300)
+    spec = EnsembleSpec(
+        n_paths=1, base_seed=45, eps_list=[1.0, 0.5, 0.25], guard=BlowupGuard(1e300)
+    )
     u0, _, noise = _single_paths(spec)
     with np.errstate(all="ignore"):
         for guard in (BlowupGuard(1e300), None):
@@ -645,8 +661,6 @@ def test_non_finite_path_aborts_alone_and_is_censored_in_the_ensemble():
 def test_guard_thresholds_must_be_positive(thr):
     with pytest.raises(ValueError):
         BlowupGuard(thr)
-    with pytest.raises(ValueError):
-        EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.1], guard_threshold=thr)
 
 
 # --- censoring fast path ----------------------------------------------------------------
@@ -672,7 +686,7 @@ def _censored_march_masked(eng, guard, states, steps, observe):
             x[dead] = 0.0
 
     march(eng, states, steps, censor)
-    return {"sup": supv, "tripped": tripped}
+    return supv, tripped
 
 
 def test_censoring_fast_path_is_byte_identical(monkeypatch):
@@ -685,7 +699,7 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
         base_seed=7,
         eps_list=[0.1, 0.01, 0.001],
         block_size=8,
-        guard_threshold=0.22,
+        guard=BlowupGuard(0.22),
     )
     fast = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert 0 < fast.n_rejected[1] < fast.n_rejected[0] < 16 and fast.n_rejected[2] == 0

@@ -139,3 +139,53 @@ def test_every_dataclass_field_has_a_reader():
         if name not in reads
     ]
     assert unread == []
+
+
+def definitions(source):
+    """(line, name) of each function, class and method ``source`` defines,
+    nested ones included and dunders excepted."""
+    return [
+        (n.lineno, n.name)
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+    ]
+
+
+def uses(source):
+    """Every name or attribute ``source`` reads, name it imports and string
+    constant (the benchmark harness patches methods by name)."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found.update(a.name for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.add(n.value)
+    return found
+
+
+def test_every_definition_has_a_use():
+    """Each function, class and method in the package is used somewhere in the
+    package, its tests, demos or benchmark harness; a helper nothing uses is
+    code that does nothing.  Names match alone, as in the dataclass check."""
+    source = (
+        "from m import f\nclass A:\n    def __init__(self): pass\n    def run(self): pass\n"
+        "    def _idle(self): pass\n"
+        "def g():\n    def inner(): pass\n    return inner\n"
+        "def h(): pass\nx = A().run\nsetattr(A, 'patched', g)\ndef patched(): pass\n"
+    )
+    names = {name for _, name in definitions(source)}
+    assert names == {"A", "run", "_idle", "g", "inner", "h", "patched"}
+    assert sorted(names - uses(source)) == ["_idle", "h"]
+    found = set().union(*(uses(p.read_text()) for p in READERS))
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in definitions(path.read_text())
+        if name not in found
+    ]
+    assert unused == []
