@@ -299,13 +299,26 @@ class RunConfig:
         return self.values["output"]["directory"]
 
 
-def _write_provenance(config, outdir):
+def _write_artifacts(config, files):
+    """Write ``config.txt``, then each of ``files`` in order, into the output
+    directory.  ``files`` maps a file name to its text or to a function that
+    writes the file at a given path.  A write that fails is a ConfigError
+    naming the file."""
+    outdir = config.outdir
     try:
         os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "config.txt"), "w") as fh:
-            fh.write(config.serialize())
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {outdir!r}: {exc}") from None
+    for name, content in {"config.txt": config.serialize(), **files}.items():
+        path = os.path.join(outdir, name)
+        try:
+            if isinstance(content, str):
+                with open(path, "w") as fh:
+                    fh.write(content)
+            else:
+                content(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def _load_target_field(path, scfg):
@@ -392,11 +405,11 @@ def cmd_simulate(config, args):
     else:
         raise ConfigError(f"unknown solver kind {kind!r}")
 
-    outdir = config.outdir
-    _write_provenance(config, outdir)
-    save_trajectory(traj, os.path.join(outdir, "trajectory.bin"))
-    traj.to_csv(os.path.join(outdir, "norms.csv"))
-    print(f"simulate {kind}: {traj.n_steps} steps -> {outdir}/trajectory.bin, norms.csv")
+    _write_artifacts(
+        config,
+        {"trajectory.bin": lambda path: save_trajectory(traj, path), "norms.csv": traj.to_csv},
+    )
+    print(f"simulate {kind}: {traj.n_steps} steps -> {config.outdir}/trajectory.bin, norms.csv")
     return EXIT_PASS
 
 
@@ -407,7 +420,6 @@ def cmd_experiment(config, args):
     spec = config.ensemble_spec()
     e = config.values["experiment"]
     workers = args.workers
-    outdir = config.outdir
     u0 = config.initial_data(scfg)
 
     if args.kind == "heat-oracle":
@@ -440,11 +452,8 @@ def cmd_experiment(config, args):
             f"r2={report.r_squared} passed={report.passed}"
         )
 
-    _write_provenance(config, outdir)
-    report.to_csv(os.path.join(outdir, "report.csv"))
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-    print(f"experiment {args.kind}: {summary} -> {outdir}/report.json")
+    _write_artifacts(config, {"report.csv": report.to_csv, "report.json": report.to_json()})
+    print(f"experiment {args.kind}: {summary} -> {config.outdir}/report.json")
     if report.passed is None or report.passed:  # None: a run too small to judge
         return EXIT_PASS
     return EXIT_SCI_FAIL
@@ -469,11 +478,13 @@ def cmd_rate(config, args):
         tol=tol,
         noise_spec=nspec,
     )
-    outdir = config.outdir
-    _write_provenance(config, outdir)
-    save_control(result.control, os.path.join(outdir, "control.bin"))
-    with open(os.path.join(outdir, "rate.json"), "w") as fh:
-        fh.write(result.to_json(control_file="control.bin"))
+    _write_artifacts(
+        config,
+        {
+            "control.bin": lambda path: save_control(result.control, path),
+            "rate.json": result.to_json(control_file="control.bin"),
+        },
+    )
     print(
         f"rate: value={result.value:.8g} residual={result.endpoint_residual:.3g} "
         f"iterations={result.iterations} converged={result.converged}"
@@ -495,10 +506,7 @@ def cmd_validate_kernel(config, args):
         )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
     report = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))
-    outdir = config.outdir
-    _write_provenance(config, outdir)
-    with open(os.path.join(outdir, "kernel_report.json"), "w") as fh:
-        fh.write(report.to_json())
+    _write_artifacts(config, {"kernel_report.json": report.to_json()})
     for fit in report.fits:
         print(
             f"{fit.estimate_id}: C={fit.fitted_C:.4g} a={fit.fitted_a:.4g} "
@@ -528,6 +536,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", parents=[common], help="single-path solver run")
+    ps.set_defaults(run=cmd_simulate)
     ps.add_argument(
         "--solver",
         choices=["deterministic", "spde", "clt", "mdp", "controlled", "skeleton"],
@@ -536,12 +545,15 @@ def _build_parser():
     ps.add_argument("--control", help="control path binary for controlled/skeleton runs")
 
     pe = sub.add_parser("experiment", parents=[common], help="ensemble experiment")
+    pe.set_defaults(run=cmd_experiment)
     pe.add_argument("kind", choices=["clt", "heat-oracle", "mdp-tail", "strong-rate"])
 
     pr = sub.add_parser("rate", parents=[common], help="minimum-energy rate function")
+    pr.set_defaults(run=cmd_rate)
     pr.add_argument("--target", required=True, help="endpoint target Field as JSON")
 
-    sub.add_parser("validate-kernel", parents=[common], help="heat kernel bound fits")
+    pk = sub.add_parser("validate-kernel", parents=[common], help="heat kernel bound fits")
+    pk.set_defaults(run=cmd_validate_kernel)
     return parser
 
 
@@ -572,16 +584,7 @@ def main(argv=None):
             config.values["output"]["seed"] = _check_type("--seed", args.seed, 0)
         if args.out is not None:
             config.values["output"]["directory"] = args.out
-
-        if args.command == "simulate":
-            return cmd_simulate(config, args)
-        if args.command == "experiment":
-            return cmd_experiment(config, args)
-        if args.command == "rate":
-            return cmd_rate(config, args)
-        if args.command == "validate-kernel":
-            return cmd_validate_kernel(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

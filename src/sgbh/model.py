@@ -103,8 +103,9 @@ def reaction_second_derivative(u0, gamma, delta):
 class NoiseCoefficient:
     """Affine noise coefficient g(t,x,r) = kappa0 + kappa1*r.
 
-    kind "constant" forces kappa1 = 0.  K and L are the linear-growth and
-    Lipschitz constants: |g| <= K(1+|r|), |g(.,r)-g(.,s)| <= L|r-s|.
+    kind "constant" forces kappa1 = 0.  K = |kappa0| + |kappa1| and L = |kappa1|
+    are the linear-growth and Lipschitz constants: |g| <= K(1+|r|),
+    |g(.,r)-g(.,s)| <= L|r-s|.
     """
 
     kind: str
@@ -116,16 +117,6 @@ class NoiseCoefficient:
             raise ValueError(f"kind must be 'constant' or 'affine', got {self.kind!r}")
         if self.kind == "constant" and self.kappa1 != 0.0:
             raise ValueError("constant noise coefficient must have kappa1 = 0")
-
-    @property
-    def growth_bound(self):
-        """K with |g(t,x,r)| <= K (1 + |r|)."""
-        return abs(self.kappa0) + abs(self.kappa1)
-
-    @property
-    def lipschitz_bound(self):
-        """L with |g(t,x,r) - g(t,x,s)| <= L |r - s|."""
-        return abs(self.kappa1)
 
     def __call__(self, t, x, r):
         return noise_coefficient_eval(self, t, x, r)

@@ -50,12 +50,6 @@ class NoiseSpec:
         j = np.arange(1, self.n_modes + 1)
         return ((j * np.pi) ** 2) ** (-self.eta)
 
-    def q_squared_partial_sums(self, j_max=None):
-        """Partial sums of q_j^2 up to j_max (trace-class diagnostics)."""
-        j_max = self.n_modes if j_max is None else j_max
-        j = np.arange(1, j_max + 1)
-        return np.cumsum(((j * np.pi) ** 2) ** (-2 * self.eta))
-
 
 @dataclass(frozen=True)
 class NoiseRealization:
@@ -75,10 +69,6 @@ class NoiseRealization:
         inc = inc.copy()
         inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
-
-    @property
-    def n_modes(self):
-        return self.increments.shape[0]
 
 
 def sample_noise(spec, dt, n_steps, seed, path_index=0):

@@ -63,7 +63,6 @@ __all__ = [
     "solve_deterministic",
     "solve_spde",
     "solve_clt_limit",
-    "solve_mdp_process",
     "solve_controlled",
     "solve_skeleton",
     "save_trajectory",
@@ -543,7 +542,8 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
     with coefficients evaluated at u0 + s Z.  ``speed`` is a ``SpeedFunction``,
     which gives (s, 1/lambda(eps)).  eps = 0 freezes coefficients at u0
     (analytic linearization), which is exactly the skeleton dynamics, and
-    reads no speed.
+    reads no speed.  With h = None, Z is the MDP process
+    (u_eps - u0)/(sqrt(eps) lambda(eps)); theta = 0 gives the CLT-scale field.
 
     The control coloring uses q from the noise realization's spec when one is
     given, else from ``noise_spec``, else the engine's default over the
@@ -570,15 +570,6 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         control_inc=None if h is None else h.hdot.T,
     )
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
-
-
-def solve_mdp_process(u0_traj, params, g, eps, speed, noise, cfg, guard=None):
-    """Integrate the rescaled deviation process Z = (u_eps - u0)/(sqrt(eps) lambda(eps)).
-
-    With the power-law speed, theta = 0 gives lambda == 1 and Z reduces to the
-    CLT-scale field (u_eps - u0)/sqrt(eps).
-    """
-    return solve_controlled(u0_traj, params, g, eps, speed, noise, None, cfg, guard=guard)
 
 
 def solve_skeleton(u0_traj, params, g, h, cfg, guard=None, noise_spec=None):

@@ -31,8 +31,8 @@ from sgbh.montecarlo import (
 from sgbh.noise import NoiseSpec, sample_noise
 from sgbh.solvers import (
     SolverConfig,
+    solve_controlled,
     solve_deterministic,
-    solve_mdp_process,
     solve_skeleton,
     solve_spde,
 )
@@ -199,7 +199,7 @@ def test_criterion_7_mdp_process_consistency():
             for eps in (1e-2, 1e-4):
                 noise = sample_noise(spec16, cfg.dt, cfg.n_steps, seed=707, path_index=3)
                 u_eps = solve_spde(u0f, DESK, G_AFFINE, eps, noise, cfg)
-                z = solve_mdp_process(u0, DESK, G_AFFINE, eps, speed, noise, cfg)
+                z = solve_controlled(u0, DESK, G_AFFINE, eps, speed, noise, None, cfg)
                 scale = np.sqrt(eps) * speed(eps)
                 gap = u_eps.coeffs - (u0.coeffs + scale * z.coeffs)
                 assert np.max(np.abs(gap)) <= 1e-9, (theta, eps)
@@ -207,7 +207,7 @@ def test_criterion_7_mdp_process_consistency():
         # theta = 0 collapses the rescaled field onto the CLT deviation
         eps = 1e-2
         noise = sample_noise(spec16, cfg.dt, cfg.n_steps, seed=708, path_index=0)
-        z0 = solve_mdp_process(u0, DESK, G_AFFINE, eps, SpeedFunction(0.0), noise, cfg)
+        z0 = solve_controlled(u0, DESK, G_AFFINE, eps, SpeedFunction(0.0), noise, None, cfg)
         u_eps = solve_spde(u0f, DESK, G_AFFINE, eps, noise, cfg)
         v_eps = (u_eps.coeffs - u0.coeffs) / np.sqrt(eps)
         assert np.max(np.abs(z0.coeffs - v_eps)) <= 1e-9

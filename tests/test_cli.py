@@ -194,6 +194,30 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypa
     assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv,taken",
+    [
+        (["experiment", "strong-rate", "--workers", "1"], "report.json"),
+        (["simulate", "--solver", "spde"], "norms.csv"),
+        (["rate", "--target", "{target}"], "rate.json"),
+    ],
+    ids=["strong-rate-report", "simulate-norms", "rate-json"],
+)
+def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, argv, taken):
+    """An artifact name taken by a directory is refused with the file's name
+    after the run, and the command's stdout line is not printed."""
+    cfg = _write(tmp_path, SMALL_SOLVER + "[experiment]\nn_paths = 4\n")
+    target = _write_target(tmp_path, {"kind": "spectral", "values": [0.001]})
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    argv = [a.format(target=target) for a in argv]
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: cannot write {str(out / taken)!r}" in captured.err
+    assert captured.out == ""
+    assert (out / "config.txt").exists()
+
+
 def test_bad_config_file_exits_2(tmp_path):
     # value-level validation happens in the command that builds the model
     cfg = _write(tmp_path, "[model]\nnu = -1\n")
@@ -340,18 +364,29 @@ def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
     np.testing.assert_allclose(data[:, 1], 0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "too_long"])
-def test_simulate_malformed_control_file_exits_2(tmp_path, capsys, damage):
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        ("truncated", "malformed input file"),
+        ("too_long", "malformed input file"),
+        ("missing", "config error: cannot read control file"),
+    ],
+    ids=["truncated", "too_long", "missing"],
+)
+def test_simulate_malformed_control_file_exits_2(tmp_path, capsys, damage, fragment):
     from sgbh.noise import ControlPath, save_control
 
     ctrl = tmp_path / "ctrl.bin"
     save_control(ControlPath(0.005, 10, np.zeros((8, 10))), ctrl)
     raw = ctrl.read_bytes()
-    ctrl.write_bytes(raw[:3] if damage == "truncated" else raw + bytes(8))
+    if damage == "missing":
+        ctrl.unlink()
+    else:
+        ctrl.write_bytes(raw[:3] if damage == "truncated" else raw + bytes(8))
     cfg = _write(tmp_path, SMALL_SOLVER)
     argv = ["simulate", "--solver", "skeleton", "--control", str(ctrl), "--config", cfg]
     assert main([*argv, "--out", str(tmp_path / "sk")]) == EXIT_CONFIG
-    assert "malformed input file" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
 
 
 def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
@@ -568,6 +603,11 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
             ["rate", '{"kind": "spectral", "values": [0.001]}'],
             "rate_tol must be >= 0",
         ),
+        (
+            SMALL_SOLVER + '[solver]\ninitial = "bogus"\n',
+            ["simulate"],
+            "[solver] initial must be 'bump' or 'zero', got 'bogus'",
+        ),
     ],
     ids=[
         "nu-nan",
@@ -603,6 +643,7 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
         "target-grid-overflow",
         "target-null",
         "rate-tol-negative",
+        "initial-bogus",
     ],
 )
 def test_config_numbers_must_be_usable_and_exit_2(tmp_path, capsys, text, argv, fragment):
@@ -710,6 +751,24 @@ def test_convergence_report_key_order_is_pinned(tmp_path, kind):
         "pass_details",
     ]
     assert rep["coupled"] is True
+
+
+@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+def test_experiment_that_rejects_every_path_fails(tmp_path, kind):
+    """A guard below every path's norm rejects all paths: the slope cannot be
+    fitted, the verdict is false and the run exits 1."""
+    cfg = _write(
+        tmp_path,
+        "[solver]\ndt = 0.01\nt_end = 0.2\nn_modes = 8\nn_points = 64\nguard_threshold = 0.04\n"
+        "[noise]\nn_modes = 8\n"
+        "[experiment]\nn_paths = 20\nblock_size = 6\neps_list = [0.5, 0.25, 0.125]\n",
+    )
+    out = tmp_path / kind
+    argv = ["experiment", kind, "--config", cfg, "--out", str(out), "--workers", "1"]
+    assert main(argv) == EXIT_SCI_FAIL
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["n_rejected"] == [20, 20, 20]
 
 
 def test_experiment_clt_degenerate_is_unjudged(tmp_path):
@@ -831,6 +890,24 @@ def test_rate_value_scales_quadratically(tmp_path):
     assert v1 > 0
 
 
+def test_rate_grid_target_prices_as_its_sine_coefficients(tmp_path):
+    """A grid target band-limited to the solver's modes projects exactly onto
+    its coefficients, so it prices as the spectral target of those."""
+    from sgbh.spectral import Grid1D, SpectralBasis
+
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    coeffs = [0.001, 0.0005]
+    grid = list(np.array(coeffs) @ SpectralBasis(Grid1D(64), 8).phi[:2])
+    values = []
+    for kind, target in (("spectral", coeffs), ("grid", grid)):
+        path = _write_target(tmp_path, {"kind": kind, "values": target}, f"{kind}.json")
+        out = tmp_path / kind
+        assert main(["rate", "--target", path, "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        values.append(json.loads((out / "rate.json").read_text())["value"])
+    assert values[0] > 0
+    assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -838,6 +915,7 @@ def test_rate_value_scales_quadratically(tmp_path):
         {"kind": "spectral", "values": [[0.1]]},  # not flat
         {"kind": "fourier", "values": [0.1]},  # unknown kind
         {"values": [0.1]},  # missing kind
+        {"kind": "spectral", "values": [0.1] * 9},  # more coefficients than the 8 modes
     ],
 )
 def test_rate_rejects_malformed_targets(tmp_path, doc):

@@ -1,13 +1,16 @@
-"""Property-based fuzzing of the input parsers.
+"""Property-based fuzzing of the input parsers and the command line.
 
 Config text may only raise ``ConfigError`` out of ``RunConfig.parse`` and the
 typed accessors; the flat binary loaders may only raise
-``BinaryFormatError``.  Runs are derandomized and keep no example database,
-so every run draws the same examples.
+``BinaryFormatError``; ``main`` returns an exit code and raises nothing.
+Runs are derandomized and keep no example database, so every run draws the
+same examples.
 """
 
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sgbh.cli import _SCHEMA, ConfigError, RunConfig  # noqa: E402
+from sgbh.cli import _SCHEMA, ConfigError, RunConfig, main  # noqa: E402
 from sgbh.noise import (  # noqa: E402
     BinaryFormatError,
     ControlPath,
@@ -193,3 +196,102 @@ def test_binary_loaders_raise_only_format_error(saved_files, kind, data):
     # whatever loads saves back to the same bytes
     save(obj, path)
     assert path.read_bytes() == blob
+
+
+# --- the command line -----------------------------------------------------------
+
+_ARTIFACTS = [
+    "config.txt",
+    "report.csv",
+    "report.json",
+    "trajectory.bin",
+    "norms.csv",
+    "control.bin",
+    "rate.json",
+    "kernel_report.json",
+]
+# (section, key, values) a run may override; small runs only, at most 4
+# paths, 10 steps and 2 workers
+_OVERRIDES = [
+    ("model", "alpha", ["0.0", "1.0"]),
+    ("model", "beta", ["0.0", "1.0"]),
+    ("model", "nu", ["0.1", "-1.0"]),
+    ("noise", "g_kappa1", ["0.0", "0.5"]),
+    ("noise", "n_modes", ["4", "8", "16"]),
+    ("solver", "eps", ["0.0", "0.5", "1.0", "2.0"]),
+    ("solver", "initial", ['"bump"', '"zero"', '"bogus"']),
+    ("solver", "guard_threshold", ["1e-6", "0.04", "1000.0"]),
+    ("experiment", "rho_list", ["[0.5, 1.0]", "[]", "[1.0, 0.5]"]),
+    ("experiment", "tail_p", ["0", "1", "2"]),
+    ("experiment", "kernel_t_count", ["1", "3"]),
+    ("experiment", "oracle_g", ["0.0", "1.0"]),
+    ("experiment", "rate_tol", ["-1.0", "1e-8"]),
+]
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, config text, output state); ``{inputs}`` in argv stands for the
+    directory of the control and target files."""
+    command = draw(st.sampled_from(["simulate", "experiment", "rate", "validate-kernel"]))
+    argv = [command]
+    if command == "simulate":
+        solver = draw(
+            st.sampled_from([None, "deterministic", "spde", "clt", "mdp", "controlled", "skeleton"])
+        )
+        control = draw(st.sampled_from([None, "control.bin", "missing.bin"]))
+        argv += [] if solver is None else ["--solver", solver]
+        argv += [] if control is None else ["--control", f"{{inputs}}/{control}"]
+    elif command == "experiment":
+        argv.append(draw(st.sampled_from(["clt", "heat-oracle", "mdp-tail", "strong-rate"])))
+    elif command == "rate":
+        target = draw(st.sampled_from(["spectral.json", "grid.json", "missing.json"]))
+        argv += ["--target", f"{{inputs}}/{target}"]
+    seed = draw(st.sampled_from([None, "0", "-1", str(2**64), "1" + "0" * 400]))
+    workers = draw(st.sampled_from([None, "1", "2"]))
+    argv += [] if seed is None else ["--seed", seed]
+    argv += [] if workers is None else ["--workers", workers]
+    n_steps = draw(st.integers(1, 10))
+    lines = [
+        f"[solver]\ndt = 0.005\nt_end = {0.005 * n_steps!r}\nn_modes = 8\nn_points = 64",
+        "[noise]\nn_modes = 8",
+        f"[experiment]\nn_paths = {draw(st.integers(1, 4))}\neps_list = [0.5, 0.25, 0.125]\n"
+        f"block_size = {draw(st.sampled_from([1, 2, 128]))}",
+    ]
+    for section, key, values in draw(st.lists(st.sampled_from(_OVERRIDES), max_size=4)):
+        lines.append(f"[{section}]\n{key} = {draw(st.sampled_from(values))}")
+    out = draw(st.sampled_from(["missing", "file", "under-file", *_ARTIFACTS]))
+    return argv, "\n".join(lines) + "\n", out
+
+
+@pytest.fixture(scope="module")
+def cli_root(tmp_path_factory):
+    """A directory holding a control path and targets that fit the drawn
+    configs' 8 modes and 10 steps."""
+    root = tmp_path_factory.mktemp("cli")
+    save_control(ControlPath(0.005, 10, _RNG.standard_normal((8, 10))), root / "control.bin")
+    (root / "spectral.json").write_text(json.dumps({"kind": "spectral", "values": [0.01, 0.02]}))
+    grid = SpectralBasis(Grid1D(64), 8).phi[0] * 0.01
+    (root / "grid.json").write_text(json.dumps({"kind": "grid", "values": grid.tolist()}))
+    return root
+
+
+@settings(FUZZ, max_examples=100)
+@given(run=_cli_runs())
+def test_main_returns_an_exit_code_and_raises_nothing(cli_root, run):
+    """Whatever the flags, config and state of the output directory, ``main``
+    returns 0-3; a refused input or artifact is exit 2, never a traceback."""
+    argv, text, out_state = run
+    run_dir = tempfile.mkdtemp(dir=cli_root)
+    config = os.path.join(run_dir, "run.cfg")
+    with open(config, "w") as fh:
+        fh.write(text)
+    out = os.path.join(run_dir, "out")
+    if out_state in ("file", "under-file"):
+        with open(out, "w") as fh:
+            fh.write("not a directory\n")
+        out = os.path.join(out, "sub") if out_state == "under-file" else out
+    elif out_state != "missing":  # an artifact name taken by a directory
+        os.makedirs(os.path.join(out, out_state))
+    argv = [a.format(inputs=cli_root) for a in argv]
+    assert main([*argv, "--config", config, "--out", out]) in (0, 1, 2, 3)

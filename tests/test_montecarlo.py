@@ -34,8 +34,8 @@ from sgbh.solvers import (
     SolverEngine,
     march,
     solve_clt_limit,
+    solve_controlled,
     solve_deterministic,
-    solve_mdp_process,
     solve_spde,
 )
 from sgbh.spectral import Grid1D
@@ -580,7 +580,7 @@ def test_clt_ensemble_is_the_deviation_and_limit_solvers(g):
     _, u0_traj, noise = _single_paths(spec)
     v = solve_clt_limit(u0_traj, DESK, g, noise, CFG_SMALL)
     for eps, mean in zip(spec.eps_list, rep.mean):
-        z = solve_mdp_process(u0_traj, DESK, g, eps, SpeedFunction(0.0), noise, CFG_SMALL)
+        z = solve_controlled(u0_traj, DESK, g, eps, SpeedFunction(0.0), noise, None, CFG_SMALL)
         want = _sup_lp(z.grid_values() - v.grid_values(), DESK.p_norm)
         assert mean == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -592,7 +592,7 @@ def test_mdp_tail_ensemble_is_the_deviation_solver(g):
     speed = SpeedFunction(0.25)
     _, u0_traj, noise = _single_paths(spec)
     for i, eps in enumerate(spec.eps_list):
-        z = solve_mdp_process(u0_traj, DESK, g, eps, speed, noise, CFG_SMALL)
+        z = solve_controlled(u0_traj, DESK, g, eps, speed, noise, None, CFG_SMALL)
         sup = _sup_lp(z.grid_values(), 2)
         rho = [sup * (1 - 1e-12), sup * (1 + 1e-12)]
         rep = run_mdp_tail(spec, DESK, g, CFG_SMALL, speed, rho, noise_spec=SPEC8)

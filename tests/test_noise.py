@@ -40,9 +40,13 @@ def test_trace_class_boundary():
     NoiseSpec(n_modes=8, eta=0.2501)
 
 
+def _q_squared_partial_sums(eta, j_max):
+    """Partial sums of q_j^2 up to j_max: the trace-class sums of the coloring."""
+    return np.cumsum(NoiseSpec(n_modes=j_max, eta=eta).q ** 2)
+
+
 def test_partial_sums_increase_and_stay_below_zeta_total():
-    spec = NoiseSpec(n_modes=32, eta=0.3)
-    sums = spec.q_squared_partial_sums(j_max=512)
+    sums = _q_squared_partial_sums(0.3, 512)
     assert np.all(np.diff(sums) > 0)
     total = np.pi**-1.2 * zeta(1.2)
     assert sums[-1] < total
@@ -51,9 +55,8 @@ def test_partial_sums_increase_and_stay_below_zeta_total():
 def test_trace_tail_decay_rate():
     """tail(J) = sum_{j>J} q_j^2 decays like J^(1-4*eta), here J^(-0.2)."""
     eta = 0.3
-    spec = NoiseSpec(n_modes=32, eta=eta)
     j_values = np.array([16, 32, 64, 128, 256])
-    sums = spec.q_squared_partial_sums(j_max=int(j_values.max()))
+    sums = _q_squared_partial_sums(eta, int(j_values.max()))
     total = np.pi ** (-4 * eta) * zeta(4 * eta)
     tails = total - sums[j_values - 1]
     slope = np.polyfit(np.log(j_values), np.log(tails), 1)[0]

@@ -35,7 +35,6 @@ from sgbh.solvers import (
     solve_clt_limit,
     solve_controlled,
     solve_deterministic,
-    solve_mdp_process,
     solve_skeleton,
     solve_spde,
 )
@@ -217,7 +216,7 @@ def test_coupling_identity_links_spde_and_deviation_process():
     noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=42)
     eps, lam = 0.01, 0.01**-0.25
     u_eps = solve_spde(_parabola(cfg), params, g, eps, noise, cfg)
-    z = solve_mdp_process(u0, params, g, eps, SpeedFunction(0.25), noise, cfg)
+    z = solve_controlled(u0, params, g, eps, SpeedFunction(0.25), noise, None, cfg)
     recon = u0.coeffs + np.sqrt(eps) * lam * z.coeffs
     np.testing.assert_allclose(recon, u_eps.coeffs, atol=1e-9)
 
@@ -227,7 +226,7 @@ def test_theta_zero_reduces_to_clt_scale():
     noise = sample_noise(spec, cfg.dt, cfg.n_steps, seed=43)
     eps = 0.04
     u_eps = solve_spde(_parabola(cfg), params, g, eps, noise, cfg)
-    z = solve_mdp_process(u0, params, g, eps, SpeedFunction(0.0), noise, cfg)
+    z = solve_controlled(u0, params, g, eps, SpeedFunction(0.0), noise, None, cfg)
     np.testing.assert_allclose(
         z.coeffs, (u_eps.coeffs - u0.coeffs) / np.sqrt(eps), atol=1e-9
     )

@@ -1,6 +1,7 @@
 """Static checks on the package source, standing in for a linter: every name a
-module, test or demo imports is read somewhere in that file, and every name a
-module exports in ``__all__`` is defined there."""
+module, test or demo imports is read somewhere in that file, every name a
+module exports in ``__all__`` is defined there, and every definition and
+dataclass field in the package is used by code that runs, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -87,9 +88,29 @@ def test_module_defines_every_name_it_exports(path):
     assert undefined_exports(path.read_text()) == []
 
 
-READERS = sorted(Path(sgbh.__file__).parent.glob("*.py")) + sorted(
-    p for d in ("tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py")
-)
+def runtime_sources(root, package):
+    """The text of each source that runs: the modules of ``package``, and the
+    demos and benchmark harness under ``root``, but no test file.  A name that
+    only a test reads is not in use."""
+    paths = sorted(package.glob("*.py")) + [
+        p
+        for d in ("demos", "perfbench")
+        for p in sorted((root / d).rglob("*.py"))
+        if not p.name.startswith("test_")
+    ]
+    return [p.read_text() for p in paths]
+
+
+RUNTIME = runtime_sources(REPO, Path(sgbh.__file__).parent)
+
+
+def source_tree(root, files):
+    """Write ``files`` (relative path -> text) under ``root``; return the
+    runtime sources of that tree, whose package is ``pkg``."""
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return runtime_sources(root, root / "pkg")
 
 
 def dataclass_fields(source):
@@ -118,12 +139,24 @@ def attribute_reads(source):
     }
 
 
-def test_every_dataclass_field_has_a_reader():
-    """Each dataclass field in the package is read as an attribute somewhere in
-    the package, its tests, demos or benchmark harness; a field nothing reads
-    is state that does nothing.  The check matches names only, so a field
-    shares a reader with any attribute of the same name: ``RunConfig.seed``
-    would hide an unread ``seed`` field on another class."""
+def unread_fields(modules, readers):
+    """``cls.field`` for each dataclass field in ``modules`` that no source in
+    ``readers`` reads as an attribute."""
+    reads = set().union(*(attribute_reads(r) for r in readers))
+    return [
+        f"{cls}.{name}"
+        for source in modules
+        for cls, name in dataclass_fields(source)
+        if name not in reads
+    ]
+
+
+def test_every_dataclass_field_has_a_reader(tmp_path):
+    """Each dataclass field in the package is read as an attribute by the
+    package, its demos or its benchmark harness; a field only a test reads is
+    state that no run needs.  The check matches names only, so a field shares
+    a reader with any attribute of the same name: ``RunConfig.seed`` would
+    hide an unread ``seed`` field on another class."""
     source = (
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
         "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
@@ -131,14 +164,9 @@ def test_every_dataclass_field_has_a_reader():
     )
     assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
     assert attribute_reads(source) == {"x"}
-    reads = set().union(*(attribute_reads(p.read_text()) for p in READERS))
-    unread = [
-        f"{cls}.{name}"
-        for path in MODULES
-        for cls, name in dataclass_fields(path.read_text())
-        if name not in reads
-    ]
-    assert unread == []
+    readers = source_tree(tmp_path, {"pkg/m.py": source, "tests/test_m.py": "assert a.y == 0\n"})
+    assert unread_fields([source], readers) == ["A.y", "B.z"]
+    assert unread_fields([p.read_text() for p in MODULES], RUNTIME) == []
 
 
 def definitions(source):
@@ -154,9 +182,19 @@ def definitions(source):
 
 def uses(source):
     """Every name or attribute ``source`` reads, name it imports and string
-    constant (the benchmark harness patches methods by name)."""
+    constant (the benchmark harness patches methods by name), outside the
+    ``__all__`` list: exporting a name does not use it."""
     found = set()
-    for n in ast.walk(ast.parse(source)):
+    nodes = [
+        n
+        for stmt in ast.parse(source).body
+        if not (
+            isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        )
+        for n in ast.walk(stmt)
+    ]
+    for n in nodes:
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found.add(n.id)
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
@@ -168,24 +206,54 @@ def uses(source):
     return found
 
 
-def test_every_definition_has_a_use():
-    """Each function, class and method in the package is used somewhere in the
-    package, its tests, demos or benchmark harness; a helper nothing uses is
-    code that does nothing.  Names match alone, as in the dataclass check."""
+# definitions no run reaches, kept for readers outside the runtime sources
+KEPT_FOR_TESTS = {
+    "load_trajectory",  # the only reader of the trajectory.bin that users receive
+    "apply_semigroup",  # the semigroup reference of acceptance criterion 1
+    "reaction_second_derivative",  # the derivative oracle of acceptance criterion 2
+    "gaussian_lp_norm_closed_form",  # the reference that gaussian_lp_norm is tested against
+}
+
+
+def unused_definitions(modules, readers):
+    """``file:line name`` for each definition in ``modules`` (file name ->
+    source) that no source in ``readers`` uses."""
+    found = set().union(*(uses(r) for r in readers))
+    return [
+        f"{name}:{line} {defined}"
+        for name, source in modules.items()
+        for line, defined in sorted(definitions(source))
+        if defined not in found
+    ]
+
+
+def test_every_definition_has_a_runtime_use(tmp_path):
+    """Each function, class and method in the package is used by the package,
+    its demos or its benchmark harness; a helper that only tests call, or
+    that nothing calls, is code no run needs.  ``KEPT_FOR_TESTS`` names the
+    few that stay for a reader outside those sources.  Names match alone, as
+    in the dataclass check."""
     source = (
         "from m import f\nclass A:\n    def __init__(self): pass\n    def run(self): pass\n"
         "    def _idle(self): pass\n"
         "def g():\n    def inner(): pass\n    return inner\n"
         "def h(): pass\nx = A().run\nsetattr(A, 'patched', g)\ndef patched(): pass\n"
+        "def tested(): pass\n__all__ = ['A', 'g', 'h', 'tested']\n"
     )
     names = {name for _, name in definitions(source)}
-    assert names == {"A", "run", "_idle", "g", "inner", "h", "patched"}
-    assert sorted(names - uses(source)) == ["_idle", "h"]
-    found = set().union(*(uses(p.read_text()) for p in READERS))
-    unused = [
-        f"{path.name}:{line} {name}"
-        for path in MODULES
-        for line, name in definitions(path.read_text())
-        if name not in found
-    ]
-    assert unused == []
+    assert names == {"A", "run", "_idle", "g", "inner", "h", "patched", "tested"}
+    assert sorted(names - uses(source)) == ["_idle", "h", "tested"]
+    readers = source_tree(
+        tmp_path,
+        {
+            "pkg/m.py": source,
+            "tests/test_m.py": "from m import tested\ntested()\n",
+            "perfbench/test_bench.py": "from m import h\nh()\n",
+            "perfbench/probe.py": "patch(A, '_idle')\n",
+        },
+    )
+    assert unused_definitions({"m.py": source}, readers) == ["m.py:9 h", "m.py:13 tested"]
+    unused = unused_definitions({p.name: p.read_text() for p in MODULES}, RUNTIME)
+    assert [u for u in unused if u.split()[1] not in KEPT_FOR_TESTS] == []
+    # and the list names nothing that has since gained a runtime use
+    assert sorted({u.split()[1] for u in unused}) == sorted(KEPT_FOR_TESTS)

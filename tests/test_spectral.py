@@ -70,9 +70,10 @@ def test_lp_norm_values_and_batching():
         grid.lp_norm(basis.phi[0], 0.5)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 10])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8, 10, 12, 14])
 def test_lp_norm_matches_abs_pow(p):
-    # even p is formed by repeated squaring, odd p by abs(x)**p
+    # even p is formed by repeated squaring, odd p by abs(x)**p; p = 12 and 14
+    # take the branch for a set bit of floor(p/4) after its leading one
     grid = Grid1D(64)
     rng = np.random.default_rng(p)
     rows = np.stack([rng.standard_normal(64), -3.0 * np.abs(rng.standard_normal(64)), np.zeros(64)])
