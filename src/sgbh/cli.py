@@ -20,6 +20,7 @@ gate), 2 usage, config or setup error (inputs that cannot run together),
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -302,8 +303,9 @@ class RunConfig:
 def _write_artifacts(config, files):
     """Write ``config.txt``, then each of ``files`` in order, into the output
     directory.  ``files`` maps a file name to its text or to a function that
-    writes the file at a given path.  A write that fails is a ConfigError
-    naming the file."""
+    writes the file at a given path.  Each file is written to
+    ``.<name>.partial`` and renamed into place, so a write that fails leaves
+    nothing under the final name; it is a ConfigError naming the file."""
     outdir = config.outdir
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -311,13 +313,17 @@ def _write_artifacts(config, files):
         raise ConfigError(f"cannot write output directory {outdir!r}: {exc}") from None
     for name, content in {"config.txt": config.serialize(), **files}.items():
         path = os.path.join(outdir, name)
+        partial = os.path.join(outdir, f".{name}.partial")
         try:
             if isinstance(content, str):
-                with open(path, "w") as fh:
+                with open(partial, "w") as fh:
                     fh.write(content)
             else:
-                content(path)
+                content(partial)
+            os.replace(partial, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
             raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 

@@ -335,8 +335,7 @@ def _block_increments(eng, seed, start, stop):
     cfg = eng.cfg
     inc = np.empty((cfg.n_steps, stop - start, eng.noise_spec.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i)
-        inc[:, b, :] = r.increments.T
+        inc[:, b, :] = sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i).increments.T
     return inc
 
 
@@ -424,8 +423,10 @@ def _block_heat(eng, weights, seed, start, stop):
     cfg = eng.cfg
     out = np.empty((stop - start, cfg.n_modes))
     for b, i in enumerate(range(start, stop)):
-        r = sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i)
-        out[b] = np.vecdot(weights, r.increments)
+        # no name holds the draw, so the previous path's is freed before the next is drawn
+        out[b] = np.vecdot(
+            weights, sample_noise(eng.noise_spec, cfg.dt, cfg.n_steps, seed, i).increments
+        )
     return out
 
 

@@ -62,12 +62,15 @@ class NoiseRealization:
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (inc.shape[0], self.n_steps):
+        if inc.ndim != 2 or inc.shape[1] != self.n_steps:
             raise ValueError(
                 f"increments shape {inc.shape} inconsistent with n_steps={self.n_steps}"
             )
-        inc = inc.copy()
-        inc.flags.writeable = False
+        # a read-only array that owns its memory is frozen already: take it as
+        # is (sample_noise hands over its draw this way); copy anything else
+        if inc.flags.writeable or not inc.flags.owndata:
+            inc = inc.copy()
+            inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
 
 
@@ -82,6 +85,7 @@ def sample_noise(spec, dt, n_steps, seed, path_index=0):
     rng = np.random.Generator(np.random.Philox(key=key))
     inc = rng.standard_normal((spec.n_modes, n_steps))
     inc *= np.sqrt(dt)
+    inc.flags.writeable = False  # frozen and owned: the realization takes it without a copy
     return NoiseRealization(dt=dt, n_steps=n_steps, increments=inc, spec=spec)
 
 

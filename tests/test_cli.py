@@ -2,6 +2,7 @@
 diagnostics, the four subcommands, exit codes, and byte-stable artifacts."""
 
 import ast
+import errno
 import importlib.metadata
 import json
 import os
@@ -216,6 +217,27 @@ def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, argv, taken):
     assert f"config error: cannot write {str(out / taken)!r}" in captured.err
     assert captured.out == ""
     assert (out / "config.txt").exists()
+    assert not list(out.glob(".*.partial"))
+
+
+def test_artifact_write_that_fails_partway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A disk that fills mid-write leaves neither a truncated artifact under its
+    final name nor the partial file it was written to."""
+    import sgbh.cli
+
+    def full_disk(traj, path):
+        with open(path, "wb") as fh:
+            fh.write(b"\0" * 8)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(sgbh.cli, "save_trajectory", full_disk)
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    out = tmp_path / "o"
+    assert main(["simulate", "--solver", "spde", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: cannot write {str(out / 'trajectory.bin')!r}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
 
 
 def test_bad_config_file_exits_2(tmp_path):
@@ -1190,6 +1212,28 @@ def test_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_trace_probe_counts_one_draw_per_path(tmp_path):
+    """The benchmark's trace probe patches ``montecarlo.sample_noise`` by name
+    and counts each realization's increments: a heat-oracle run of 8 paths, 10
+    steps and 8 noise modes is 8 draws of 80 normals."""
+    cfg = _write(tmp_path, LINEAR_MODEL + "[experiment]\nn_paths = 8\neps_list = [1.0]\n")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "probe.py"), "trace", str(spans),
+         "experiment", "heat-oracle", "--config", cfg, "--out", str(tmp_path / "o"),
+         "--workers", "1"],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(None),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    draws = [calls for path, calls, *_ in doc["paths"] if path[-1] == "noise.sample_noise"]
+    assert draws == [8]
+    assert doc["counters"]["noise.normals_drawn"] == 640
 
 
 def _minor_faults(argv):

@@ -490,7 +490,7 @@ def test_heat_block_holds_one_path_draw():
             peaks[B] = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peaks[64] < 8 * one_path
+    assert peaks[64] < 1.5 * one_path
     # only the (B, J) endpoints it returns grow with the block
     assert peaks[64] <= peaks[16] + 64 * cfg.n_modes * 8
 

@@ -110,8 +110,42 @@ def test_sampling_validation():
         sample_noise(spec, 0.0, 10, seed=1)
     with pytest.raises(ValueError):
         sample_noise(spec, 0.01, 0, seed=1)
-    with pytest.raises(ValueError):
-        NoiseRealization(dt=0.01, n_steps=10, increments=np.zeros((4, 9)), spec=spec)
+    for inc, n_steps in ((np.zeros((4, 9)), 10), (np.float64(1.0), 1)):
+        with pytest.raises(ValueError, match="inconsistent with n_steps"):
+            NoiseRealization(dt=0.01, n_steps=n_steps, increments=inc, spec=spec)
+
+
+def test_realization_freezes_a_private_copy_of_what_the_caller_can_write():
+    """A writable array, and a read-only view of one, are copied: writing the
+    source afterwards leaves the realization's increments as they were."""
+    spec = NoiseSpec(n_modes=2, eta=0.3)
+    writable = np.arange(6.0).reshape(2, 3)
+    base = np.arange(6.0).reshape(2, 3)
+    view = base[:, :]
+    view.flags.writeable = False
+    for inc, source in ((writable, writable), (view, base)):
+        r = NoiseRealization(dt=0.1, n_steps=3, increments=inc, spec=spec)
+        source[0, 0] = 99.0
+        assert np.array_equal(r.increments, np.arange(6.0).reshape(2, 3))
+        assert not r.increments.flags.writeable
+
+
+def test_sampling_holds_one_draw():
+    """sample_noise hands its frozen draw to the realization without a copy."""
+    import tracemalloc
+
+    spec, dt, n_steps = NoiseSpec(n_modes=8, eta=0.3), 1e-3, 1000
+    one_draw = spec.n_modes * n_steps * 8
+    sample_noise(spec, dt, n_steps, seed=25)  # warm: one-off allocations are not the call's
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        r = sample_noise(spec, dt, n_steps, seed=25)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert r.increments.nbytes == one_draw
+    assert peak < 1.5 * one_draw
 
 
 def test_increment_variance_matches_dt():
