@@ -107,7 +107,13 @@ def fit_loglog(points):
         raise ValueError("fit_loglog needs positive eps and statistics")
     x = np.log([e for e, _ in pts])
     y = np.log([s for _, s in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    # centred normal equations: a line needs no LAPACK least-squares solve
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    if sxx == 0:
+        raise ValueError("fit_loglog needs at least two distinct eps")
+    slope = float(dx @ (y - y.mean())) / sxx
+    intercept = y.mean() - slope * x.mean()
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot

@@ -81,6 +81,17 @@ def test_fit_loglog_exact_and_noisy():
         fit_loglog([(1.0, 1.0), (0.5, 0.5)])
     with pytest.raises(ValueError):
         fit_loglog([(1.0, 1.0), (0.5, 0.0), (0.25, 1.0)])
+    # one distinct eps leaves the slope undetermined
+    with pytest.raises(ValueError, match="two distinct eps"):
+        fit_loglog([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
+    # the closed form against a least-squares solve on random point sets
+    for n in (3, 4, 5, 6):
+        e = np.exp(-3.0 * rng.random(n))
+        s = np.exp(rng.standard_normal(n))
+        fit = fit_loglog(zip(e, s))
+        slope, intercept = np.polyfit(np.log(e), np.log(s), 1)
+        assert fit.slope == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
 
 
 def test_default_initial_is_the_parabolic_bump():
@@ -359,6 +370,21 @@ def test_clt_nonlinear_remainder_decays_at_root_eps():
     assert rep.slope == pytest.approx(0.5, abs=0.1)
     assert all(b < a for a, b in zip(rep.mean, rep.mean[1:]))
     assert rep.pass_details["strictly_decreasing"] is True
+
+
+def test_ensembles_never_call_lapack(monkeypatch):
+    """The slope fit is closed-form: no ensemble pages in LAPACK's
+    least-squares or SVD code for a line through a few points."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    spec = EnsembleSpec(n_paths=8, base_seed=3, eps_list=[1e-1, 1e-2, 1e-3])
+    for run in (run_strong_rate, run_clt):
+        assert run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8).slope is not None
 
 
 def test_clt_requires_coupling_and_high_norm():
