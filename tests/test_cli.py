@@ -292,6 +292,23 @@ def test_simulate_is_byte_stable_across_reruns_and_flag_position(tmp_path):
         assert (o / "norms.csv").read_text() == (outs[0] / "norms.csv").read_text()
 
 
+def test_shared_flags_before_the_subcommand_count_as_after_it(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    before, after, both = tmp_path / "before", tmp_path / "after", tmp_path / "both"
+    argv = ["simulate", "--solver", "spde", "--config", cfg]
+    assert main(["--seed", "7", *argv, "--out", str(before)]) == EXIT_PASS
+    assert main([*argv, "--seed", "7", "--out", str(after)]) == EXIT_PASS
+    traj = (before / "trajectory.bin").read_bytes()
+    assert (after / "trajectory.bin").read_bytes() == traj
+    # the subcommand's flag wins over the same flag given before it
+    assert main(["--seed", "7", *argv, "--seed", "8", "--out", str(both)]) == EXIT_PASS
+    assert "seed = 8" in (both / "config.txt").read_text().splitlines()
+    assert (both / "trajectory.bin").read_bytes() != traj
+    capsys.readouterr()
+    assert main(["--workers", "0", "experiment", "strong-rate", "--config", cfg]) == EXIT_CONFIG
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_seed_changes_stochastic_runs_only(tmp_path):
     cfg = _write(tmp_path, SMALL_SOLVER)
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
