@@ -156,9 +156,6 @@ class RunConfig:
     def __init__(self):
         self.values = {s: dict(d) for s, d in _SCHEMA.items()}
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.values == other.values
-
     @classmethod
     def parse(cls, text):
         cfg = cls()
@@ -223,17 +220,8 @@ class RunConfig:
             raise ConfigError(str(exc))
 
     def model_params(self):
-        m = self.values["model"]
-        return self._wrap(
-            lambda: ModelParams(
-                nu=m["nu"],
-                alpha=m["alpha"],
-                beta=m["beta"],
-                gamma=m["gamma"],
-                delta=m["delta"],
-                p_norm=m["p_norm"],
-            )
-        )
+        # the [model] keys are exactly ModelParams's fields
+        return self._wrap(lambda: ModelParams(**self.values["model"]))
 
     def noise_spec(self):
         n = self.values["noise"]
@@ -395,20 +383,19 @@ def cmd_simulate(config, args):
         traj = solve_deterministic(u0, params, scfg, guard=guard)
     elif kind == "spde":
         traj = solve_spde(u0, params, g, eps, noise(), scfg, guard=guard)
-    elif kind == "clt":
-        u0_traj = solve_deterministic(u0, params, scfg)
-        traj = solve_clt_limit(u0_traj, params, g, noise(), scfg, guard=guard)
-    elif kind in ("mdp", "controlled"):  # mdp refuses --control above
-        u0_traj = solve_deterministic(u0, params, scfg)
-        traj = solve_controlled(
-            u0_traj, params, g, eps, SpeedFunction(theta), noise(), control, scfg, guard=guard
-        )
-    elif kind == "skeleton":
-        u0_traj = solve_deterministic(u0, params, scfg)
-        traj = solve_skeleton(
-            u0_traj, params, g, control, scfg, guard=guard, noise_spec=nspec
-        )
-    else:
+    elif kind in ("clt", "mdp", "controlled", "skeleton"):
+        u0_traj = solve_deterministic(u0, params, scfg)  # the path each deviation is taken from
+        if kind == "clt":
+            traj = solve_clt_limit(u0_traj, params, g, noise(), scfg, guard=guard)
+        elif kind == "skeleton":
+            traj = solve_skeleton(
+                u0_traj, params, g, control, scfg, guard=guard, noise_spec=nspec
+            )
+        else:  # mdp refuses --control above
+            traj = solve_controlled(
+                u0_traj, params, g, eps, SpeedFunction(theta), noise(), control, scfg, guard=guard
+            )
+    else:  # a [solver] kind from a config file is not checked by argparse
         raise ConfigError(f"unknown solver kind {kind!r}")
 
     _write_artifacts(
@@ -523,7 +510,7 @@ def cmd_validate_kernel(config, args):
 
 def _build_parser():
     # SUPPRESS keeps a subparser from clobbering flags given before the
-    # subcommand; real defaults are set once on the main parser below
+    # subcommand; main passes their real defaults in the namespace it parses into
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="path to a run-config text file")
     common.add_argument("--seed", type=int, help="override [output] seed")
@@ -564,18 +551,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # shared flags use SUPPRESS (so a subparser never clobbers a flag given
-    # before the subcommand); fill the real defaults for absent ones here
-    for key, value in (
-        ("config", None),
-        ("seed", None),
-        ("out", None),
-        ("workers", os.cpu_count() or 1),
-    ):
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    # argparse fills a default only for a name the namespace lacks, and the
+    # subparser copies back only the shared flags it parsed
+    defaults = argparse.Namespace(config=None, seed=None, out=None, workers=os.cpu_count() or 1)
+    args = _build_parser().parse_args(argv, defaults)
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")

@@ -197,11 +197,12 @@ def _finite(x, quantity, cfg):
     return x
 
 
-def wilson_interval(successes, n, z=1.96):
-    """Wilson score interval for a binomial proportion: ``successes`` out of
-    ``n``, a count or an array of counts."""
+def wilson_interval(successes, n):
+    """95% Wilson score interval for a binomial proportion: ``successes`` out
+    of ``n``, a count or an array of counts."""
     if n <= 0:
         raise ValueError("n must be positive")
+    z = 1.96  # the normal quantile of a two-sided 95% interval
     phat = successes / n
     denom = 1.0 + z**2 / n
     center = (phat + z**2 / (2 * n)) / denom

@@ -11,13 +11,14 @@ so reports are byte-identical for a given (spec, config) on a given machine.
 Each runner builds what its blocks read before any block starts and binds it
 to its block function with ``functools.partial``; blocks read it inline or,
 pickled, on the pool workers.  The three marching runners (strong rate, CLT,
-MDP tail) share one path, ``_run_marching``: it builds the engine, solves the
-reference path and runs ``block(eng, spec, u0_coeffs, start, stop)``, which
-returns a sup and a guard-trip mask per eps; the runners differ only in that
-block and in their verdict.  The runner called is the experiment and names
-its report.  ``_run_blocks`` first sets glibc's malloc thresholds
-(``_keep_freed_heap``), so a block's step temporaries reuse heap memory
-instead of faulting fresh pages in.
+MDP tail) share one path, ``_run_marching``: it builds the engine and solves
+the reference path, and each block (``_block_march``) draws its increments
+once and marches every eps with them, returning a sup and a guard-trip mask
+per eps.  The runners differ only in their per-eps march (the states, steps
+and statistic that ``_censored_march`` runs) and in their verdict.  The
+runner called is the experiment and names its report.  ``_run_blocks``
+first sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's
+step temporaries reuse heap memory instead of faulting fresh pages in.
 
 Every ensemble is coupled across epsilon, as the paper's bounds are: each
 path index draws one Brownian path and the same increments drive every
@@ -377,49 +378,56 @@ def _censored_march(eng, guard, states, steps, observe):
     return supv, tripped
 
 
-def _block_strong_rate(eng, spec, u0_coeffs, start, stop):
+def _block_march(paths, eng, spec, u0_coeffs, start, stop):
+    """A block of a marching ensemble: (sup, tripped) of (B,) arrays per eps.
+    The block's increments are drawn once and drive every eps, so each path is
+    coupled across eps; ``paths(eng, u0_coeffs, u0_grid, inc, eps)`` returns the
+    (states, steps, observe) that ``_censored_march`` runs at one eps."""
     u0_grid = eng.grid_values(u0_coeffs)
-    p = eng.params.p_norm
     inc = _block_increments(eng, spec.base_seed, start, stop)
-
-    def observe(k, u_grid):
-        return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
-
     return [
-        _censored_march(
-            eng,
-            spec.guard,
-            [np.tile(u0_coeffs[0], (stop - start, 1))],
-            [eng.spde_step(np.sqrt(eps), inc)],
-            observe,
-        )
+        _censored_march(eng, spec.guard, *paths(eng, u0_coeffs, u0_grid, inc, eps))
         for eps in spec.eps_list
     ]
 
 
-def _block_clt(eng, spec, u0_coeffs, start, stop):
-    u0_grid = eng.grid_values(u0_coeffs)
+def _strong_rate_paths(eng, u0_coeffs, u0_grid, inc, eps):
     p = eng.params.p_norm
-    B, J = stop - start, eng.cfg.n_modes
-    inc = _block_increments(eng, spec.base_seed, start, stop)
-    out = []
-    for eps in spec.eps_list:
-        s = np.sqrt(eps)
-        step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
-        def observe(k, zg, vg):
-            stat = eng.grid.lp_norm(zg - vg, p)
-            zg *= s
-            zg += u0_grid[k]  # zg now holds u_eps = u0 + s z, which the z step reads
-            return stat, eng.grid.lp_norm(zg, p)
+    def observe(k, u_grid):
+        return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
 
-        steps = [
-            lambda k, z, ug, step_z=step_z: step_z(k, z, None, ug),
-            eng.deviation_step(u0_grid, 0.0, noise_inc=inc),
-        ]
-        states = [np.zeros((B, J)), np.zeros((B, J))]
-        out.append(_censored_march(eng, spec.guard, states, steps, observe))
-    return out
+    return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [eng.spde_step(np.sqrt(eps), inc)], observe
+
+
+def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
+    p = eng.params.p_norm
+    s = np.sqrt(eps)
+    step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
+
+    def observe(k, zg, vg):
+        stat = eng.grid.lp_norm(zg - vg, p)
+        zg *= s
+        zg += u0_grid[k]  # zg now holds u_eps = u0 + s z, which the z step reads
+        return stat, eng.grid.lp_norm(zg, p)
+
+    steps = [
+        lambda k, z, ug: step_z(k, z, None, ug),
+        eng.deviation_step(u0_grid, 0.0, noise_inc=inc),
+    ]
+    B, J = inc.shape[1], eng.cfg.n_modes
+    return [np.zeros((B, J)), np.zeros((B, J))], steps, observe
+
+
+def _mdp_paths(eng, u0_coeffs, u0_grid, inc, eps, speed, p):
+    s, noise_scale = speed.scales(eps)
+
+    def observe(k, zg):
+        stat = eng.grid.lp_norm(zg, p)
+        return stat, stat
+
+    step = eng.deviation_step(u0_grid, s, inc, noise_scale)
+    return [np.zeros((inc.shape[1], eng.cfg.n_modes))], [step], observe
 
 
 def _block_heat(eng, weights, seed, start, stop):
@@ -436,34 +444,16 @@ def _block_heat(eng, weights, seed, start, stop):
     return out
 
 
-def _block_mdp(eng, spec, u0_coeffs, start, stop, speed, p):
-    u0_grid = eng.grid_values(u0_coeffs)
-
-    def observe(k, zg):
-        stat = eng.grid.lp_norm(zg, p)
-        return stat, stat
-
-    inc = _block_increments(eng, spec.base_seed, start, stop)
-    out = []
-    for eps in spec.eps_list:
-        s, noise_scale = speed.scales(eps)
-        step = eng.deviation_step(u0_grid, s, inc, noise_scale)
-        states = [np.zeros((stop - start, eng.cfg.n_modes))]
-        out.append(_censored_march(eng, spec.guard, states, [step], observe))
-    return out
-
-
 # runners ---------------------------------------------------------------------
 
 
-def _run_marching(block, spec, params, g, cfg, noise_spec, u0, workers):
+def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers):
     """Run a marching ensemble and return (sups, trips), each (n_eps, n_paths)
-    in path order; ``block(eng, spec, u0_coeffs, start, stop)`` returns a
-    (sup, tripped) pair of (B,) arrays per eps.  The engine, the bound checks
-    and the reference solve (from ``u0``, the parabolic bump when None) come
-    before any worker starts, so setup errors surface first.  Blocks
-    synthesise the reference grid themselves, which keeps it out of the
-    pool's pickle."""
+    in path order; ``paths`` is the per-eps march that ``_block_march`` runs.
+    The engine, the bound checks and the reference solve (from ``u0``, the
+    parabolic bump when None) come before any worker starts, so setup errors
+    surface first.  Blocks synthesise the reference grid themselves, which
+    keeps it out of the pool's pickle."""
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
     # what a block allocates, its (K, B, J_noise) increments and the
     # (K + 1, n_points) reference grid it synthesises, and what the reduction
@@ -474,7 +464,7 @@ def _run_marching(block, spec, params, g, cfg, noise_spec, u0, workers):
     _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
     u0 = default_initial(eng.grid) if u0 is None else u0
     u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    blocks = _run_blocks(functools.partial(block, eng, spec, u0_coeffs), spec, workers)
+    blocks = _run_blocks(functools.partial(_block_march, paths, eng, spec, u0_coeffs), spec, workers)
     sups = np.concatenate([[sup for sup, _ in b] for b in blocks], axis=1)
     trips = np.concatenate([[trip for _, trip in b] for b in blocks], axis=1)
     return sups, trips
@@ -544,7 +534,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     with r^2 >= 0.99 (the theory guarantees only an upper bound of order
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
-    sups, trips = _run_marching(_block_strong_rate, spec, params, g, cfg, noise_spec, u0, workers)
+    sups, trips = _run_marching(_strong_rate_paths, spec, params, g, cfg, noise_spec, u0, workers)
     target = params.p_norm / 2
 
     def checks(fit, mean):
@@ -576,7 +566,7 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         params.validate_for_clt()
     except ValueError as exc:
         raise SetupError(str(exc)) from None
-    sups, trips = _run_marching(_block_clt, spec, params, g, cfg, noise_spec, u0, workers)
+    sups, trips = _run_marching(_clt_paths, spec, params, g, cfg, noise_spec, u0, workers)
 
     def checks(fit, mean):
         return {
@@ -686,8 +676,8 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
         raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
     if np.any(rho > spec.guard.threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    block = functools.partial(_block_mdp, speed=speed, p=int(tail_p))
-    sups, trips = _run_marching(block, spec, params, g, cfg, noise_spec, u0, workers)
+    paths = functools.partial(_mdp_paths, speed=speed, p=int(tail_p))
+    sups, trips = _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers)
     # a tripped path exceeded the guard, hence every admissible rho
     sups = np.where(trips, np.inf, sups)
     counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)

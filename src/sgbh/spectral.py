@@ -173,14 +173,14 @@ def apply_semigroup(coeffs, nu_t, basis):
     return np.exp(-basis.eigenvalues * nu_t) * coeffs
 
 
-IMAGES_TRUNCATION = 10  # image pairs |m| <= 10: heat_kernel_dy's, and heat_kernel's default
+IMAGES_TRUNCATION = 10  # image pairs |m| <= 10 in every image sum
 
 
-def _image_sum(x, truncation, f):
+def _image_sum(x, f):
     """sum_m [f(y - x - 2m) - f(y + x - 2m)] over node pairs (row x, column y),
-    added one image at a time in the order m = -truncation..truncation."""
+    added one image at a time in the order m = -IMAGES_TRUNCATION..IMAGES_TRUNCATION."""
     total = None
-    for m in 2.0 * np.arange(-truncation, truncation + 1):
+    for m in 2.0 * np.arange(-IMAGES_TRUNCATION, IMAGES_TRUNCATION + 1):
         v = f(x[None, :] - x[:, None] - m)
         v -= f(x[None, :] + x[:, None] - m)
         if total is None:
@@ -190,27 +190,23 @@ def _image_sum(x, truncation, f):
     return total
 
 
-def heat_kernel(t, grid, method="images", truncation=None):
+def heat_kernel(t, grid, method="images"):
     """Tabulate the Dirichlet heat kernel G(t, x_i, y_k) as an (n, n) array.
 
     Parameters
     ----------
     t : float, > 0
-    method : "images" (method of images, default) or "eigen" (mode sum)
-    truncation : int, image pairs |m| <= truncation, or eigenmode count.
-        Defaults: IMAGES_TRUNCATION image pairs; min(200, 4*n_points) eigenmodes.
+    method : "images" (method of images over IMAGES_TRUNCATION image pairs,
+        the default) or "eigen" (the first min(200, 4*n_points) sine modes)
 
-    A warning is emitted when the requested truncation cannot exhaust the
-    tail of the sum at this t to ~1e-12 absolute.
+    A warning is emitted when the truncation cannot exhaust the tail of the
+    sum at this t to ~1e-12 absolute.
     """
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
     x = grid.nodes
     if method == "images":
-        if truncation is None:
-            truncation = IMAGES_TRUNCATION
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
+        truncation = IMAGES_TRUNCATION
         # nearest dropped image sits at distance >= 2*truncation + 1
         tail = (4 * np.pi * t) ** -0.5 * 2 * np.exp(-((2 * truncation + 1) ** 2) / (4 * t))
         if tail > 1e-12:
@@ -218,13 +214,10 @@ def heat_kernel(t, grid, method="images", truncation=None):
                 f"images truncation {truncation} leaves tail ~{tail:.2e} at t={t}",
                 RuntimeWarning,
             )
-        vals = _image_sum(x, truncation, lambda z: np.exp(-(z**2) / (4 * t)))
+        vals = _image_sum(x, lambda z: np.exp(-(z**2) / (4 * t)))
         vals *= (4 * np.pi * t) ** -0.5
     elif method == "eigen":
-        if truncation is None:
-            truncation = min(200, 4 * grid.n_points)
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
+        truncation = min(200, 4 * grid.n_points)
         lam_next = ((truncation + 1) * np.pi) ** 2
         tail = 2.0 * np.exp(-lam_next * t)
         if tail > 1e-12:
@@ -248,7 +241,7 @@ def heat_kernel_dy(t, grid):
     def f(z):
         return -(z / (2 * t)) * np.exp(-(z**2) / (4 * t))
 
-    return (4 * np.pi * t) ** -0.5 * _image_sum(grid.nodes, IMAGES_TRUNCATION, f)
+    return (4 * np.pi * t) ** -0.5 * _image_sum(grid.nodes, f)
 
 
 @dataclass(frozen=True)
@@ -323,9 +316,9 @@ def _envelope_violation(t_samples, grid, kernel_fn, t_power, c, a):
     return worst
 
 
-def gaussian_lp_norm(s, p, a, n_quad=4001):
-    """L^p([-1,1]) norm of z -> exp(-z^2/(a*s)) by trapezoid quadrature."""
-    z = np.linspace(-1.0, 1.0, n_quad)
+def gaussian_lp_norm(s, p, a):
+    """L^p([-1,1]) norm of z -> exp(-z^2/(a*s)) by trapezoid quadrature on 4001 nodes."""
+    z = np.linspace(-1.0, 1.0, 4001)
     vals = np.exp(-p * z**2 / (a * s))
     return np.trapezoid(vals, z) ** (1.0 / p)
 

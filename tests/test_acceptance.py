@@ -65,8 +65,8 @@ def test_criterion_1_kernel_cross_validation():
         grid = Grid1D(50)
         h = grid.spacing
         for t in np.linspace(0.01, 0.5, 50):
-            k_img = heat_kernel(t, grid, method="images", truncation=10)
-            k_eig = heat_kernel(t, grid, method="eigen", truncation=200)
+            k_img = heat_kernel(t, grid, method="images")
+            k_eig = heat_kernel(t, grid, method="eigen")
             assert np.max(np.abs(k_img - k_eig)) < 1e-8
             # sub-stochasticity on the full lattice: nonnegative, mass <= 1
             assert k_img.min() >= -1e-12

@@ -65,7 +65,7 @@ def _write(tmp_path, text, name="run.cfg"):
 def test_config_defaults_round_trip():
     cfg = RunConfig()
     assert cfg.values["model"]["nu"] == 0.1
-    assert RunConfig.parse(cfg.serialize()) == cfg
+    assert RunConfig.parse(cfg.serialize()).values == cfg.values
     parsed = RunConfig.parse("[model]\nnu = 0.2\n\n# comment\n[output]\nseed = 7\n")
     assert parsed.values["model"]["nu"] == 0.2
     assert parsed.seed == 7
@@ -86,7 +86,8 @@ def _values_section(node):
 
 def _config_reads():
     """(section, key) pairs that cli.py's functions read from a config's values,
-    directly (``values["s"]["k"]``) or through a local (``e = values["s"]``)."""
+    directly (``values["s"]["k"]``) or through a local (``e = values["s"]``);
+    unpacking a section (``**values["s"]``) reads every key of it."""
     import sgbh.cli
 
     tree = ast.parse(Path(sgbh.cli.__file__).read_text())
@@ -100,6 +101,10 @@ def _config_reads():
             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
         }
         for node in ast.walk(fn):
+            if isinstance(node, ast.keyword) and node.arg is None:
+                if (section := _values_section(node.value)) is not None:
+                    reads.update((section, key) for key in _SCHEMA[section])
+                continue
             if not (
                 isinstance(node, ast.Subscript)
                 and isinstance(node.ctx, ast.Load)

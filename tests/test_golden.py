@@ -55,9 +55,15 @@ CASES = [
         for w in (1, 2)
     ),
     ("heat-oracle", ["experiment", "heat-oracle", "--workers", "1"]),
-    *((f"simulate-{k}", ["simulate", "--solver", k]) for k in ("deterministic", "spde", "clt", "mdp")),
+    *(
+        (f"simulate-{k}", ["simulate", "--solver", k])
+        for k in ("deterministic", "spde", "clt", "mdp")
+    ),
     ("rate", ["rate", "--target", "{tmp}/target.json"]),
-    ("simulate-skeleton", ["simulate", "--solver", "skeleton", "--control", "{tmp}/rate/control.bin"]),
+    (
+        "simulate-skeleton",
+        ["simulate", "--solver", "skeleton", "--control", "{tmp}/rate/control.bin"],
+    ),
     ("validate-kernel", ["validate-kernel"]),
 ]
 
@@ -77,7 +83,8 @@ def _read(path, tmp):
         return [[_cell(c) for c in line.split(",")] for line in path.read_text().splitlines()]
     if path.name == "trajectory.bin":
         traj = load_trajectory(path)
-        return {"n_points": traj.basis.grid.n_points, "dt": traj.dt, "coeffs": traj.coeffs.tolist()}
+        grid = traj.basis.grid
+        return {"n_points": grid.n_points, "dt": traj.dt, "coeffs": traj.coeffs.tolist()}
     if path.name == "control.bin":
         h = load_control(path)
         return {"dt": h.dt, "n_steps": h.n_steps, "hdot": h.hdot.tolist()}
@@ -129,7 +136,8 @@ def mismatches(got, want, where=""):
     if isinstance(want, list):
         if len(got) != len(want):
             return [f"{where}: length {len(got)} != {len(want)}"]
-        return [m for i, (a, b) in enumerate(zip(got, want)) for m in mismatches(a, b, f"{where}[{i}]")]
+        pairs = enumerate(zip(got, want))
+        return [m for i, (a, b) in pairs for m in mismatches(a, b, f"{where}[{i}]")]
     return [] if got == want else [f"{where}: {got!r} != {want!r}"]
 
 

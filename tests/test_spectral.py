@@ -260,7 +260,7 @@ def test_heat_kernel_values_against_loop_oracles():
     assert img[quarter, mid] == pytest.approx(
         _image_sum_scalar(t, 0.25, 0.5, 10), rel=1e-14
     )
-    eig = heat_kernel(t, grid, method="eigen", truncation=200)
+    eig = heat_kernel(t, grid, method="eigen")
     assert eig[mid, mid] == pytest.approx(_eigen_sum_scalar(t, 0.5, 0.5, 200), rel=1e-13)
 
 
@@ -278,16 +278,17 @@ def test_heat_kernel_symmetry_positivity_substochastic():
 def test_heat_kernel_methods_agree():
     grid = Grid1D(64)
     img = heat_kernel(0.1, grid, method="images")
-    eig = heat_kernel(0.1, grid, method="eigen", truncation=200)
+    eig = heat_kernel(0.1, grid, method="eigen")
     assert np.abs(img - eig).max() < 1e-12
 
 
 def test_heat_kernel_truncation_warnings():
     grid = Grid1D(32)
-    with pytest.warns(RuntimeWarning):
-        heat_kernel(0.5, grid, method="images", truncation=1)
-    with pytest.warns(RuntimeWarning):
-        heat_kernel(1e-3, grid, method="eigen", truncation=5)
+    # 10 image pairs leave a tail ~6.7e-11 at t = 5; 128 modes leave ~0.39 at t = 1e-5
+    with pytest.warns(RuntimeWarning, match=r"images truncation 10 leaves tail ~6\.69e-11"):
+        heat_kernel(5.0, grid, method="images")
+    with pytest.warns(RuntimeWarning, match=r"eigen truncation 128 leaves tail ~3\.87e-01"):
+        heat_kernel(1e-5, grid, method="eigen")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         heat_kernel(0.1, grid, method="images")
@@ -302,8 +303,6 @@ def test_heat_kernel_validation():
         heat_kernel(-0.1, grid)
     with pytest.raises(ValueError):
         heat_kernel(0.1, grid, method="fourier")
-    with pytest.raises(ValueError):
-        heat_kernel(0.1, grid, method="images", truncation=0)
     with pytest.raises(ValueError):
         heat_kernel_dy(0.0, grid)
 
@@ -380,8 +379,8 @@ def _warm_traced_peak(fn):
 
 def test_kernel_sums_and_fit_hold_one_image_and_one_time_at_a_time():
     """The images sums add one m at a time and the envelope fit streams over
-    the sample times, so each holds a few (n, n) arrays whatever the
-    truncation and the number of times.  Stacking all 21 images and keeping
+    the sample times, so each holds a few (n, n) arrays however many images
+    and times they sum.  Stacking all 21 images and keeping
     every time's log-kernel took 105, 126 and 142 such arrays at n = 128."""
     grid = Grid1D(128)
     n2 = 8 * 128**2
