@@ -63,9 +63,14 @@ class ModelParams:
         return self
 
 
-def advective_nonlinearity(u, delta):
-    """p(u) = u^(delta+1), pointwise."""
-    return np.asarray(u) ** (delta + 1)
+def _power(u, n, out=None):
+    """u^n into ``out`` when given, squaring as ``u ** 2`` does: numpy's power loop is slower."""
+    return np.square(u, out=out) if n == 2 else np.power(u, n, out=out)
+
+
+def advective_nonlinearity(u, delta, out=None):
+    """p(u) = u^(delta+1), pointwise, written into ``out`` when given."""
+    return _power(u, delta + 1, out)
 
 
 def advective_derivative(u0, delta):
@@ -73,14 +78,14 @@ def advective_derivative(u0, delta):
     return (delta + 1) * np.asarray(u0) ** delta
 
 
-def reaction_nonlinearity(u, gamma, delta):
-    """c(u) = u (1 - u^delta)(u^delta - gamma) in four passes over u's shape
-    at delta = 1 (five above); ``u`` itself is not written."""
+def reaction_nonlinearity(u, gamma, delta, out=None, work=None):
+    """c(u) = u (1 - u^delta)(u^delta - gamma) into ``out``, u^delta - gamma into ``work``
+    (each new when None), in four passes at delta = 1 (five above); ``u`` is not written."""
     u = np.asarray(u, dtype=float)
-    ud = u**delta if delta > 1 else u
-    out = 1.0 - ud
+    ud = _power(u, delta, work) if delta > 1 else u
+    out = np.subtract(1.0, ud, out=out)
     out *= u
-    out *= ud - gamma
+    out *= np.subtract(ud, gamma, out=work)  # in place of u^delta when delta > 1
     return out
 
 

@@ -16,9 +16,8 @@ the reference path, and each block (``_block_march``) draws its increments
 once and marches every eps with them, returning a sup and a guard-trip mask
 per eps.  The runners differ only in their per-eps march (the states, steps
 and statistic that ``_censored_march`` runs) and in their verdict.  The
-runner called is the experiment and names its report.  ``_run_blocks``
-first sets glibc's malloc thresholds (``_keep_freed_heap``), so a block's
-step temporaries reuse heap memory instead of faulting fresh pages in.
+runner called is the experiment and names its report.  A march writes its
+(paths x n_points) work into a few buffers that it allocates once.
 
 Every ensemble is coupled across epsilon, as the paper's bounds are: each
 path index draws one Brownian path and the same increments drive every
@@ -246,23 +245,6 @@ class OracleReport:
 # block engine ----------------------------------------------------------------
 
 
-def _keep_freed_heap():
-    """Start glibc's malloc at the mmap and trim thresholds (32 and 64 MB) its
-    own tuning reaches after the first large free.  Until then it returns the
-    top of the heap to the OS whenever two freed (B, n) step temporaries sit
-    there, and an ensemble's first block page-faults on most steps.  Pool
-    workers inherit the setting; a C library without mallopt keeps its own."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _heat_weights(eng):
     """The pure heat endpoint's response to a unit increment at each step, read
     off the stepper as a (J, K) array w, so a path's endpoint at eps = 1 is
@@ -322,7 +304,6 @@ def _run_blocks(block, spec, workers):
     worker at its first submit).  A runner binds what its block reads with
     ``functools.partial`` over a module-level function, so the pool pickles it
     with each block."""
-    _keep_freed_heap()
     spans = _block_spans(spec.n_paths, spec.block_size)
     workers = min(workers, len(spans), _available_cpus())
     if workers <= 1:
@@ -350,20 +331,21 @@ def _censored_march(eng, guard, states, steps, observe):
     """March a block of paths and keep each path's running sup of a statistic.
 
     ``states`` are (B, J) arrays advanced by the matching ``steps``;
-    ``observe(k, *grids)`` returns the per-path statistic and the norm the
-    guard watches.  A path dies at its first guard trip or non-finite
-    statistic: its rows are zeroed from then on and it keeps the sup over the
-    steps strictly before (censoring excludes the crossing).  Returns the
-    (B,) sups and trip mask.
+    ``observe(k, work, *grids)`` returns the per-path statistic and the norm
+    the guard watches, with ``work`` a (B, n_points) buffer for its grid work.
+    A path dies at its first guard trip or non-finite statistic: its rows are
+    zeroed from then on and it keeps the sup over the steps strictly before
+    (censoring excludes the crossing).  Returns the (B,) sups and trip mask.
     """
     B = states[0].shape[0]
+    work = np.empty((B, eng.cfg.n_points))
     alive = np.ones(B, dtype=bool)
     tripped = np.zeros(B, dtype=bool)
     supv = np.zeros(B)
 
     def censor(k, states, grids):
         nonlocal alive
-        stat, norm = observe(k, *grids)
+        stat, norm = observe(k, work, *grids)
         ok = alive & ~guard.trips(norm) & np.isfinite(stat)
         np.maximum(supv, stat, out=supv, where=ok)
         if ok.all():
@@ -394,8 +376,9 @@ def _block_march(paths, eng, spec, u0_coeffs, start, stop):
 def _strong_rate_paths(eng, u0_coeffs, u0_grid, inc, eps):
     p = eng.params.p_norm
 
-    def observe(k, u_grid):
-        return eng.grid.lp_integral(u_grid - u0_grid[k], p), eng.grid.lp_norm(u_grid, p)
+    def observe(k, work, u_grid):
+        diff = np.subtract(u_grid, u0_grid[k], out=work)
+        return eng.grid.lp_integral(diff, p, work), eng.grid.lp_norm(u_grid, p, work)
 
     return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [eng.spde_step(np.sqrt(eps), inc)], observe
 
@@ -405,11 +388,11 @@ def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
     s = np.sqrt(eps)
     step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
-    def observe(k, zg, vg):
-        stat = eng.grid.lp_norm(zg - vg, p)
+    def observe(k, work, zg, vg):
+        stat = eng.grid.lp_norm(np.subtract(zg, vg, out=work), p, work)
         zg *= s
         zg += u0_grid[k]  # zg now holds u_eps = u0 + s z, which the z step reads
-        return stat, eng.grid.lp_norm(zg, p)
+        return stat, eng.grid.lp_norm(zg, p, work)
 
     steps = [
         lambda k, z, ug: step_z(k, z, None, ug),
@@ -422,8 +405,8 @@ def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
 def _mdp_paths(eng, u0_coeffs, u0_grid, inc, eps, speed, p):
     s, noise_scale = speed.scales(eps)
 
-    def observe(k, zg):
-        stat = eng.grid.lp_norm(zg, p)
+    def observe(k, work, zg):
+        stat = eng.grid.lp_norm(zg, p, work)
         return stat, stat
 
     step = eng.deviation_step(u0_grid, s, inc, noise_scale)

@@ -261,8 +261,8 @@ class SolverEngine:
 
     # representation changes ------------------------------------------------
 
-    def grid_values(self, coeffs):
-        return coeffs @ self.phi
+    def grid_values(self, coeffs, out=None):
+        return np.matmul(coeffs, self.phi, out=out)
 
     def project(self, values):
         out = values @ self.phi.T
@@ -291,30 +291,30 @@ class SolverEngine:
     # the reaction (or its linearization) and the kappa1 u dW product of a step
     # are one grid field and take one projection; the advective field takes one
     # divergence projection.  The drift and forcing methods and both steppers
-    # build their terms from these three helpers.
+    # build their terms from these three helpers, in a stepper's grid scratch.
 
-    def _drift_fields(self, u_grid, weight=1.0):
+    def _drift_fields(self, u_grid, weight=1.0, out=(None, None)):
         """weight * N(u) as (grid field, weight) pairs, (c(u), weight beta) and
         (p(u), weight alpha/(delta+1)), None where the coefficient is zero;
-        ``u_grid`` is read only then."""
+        ``u_grid`` is read only then.  c is written to out[0], p (after c's work) to out[1]."""
         p = self.params
         react = adv = None
         if p.beta > 0:
-            react = reaction_nonlinearity(u_grid, p.gamma, p.delta), weight * p.beta
+            react = reaction_nonlinearity(u_grid, p.gamma, p.delta, out[0], out[1]), weight * p.beta
         if p.alpha > 0:
-            adv = advective_nonlinearity(u_grid, p.delta), weight * (p.alpha / (p.delta + 1))
+            adv = advective_nonlinearity(u_grid, p.delta, out[1]), weight * (p.alpha / (p.delta + 1))
         return react, adv
 
     @staticmethod
-    def _linear_fields(z_grid, p1, c1, weight=1.0):
+    def _linear_fields(z_grid, p1, c1, weight=1.0, out=(None, None)):
         """weight times the linearized drift as (grid field, weight) pairs,
-        (c1 z, weight) and (p1 z, weight), for ``linearization_profiles``."""
+        (c1 z, weight) and (p1 z, weight) into ``out``, for ``linearization_profiles``."""
         return (
-            None if c1 is None else (c1 * z_grid, weight),
-            None if p1 is None else (p1 * z_grid, weight),
+            None if c1 is None else (np.multiply(c1, z_grid, out=out[0]), weight),
+            None if p1 is None else (np.multiply(p1, z_grid, out=out[1]), weight),
         )
 
-    def _explicit_modes(self, shape, react, adv, u_grid=None, forcings=()):
+    def _explicit_modes(self, shape, react, adv, u_grid=None, forcings=(), w_out=None):
         """r project(c + kappa1 u w / r) + a project_divergence(f) + the kappa0
         modes, for react = (c, r) and adv = (f, a), each None when absent.
 
@@ -323,28 +323,30 @@ class SolverEngine:
         kappa0 part projects to kappa0 q_j dB_j exactly (the sine modes are
         discretely orthonormal on the grid), zero beyond J_noise, so only
         kappa1 != 0 takes the grid product and reads ``u_grid``.  The weights
-        scale mode coefficients, a pass over (B, J) where the grid is (B, n);
-        the grid fields are written in place.  Every input has the batch axes
-        of ``shape``, the state's, except that ``u_grid`` may be one grid row.
-        Returns a new array of ``shape``.
+        scale mode coefficients, a pass over (B, J) where the grid is (B, n); the
+        grid fields are written in place, w into ``w_out``, which may hold f (projected
+        first).  Every input has the batch axes of ``shape``, the state's, except that
+        ``u_grid`` may be one grid row.  Returns a new array of ``shape``.
         """
-        kappa1 = self.g.kappa1 if forcings else 0.0
         out = None
+        if adv is not None:
+            field, weight = adv
+            out = self.project_divergence(field)
+            out *= weight
+        kappa1 = self.g.kappa1 if forcings else 0.0
         if react is not None or kappa1 != 0.0:
             field, weight = (None, 1.0) if react is None else react
             if kappa1 != 0.0:
                 scale = kappa1 / weight
-                parts = [self.colored_increment_grid((c * scale) * x) for c, x in forcings]
-                w = functools.reduce(np.add, parts)
+                (c, x), *rest = forcings
+                w = self.colored_increment_grid((c * scale) * x, out=w_out)
+                for c, x in rest:
+                    w += self.colored_increment_grid((c * scale) * x)
                 w *= u_grid
                 field = w if field is None else np.add(field, w, out=field)
-            out = self.project(field)
-            out *= weight
-        if adv is not None:
-            field, weight = adv
-            div = self.project_divergence(field)
-            div *= weight
-            out = div if out is None else np.add(out, div, out=out)
+            modes = self.project(field)
+            modes *= weight
+            out = modes if out is None else np.add(out, modes, out=out)
         if out is None:
             out = np.zeros(shape)
         for c, x in forcings:
@@ -377,10 +379,10 @@ class SolverEngine:
 
     # noise and control ------------------------------------------------------
 
-    def colored_increment_grid(self, mode_increments):
+    def colored_increment_grid(self, mode_increments, out=None):
         """Sum_j q_j phi_j(x) dB_j on the grid; mode_increments is (..., J_noise)."""
         jn = mode_increments.shape[-1]
-        return (self.q[:jn] * mode_increments) @ self.phi[:jn]
+        return np.matmul(self.q[:jn] * mode_increments, self.phi[:jn], out=out)
 
     def forcing_term(self, t, u_grid, mode_increments):
         """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control;
@@ -395,6 +397,10 @@ class SolverEngine:
     # buffers are step-major: inc[k] holds the (..., J_noise) increments of step
     # k, so a single path passes ``noise.increments.T``.
 
+    def _grid_scratch(self, count):
+        """A stepper's ``count`` grid buffers for a batch shape, made anew when it changes."""
+        return functools.lru_cache(maxsize=1)(lambda b: np.empty((count, *b, self.cfg.n_points)))
+
     def spde_step(self, root_eps=0.0, inc=None):
         """The full equation: E (a + dt N(u) + sqrt(eps) F(u, dB_k)).
 
@@ -403,11 +409,13 @@ class SolverEngine:
         state is never read, so callers may pass ``None`` for it.
         """
         dt = self.dt
+        scratch = self._grid_scratch(2)
 
         def step(k, a, u_grid):
             forcings = () if inc is None else ((root_eps, inc[k]),)
-            fields = self._drift_fields(u_grid, dt)
-            out = self._explicit_modes(a.shape, *fields, u_grid, forcings)
+            bufs = scratch(a.shape[:-1])
+            fields = self._drift_fields(u_grid, dt, bufs)
+            out = self._explicit_modes(a.shape, *fields, u_grid, forcings, bufs[1])
             out += a
             out *= self.semigroup
             return out
@@ -435,18 +443,21 @@ class SolverEngine:
         drives = [
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
+        scratch = self._grid_scratch(2 if linear else 3)
 
         def step(k, z, z_grid, u_grid=None):
             forcings = [(c, inc[k]) for c, inc in drives]
+            bufs = scratch(z.shape[:-1])
             if linear:
                 u_grid = u0_grid[k]
                 fields = self._linear_fields(
-                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt
+                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt, bufs
                 )
             else:
-                u_grid = u0_grid[k] + s * z_grid if u_grid is None else u_grid
-                fields = self._drift_fields(u_grid, dt / s)
-            out = self._explicit_modes(z.shape, *fields, u_grid, forcings)
+                if u_grid is None:  # u = u0 + s z
+                    u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
+                fields = self._drift_fields(u_grid, dt / s, bufs)
+            out = self._explicit_modes(z.shape, *fields, u_grid, forcings, bufs[1])
             if not linear:
                 out -= ref[k]
             out += z
@@ -477,8 +488,9 @@ def march(eng, states, steps, observe):
     ``observe`` may raise to stop, or zero rows of the states and grids in
     place.  Returns the states at step K."""
     k_steps = eng.cfg.n_steps
+    grids = [None for _ in states]  # allocated at k = 0, then rewritten
     for k in range(k_steps + 1):
-        grids = [eng.grid_values(x) for x in states]
+        grids = [eng.grid_values(x, out=g) for x, g in zip(states, grids)]
         observe(k, states, grids)
         if k < k_steps:
             states = [step(k, x, g) for step, x, g in zip(steps, states, grids)]

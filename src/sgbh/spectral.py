@@ -68,17 +68,17 @@ class Grid1D:
         """Trapezoid quadrature of interior samples; boundary values are zero."""
         return self.spacing * self._samples(values).sum(axis=-1)
 
-    def lp_integral(self, values, p):
+    def lp_integral(self, values, p, out=None):
         """Trapezoid quadrature of |values|^p over the last axis, p >= 1.
 
         An even p = 2m >= 4 takes no abs and no libm pow: it squares up to
-        (x^2)^floor(m/2) and ends in the row-wise dot product
-        (x^2)^ceil(m/2) . (x^2)^floor(m/2), so x^p is never formed."""
+        (x^2)^floor(m/2) and ends in the row-wise dot product (x^2)^ceil(m/2) .
+        (x^2)^floor(m/2), so x^p is never formed.  ``out`` (may be ``values``) takes x^2."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         if p % 2:
             return self.trapezoid(np.abs(values) ** p)
-        x2 = np.square(self._samples(values, float))
+        x2 = np.square(self._samples(values, float), out=out)
         m = int(p) // 2
         if m == 1:
             return self.trapezoid(x2)
@@ -92,9 +92,9 @@ class Grid1D:
         high = low * x2 if m % 2 else low
         return self.spacing * np.vecdot(high, low)
 
-    def lp_norm(self, values, p):
+    def lp_norm(self, values, p, out=None):
         """L^p norm over the last axis by trapezoid quadrature, p >= 1."""
-        return self.lp_integral(values, p) ** (1.0 / p)
+        return self.lp_integral(values, p, out) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

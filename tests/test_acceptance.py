@@ -226,13 +226,12 @@ def test_criterion_8_reproducibility(tmp_path):
         spec = EnsembleSpec(
             n_paths=9, base_seed=808, eps_list=(0.5, 0.25, 0.125), block_size=3
         )
-        reports = [
-            run_strong_rate(spec, DESK, G_AFFINE, cfg, noise_spec=NoiseSpec(8, 0.3), workers=w)
-            for w in (1, 1, 3)
-        ]
+        # inline against a pool of up to three workers, byte for byte: the
+        # golden runs compare floats at rtol 1e-12, and only at workers 1 and 2
         blobs = []
-        for i, rep in enumerate(reports):
-            csv = tmp_path / f"r{i}.csv"
+        for w in (1, 3):
+            rep = run_strong_rate(spec, DESK, G_AFFINE, cfg, noise_spec=NoiseSpec(8, 0.3), workers=w)
+            csv = tmp_path / f"r{w}.csv"
             rep.to_csv(csv)
             blobs.append((rep.to_json(), csv.read_bytes()))
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]

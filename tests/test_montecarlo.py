@@ -702,7 +702,7 @@ def _censored_march_masked(eng, guard, states, steps, observe):
 
     def censor(k, states, grids):
         nonlocal alive
-        stat, norm = observe(k, *grids)
+        stat, norm = observe(k, np.empty_like(grids[0]), *grids)
         ok = alive & ~guard.trips(norm) & np.isfinite(stat)
         supv[ok] = np.maximum(supv[ok], stat[ok])
         dead = ~ok

@@ -392,9 +392,31 @@ def _step_inputs(g, batch, j_noise, seed, n_steps=3):
     return eng, x, dB, hdot, u0_grid
 
 
+def _step_calls(g, batches, j_noise, seed, ks):
+    """``_step_inputs`` for one step called once per batch shape, at the steps
+    ``ks``: the engine, the (k, state) calls, the increments and controls as
+    lists whose entry k has call k's batch, and the reference grid."""
+    calls, dB, hdot = [], [None] * 3, [None] * 3
+    for i, (k, batch) in enumerate(zip(ks, batches)):
+        eng_i, x, dB_i, hdot_i, u0_grid_i = _step_inputs(g, batch, j_noise, seed + i)
+        if i == 0:
+            eng, u0_grid = eng_i, u0_grid_i
+        calls.append((k, x))
+        dB[k], hdot[k] = dB_i[k], hdot_i[k]
+    return eng, calls, dB, hdot, u0_grid
+
+
 def _assert_rel(got, want, rel=1e-13):
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def _assert_results(results):
+    """(result, its copy when returned, want) per call, checked after the last
+    call: no later call, at another k or batch, wrote into an earlier result."""
+    for got, first, want in results:
+        assert np.array_equal(got, first)
+        _assert_rel(got, want)
 
 
 def _stepped(step, k, x, *grids):
@@ -405,57 +427,72 @@ def _stepped(step, k, x, *grids):
     return out
 
 
+# the last input calls one step twice at batch 5, then at batch 3 as a short
+# last block does: no result may share memory with the step's scratch, which
+# must be made again for the new batch
 STEP_CASES = dict(
-    argnames="g,batch,j_noise",
+    argnames="g,batches,j_noise",
     argvalues=[
-        (G_CONSTANT, (), 16),
-        (G_AFFINE, (), 6),
-        (G_AFFINE, (1,), 16),
-        (G_CONSTANT, (5,), 6),
-        (G_AFFINE, (5,), 16),
-        (G_AFFINE, (5,), 6),
+        (G_CONSTANT, [()], 16),
+        (G_AFFINE, [()], 6),
+        (G_AFFINE, [(1,)], 16),
+        (G_CONSTANT, [(5,)], 6),
+        (G_AFFINE, [(5,)], 16),
+        (G_AFFINE, [(5,)], 6),
+        (G_AFFINE, [(5,), (5,), (3,)], 16),
     ],
     ids=["constant-path", "affine-path-Jn6", "affine-B1", "constant-B5-Jn6", "affine-B5",
-         "affine-B5-Jn6"],
+         "affine-B5-Jn6", "affine-B5-B5-B3"],
 )
 
 
 @pytest.mark.parametrize(**STEP_CASES)
-def test_spde_step_equals_the_unfused_formula(g, batch, j_noise):
-    eng, a, dB, _, _ = _step_inputs(g, batch, j_noise, seed=j_noise + len(batch))
-    u = eng.grid_values(a)
-    k, root_eps = 1, 0.3
-    got = _stepped(eng.spde_step(root_eps, dB), k, a, u)
-    want = eng.semigroup * (
-        a + eng.dt * _unfused_drift(eng, u) + root_eps * _unfused_forcing(eng, g, u, dB[k])
-    )
-    _assert_rel(got, want)
-    _assert_rel(eng.spde_step()(k, a, u), eng.semigroup * (a + eng.dt * _unfused_drift(eng, u)))
+def test_spde_step_equals_the_unfused_formula(g, batches, j_noise):
+    eng, calls, dB, _, _ = _step_calls(g, batches, j_noise, j_noise + len(batches[0]), ks=(1, 2, 0))
+    root_eps = 0.3
+    noisy, free = eng.spde_step(root_eps, dB), eng.spde_step()
+    results = []
+    for k, a in calls:
+        u = eng.grid_values(a)
+        drift = a + eng.dt * _unfused_drift(eng, u)
+        forcing = root_eps * _unfused_forcing(eng, g, u, dB[k])
+        for step, want in ((noisy, drift + forcing), (free, drift)):
+            got = _stepped(step, k, a, u)
+            results.append((got, got.copy(), eng.semigroup * want))
+    _assert_results(results)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.0], ids=["s>0", "s=0"])
 @pytest.mark.parametrize(**STEP_CASES)
-def test_deviation_step_equals_the_unfused_formula(g, batch, j_noise, s):
+def test_deviation_step_equals_the_unfused_formula(g, batches, j_noise, s):
     """Noise and control together, at s > 0 (the difference quotient) and at
     s = 0 (the linearization), and each forcing alone."""
-    eng, z, dB, hdot, u0_grid = _step_inputs(g, batch, j_noise, seed=7 * j_noise + len(batch))
-    zg = eng.grid_values(z)
-    k, scale, dt = 2, 0.7, eng.dt
-    if s:
-        u = u0_grid[k] + s * zg
-        drift = (_unfused_drift(eng, u) - _unfused_drift(eng, u0_grid[k])) / s
-    else:
-        u = u0_grid[k]
-        drift = _unfused_linear_drift(eng, u0_grid[k], zg)
-    noise = scale * _unfused_forcing(eng, g, u, dB[k])
-    control = dt * _unfused_forcing(eng, g, u, hdot[k])
-    for kwargs, forcing in (
-        (dict(noise_inc=dB, noise_scale=scale, control_inc=hdot), noise + control),
-        (dict(noise_inc=dB, noise_scale=scale), noise),
-        (dict(control_inc=hdot), control),
-    ):
-        got = _stepped(eng.deviation_step(u0_grid, s, **kwargs), k, z, zg)
-        _assert_rel(got, eng.semigroup * (z + dt * drift + forcing))
+    eng, calls, dB, hdot, u0_grid = _step_calls(
+        g, batches, j_noise, 7 * j_noise + len(batches[0]), ks=(2, 1, 0)
+    )
+    scale, dt = 0.7, eng.dt
+    drives = dict(
+        both=dict(noise_inc=dB, noise_scale=scale, control_inc=hdot),
+        noise=dict(noise_inc=dB, noise_scale=scale),
+        control=dict(control_inc=hdot),
+    )
+    steps = {name: eng.deviation_step(u0_grid, s, **kw) for name, kw in drives.items()}
+    results = []
+    for k, z in calls:
+        zg = eng.grid_values(z)
+        if s:
+            u = u0_grid[k] + s * zg
+            drift = (_unfused_drift(eng, u) - _unfused_drift(eng, u0_grid[k])) / s
+        else:
+            u = u0_grid[k]
+            drift = _unfused_linear_drift(eng, u0_grid[k], zg)
+        noise = scale * _unfused_forcing(eng, g, u, dB[k])
+        control = dt * _unfused_forcing(eng, g, u, hdot[k])
+        forcing = dict(both=noise + control, noise=noise, control=control)
+        for name, step in steps.items():
+            got = _stepped(step, k, z, zg)
+            results.append((got, got.copy(), eng.semigroup * (z + dt * drift + forcing[name])))
+    _assert_results(results)
 
 
 @pytest.mark.parametrize("batch,j_noise", [((), 16), ((1,), 6), ((5,), 16)])
