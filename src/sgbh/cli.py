@@ -32,6 +32,7 @@ from .deviation import SpeedFunction, rate_function_endpoint
 from .model import ModelParams, NoiseCoefficient
 from .montecarlo import (
     EnsembleSpec,
+    _available_cpus,
     default_initial,
     run_clt,
     run_heat_oracle,
@@ -553,7 +554,7 @@ def _build_parser():
 def main(argv=None):
     # argparse fills a default only for a name the namespace lacks, and the
     # subparser copies back only the shared flags it parsed
-    defaults = argparse.Namespace(config=None, seed=None, out=None, workers=os.cpu_count() or 1)
+    defaults = argparse.Namespace(config=None, seed=None, out=None, workers=_available_cpus())
     args = _build_parser().parse_args(argv, defaults)
     try:
         if args.workers < 1:

@@ -53,12 +53,12 @@ class ModelParams:
             raise ValueError(f"p_norm must be a positive even integer, got {self.p_norm!r}")
 
     def validate_for_clt(self):
-        """Deviation experiments need p_norm > max(6, 2*delta+1)."""
+        """The CLT experiment needs p_norm > max(6, 2*delta+1)."""
         bound = max(6, 2 * self.delta + 1)
         if self.p_norm <= bound:
             raise ValueError(
                 f"p_norm={self.p_norm} must exceed max(6, 2*delta+1)={bound} "
-                "for CLT/MDP experiments"
+                "for the CLT experiment"
             )
         return self
 

@@ -287,7 +287,7 @@ def _blas_oversubscription(workers):
         return None
     return (
         f"sgbh: {var}={threads} BLAS threads x {workers} workers = "
-        f"{threads * workers} threads on {os.cpu_count()} CPUs"
+        f"{threads * workers} threads on {_available_cpus()} CPUs"
     )
 
 
@@ -386,18 +386,14 @@ def _strong_rate_paths(eng, u0_coeffs, u0_grid, inc, eps):
 def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
     p = eng.params.p_norm
     s = np.sqrt(eps)
-    step_z = eng.deviation_step(u0_grid, s, noise_inc=inc)
 
     def observe(k, work, zg, vg):
         stat = eng.grid.lp_norm(np.subtract(zg, vg, out=work), p, work)
-        zg *= s
-        zg += u0_grid[k]  # zg now holds u_eps = u0 + s z, which the z step reads
-        return stat, eng.grid.lp_norm(zg, p, work)
+        u = np.add(u0_grid[k], np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
+        return stat, eng.grid.lp_norm(u, p, work)
 
-    steps = [
-        lambda k, z, ug: step_z(k, z, None, ug),
-        eng.deviation_step(u0_grid, 0.0, noise_inc=inc),
-    ]
+    # z at scale s, and the CLT limit v (s = 0) on the same increments
+    steps = [eng.deviation_step(u0_grid, scale, noise_inc=inc) for scale in (s, 0.0)]
     B, J = inc.shape[1], eng.cfg.n_modes
     return [np.zeros((B, J)), np.zeros((B, J))], steps, observe
 

@@ -29,11 +29,12 @@ equation are integrated.
 
 So the five problems are two schemes, each with one stepper on
 ``SolverEngine``: ``spde_step`` (the full equation) and ``deviation_step``
-(the deviation equation at scale s).  One time loop, ``march``, advances them:
-the single-path solvers here, the ensemble blocks in ``montecarlo`` and the
-endpoint map in ``deviation`` all step through it.  The discrete stopping
-time is ``BlowupGuard``: single paths raise at its first trip, ensembles
-censor the paths that trip.
+(the deviation equation at scale s).  One time loop, ``march``, advances them
+for the single-path solvers here, the marching ensembles' blocks in
+``montecarlo`` and ``EndpointControlMap.forward``; the control map's ``matrix``
+and the heat oracle's ``_heat_weights`` call a stepper directly.  The discrete
+stopping time is ``BlowupGuard``: single paths raise at its first trip,
+ensembles censor the paths that trip.
 """
 
 import functools
@@ -50,7 +51,7 @@ from .model import (
     reaction_nonlinearity,
 )
 from .noise import BinaryFormatError, NoiseSpec, _read_flat_binary
-from .spectral import Field, Grid1D, SpectralBasis, to_spectral
+from .spectral import Field, Grid1D, SpectralBasis
 
 __all__ = [
     "SolverConfig",
@@ -279,7 +280,9 @@ class SolverEngine:
         """One state's (n_modes,) sine coefficients: a grid ``Field`` projected
         onto the mode band, or a copy of a coefficient array of that shape."""
         if isinstance(u0, Field):
-            return to_spectral(u0, self.basis)
+            if len(u0.data) != (n := self.cfg.n_points):
+                raise ValueError(f"grid length {len(u0.data)} != n_points {n}")
+            return self.project(u0.data)
         u0 = np.asarray(u0, dtype=float)
         if u0.shape != (n := self.cfg.n_modes,):
             raise ValueError(f"coefficients must have shape ({n},), got {u0.shape}")
@@ -314,7 +317,7 @@ class SolverEngine:
             None if p1 is None else (np.multiply(p1, z_grid, out=out[1]), weight),
         )
 
-    def _explicit_modes(self, shape, react, adv, u_grid=None, forcings=(), w_out=None):
+    def _explicit_modes(self, shape, react, adv, u_grid, forcings=(), w_out=None):
         """r project(c + kappa1 u w / r) + a project_divergence(f) + the kappa0
         modes, for react = (c, r) and adv = (f, a), each None when absent.
 
@@ -359,7 +362,7 @@ class SolverEngine:
     def nonlinear_drift(self, u_grid):
         """beta c(u) + (alpha/(delta+1)) <p(u), phi'> as mode coefficients."""
         shape = u_grid.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, *self._drift_fields(u_grid))
+        return self._explicit_modes(shape, *self._drift_fields(u_grid), u_grid)
 
     def linearization_profiles(self, u0_grid):
         """(alpha/(delta+1) p'(u0), beta c'(u0)): the grid profiles of the drift's
@@ -375,7 +378,7 @@ class SolverEngine:
         """Drift of the linearization at u0, c1 z + <p1 z, phi_j'>, for the
         profiles (p1, c1) of ``linearization_profiles``."""
         shape = z_grid.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, *self._linear_fields(z_grid, p1, c1))
+        return self._explicit_modes(shape, *self._linear_fields(z_grid, p1, c1), None)
 
     # noise and control ------------------------------------------------------
 
@@ -430,8 +433,7 @@ class SolverEngine:
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
         (then u = u0: the CLT limit and the skeleton).  What the step needs of
         u0 is computed here once, for every step: the N(u0) that the quotient
-        subtracts, or at s = 0 the ``linearization_profiles``.  At s != 0 a
-        caller that has already formed u on the grid may pass it as ``u_grid``.
+        subtracts, or at s = 0 the ``linearization_profiles``.
         """
         dt = self.dt
         linear = s == 0.0
@@ -445,7 +447,7 @@ class SolverEngine:
         ]
         scratch = self._grid_scratch(2 if linear else 3)
 
-        def step(k, z, z_grid, u_grid=None):
+        def step(k, z, z_grid):
             forcings = [(c, inc[k]) for c, inc in drives]
             bufs = scratch(z.shape[:-1])
             if linear:
@@ -453,9 +455,8 @@ class SolverEngine:
                 fields = self._linear_fields(
                     z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt, bufs
                 )
-            else:
-                if u_grid is None:  # u = u0 + s z
-                    u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
+            else:  # u = u0 + s z
+                u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
                 fields = self._drift_fields(u_grid, dt / s, bufs)
             out = self._explicit_modes(z.shape, *fields, u_grid, forcings, bufs[1])
             if not linear:

@@ -31,7 +31,6 @@ __all__ = [
     "EstimateFit",
     "EstimateFitReport",
     "IMAGES_TRUNCATION",
-    "to_spectral",
     "apply_semigroup",
     "heat_kernel",
     "heat_kernel_dy",
@@ -147,20 +146,6 @@ class Field:
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-
-
-def to_spectral(f, basis):
-    """Sine coefficients of a grid field, as an array.
-
-    The projection is the trapezoid quadrature
-    coeff_j = h * sum_i f(x_i) phi_j(x_i), which is exact for fields
-    band-limited to the grid's resolved modes.
-    """
-    if f.data.shape[0] != basis.grid.n_points:
-        raise ValueError(
-            f"grid length {f.data.shape[0]} != n_points {basis.grid.n_points}"
-        )
-    return basis.grid.spacing * (basis.phi @ f.data)
 
 
 def apply_semigroup(coeffs, nu_t, basis):

@@ -24,6 +24,7 @@ from sgbh.cli import (
     main,
 )
 from sgbh.noise import load_control
+from sgbh.solvers import SetupError
 
 SMALL_SOLVER = """
 [model]
@@ -705,6 +706,26 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     argv = ["experiment", "strong-rate", "--config", cfg, "--out", str(tmp_path / "w")]
     assert main([*argv, "--workers", workers]) == EXIT_CONFIG
     assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_workers_default_to_the_cpus_the_process_may_use(tmp_path, monkeypatch):
+    """Without --workers an ensemble gets the affinity count, which also caps
+    the pool, not the machine's CPU count."""
+    import sgbh.cli as cli
+
+    seen = []
+
+    def runner(*args, workers, **kwargs):
+        seen.append(workers)
+        raise SetupError("stub runner")
+
+    monkeypatch.setattr(cli, "run_strong_rate", runner)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg = _write(tmp_path, SMALL_SOLVER)
+    argv = ["experiment", "strong-rate", "--config", cfg, "--out", str(tmp_path / "w")]
+    assert main(argv) == EXIT_CONFIG
+    assert seen == [3]
 
 
 def test_simulate_unknown_kind_in_config(tmp_path):

@@ -47,7 +47,7 @@ HEAT = CONFIG + "[model]\nalpha = 0.0\nbeta = 0.0\n"
 TARGET = '{"kind": "spectral", "values": [0.3, -0.2]}'
 
 # (name, argv after --config/--out); run in this order, since the skeleton
-# reads the control that rate writes
+# and controlled runs read the control that rate writes
 CASES = [
     *(
         (f"{kind}-w{w}", ["experiment", kind, "--workers", str(w)])
@@ -60,9 +60,9 @@ CASES = [
         for k in ("deterministic", "spde", "clt", "mdp")
     ),
     ("rate", ["rate", "--target", "{tmp}/target.json"]),
-    (
-        "simulate-skeleton",
-        ["simulate", "--solver", "skeleton", "--control", "{tmp}/rate/control.bin"],
+    *(
+        (f"simulate-{k}", ["simulate", "--solver", k, "--control", "{tmp}/rate/control.bin"])
+        for k in ("skeleton", "controlled")
     ),
     ("validate-kernel", ["validate-kernel"]),
 ]

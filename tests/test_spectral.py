@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sgbh.solvers import BlowupGuard
+from sgbh.model import ModelParams
+from sgbh.solvers import BlowupGuard, SolverConfig, SolverEngine
 from sgbh.spectral import (
     Field,
     Grid1D,
@@ -24,7 +25,6 @@ from sgbh.spectral import (
     gaussian_lp_norm_closed_form,
     heat_kernel,
     heat_kernel_dy,
-    to_spectral,
     validate_kernel_estimates,
 )
 
@@ -131,11 +131,18 @@ def test_field_validation():
         f.data[0] = 2.0
 
 
+def _projector(n_points, n_modes):
+    """``initial_coeffs`` of an engine on the grid: grid samples to sine coefficients."""
+    cfg = SolverConfig(dt=0.1, t_end=0.1, n_modes=n_modes, n_points=n_points)
+    params = ModelParams(nu=1.0, alpha=0.0, beta=0.0, gamma=0.5, delta=1)
+    return SolverEngine(params, cfg).initial_coeffs
+
+
 def test_project_pure_mode():
     grid = Grid1D(64)
     basis = SpectralBasis(grid, 8)
     f = Field(basis.phi[2])
-    coeffs = to_spectral(f, basis)
+    coeffs = _projector(64, 8)(f)
     expected = np.zeros(8)
     expected[2] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-12)
@@ -146,22 +153,20 @@ def test_round_trip_band_limited():
     grid = Grid1D(64)
     basis = SpectralBasis(grid, 8)
     c = rng.standard_normal(8)
-    back = to_spectral(Field(c @ basis.phi), basis)
+    back = _projector(64, 8)(Field(c @ basis.phi))
     np.testing.assert_allclose(back, c, atol=1e-12)
 
 
 def test_conversion_shape_errors():
-    basis = SpectralBasis(Grid1D(64), 8)
-    with pytest.raises(ValueError):
-        to_spectral(Field(np.zeros(32)), basis)
+    with pytest.raises(ValueError, match="grid length 32 != n_points 64"):
+        _projector(64, 8)(Field(np.zeros(32)))
 
 
 def test_parabola_projection_against_quadrature():
     """Coefficients of x(1-x) agree with adaptive quadrature and closed form."""
     grid = Grid1D(2048)
-    basis = SpectralBasis(grid, 8)
     f = Field(grid.nodes * (1.0 - grid.nodes))
-    coeffs = to_spectral(f, basis)
+    coeffs = _projector(2048, 8)(f)
     for j in range(1, 9):
         oracle, _ = quad(
             lambda x, j=j: x * (1.0 - x) * math.sqrt(2.0) * math.sin(j * np.pi * x),
