@@ -44,7 +44,12 @@ eps_list = [0.5, 0.25, 0.125]
 kernel_t_count = 3
 """
 HEAT = CONFIG + "[model]\nalpha = 0.0\nbeta = 0.0\n"
+# a linear run whose control reaches 4 modes, and a target with a fifth: the
+# rate cannot meet it, so the command writes its artifacts and exits 1
+UNREACHABLE = HEAT + "[noise]\nn_modes = 4\ng_kappa1 = 0.0\n"
 TARGET = '{"kind": "spectral", "values": [0.3, -0.2]}'
+FAR_TARGET = '{"kind": "spectral", "values": [0.3, 0, 0, 0, 0.2]}'
+CONFIGS = {"heat-oracle": "heat.cfg", "rate-unreachable": "unreachable.cfg"}
 
 # (name, argv after --config/--out); run in this order, since the skeleton
 # and controlled runs read the control that rate writes
@@ -60,6 +65,7 @@ CASES = [
         for k in ("deterministic", "spde", "clt", "mdp")
     ),
     ("rate", ["rate", "--target", "{tmp}/target.json"]),
+    ("rate-unreachable", ["rate", "--target", "{tmp}/far-target.json"]),
     *(
         (f"simulate-{k}", ["simulate", "--solver", k, "--control", "{tmp}/rate/control.bin"])
         for k in ("skeleton", "controlled")
@@ -96,10 +102,12 @@ def run_cases(tmp):
     tmp = Path(tmp)
     (tmp / "run.cfg").write_text(CONFIG)
     (tmp / "heat.cfg").write_text(HEAT)
+    (tmp / "unreachable.cfg").write_text(UNREACHABLE)
     (tmp / "target.json").write_text(TARGET)
+    (tmp / "far-target.json").write_text(FAR_TARGET)
     runs = {}
     for name, argv in CASES:
-        config = tmp / ("heat.cfg" if name == "heat-oracle" else "run.cfg")
+        config = tmp / CONFIGS.get(name, "run.cfg")
         argv = [a.format(tmp=tmp) for a in argv]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
