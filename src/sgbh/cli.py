@@ -39,7 +39,7 @@ from .montecarlo import (
     run_mdp_tail,
     run_strong_rate,
 )
-from .noise import BinaryFormatError, NoiseSpec, load_control, sample_noise, save_control
+from .noise import BinaryFormatError, NoiseSpec, control_bytes, load_control, sample_noise
 from .solvers import (
     MAX_ARRAY_ENTRIES,
     BlowupError,
@@ -47,12 +47,12 @@ from .solvers import (
     NumericalAbortError,
     SetupError,
     SolverConfig,
-    save_trajectory,
     solve_clt_limit,
     solve_controlled,
     solve_deterministic,
     solve_skeleton,
     solve_spde,
+    trajectory_bytes,
 )
 from .spectral import Field, Grid1D, validate_kernel_estimates
 
@@ -290,25 +290,24 @@ class RunConfig:
 
 
 def _write_artifacts(config, files):
-    """Write ``config.txt``, then each of ``files`` in order, into the output
-    directory.  ``files`` maps a file name to its text or to a function that
-    writes the file at a given path.  Each file is written to
-    ``.<name>.partial`` and renamed into place, so a write that fails leaves
-    nothing under the final name; it is a ConfigError naming the file."""
+    """Write ``config.txt``, then each of ``files`` (name -> text, bytes, or a
+    dict or list dumped as JSON) in order, into the output directory: the one
+    place that opens an output file.  Each goes to ``.<name>.partial`` and is
+    renamed into place, so a write that fails leaves nothing under the final
+    name; it is a ConfigError naming the file."""
     outdir = config.outdir
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {outdir!r}: {exc}") from None
     for name, content in {"config.txt": config.serialize(), **files}.items():
+        if isinstance(content, (dict, list)):
+            content = json.dumps(content, indent=2)
         path = os.path.join(outdir, name)
         partial = os.path.join(outdir, f".{name}.partial")
         try:
-            if isinstance(content, str):
-                with open(partial, "w") as fh:
-                    fh.write(content)
-            else:
-                content(partial)
+            with open(partial, "w" if isinstance(content, str) else "wb") as fh:
+                fh.write(content)
             os.replace(partial, path)
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -399,12 +398,10 @@ def cmd_simulate(config, args):
     else:  # a [solver] kind from a config file is not checked by argparse
         raise ConfigError(f"unknown solver kind {kind!r}")
 
-    _write_artifacts(
-        config,
-        {"trajectory.bin": lambda path: save_trajectory(traj, path), "norms.csv": traj.to_csv},
-    )
-    print(f"simulate {kind}: {traj.n_steps} steps -> {config.outdir}/trajectory.bin, norms.csv")
-    return EXIT_PASS
+    norms = traj.to_csv()  # joined before the binary copy exists, which lowers the peak
+    files = {"trajectory.bin": trajectory_bytes(traj), "norms.csv": norms}
+    summary = f"simulate {kind}: {traj.n_steps} steps -> {config.outdir}/trajectory.bin, norms.csv"
+    return files, summary, None
 
 
 def cmd_experiment(config, args):
@@ -446,11 +443,8 @@ def cmd_experiment(config, args):
             f"r2={report.r_squared} passed={report.passed}"
         )
 
-    _write_artifacts(config, {"report.csv": report.to_csv, "report.json": report.to_json()})
-    print(f"experiment {args.kind}: {summary} -> {config.outdir}/report.json")
-    if report.passed is None or report.passed:  # None: a run too small to judge
-        return EXIT_PASS
-    return EXIT_SCI_FAIL
+    files = {"report.csv": report.to_csv(), "report.json": report.to_dict()}
+    return files, f"experiment {args.kind}: {summary} -> {config.outdir}/report.json", report.passed
 
 
 def cmd_rate(config, args):
@@ -472,18 +466,13 @@ def cmd_rate(config, args):
         tol=tol,
         noise_spec=nspec,
     )
-    _write_artifacts(
-        config,
-        {
-            "control.bin": lambda path: save_control(result.control, path),
-            "rate.json": result.to_json(control_file="control.bin"),
-        },
-    )
-    print(
+    summary = (
         f"rate: value={result.value:.8g} residual={result.endpoint_residual:.3g} "
         f"iterations={result.iterations} converged={result.converged}"
     )
-    return EXIT_PASS if result.converged else EXIT_SCI_FAIL
+    rate = result.to_dict(control_file="control.bin")
+    files = {"control.bin": control_bytes(result.control), "rate.json": rate}
+    return files, summary, result.converged
 
 
 def cmd_validate_kernel(config, args):
@@ -500,13 +489,12 @@ def cmd_validate_kernel(config, args):
         )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
     report = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))
-    _write_artifacts(config, {"kernel_report.json": report.to_json()})
-    for fit in report.fits:
-        print(
-            f"{fit.estimate_id}: C={fit.fitted_C:.4g} a={fit.fitted_a:.4g} "
-            f"max_violation={fit.max_violation:.3g} pass={fit.passed}"
-        )
-    return EXIT_PASS if report.all_pass() else EXIT_SCI_FAIL
+    summary = "\n".join(
+        f"{fit.estimate_id}: C={fit.fitted_C:.4g} a={fit.fitted_a:.4g} "
+        f"max_violation={fit.max_violation:.3g} pass={fit.passed}"
+        for fit in report.fits
+    )
+    return {"kernel_report.json": [f.to_dict() for f in report.fits]}, summary, report.all_pass()
 
 
 def _build_parser():
@@ -552,6 +540,8 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Each ``cmd_*`` returns (files, summary, verdict); main writes the files,
+    prints the summary and exits 1 on a false verdict, else 0 (None: nothing judged)."""
     # argparse fills a default only for a name the namespace lacks, and the
     # subparser copies back only the shared flags it parsed
     defaults = argparse.Namespace(config=None, seed=None, out=None, workers=_available_cpus())
@@ -570,7 +560,8 @@ def main(argv=None):
             config.values["output"]["seed"] = _check_type("--seed", args.seed, 0)
         if args.out is not None:
             config.values["output"]["directory"] = args.out
-        return args.run(config, args)
+        files, summary, verdict = args.run(config, args)
+        _write_artifacts(config, files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -583,6 +574,8 @@ def main(argv=None):
     except (BlowupError, NumericalAbortError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    print(summary)
+    return EXIT_PASS if verdict is None or verdict else EXIT_SCI_FAIL
 
 
 if __name__ == "__main__":

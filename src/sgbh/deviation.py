@@ -24,7 +24,6 @@ xi = dW / sqrt(dt), so G (``A[:m] @ A[:m].T`` for m modes) is v(T)'s covariance.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +84,6 @@ class RateFunctionResult:
             "converged": self.converged,
             "control_file": control_file,
         }
-
-    def to_json(self, control_file=None):
-        return json.dumps(self.to_dict(control_file), indent=2)
 
 
 class EndpointControlMap:
@@ -252,17 +248,12 @@ class TailReport:
             "monotone_in_rho": self.passed,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_csv(self, path):
+    def to_csv(self):
         lo, hi = self.wilson_bounds()
-        with open(path, "w") as fh:
-            fh.write("eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi\n")
-            for i, e in enumerate(self.eps_list):
-                for j, rho in enumerate(self.rho_list):
-                    fh.write(
-                        f"{float(e)!r},{float(rho)!r},{int(self.n_paths)},{int(self.counts[i, j])},"
-                        f"{float(self.p_hat[i, j])!r},{float(lo[i, j])!r},{float(hi[i, j])!r}\n"
-                    )
+        return "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi\n" + "".join(
+            f"{float(e)!r},{float(rho)!r},{int(self.n_paths)},{int(self.counts[i, j])},"
+            f"{float(self.p_hat[i, j])!r},{float(lo[i, j])!r},{float(hi[i, j])!r}\n"
+            for i, e in enumerate(self.eps_list)
+            for j, rho in enumerate(self.rho_list)
+        )
 

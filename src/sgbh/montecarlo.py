@@ -34,7 +34,6 @@ paths) as a separate column.  The two are never conflated.
 """
 
 import functools
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -152,11 +151,11 @@ class ConvergenceReport:
     passed: bool | None
     pass_details: dict
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("eps,mean,stderr,n_rejected\n")
-            for e, m, s, r in zip(self.eps, self.mean, self.stderr, self.n_rejected):
-                fh.write(f"{float(e)!r},{float(m)!r},{float(s)!r},{int(r)}\n")
+    def to_csv(self):
+        rows = zip(self.eps, self.mean, self.stderr, self.n_rejected)
+        return "eps,mean,stderr,n_rejected\n" + "".join(
+            f"{float(e)!r},{float(m)!r},{float(s)!r},{int(r)}\n" for e, m, s, r in rows
+        )
 
     def to_dict(self):
         def clean(v):
@@ -184,9 +183,6 @@ class ConvergenceReport:
             "passed": self.passed,
             "pass_details": self.pass_details,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass
@@ -227,19 +223,14 @@ class OracleReport:
             "passed": bool(self.passed),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("eps,mode,var_empirical,var_theory,z,mean,mean_stderr\n")
-            for i, e in enumerate(self.eps_list):
-                for j in range(self.var_empirical.shape[1]):
-                    fh.write(
-                        f"{float(e)!r},{j + 1},{float(self.var_empirical[i, j])!r},"
-                        f"{float(self.var_theory[i, j])!r},{float(self.z_scores[i, j])!r},"
-                        f"{float(self.mode_means[i, j])!r},{float(self.mean_stderr[i, j])!r}\n"
-                    )
+    def to_csv(self):
+        return "eps,mode,var_empirical,var_theory,z,mean,mean_stderr\n" + "".join(
+            f"{float(e)!r},{j + 1},{float(self.var_empirical[i, j])!r},"
+            f"{float(self.var_theory[i, j])!r},{float(self.z_scores[i, j])!r},"
+            f"{float(self.mode_means[i, j])!r},{float(self.mean_stderr[i, j])!r}\n"
+            for i, e in enumerate(self.eps_list)
+            for j in range(self.var_empirical.shape[1])
+        )
 
 
 # block engine ----------------------------------------------------------------

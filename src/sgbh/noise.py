@@ -25,7 +25,7 @@ __all__ = [
     "BinaryFormatError",
     "ControlPath",
     "sample_noise",
-    "save_control",
+    "control_bytes",
     "load_control",
 ]
 
@@ -159,10 +159,15 @@ def _read_flat_binary(path, header, shape):
     return fields, np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(dims)
 
 
-def save_control(h, path):
-    with open(path, "wb") as fh:
-        fh.write(_CTRL_HEADER.pack(h.n_modes, h.n_steps, h.dt))
-        fh.write(np.ascontiguousarray(h.hdot, dtype="<f8").tobytes())
+def _flat_binary(header, payload):
+    """``header`` bytes, then ``payload`` as little-endian float64, copied once."""
+    data = bytearray(header)
+    data += memoryview(np.ascontiguousarray(payload, dtype="<f8")).cast("B")
+    return data
+
+
+def control_bytes(h):
+    return _flat_binary(_CTRL_HEADER.pack(h.n_modes, h.n_steps, h.dt), h.hdot)
 
 
 def load_control(path):

@@ -50,7 +50,7 @@ from .model import (
     reaction_derivative,
     reaction_nonlinearity,
 )
-from .noise import BinaryFormatError, NoiseSpec, _read_flat_binary
+from .noise import BinaryFormatError, NoiseSpec, _flat_binary, _read_flat_binary
 from .spectral import Field, Grid1D, SpectralBasis
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
     "solve_clt_limit",
     "solve_controlled",
     "solve_skeleton",
-    "save_trajectory",
+    "trajectory_bytes",
     "load_trajectory",
 ]
 
@@ -184,32 +184,22 @@ class Trajectory:
             return self.coeffs @ self.basis.phi
         return self.coeffs[k] @ self.basis.phi
 
-    def to_csv(self, path):
-        l2 = np.linalg.norm(self.coeffs, axis=1)
-        lp = self.norms
-        with open(path, "w") as fh:
-            if lp is None:
-                fh.write("time,l2_norm\n")
-                for t, a in zip(self.times, l2):
-                    fh.write(f"{float(t)!r},{float(a)!r}\n")
-            else:
-                fh.write(f"time,l2_norm,l{self.norm_p}_norm\n")
-                for t, a, b in zip(self.times, l2, lp):
-                    fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r}\n")
+    def to_csv(self):
+        rows = zip(self.times, np.linalg.norm(self.coeffs, axis=1), self.norms)
+        return f"time,l2_norm,l{self.norm_p}_norm\n" + "".join(
+            f"{float(t)!r},{float(a)!r},{float(b)!r}\n" for t, a, b in rows
+        )
 
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
 
 
-def save_trajectory(traj, path):
+def trajectory_bytes(traj):
     """Flat binary: int64 n_points, int64 n_modes, float64 dt, int64 n_steps, coeff rows."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _TRAJ_HEADER.pack(
-                traj.basis.grid.n_points, traj.n_modes, traj.dt, traj.n_steps
-            )
-        )
-        fh.write(np.ascontiguousarray(traj.coeffs, dtype="<f8").tobytes())
+    return _flat_binary(
+        _TRAJ_HEADER.pack(traj.basis.grid.n_points, traj.n_modes, traj.dt, traj.n_steps),
+        traj.coeffs,
+    )
 
 
 def load_trajectory(path):

@@ -17,7 +17,6 @@ orthonormal, so projecting the grid samples of a band-limited field
 recovers its coefficients exactly.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -253,9 +252,6 @@ class EstimateFitReport:
 
     def all_pass(self):
         return all(f.passed for f in self.fits)
-
-    def to_json(self):
-        return json.dumps([f.to_dict() for f in self.fits], indent=2)
 
 
 _A_CANDIDATES = np.concatenate([np.arange(2.0, 8.1, 0.5), np.arange(9.0, 17.0, 1.0)])

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per shipped guarantee, each printing a single
 pass/fail line (run with -s to see them) and enforcing its runtime budget."""
 
+import json
 import time
 from contextlib import contextmanager
 
@@ -220,7 +221,7 @@ def test_criterion_7_mdp_process_consistency():
         assert report.passed
 
 
-def test_criterion_8_reproducibility(tmp_path):
+def test_criterion_8_reproducibility():
     with _criterion(8, "byte-identical reruns"):
         cfg = SolverConfig(dt=1e-3, t_end=0.05, n_modes=8, n_points=64)
         spec = EnsembleSpec(
@@ -231,7 +232,5 @@ def test_criterion_8_reproducibility(tmp_path):
         blobs = []
         for w in (1, 3):
             rep = run_strong_rate(spec, DESK, G_AFFINE, cfg, noise_spec=NoiseSpec(8, 0.3), workers=w)
-            csv = tmp_path / f"r{w}.csv"
-            rep.to_csv(csv)
-            blobs.append((rep.to_json(), csv.read_bytes()))
+            blobs.append((json.dumps(rep.to_dict(), indent=2), rep.to_csv()))
         assert blobs[0] == blobs[1]

@@ -4,6 +4,7 @@ diagnostics, the four subcommands, exit codes, and byte-stable artifacts."""
 import ast
 import errno
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -231,12 +232,16 @@ def test_artifact_write_that_fails_partway_leaves_no_file(tmp_path, capsys, monk
     final name nor the partial file it was written to."""
     import sgbh.cli
 
-    def full_disk(traj, path):
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 8)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data[:8]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
 
-    monkeypatch.setattr(sgbh.cli, "save_trajectory", full_disk)
+    def open_on_a_full_disk(path, mode="r", **kwargs):
+        # trajectory.bin is the first binary artifact; config.txt is text
+        return FullDisk(path, mode) if mode == "wb" else open(path, mode, **kwargs)
+
+    monkeypatch.setattr(sgbh.cli, "open", open_on_a_full_disk, raising=False)
     cfg = _write(tmp_path, SMALL_SOLVER)
     out = tmp_path / "o"
     assert main(["simulate", "--solver", "spde", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -348,11 +353,12 @@ def test_simulate_at_eps_zero_is_the_skeleton(tmp_path):
     """At eps = 0 the deviation problems are the skeleton and lambda(eps) is
     never evaluated: controlled writes the skeleton's trajectory, and mdp,
     which has no control, stays at zero."""
-    from sgbh.noise import ControlPath, save_control
+    from sgbh.noise import ControlPath, control_bytes
     from sgbh.solvers import load_trajectory
 
     ctrl = tmp_path / "c.bin"
-    save_control(ControlPath(0.005, 10, np.random.default_rng(6).standard_normal((8, 10))), ctrl)
+    hdot = np.random.default_rng(6).standard_normal((8, 10))
+    ctrl.write_bytes(control_bytes(ControlPath(0.005, 10, hdot)))
     cfg = _write(tmp_path, SMALL_SOLVER + "[solver]\neps = 0.0\n")
     for kind in ("skeleton", "controlled", "mdp"):
         control = [] if kind == "mdp" else ["--control", str(ctrl)]
@@ -372,10 +378,10 @@ def test_simulate_skeleton_requires_control(tmp_path):
 
 @pytest.mark.parametrize("kind", ["deterministic", "spde", "clt", "mdp"])
 def test_simulate_control_for_a_kind_that_ignores_it_exits_2(tmp_path, capsys, kind):
-    from sgbh.noise import ControlPath, save_control
+    from sgbh.noise import ControlPath, control_bytes
 
     ctrl = tmp_path / "c.bin"
-    save_control(ControlPath(0.005, 10, np.ones((8, 10))), ctrl)
+    ctrl.write_bytes(control_bytes(ControlPath(0.005, 10, np.ones((8, 10)))))
     cfg = _write(tmp_path, SMALL_SOLVER)
     out = tmp_path / "s"
     argv = ["simulate", "--solver", kind, "--control", str(ctrl), "--config", cfg]
@@ -385,10 +391,10 @@ def test_simulate_control_for_a_kind_that_ignores_it_exits_2(tmp_path, capsys, k
 
 
 def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
-    from sgbh.noise import ControlPath, save_control
+    from sgbh.noise import ControlPath, control_bytes
 
     ctrl = tmp_path / "zero.bin"
-    save_control(ControlPath(0.005, 10, np.zeros((8, 10))), ctrl)
+    ctrl.write_bytes(control_bytes(ControlPath(0.005, 10, np.zeros((8, 10)))))
     cfg = _write(tmp_path, SMALL_SOLVER)
     out = tmp_path / "sk"
     code = main(
@@ -419,10 +425,10 @@ def test_simulate_skeleton_with_zero_control_is_zero(tmp_path):
     ids=["truncated", "too_long", "missing"],
 )
 def test_simulate_malformed_control_file_exits_2(tmp_path, capsys, damage, fragment):
-    from sgbh.noise import ControlPath, save_control
+    from sgbh.noise import ControlPath, control_bytes
 
     ctrl = tmp_path / "ctrl.bin"
-    save_control(ControlPath(0.005, 10, np.zeros((8, 10))), ctrl)
+    ctrl.write_bytes(control_bytes(ControlPath(0.005, 10, np.zeros((8, 10)))))
     raw = ctrl.read_bytes()
     if damage == "missing":
         ctrl.unlink()
@@ -551,12 +557,13 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
     ],
 )
 def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
-    from sgbh.noise import ControlPath, save_control
+    from sgbh.noise import ControlPath, control_bytes
 
     ctrl7 = tmp_path / "ctrl7.bin"
-    save_control(ControlPath(0.005, 7, np.zeros((8, 7))), ctrl7)  # the config has 10 steps
+    # the config has 10 steps
+    ctrl7.write_bytes(control_bytes(ControlPath(0.005, 7, np.zeros((8, 7)))))
     ctrl16 = tmp_path / "ctrl16.bin"
-    save_control(ControlPath(0.005, 10, np.zeros((16, 10))), ctrl16)
+    ctrl16.write_bytes(control_bytes(ControlPath(0.005, 10, np.zeros((16, 10)))))
     cfg = _write(tmp_path, text)
     argv = [a.format(ctrl7=ctrl7, ctrl16=ctrl16) for a in argv]
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -916,7 +923,7 @@ def test_experiment_mdp_tail_reads_solver_theta(tmp_path):
         noise_spec=config.noise_spec(),
         tail_p=config.tail_p,
     )
-    assert reports[0.4] == direct.to_json()
+    assert reports[0.4] == json.dumps(direct.to_dict(), indent=2)
 
 
 # --- rate -----------------------------------------------------------------------

@@ -23,14 +23,14 @@ from sgbh.cli import _SCHEMA, ConfigError, RunConfig, main  # noqa: E402
 from sgbh.noise import (  # noqa: E402
     BinaryFormatError,
     ControlPath,
+    control_bytes,
     load_control,
-    save_control,
 )
 from sgbh.solvers import (  # noqa: E402
     MAX_ARRAY_ENTRIES,
     Trajectory,
     load_trajectory,
-    save_trajectory,
+    trajectory_bytes,
 )
 from sgbh.spectral import Grid1D, SpectralBasis  # noqa: E402
 
@@ -134,13 +134,13 @@ _RNG = np.random.default_rng(0)
 _SAVED = {
     "control": (
         load_control,
-        save_control,
+        control_bytes,
         struct.Struct("<qqd"),
         ControlPath(dt=0.01, n_steps=5, hdot=_RNG.standard_normal((3, 5))),
     ),
     "trajectory": (
         load_trajectory,
-        save_trajectory,
+        trajectory_bytes,
         struct.Struct("<qqdq"),
         Trajectory(
             times=0.01 * np.arange(6),
@@ -159,10 +159,8 @@ _FIELD = {
 def saved_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     out = {}
-    for kind, (_, save, _, obj) in _SAVED.items():
-        path = root / f"{kind}.bin"
-        save(obj, path)
-        out[kind] = (path.read_bytes(), root / f"{kind}-fuzzed.bin")
+    for kind, (_, encode, _, obj) in _SAVED.items():
+        out[kind] = (bytes(encode(obj)), root / f"{kind}-fuzzed.bin")
     return out
 
 
@@ -170,7 +168,7 @@ def saved_files(tmp_path_factory):
 @FUZZ
 @given(data=st.data())
 def test_binary_loaders_raise_only_format_error(saved_files, kind, data):
-    load, save, header, _ = _SAVED[kind]
+    load, encode, header, _ = _SAVED[kind]
     raw, path = saved_files[kind]
     how = data.draw(st.sampled_from(["truncate", "extend", "header"]))
     if how == "truncate":
@@ -193,9 +191,8 @@ def test_binary_loaders_raise_only_format_error(saved_files, kind, data):
         assert how != "header" or blob != raw
         return
     assert how == "header"
-    # whatever loads saves back to the same bytes
-    save(obj, path)
-    assert path.read_bytes() == blob
+    # whatever loads encodes back to the same bytes
+    assert encode(obj) == blob
 
 
 # --- the command line -----------------------------------------------------------
@@ -269,7 +266,8 @@ def cli_root(tmp_path_factory):
     """A directory holding a control path and targets that fit the drawn
     configs' 8 modes and 10 steps."""
     root = tmp_path_factory.mktemp("cli")
-    save_control(ControlPath(0.005, 10, _RNG.standard_normal((8, 10))), root / "control.bin")
+    control = ControlPath(0.005, 10, _RNG.standard_normal((8, 10)))
+    (root / "control.bin").write_bytes(control_bytes(control))
     (root / "spectral.json").write_text(json.dumps({"kind": "spectral", "values": [0.01, 0.02]}))
     grid = SpectralBasis(Grid1D(64), 8).phi[0] * 0.01
     (root / "grid.json").write_text(json.dumps({"kind": "grid", "values": grid.tolist()}))

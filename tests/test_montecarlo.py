@@ -6,6 +6,7 @@ to roundoff rather than to Monte Carlo error.  Reproducibility is asserted
 byte-for-byte across worker counts and reruns.
 """
 
+import io
 import json
 from types import SimpleNamespace
 
@@ -120,25 +121,24 @@ def test_strong_rate_coupled_linear_scales_exactly():
     assert rep.censored_stderr == rep.stderr
 
 
-def test_strong_rate_report_serialization(tmp_path):
+def test_strong_rate_report_serialization():
     spec = EnsembleSpec(n_paths=8, base_seed=13, eps_list=[1.0, 0.5, 0.25], block_size=8)
     rep = run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert d["experiment"] == "strong_rate"
     assert d["slope_target"] == pytest.approx(4.0)
     assert isinstance(d["passed"], bool)
-    csv = tmp_path / "rep.csv"
-    rep.to_csv(csv)
-    lines = csv.read_text().strip().split("\n")
+    csv = rep.to_csv()
+    lines = csv.strip().split("\n")
     assert lines[0] == "eps,mean,stderr,n_rejected"
     assert len(lines) == 4
-    assert "np.float64" not in csv.read_text()
-    data = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert "np.float64" not in csv
+    data = np.loadtxt(io.StringIO(csv), delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 0], [1.0, 0.5, 0.25], rtol=1e-15)
     np.testing.assert_allclose(data[:, 1], rep.mean, rtol=1e-15)
 
 
-def test_strong_rate_full_rejection_fails_honestly(tmp_path):
+def test_strong_rate_full_rejection_fails_honestly():
     # a guard below the initial norm censors every path at t = 0
     spec = EnsembleSpec(
         n_paths=6, base_seed=14, eps_list=[1.0, 0.5, 0.25], guard=BlowupGuard(1e-6)
@@ -150,15 +150,20 @@ def test_strong_rate_full_rejection_fails_honestly(tmp_path):
     d = rep.to_dict()
     assert d["mean"] == [None, None, None]  # no accepted paths
     assert d["censored_mean"] == [0.0, 0.0, 0.0]  # sup up to the crossing step
-    csv = tmp_path / "rej.csv"
-    rep.to_csv(csv)
-    assert "nan" in csv.read_text()
+    assert "nan" in rep.to_csv()
 
 
 # --- worker reproducibility ---------------------------------------------------------
 
 
 HEAT_CFG = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
+
+
+def artifacts(report):
+    """The text of ``report.json`` and ``report.csv`` as the CLI writes them."""
+    return json.dumps(report.to_dict(), indent=2), report.to_csv()
+
+
 TRIP_GUARD = 0.25  # trips some paths of every marching runner below, not all
 
 # each runner at small sizes, as runner(spec, workers); mdp-tail's last rho is
@@ -200,8 +205,8 @@ def test_reports_are_byte_identical_across_worker_counts(kind, spec):
     serial = RUNNERS[kind](spec, 1)
     parallel = RUNNERS[kind](spec, 3)
     again = RUNNERS[kind](spec, 1)
-    assert serial.to_json() == parallel.to_json()
-    assert serial.to_json() == again.to_json()
+    assert artifacts(serial) == artifacts(parallel)
+    assert artifacts(serial) == artifacts(again)
     if spec is TRIP_SPEC:
         tripped = serial.counts[:, -1] if kind == "mdp-tail" else serial.n_rejected
         assert 0 < sum(tripped) < spec.n_paths * len(spec.eps_list)
@@ -272,7 +277,7 @@ def test_pool_starts_no_more_workers_than_blocks(pool_sizes, n_paths, workers, p
     got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
     assert pool_sizes == ([] if pool is None else [pool])
     inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert got.to_json() == inline.to_json()
+    assert artifacts(got) == artifacts(inline)
 
 
 @pytest.mark.parametrize("n_paths,block_size,workers", [(16, 4, 3), (40, 1, 5000)])
@@ -288,7 +293,7 @@ def test_pool_starts_no_more_workers_than_cpus(
     got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
     assert pool_sizes == [2]
     inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert got.to_json() == inline.to_json()
+    assert artifacts(got) == artifacts(inline)
 
 
 @pytest.mark.parametrize(
@@ -411,20 +416,19 @@ def test_heat_oracle_matches_ou_closed_form():
     np.testing.assert_allclose(rep.var_theory[0] / rep.var_theory[1], 4.0, rtol=1e-12)
 
 
-def test_heat_oracle_serialization(tmp_path):
+def test_heat_oracle_serialization():
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
     spec = EnsembleSpec(n_paths=50, base_seed=21, eps_list=[1.0])
     rep = run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert d["experiment"] == "heat_oracle"
     assert len(d["per_eps"]) == 1
     assert len(d["per_eps"][0]["z_scores"]) == 4
-    csv = tmp_path / "oracle.csv"
-    rep.to_csv(csv)
-    lines = csv.read_text().strip().split("\n")
+    csv = rep.to_csv()
+    lines = csv.strip().split("\n")
     assert lines[0] == "eps,mode,var_empirical,var_theory,z,mean,mean_stderr"
     assert len(lines) == 5
-    assert "np.float64" not in csv.read_text()
+    assert "np.float64" not in csv
 
 
 def test_heat_oracle_rejects_nonlinear_params():
@@ -489,10 +493,10 @@ def test_heat_report_is_byte_identical_across_block_sizes():
             LINEAR,
             HEAT_CFG,
             noise_spec=NoiseSpec(n_modes=4, eta=0.3),
-        ).to_json()
+        )
         for b in (3, 128)
     ]
-    assert reports[0] == reports[1]
+    assert artifacts(reports[0]) == artifacts(reports[1])
 
 
 def test_heat_block_holds_one_path_draw():
@@ -729,4 +733,4 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
     fast = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert 0 < fast.n_rejected[1] < fast.n_rejected[0] < 16 and fast.n_rejected[2] == 0
     monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
-    assert run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8).to_json() == fast.to_json()
+    assert artifacts(run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)) == artifacts(fast)

@@ -7,6 +7,7 @@ Galerkin system integrated with tight tolerances.  Stochastic checks use
 the exact variance recursion of the discrete scheme.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -31,12 +32,12 @@ from sgbh.solvers import (
     SolverConfig,
     SolverEngine,
     load_trajectory,
-    save_trajectory,
     solve_clt_limit,
     solve_controlled,
     solve_deterministic,
     solve_skeleton,
     solve_spde,
+    trajectory_bytes,
 )
 from sgbh.spectral import Field, Grid1D, SpectralBasis
 
@@ -519,7 +520,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     basis = SpectralBasis(Grid1D(cfg.n_points), cfg.n_modes)
     np.testing.assert_allclose(u0.grid_values(5), u0.coeffs[5] @ basis.phi, atol=1e-14)
     path = tmp_path / "traj.bin"
-    save_trajectory(u0, path)
+    path.write_bytes(trajectory_bytes(u0))
     back = load_trajectory(path)
     assert np.array_equal(back.coeffs, u0.coeffs)
     np.testing.assert_allclose(back.times, u0.times, atol=1e-15)
@@ -530,8 +531,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
 def test_trajectory_truncated_or_overlong_raises_format_error(tmp_path, cut):
     u0 = _desk_setup(t_end=0.05)[4]
     path = tmp_path / "traj.bin"
-    save_trajectory(u0, path)
-    raw = path.read_bytes()
+    raw = bytes(trajectory_bytes(u0))
     path.write_bytes(raw[:cut])
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
@@ -545,23 +545,20 @@ def test_trajectory_grid_outside_its_bounds_raises_format_error(tmp_path, n_poin
     # the payload matches (n_steps + 1, n_modes = 16); only the grid size is off
     u0 = _desk_setup(t_end=0.05)[4]
     path = tmp_path / "traj.bin"
-    save_trajectory(u0, path)
-    raw = path.read_bytes()
+    raw = bytes(trajectory_bytes(u0))
     path.write_bytes(struct.pack("<q", n_points) + raw[8:])
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
 
 
-def test_trajectory_csv_format(tmp_path):
+def test_trajectory_csv_format():
     params, cfg, spec, g, u0 = _desk_setup(t_end=0.01)
-    path = tmp_path / "norms.csv"
-    u0.to_csv(path)
-    text = path.read_text()
+    text = u0.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "time,l2_norm,l8_norm"
     assert len(lines) == cfg.n_steps + 2
     assert "np.float64" not in text
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 0], u0.times, atol=1e-15)
     np.testing.assert_allclose(data[:, 1], np.linalg.norm(u0.coeffs, axis=1), rtol=1e-15)
     np.testing.assert_allclose(data[:, 2], u0.norms, rtol=1e-15)

@@ -257,3 +257,54 @@ def test_every_definition_has_a_runtime_use(tmp_path):
     assert [u for u in unused if u.split()[1] not in KEPT_FOR_TESTS] == []
     # and the list names nothing that has since gained a runtime use
     assert sorted({u.split()[1] for u in unused}) == sorted(KEPT_FOR_TESTS)
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` can write a file: ``write_text`` or ``write_bytes``, or
+    ``open``/``x.open`` read as ``open(file, mode)`` with a mode that is not a
+    string literal of the read-only letters r, b and t (no mode reads)."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > 1:
+        mode = call.args[1]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+
+def file_writers(source):
+    """``function:line`` of each call in ``source`` that can write a file, named
+    by its innermost enclosing function (``<module>`` at the top level)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_artifact_writer_opens_a_file_for_writing():
+    """Every output file goes through ``cli._write_artifacts``, which renames it
+    into place and turns a failed write into exit 2; a second writer would
+    bypass both.  The package's other ``open`` calls read."""
+    source = (
+        "def load(p):\n    with open(p) as f, open(p, 'rb') as g, open(p, mode='rt') as h:\n"
+        "        return f, g, h\n"
+        "def save(p, m):\n    open(p, 'w').close()\n    open(p, mode=m)\n"
+        "    def inner():\n        Path(p).write_text('x')\n    io.open(p, 'ab')\n"
+        "open('log', 'r+')\n"
+    )
+    assert file_writers(source) == ["save:5", "save:6", "inner:8", "save:9", "<module>:10"]
+    writers = [f"{p.name}:{w}" for p in MODULES for w in file_writers(p.read_text())]
+    assert writers and all(w.startswith("cli.py:_write_artifacts:") for w in writers), writers

@@ -352,7 +352,7 @@ def test_validate_kernel_estimates_fits_and_roundtrip():
     ]
     assert gauss.fitted_C == pytest.approx(max(ratios), rel=0.05)
     assert gauss.max_violation <= 1e-12
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps([f.to_dict() for f in report.fits]))
     assert [d["estimate_id"] for d in parsed] == [
         "kernel_sup",
         "kernel_gradient",
