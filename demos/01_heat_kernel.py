@@ -25,10 +25,10 @@ for t in (0.01, 0.05, 0.1, 0.25, 0.5):
 
 print()
 print("fitting the sup, gradient, and L^p decay estimates on a time sweep:")
-report = validate_kernel_estimates(np.linspace(0.01, 0.5, 8), grid)
-for fit in report.fits:
+fits = validate_kernel_estimates(np.linspace(0.01, 0.5, 8), grid)
+for fit in fits:
     print(
-        f"  {fit.estimate_id:<16} C = {fit.fitted_C:.4f}  exponent a = {fit.fitted_a:g}"
-        f"  worst violation = {fit.max_violation:+.2e}  pass = {fit.passed}"
+        f"  {fit['estimate_id']:<16} C = {fit['fitted_C']:.4f}  exponent a = {fit['fitted_a']:g}"
+        f"  worst violation = {fit['max_violation']:+.2e}  pass = {fit['pass']}"
     )
-print("all estimates hold:", report.all_pass())
+print("all estimates hold:", all(fit["pass"] for fit in fits))

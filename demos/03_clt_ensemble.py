@@ -23,7 +23,7 @@ spec = EnsembleSpec(
 report = run_clt(spec, params, g, cfg, noise_spec=NoiseSpec(32, 0.3))
 
 print("eps       E[sup_t |v_eps - v|_8]   stderr")
-for eps, mean, se in zip(report.eps, report.mean, report.stderr):
+for eps, mean, se in zip(report["eps"], report["mean"], report["stderr"]):
     print(f"{eps:<8g}  {mean:<23.6e}  {se:.2e}")
-print(f"\nfitted order {report.slope:.3f} (leading remainder is order 1/2)")
-print(f"r^2 = {report.r_squared:.5f}, verdict: {'pass' if report.passed else 'fail'}")
+print(f"\nfitted order {report['slope']:.3f} (leading remainder is order 1/2)")
+print(f"r^2 = {report['r_squared']:.5f}, verdict: {'pass' if report['passed'] else 'fail'}")

@@ -34,13 +34,12 @@ report = run_mdp_tail(
 )
 
 print("P(sup_t |Z_eps|_2 > rho), Wilson 95% intervals, speed eps^-0.25\n")
-lo, hi = report.wilson_bounds()
-print("eps       " + "".join(f"rho={r:<14g}" for r in report.rho_list))
-for i, eps in enumerate(report.eps_list):
+print("eps       " + "".join(f"rho={r:<14g}" for r in report["rho"]))
+for row in report["per_eps"]:
     cells = [
-        f"{report.p_hat[i][j]:.3f} ({lo[i][j]:.2f},{hi[i][j]:.2f})"
-        for j in range(len(report.rho_list))
+        f"{p:.3f} ({lo:.2f},{hi:.2f})"
+        for p, lo, hi in zip(row["p_hat"], row["wilson_lo"], row["wilson_hi"])
     ]
-    print(f"{eps:<8g}  " + "  ".join(cells))
+    print(f"{row['eps']:<8g}  " + "  ".join(cells))
 
-print(f"\nmonotone non-increasing in rho: {report.passed}")
+print(f"\nmonotone non-increasing in rho: {report['monotone_in_rho']}")

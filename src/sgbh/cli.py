@@ -289,12 +289,32 @@ class RunConfig:
         return self.values["output"]["directory"]
 
 
+def _json_data(x):
+    """``x`` with every non-finite float as None, so it dumps as standard JSON."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_data(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json_data(v) for v in x]
+    return x
+
+
+def _table(header, rows):
+    """CSV text: the ``header`` line, then one line per row, an int cell as is
+    and any other as ``repr(float)``."""
+    return header + "\n" + "".join(
+        ",".join(str(c) if isinstance(c, int) else repr(float(c)) for c in row) + "\n"
+        for row in rows
+    )
+
+
 def _write_artifacts(config, files):
     """Write ``config.txt``, then each of ``files`` (name -> text, bytes, or a
-    dict or list dumped as JSON) in order, into the output directory: the one
-    place that opens an output file.  Each goes to ``.<name>.partial`` and is
-    renamed into place, so a write that fails leaves nothing under the final
-    name; it is a ConfigError naming the file."""
+    dict or list dumped as JSON, every non-finite float as null) in order, into
+    the output directory: the one place that opens an output file.  Each goes
+    to ``.<name>.partial`` and is renamed into place, so a write that fails
+    leaves nothing under the final name; it is a ConfigError naming the file."""
     outdir = config.outdir
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -302,7 +322,7 @@ def _write_artifacts(config, files):
         raise ConfigError(f"cannot write output directory {outdir!r}: {exc}") from None
     for name, content in {"config.txt": config.serialize(), **files}.items():
         if isinstance(content, (dict, list)):
-            content = json.dumps(content, indent=2)
+            content = json.dumps(_json_data(content), indent=2, allow_nan=False)
         path = os.path.join(outdir, name)
         partial = os.path.join(outdir, f".{name}.partial")
         try:
@@ -417,7 +437,21 @@ def cmd_experiment(config, args):
         report = run_heat_oracle(
             spec, params, scfg, noise_spec=nspec, workers=workers, g_constant=e["oracle_g"]
         )
-        summary = f"frac_z_within={report.frac_within} means_ok={report.means_ok}"
+        per_eps = report["per_eps"]
+        verdict = report["passed"]
+        summary = (
+            f"frac_z_within={[r['frac_z_within'] for r in per_eps]} "
+            f"means_ok={[r['means_ok'] for r in per_eps]}"
+        )
+        columns = ("var_empirical", "var_theory", "z_scores", "mode_means", "mean_stderr")
+        table = _table(
+            "eps,mode,var_empirical,var_theory,z,mean,mean_stderr",
+            (
+                (r["eps"], mode, *cells)
+                for r in per_eps
+                for mode, cells in enumerate(zip(*(r[k] for k in columns)), 1)
+            ),
+        )
     elif args.kind == "mdp-tail":
         g = config.noise_coefficient()
         speed = SpeedFunction(config.values["solver"]["theta"])
@@ -433,18 +467,34 @@ def cmd_experiment(config, args):
             tail_p=config.tail_p,
             workers=workers,
         )
-        summary = f"monotone_in_rho={report.passed}"
+        verdict = report["monotone_in_rho"]
+        summary = f"monotone_in_rho={verdict}"
+        table = _table(
+            "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi",
+            (
+                (r["eps"], rho, r["n_paths"], *cells)
+                for r in report["per_eps"]
+                for rho, *cells in zip(
+                    report["rho"], r["exceed_counts"], r["p_hat"], r["wilson_lo"], r["wilson_hi"]
+                )
+            ),
+        )
     else:
         g = config.noise_coefficient()
         runner = run_strong_rate if args.kind == "strong-rate" else run_clt
         report = runner(spec, params, g, scfg, u0=u0, noise_spec=nspec, workers=workers)
+        verdict = report["passed"]
         summary = (
-            f"slope={report.slope} target={report.slope_target} "
-            f"r2={report.r_squared} passed={report.passed}"
+            f"slope={report['slope']} target={report['slope_target']} "
+            f"r2={report['r_squared']} passed={verdict}"
+        )
+        table = _table(
+            "eps,mean,stderr,n_rejected",
+            zip(report["eps"], report["mean"], report["stderr"], report["n_rejected"]),
         )
 
-    files = {"report.csv": report.to_csv(), "report.json": report.to_dict()}
-    return files, f"experiment {args.kind}: {summary} -> {config.outdir}/report.json", report.passed
+    files = {"report.csv": table, "report.json": report}
+    return files, f"experiment {args.kind}: {summary} -> {config.outdir}/report.json", verdict
 
 
 def cmd_rate(config, args):
@@ -488,13 +538,13 @@ def cmd_validate_kernel(config, args):
             f"<= {MAX_ARRAY_ENTRIES}"
         )
     t_samples = np.linspace(e["kernel_t_min"], e["kernel_t_max"], e["kernel_t_count"])
-    report = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))
+    fits = config._wrap(lambda: validate_kernel_estimates(t_samples, Grid1D(n_points)))
     summary = "\n".join(
-        f"{fit.estimate_id}: C={fit.fitted_C:.4g} a={fit.fitted_a:.4g} "
-        f"max_violation={fit.max_violation:.3g} pass={fit.passed}"
-        for fit in report.fits
+        f"{fit['estimate_id']}: C={fit['fitted_C']:.4g} a={fit['fitted_a']:.4g} "
+        f"max_violation={fit['max_violation']:.3g} pass={fit['pass']}"
+        for fit in fits
     )
-    return {"kernel_report.json": [f.to_dict() for f in report.fits]}, summary, report.all_pass()
+    return {"kernel_report.json": fits}, summary, all(fit["pass"] for fit in fits)
 
 
 def _build_parser():

@@ -1,5 +1,5 @@
 """Moderate-deviation machinery: speed functions, the minimum-energy rate
-function over the skeleton dynamics, and tail (tightness) reports.
+function over the skeleton dynamics, and the Wilson interval of a tail estimate.
 
 The rate function for an endpoint target psi is
 
@@ -35,7 +35,6 @@ from .solvers import NumericalAbortError, SetupError, SolverEngine, _check_time_
 __all__ = [
     "SpeedFunction",
     "RateFunctionResult",
-    "TailReport",
     "EndpointControlMap",
     "rate_function_endpoint",
     "wilson_interval",
@@ -204,56 +203,3 @@ def wilson_interval(successes, n):
     center = (phat + z**2 / (2 * n)) / denom
     half = (z / denom) * np.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2))
     return np.maximum(0.0, center - half), np.minimum(1.0, center + half)
-
-
-@dataclass
-class TailReport:
-    """Empirical tail probabilities P(sup_t ||Z(t)||_p > rho) per (eps, rho),
-    every eps over the same ``n_paths`` coupled paths."""
-
-    eps_list: list
-    rho_list: list
-    n_paths: int
-    counts: np.ndarray  # (n_eps, n_rho) exceedance counts
-    p_norm: int
-
-    @property
-    def p_hat(self):
-        return self.counts / self.n_paths
-
-    def wilson_bounds(self):
-        return wilson_interval(self.counts, self.n_paths)
-
-    @property
-    def passed(self):
-        """Estimates are non-increasing in rho for each eps (nested events)."""
-        return bool(np.all(np.diff(self.p_hat, axis=1) <= 0))
-
-    def to_dict(self):
-        lo, hi = self.wilson_bounds()
-        return {
-            "p_norm": self.p_norm,
-            "rho": list(map(float, self.rho_list)),
-            "per_eps": [
-                {
-                    "eps": float(e),
-                    "n_paths": int(self.n_paths),
-                    "exceed_counts": [int(c) for c in self.counts[i]],
-                    "p_hat": [float(x) for x in self.p_hat[i]],
-                    "wilson_lo": [float(x) for x in lo[i]],
-                    "wilson_hi": [float(x) for x in hi[i]],
-                }
-                for i, e in enumerate(self.eps_list)
-            ],
-            "monotone_in_rho": self.passed,
-        }
-
-    def to_csv(self):
-        lo, hi = self.wilson_bounds()
-        return "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi\n" + "".join(
-            f"{float(e)!r},{float(rho)!r},{int(self.n_paths)},{int(self.counts[i, j])},"
-            f"{float(self.p_hat[i, j])!r},{float(lo[i, j])!r},{float(hi[i, j])!r}\n"
-            for i, e in enumerate(self.eps_list)
-            for j, rho in enumerate(self.rho_list)
-        )
-

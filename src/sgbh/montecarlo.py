@@ -19,6 +19,10 @@ and statistic that ``_censored_march`` runs) and in their verdict.  The
 runner called is the experiment and names its report.  A march writes its
 (paths x n_points) work into a few buffers that it allocates once.
 
+Each runner returns its report as the JSON document the CLI writes: plain
+Python values in the key order of ``report.json``, with a statistic that has
+no data as nan (the writer turns every non-finite float into null).
+
 Every ensemble is coupled across epsilon, as the paper's bounds are: each
 path index draws one Brownian path and the same increments drive every
 epsilon, so u_eps, u_0 and the limit are compared path by path.  This makes
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deviation import SpeedFunction, TailReport
+from .deviation import SpeedFunction, wilson_interval
 from .model import NoiseCoefficient
 from .noise import sample_noise
 from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
@@ -48,8 +52,6 @@ from .spectral import Field
 
 __all__ = [
     "EnsembleSpec",
-    "ConvergenceReport",
-    "OracleReport",
     "FitResult",
     "fit_loglog",
     "run_strong_rate",
@@ -123,114 +125,6 @@ def default_initial(grid):
     """Parabolic bump x(1-x), the desk-scale default initial condition."""
     x = grid.nodes
     return Field(x * (1 - x))
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-epsilon ensemble statistics plus a log-log slope fit.
-
-    ``mean``/``stderr`` are the full-horizon statistic over accepted paths;
-    ``censored_mean``/``censored_stderr`` include rejected paths up to their
-    guard crossing.  ``passed`` is None when the run is too small to judge.
-    """
-
-    experiment: str
-    statistic: str
-    p_norm: int
-    n_paths: int
-    eps: list
-    mean: list
-    stderr: list
-    n_rejected: list
-    censored_mean: list
-    censored_stderr: list
-    slope: float | None
-    intercept: float | None
-    r_squared: float | None
-    slope_target: float
-    passed: bool | None
-    pass_details: dict
-
-    def to_csv(self):
-        rows = zip(self.eps, self.mean, self.stderr, self.n_rejected)
-        return "eps,mean,stderr,n_rejected\n" + "".join(
-            f"{float(e)!r},{float(m)!r},{float(s)!r},{int(r)}\n" for e, m, s, r in rows
-        )
-
-    def to_dict(self):
-        def clean(v):
-            if v is None or isinstance(v, (bool, int, str, dict)):
-                return v
-            v = float(v)
-            return None if np.isnan(v) else v
-
-        return {
-            "experiment": self.experiment,
-            "statistic": self.statistic,
-            "p_norm": self.p_norm,
-            "n_paths": self.n_paths,
-            "coupled": True,  # every eps shares each path's draw
-            "eps": [float(e) for e in self.eps],
-            "mean": [clean(m) for m in self.mean],
-            "stderr": [clean(s) for s in self.stderr],
-            "n_rejected": [int(r) for r in self.n_rejected],
-            "censored_mean": [clean(m) for m in self.censored_mean],
-            "censored_stderr": [clean(s) for s in self.censored_stderr],
-            "slope": clean(self.slope),
-            "intercept": clean(self.intercept),
-            "r_squared": clean(self.r_squared),
-            "slope_target": float(self.slope_target),
-            "passed": self.passed,
-            "pass_details": self.pass_details,
-        }
-
-
-@dataclass
-class OracleReport:
-    """Per-mode endpoint moments of the pure stochastic heat run vs the
-    closed-form Ornstein-Uhlenbeck values."""
-
-    eps_list: list
-    n_paths: int
-    var_empirical: np.ndarray  # (n_eps, J)
-    var_theory: np.ndarray
-    z_scores: np.ndarray
-    mode_means: np.ndarray
-    mean_stderr: np.ndarray
-    frac_within: list
-    means_ok: list
-    passed: bool
-
-    def to_dict(self):
-        return {
-            "experiment": "heat_oracle",
-            "n_paths": self.n_paths,
-            "z_threshold": Z_WITHIN,
-            "frac_required": FRAC_REQUIRED,
-            "per_eps": [
-                {
-                    "eps": float(e),
-                    "frac_z_within": float(self.frac_within[i]),
-                    "means_ok": bool(self.means_ok[i]),
-                    "var_empirical": [float(v) for v in self.var_empirical[i]],
-                    "var_theory": [float(v) for v in self.var_theory[i]],
-                    "z_scores": [float(v) for v in self.z_scores[i]],
-                    "mode_means": [float(v) for v in self.mode_means[i]],
-                    "mean_stderr": [float(v) for v in self.mean_stderr[i]],
-                }
-                for i, e in enumerate(self.eps_list)
-            ],
-            "passed": bool(self.passed),
-        }
-
-    def to_csv(self):
-        return "eps,mode,var_empirical,var_theory,z,mean,mean_stderr\n" + "".join(
-            f"{float(e)!r},{j + 1},{float(self.var_empirical[i, j])!r},"
-            f"{float(self.var_theory[i, j])!r},{float(self.z_scores[i, j])!r},"
-            f"{float(self.mode_means[i, j])!r},{float(self.mean_stderr[i, j])!r}\n"
-            for i, e in enumerate(self.eps_list)
-            for j in range(self.var_empirical.shape[1])
-        )
 
 
 # block engine ----------------------------------------------------------------
@@ -318,6 +212,7 @@ def _block_increments(eng, seed, start, stop):
     return inc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a trip or a censored path
 def _censored_march(eng, guard, states, steps, observe):
     """March a block of paths and keep each path's running sup of a statistic.
 
@@ -440,6 +335,7 @@ def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers):
     return sups, trips
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed statistic is written as null
 def _mean_stderr(x):
     if x.size == 0:
         return float("nan"), float("nan")
@@ -452,7 +348,10 @@ def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_targe
     """The report of a marching run.  ``checks(fit, mean)`` returns the named
     verdicts of a sized run (fit is None when the means cannot be fitted),
     which join ``pass_details``; such a run passes when it was fitted, rejected
-    at most 5% of its paths at every eps and every verdict holds."""
+    at most 5% of its paths at every eps and every verdict holds.  ``mean`` and
+    ``stderr`` are the full-horizon statistic over accepted paths;
+    ``censored_mean`` and ``censored_stderr`` include rejected paths up to their
+    guard crossing.  ``passed`` is None when the run is too small to judge."""
     eps = list(spec.eps_list)
     mean, stderr, nrej, cmean, cstderr = [], [], [], [], []
     for sup, trip in zip(sups, trips):
@@ -477,24 +376,25 @@ def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_targe
         details.update(verdicts)
         passed = fit is not None and rejection_ok and all(verdicts.values())
 
-    return ConvergenceReport(
-        experiment=experiment,
-        statistic=statistic,
-        p_norm=p,
-        n_paths=spec.n_paths,
-        eps=eps,
-        mean=mean,
-        stderr=stderr,
-        n_rejected=nrej,
-        censored_mean=cmean,
-        censored_stderr=cstderr,
-        slope=None if fit is None else fit.slope,
-        intercept=None if fit is None else fit.intercept,
-        r_squared=None if fit is None else fit.r_squared,
-        slope_target=slope_target,
-        passed=passed,
-        pass_details=details,
-    )
+    return {
+        "experiment": experiment,
+        "statistic": statistic,
+        "p_norm": p,
+        "n_paths": spec.n_paths,
+        "coupled": True,  # every eps shares each path's draw
+        "eps": eps,
+        "mean": mean,
+        "stderr": stderr,
+        "n_rejected": nrej,
+        "censored_mean": cmean,
+        "censored_stderr": cstderr,
+        "slope": None if fit is None else fit.slope,
+        "intercept": None if fit is None else fit.intercept,
+        "r_squared": None if fit is None else fit.r_squared,
+        "slope_target": slope_target,
+        "passed": passed,
+        "pass_details": details,
+    }
 
 
 def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
@@ -602,33 +502,33 @@ def run_heat_oracle(spec, params, cfg, noise_spec=None, workers=1, g_constant=1.
     unit = np.concatenate(_run_blocks(block, spec, workers), axis=0)
 
     M = spec.n_paths
-    n_eps = len(spec.eps_list)
-    var_emp = np.empty((n_eps, cfg.n_modes))
-    zs = np.empty((n_eps, cfg.n_modes))
-    means = np.empty((n_eps, cfg.n_modes))
-    mstderr = np.empty((n_eps, cfg.n_modes))
-    frac, mok = [], []
-    for e, eps in enumerate(spec.eps_list):
+    per_eps = []
+    for eps, vt in zip(spec.eps_list, var_th):
         endpoints = np.sqrt(eps) * unit
-        var_emp[e] = np.var(endpoints, axis=0, ddof=1)
-        zs[e] = (var_emp[e] - var_th[e]) / (var_th[e] * np.sqrt(2.0 / (M - 1)))
-        means[e] = endpoints.mean(axis=0)
-        mstderr[e] = np.std(endpoints, axis=0, ddof=1) / np.sqrt(M)
-        frac.append(float(np.mean(np.abs(zs[e]) <= Z_WITHIN)))
-        mok.append(bool(np.all(np.abs(means[e]) <= Z_WITHIN * mstderr[e])))
-    passed = all(f >= FRAC_REQUIRED for f in frac) and all(mok)
-    return OracleReport(
-        eps_list=list(spec.eps_list),
-        n_paths=M,
-        var_empirical=var_emp,
-        var_theory=var_th,
-        z_scores=zs,
-        mode_means=means,
-        mean_stderr=mstderr,
-        frac_within=frac,
-        means_ok=mok,
-        passed=passed,
-    )
+        var = np.var(endpoints, axis=0, ddof=1)
+        z = (var - vt) / (vt * np.sqrt(2.0 / (M - 1)))
+        mean = endpoints.mean(axis=0)
+        stderr = np.std(endpoints, axis=0, ddof=1) / np.sqrt(M)
+        per_eps.append(
+            {
+                "eps": eps,
+                "frac_z_within": float(np.mean(np.abs(z) <= Z_WITHIN)),
+                "means_ok": bool(np.all(np.abs(mean) <= Z_WITHIN * stderr)),
+                "var_empirical": var.tolist(),
+                "var_theory": vt.tolist(),
+                "z_scores": z.tolist(),
+                "mode_means": mean.tolist(),
+                "mean_stderr": stderr.tolist(),
+            }
+        )
+    return {
+        "experiment": "heat_oracle",
+        "n_paths": M,
+        "z_threshold": Z_WITHIN,
+        "frac_required": FRAC_REQUIRED,
+        "per_eps": per_eps,
+        "passed": all(e["frac_z_within"] >= FRAC_REQUIRED and e["means_ok"] for e in per_eps),
+    }
 
 
 def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None, tail_p=2, workers=1):
@@ -650,5 +550,23 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     sups, trips = _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers)
     # a tripped path exceeded the guard, hence every admissible rho
     sups = np.where(trips, np.inf, sups)
-    counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)
-    return TailReport(list(spec.eps_list), rho.tolist(), spec.n_paths, counts, tail_p)
+    counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)  # (n_eps, n_rho)
+    p_hat = counts / spec.n_paths
+    lo, hi = wilson_interval(counts, spec.n_paths)
+    return {
+        "p_norm": tail_p,
+        "rho": rho.tolist(),
+        "per_eps": [
+            {
+                "eps": eps,
+                "n_paths": spec.n_paths,
+                "exceed_counts": c.tolist(),
+                "p_hat": ph.tolist(),
+                "wilson_lo": lw.tolist(),
+                "wilson_hi": hw.tolist(),
+            }
+            for eps, c, ph, lw, hw in zip(spec.eps_list, counts, p_hat, lo, hi)
+        ],
+        # each eps's estimates are non-increasing in rho (nested events)
+        "monotone_in_rho": bool(np.all(np.diff(p_hat, axis=1) <= 0)),
+    }

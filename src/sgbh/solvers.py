@@ -137,8 +137,10 @@ class SolverConfig:
 @dataclass(frozen=True)
 class BlowupGuard:
     """Discrete stopping rule: first time the L^p norm exceeds ``threshold``
-    or is not finite (as it is for a non-finite state).  Single paths raise
-    at a trip (``check``); ensembles censor the paths that trip (``trips``)."""
+    or is not finite.  Single paths raise at a trip (``check``): a nan norm,
+    as a non-finite state gives, is a numerical abort, and any other trip,
+    an overflowed norm of a finite state included, a blowup.  Ensembles
+    censor the paths that trip (``trips``)."""
 
     threshold: float = 1e3
 
@@ -151,7 +153,7 @@ class BlowupGuard:
 
     def check(self, time, norm):
         if self.trips(norm):
-            if not np.isfinite(norm):
+            if np.isnan(norm):
                 raise NumericalAbortError(time)
             raise BlowupError(time, norm, self.threshold)
 
@@ -488,6 +490,7 @@ def march(eng, states, steps, observe):
     return states
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value trips the guard
 def _drive(eng, a0, step_fn, guard):
     """March a single path, recording coefficients and L^p norms per step;
     the guard (threshold +inf when None) raises at the first trip."""

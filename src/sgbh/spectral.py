@@ -27,8 +27,6 @@ __all__ = [
     "Grid1D",
     "SpectralBasis",
     "Field",
-    "EstimateFit",
-    "EstimateFitReport",
     "IMAGES_TRUNCATION",
     "apply_semigroup",
     "heat_kernel",
@@ -228,32 +226,6 @@ def heat_kernel_dy(t, grid):
     return (4 * np.pi * t) ** -0.5 * _image_sum(grid.nodes, f)
 
 
-@dataclass(frozen=True)
-class EstimateFit:
-    estimate_id: str
-    fitted_C: float
-    fitted_a: float
-    max_violation: float
-    passed: bool
-
-    def to_dict(self):
-        return {
-            "estimate_id": self.estimate_id,
-            "fitted_C": self.fitted_C,
-            "fitted_a": self.fitted_a,
-            "max_violation": self.max_violation,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class EstimateFitReport:
-    fits: tuple
-
-    def all_pass(self):
-        return all(f.passed for f in self.fits)
-
-
 _A_CANDIDATES = np.concatenate([np.arange(2.0, 8.1, 0.5), np.arange(9.0, 17.0, 1.0)])
 
 
@@ -322,10 +294,20 @@ def validate_kernel_estimates(t_samples, grid):
     with the smallest C wins; ``max_violation`` re-checks the fitted envelope
     on interleaved midpoint times (<= 0 means the envelope held there too).
     The pass flag records that a finite fit exists over the sample set.
+    Returns one ``kernel_report.json`` entry per estimate, in the order above.
     """
     t_samples = [float(t) for t in t_samples]
     if not t_samples or any(t <= 0 or t > 1 for t in t_samples):
         raise ValueError("t_samples must be non-empty with every t in (0, 1]")
+
+    def fit(est_id, c, a, viol):
+        return {
+            "estimate_id": est_id,
+            "fitted_C": float(c),
+            "fitted_a": float(a),
+            "max_violation": float(viol),
+            "pass": bool(np.isfinite(c)),
+        }
 
     fits = []
     for est_id, fn, power in (
@@ -334,9 +316,7 @@ def validate_kernel_estimates(t_samples, grid):
     ):
         c, a = _fit_gaussian_envelope(t_samples, grid, fn, power)
         viol = _envelope_violation(t_samples, grid, fn, power, c, a)
-        fits.append(
-            EstimateFit(est_id, float(c), float(a), float(viol), bool(np.isfinite(c)))
-        )
+        fits.append(fit(est_id, c, a, viol))
 
     # gaussian_lp: a and p are fixed, only C is fitted; sup of norm/s^{1/(2p)}
     p_gauss, a_gauss = 2, 1.0
@@ -351,13 +331,5 @@ def validate_kernel_estimates(t_samples, grid):
         gaussian_lp_norm(s, p_gauss, a_gauss) - c_gauss * s ** (1.0 / (2 * p_gauss))
         for s in mids
     )
-    fits.append(
-        EstimateFit(
-            "gaussian_lp",
-            float(c_gauss),
-            float(a_gauss),
-            float(viol),
-            bool(np.isfinite(c_gauss)),
-        )
-    )
-    return EstimateFitReport(fits=tuple(fits))
+    fits.append(fit("gaussian_lp", c_gauss, a_gauss, viol))
+    return fits

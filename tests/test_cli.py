@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,22 @@ dt = 0.005
 t_end = 0.05
 n_modes = 8
 n_points = 64
+"""
+
+# the golden runs' grid and ensemble, as in tests/test_golden.py
+GOLDEN_RUN = """
+[noise]
+n_modes = 8
+[solver]
+dt = 0.01
+t_end = 0.2
+n_modes = 8
+n_points = 64
+[experiment]
+n_paths = 12
+block_size = 5
+eps_list = [0.5, 0.25, 0.125]
+kernel_t_count = 3
 """
 
 
@@ -746,6 +763,48 @@ def test_blowup_exits_3(tmp_path):
     assert code == EXIT_NUMERIC
 
 
+def test_an_overflowed_norm_of_a_finite_state_is_a_blowup(tmp_path, capsys):
+    """Noise of size 1e110 leaves the state finite at the first step (max |a|
+    about 5e107), but its L^8 norm overflows: the guard reports the norm it
+    saw, not a non-finite state, and numpy warns of nothing it met."""
+    cfg = _write(tmp_path, GOLDEN_RUN + "[noise]\ng_kappa0 = 1e110\n")
+    argv = ["simulate", "--solver", "spde", "--config", cfg, "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "numerical abort: L^p norm inf exceeded threshold 1000 at t=0.01\n"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
+def test_report_with_an_overflowed_statistic_is_standard_json(tmp_path):
+    """Additive noise of size 1e110 under a 1e300 guard: every path dies at
+    step 2 and keeps a censored sup of about 1e220, whose np.std overflows.
+    report.json writes the overflowed stderr as null, as it writes the nan
+    means, and report.csv keeps its cells."""
+    cfg = _write(
+        tmp_path,
+        GOLDEN_RUN
+        + "[model]\np_norm = 2\n[noise]\ng_kappa0 = 1e110\ng_kappa1 = 0.0\n"
+        + "[solver]\nguard_threshold = 1e300\n",
+    )
+    out = tmp_path / "over"
+    argv = ["experiment", "strong-rate", "--config", cfg, "--out", str(out), "--workers", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_SCI_FAIL
+    rep = json.loads((out / "report.json").read_text(), parse_constant=_refuse)
+    assert rep["censored_stderr"] == [None, None, None]
+    assert all(m > 1e200 for m in rep["censored_mean"])
+    assert rep["mean"] == rep["stderr"] == [None, None, None]
+    assert (out / "report.csv").read_text() == (
+        "eps,mean,stderr,n_rejected\n0.5,nan,nan,12\n0.25,nan,nan,12\n0.125,nan,nan,12\n"
+    )
+
+
 # --- experiment -----------------------------------------------------------------
 
 
@@ -923,7 +982,7 @@ def test_experiment_mdp_tail_reads_solver_theta(tmp_path):
         noise_spec=config.noise_spec(),
         tail_p=config.tail_p,
     )
-    assert reports[0.4] == json.dumps(direct.to_dict(), indent=2)
+    assert reports[0.4] == json.dumps(direct, indent=2)
 
 
 # --- rate -----------------------------------------------------------------------

@@ -18,12 +18,11 @@ from sgbh.cli import RunConfig
 from sgbh.deviation import (
     EndpointControlMap,
     SpeedFunction,
-    TailReport,
     rate_function_endpoint,
     wilson_interval,
 )
 from sgbh.model import ModelParams, NoiseCoefficient
-from sgbh.montecarlo import EnsembleSpec, _heat_weights, run_strong_rate
+from sgbh.montecarlo import EnsembleSpec, _heat_weights, run_mdp_tail, run_strong_rate
 from sgbh.noise import ControlPath, NoiseSpec, sample_noise
 from sgbh.solvers import SolverConfig, solve_clt_limit, solve_deterministic, solve_skeleton
 from sgbh.spectral import Field, Grid1D
@@ -104,7 +103,7 @@ def _endpoint_map(params, cfg, g, u0, **spec):
 
 def _strong_rate(params, cfg, g, u0, **spec):
     ens = EnsembleSpec(n_paths=6, base_seed=9, eps_list=[0.5, 0.25, 0.125], block_size=4)
-    return json.dumps(run_strong_rate(ens, params, g, cfg, **spec).to_dict(), indent=2)
+    return json.dumps(run_strong_rate(ens, params, g, cfg, **spec), indent=2)
 
 
 @pytest.mark.parametrize(
@@ -346,22 +345,31 @@ def test_wilson_interval_formula_and_edges():
         wilson_interval(1, 0)
 
 
-def test_tail_report_counts_and_serialization():
-    rep = TailReport([1.0, 0.5], [1.0, 2.0], 3, np.array([[2, 1], [0, 0]]), p_norm=8)
-    np.testing.assert_allclose(rep.p_hat, [[2 / 3, 1 / 3], [0.0, 0.0]])
-    assert rep.passed
-    lo, hi = rep.wilson_bounds()
-    assert np.all(lo <= rep.p_hat + 1e-12) and np.all(rep.p_hat <= hi + 1e-12)
+def test_tail_report_counts_and_serialization(monkeypatch, written):
+    import sgbh.montecarlo as montecarlo
+
+    # three paths whose sups exceed rho = 1, 2 by counts [[2, 1], [0, 0]]
+    sups = np.array([[1.5, 2.5, 0.5], [0.1, 0.2, 0.3]])
+    monkeypatch.setattr(montecarlo, "_run_marching", lambda *a: (sups, np.zeros(sups.shape, bool)))
+    spec = EnsembleSpec(n_paths=3, base_seed=1, eps_list=[1.0, 0.5])
+    d = run_mdp_tail(spec, None, None, None, SpeedFunction(0.25), [1.0, 2.0], tail_p=8)
+    counts, p_hat, lo, hi = (
+        np.array([e[key] for e in d["per_eps"]])
+        for key in ("exceed_counts", "p_hat", "wilson_lo", "wilson_hi")
+    )
+    np.testing.assert_allclose(p_hat, [[2 / 3, 1 / 3], [0.0, 0.0]])
+    assert d["monotone_in_rho"]
+    assert np.all(lo <= p_hat + 1e-12) and np.all(p_hat <= hi + 1e-12)
     # the array form is the scalar interval cell by cell
-    for (i, j), c in np.ndenumerate(rep.counts):
+    for (i, j), c in np.ndenumerate(counts):
         assert (lo[i, j], hi[i, j]) == wilson_interval(c, 3)
-    d = rep.to_dict()
+    assert d["p_norm"] == 8
     assert d["rho"] == [1.0, 2.0]
     assert d["per_eps"][0]["exceed_counts"] == [2, 1]
     assert [e["n_paths"] for e in d["per_eps"]] == [3, 3]
     assert d["monotone_in_rho"] is True
-    json.loads(json.dumps(d))
-    csv = rep.to_csv()
+    text, csv = written("mdp-tail", d)
+    assert json.loads(text) == d
     lines = csv.strip().split("\n")
     assert lines[0] == "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi"
     assert len(lines) == 5

@@ -274,11 +274,16 @@ def cli_root(tmp_path_factory):
     return root
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
 @settings(FUZZ, max_examples=100)
 @given(run=_cli_runs())
 def test_main_returns_an_exit_code_and_raises_nothing(cli_root, run):
     """Whatever the flags, config and state of the output directory, ``main``
-    returns 0-3; a refused input or artifact is exit 2, never a traceback."""
+    returns 0-3; a refused input or artifact is exit 2, never a traceback.  A
+    run that exits 0 or 1 writes JSON artifacts that a strict reader takes."""
     argv, text, out_state = run
     run_dir = tempfile.mkdtemp(dir=cli_root)
     config = os.path.join(run_dir, "run.cfg")
@@ -292,4 +297,11 @@ def test_main_returns_an_exit_code_and_raises_nothing(cli_root, run):
     elif out_state != "missing":  # an artifact name taken by a directory
         os.makedirs(os.path.join(out, out_state))
     argv = [a.format(inputs=cli_root) for a in argv]
-    assert main([*argv, "--config", config, "--out", out]) in (0, 1, 2, 3)
+    code = main([*argv, "--config", config, "--out", out])
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):  # every JSON artifact is standard JSON: no NaN or Infinity
+        for name in os.listdir(out):
+            path = os.path.join(out, name)
+            if name.endswith(".json") and os.path.isfile(path):
+                with open(path) as fh:
+                    json.loads(fh.read(), parse_constant=_refuse)

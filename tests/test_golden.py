@@ -49,7 +49,14 @@ HEAT = CONFIG + "[model]\nalpha = 0.0\nbeta = 0.0\n"
 UNREACHABLE = HEAT + "[noise]\nn_modes = 4\ng_kappa1 = 0.0\n"
 TARGET = '{"kind": "spectral", "values": [0.3, -0.2]}'
 FAR_TARGET = '{"kind": "spectral", "values": [0.3, 0, 0, 0, 0.2]}'
-CONFIGS = {"heat-oracle": "heat.cfg", "rate-unreachable": "unreachable.cfg"}
+# a guard so low that every path trips at the largest eps: that mean has no
+# accepted path, so the report writes it as null and the run exits 1
+CENSORED = CONFIG + "[solver]\nguard_threshold = 0.3\n"
+CONFIGS = {
+    "heat-oracle": "heat.cfg",
+    "rate-unreachable": "unreachable.cfg",
+    "strong-rate-censored": "censored.cfg",
+}
 
 # (name, argv after --config/--out); run in this order, since the skeleton
 # and controlled runs read the control that rate writes
@@ -59,6 +66,7 @@ CASES = [
         for kind in ("strong-rate", "clt", "mdp-tail")
         for w in (1, 2)
     ),
+    ("strong-rate-censored", ["experiment", "strong-rate", "--workers", "1"]),
     ("heat-oracle", ["experiment", "heat-oracle", "--workers", "1"]),
     *(
         (f"simulate-{k}", ["simulate", "--solver", k])
@@ -103,6 +111,7 @@ def run_cases(tmp):
     (tmp / "run.cfg").write_text(CONFIG)
     (tmp / "heat.cfg").write_text(HEAT)
     (tmp / "unreachable.cfg").write_text(UNREACHABLE)
+    (tmp / "censored.cfg").write_text(CENSORED)
     (tmp / "target.json").write_text(TARGET)
     (tmp / "far-target.json").write_text(FAR_TARGET)
     runs = {}

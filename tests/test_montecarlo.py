@@ -8,6 +8,7 @@ byte-for-byte across worker counts and reruns.
 
 import io
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,59 +111,56 @@ def test_strong_rate_coupled_linear_scales_exactly():
         n_paths=32, base_seed=11, eps_list=[1.0, 0.5, 0.25], block_size=8
     )
     rep = run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.slope == pytest.approx(4.0, abs=1e-10)
-    assert rep.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert rep.passed is True
-    assert rep.n_rejected == [0, 0, 0]
+    assert rep["slope"] == pytest.approx(4.0, abs=1e-10)
+    assert rep["r_squared"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["passed"] is True
+    assert rep["n_rejected"] == [0, 0, 0]
     # mean ratio between adjacent eps is exactly 2^(p/2) = 16
-    assert rep.mean[0] / rep.mean[1] == pytest.approx(16.0, rel=1e-10)
+    assert rep["mean"][0] / rep["mean"][1] == pytest.approx(16.0, rel=1e-10)
     # nothing rejected, so censored stats coincide with the full-horizon ones
-    assert rep.censored_mean == rep.mean
-    assert rep.censored_stderr == rep.stderr
+    assert rep["censored_mean"] == rep["mean"]
+    assert rep["censored_stderr"] == rep["stderr"]
 
 
-def test_strong_rate_report_serialization():
+def test_strong_rate_report_serialization(written):
     spec = EnsembleSpec(n_paths=8, base_seed=13, eps_list=[1.0, 0.5, 0.25], block_size=8)
     rep = run_strong_rate(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    d = json.loads(json.dumps(rep.to_dict()))
+    text, csv = written("strong-rate", rep)
+    d = json.loads(text)
+    assert d == rep  # every statistic of this run is finite
     assert d["experiment"] == "strong_rate"
     assert d["slope_target"] == pytest.approx(4.0)
     assert isinstance(d["passed"], bool)
-    csv = rep.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "eps,mean,stderr,n_rejected"
     assert len(lines) == 4
     assert "np.float64" not in csv
     data = np.loadtxt(io.StringIO(csv), delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 0], [1.0, 0.5, 0.25], rtol=1e-15)
-    np.testing.assert_allclose(data[:, 1], rep.mean, rtol=1e-15)
+    np.testing.assert_allclose(data[:, 1], rep["mean"], rtol=1e-15)
 
 
-def test_strong_rate_full_rejection_fails_honestly():
+def test_strong_rate_full_rejection_fails_honestly(written):
     # a guard below the initial norm censors every path at t = 0
     spec = EnsembleSpec(
         n_paths=6, base_seed=14, eps_list=[1.0, 0.5, 0.25], guard=BlowupGuard(1e-6)
     )
     rep = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.n_rejected == [6, 6, 6]
-    assert rep.passed is False
-    assert rep.pass_details["rejection_ok"] is False
-    d = rep.to_dict()
-    assert d["mean"] == [None, None, None]  # no accepted paths
+    assert rep["n_rejected"] == [6, 6, 6]
+    assert rep["passed"] is False
+    assert rep["pass_details"]["rejection_ok"] is False
+    assert all(np.isnan(rep["mean"]))  # no accepted paths
+    text, csv = written("strong-rate", rep)
+    d = json.loads(text)
+    assert d["mean"] == [None, None, None]  # written as null
     assert d["censored_mean"] == [0.0, 0.0, 0.0]  # sup up to the crossing step
-    assert "nan" in rep.to_csv()
+    assert "nan" in csv
 
 
 # --- worker reproducibility ---------------------------------------------------------
 
 
 HEAT_CFG = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
-
-
-def artifacts(report):
-    """The text of ``report.json`` and ``report.csv`` as the CLI writes them."""
-    return json.dumps(report.to_dict(), indent=2), report.to_csv()
-
 
 TRIP_GUARD = 0.25  # trips some paths of every marching runner below, not all
 
@@ -183,6 +181,17 @@ RUNNERS = {
         spec, LINEAR, HEAT_CFG, noise_spec=NoiseSpec(n_modes=4, eta=0.3), workers=workers
     ),
 }
+
+
+def _plain(doc):
+    """Whether ``doc`` holds only the types that JSON reads back: no numpy scalar."""
+    if isinstance(doc, dict):
+        return all(type(k) is str and _plain(v) for k, v in doc.items())
+    if isinstance(doc, list):
+        return all(_plain(v) for v in doc)
+    return doc is None or type(doc) in (bool, int, float, str)
+
+
 POOL_SPEC = EnsembleSpec(n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4)
 TRIP_SPEC = EnsembleSpec(
     n_paths=12, base_seed=15, eps_list=[0.5, 0.25, 0.125], block_size=4,
@@ -201,14 +210,18 @@ TRIP_SPEC = EnsembleSpec(
 def test_reports_are_byte_identical_across_worker_counts(kind, spec):
     """Every runner's inputs reach real pool workers intact (mdp-tail's speed
     and tail_p, the heat oracle's weights), and a marching runner's trip masks
-    join in path order."""
+    join in path order.  Each report holds plain Python values only."""
     serial = RUNNERS[kind](spec, 1)
+    assert _plain(serial)
     parallel = RUNNERS[kind](spec, 3)
     again = RUNNERS[kind](spec, 1)
-    assert artifacts(serial) == artifacts(parallel)
-    assert artifacts(serial) == artifacts(again)
+    assert json.dumps(serial) == json.dumps(parallel)
+    assert json.dumps(serial) == json.dumps(again)
     if spec is TRIP_SPEC:
-        tripped = serial.counts[:, -1] if kind == "mdp-tail" else serial.n_rejected
+        if kind == "mdp-tail":
+            tripped = [e["exceed_counts"][-1] for e in serial["per_eps"]]
+        else:
+            tripped = serial["n_rejected"]
         assert 0 < sum(tripped) < spec.n_paths * len(spec.eps_list)
 
 
@@ -233,9 +246,9 @@ def test_block_size_only_regroups_arithmetic():
     big = EnsembleSpec(n_paths=10, base_seed=16, eps_list=[0.5, 0.25, 0.125], block_size=128)
     a = run_strong_rate(small, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     b = run_strong_rate(big, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
-    np.testing.assert_allclose(a.stderr, b.stderr, rtol=1e-12)
-    assert a.n_rejected == b.n_rejected
+    np.testing.assert_allclose(a["mean"], b["mean"], rtol=1e-12)
+    np.testing.assert_allclose(a["stderr"], b["stderr"], rtol=1e-12)
+    assert a["n_rejected"] == b["n_rejected"]
 
 
 @pytest.fixture
@@ -277,7 +290,7 @@ def test_pool_starts_no_more_workers_than_blocks(pool_sizes, n_paths, workers, p
     got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
     assert pool_sizes == ([] if pool is None else [pool])
     inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert artifacts(got) == artifacts(inline)
+    assert json.dumps(got) == json.dumps(inline)
 
 
 @pytest.mark.parametrize("n_paths,block_size,workers", [(16, 4, 3), (40, 1, 5000)])
@@ -293,7 +306,7 @@ def test_pool_starts_no_more_workers_than_cpus(
     got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=workers)
     assert pool_sizes == [2]
     inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert artifacts(got) == artifacts(inline)
+    assert json.dumps(got) == json.dumps(inline)
 
 
 @pytest.mark.parametrize(
@@ -347,7 +360,7 @@ def test_stderr_shrinks_with_ensemble_size():
     a = run_strong_rate(small, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
     b = run_strong_rate(large, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
     # 4x the paths should shrink stderr by about 2
-    ratio = a.stderr[0] / b.stderr[0]
+    ratio = a["stderr"][0] / b["stderr"][0]
     assert 1.2 < ratio < 3.3
 
 
@@ -359,21 +372,21 @@ def test_clt_linear_case_is_exactly_zero():
     field identical path by path, so the statistic vanishes identically."""
     spec = EnsembleSpec(n_paths=8, base_seed=18, eps_list=[0.09, 0.04, 0.01])
     rep = run_clt(spec, LINEAR, G_CONST, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.experiment == "clt"
-    assert rep.mean == [0.0, 0.0, 0.0]
-    assert rep.n_rejected == [0, 0, 0]
+    assert rep["experiment"] == "clt"
+    assert rep["mean"] == [0.0, 0.0, 0.0]
+    assert rep["n_rejected"] == [0, 0, 0]
     # exact zeros cannot be fitted on a log scale; the rule reports failure
-    assert rep.passed is False
-    assert rep.slope is None
+    assert rep["passed"] is False
+    assert rep["slope"] is None
 
 
 def test_clt_nonlinear_remainder_decays_at_root_eps():
     spec = EnsembleSpec(n_paths=64, base_seed=19, eps_list=[1e-1, 1e-2, 1e-3])
     rep = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.passed is True
-    assert rep.slope == pytest.approx(0.5, abs=0.1)
-    assert all(b < a for a, b in zip(rep.mean, rep.mean[1:]))
-    assert rep.pass_details["strictly_decreasing"] is True
+    assert rep["passed"] is True
+    assert rep["slope"] == pytest.approx(0.5, abs=0.1)
+    assert all(b < a for a, b in zip(rep["mean"], rep["mean"][1:]))
+    assert rep["pass_details"]["strictly_decreasing"] is True
 
 
 def test_ensembles_never_call_lapack(monkeypatch):
@@ -388,7 +401,7 @@ def test_ensembles_never_call_lapack(monkeypatch):
     monkeypatch.setattr(np, "polyfit", refuse)
     spec = EnsembleSpec(n_paths=8, base_seed=3, eps_list=[1e-1, 1e-2, 1e-3])
     for run in (run_strong_rate, run_clt):
-        assert run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8).slope is not None
+        assert run(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)["slope"] is not None
 
 
 def test_clt_requires_coupling_and_high_norm():
@@ -407,24 +420,26 @@ def test_heat_oracle_matches_ou_closed_form():
     spec = EnsembleSpec(n_paths=200, base_seed=20, eps_list=[1.0, 0.25])
     noise = NoiseSpec(n_modes=4, eta=0.3)
     rep = run_heat_oracle(spec, LINEAR, cfg, noise_spec=noise)
-    assert rep.passed is True
-    assert all(f >= 0.95 for f in rep.frac_within)
+    assert rep["passed"] is True
+    assert all(e["frac_z_within"] >= 0.95 for e in rep["per_eps"])
     # coupled eps reuse the same increments: variances scale exactly by eps
-    np.testing.assert_allclose(
-        rep.var_empirical[0] / rep.var_empirical[1], 4.0, rtol=1e-10
+    var_empirical, var_theory = (
+        np.array([e[key] for e in rep["per_eps"]]) for key in ("var_empirical", "var_theory")
     )
-    np.testing.assert_allclose(rep.var_theory[0] / rep.var_theory[1], 4.0, rtol=1e-12)
+    np.testing.assert_allclose(var_empirical[0] / var_empirical[1], 4.0, rtol=1e-10)
+    np.testing.assert_allclose(var_theory[0] / var_theory[1], 4.0, rtol=1e-12)
 
 
-def test_heat_oracle_serialization():
+def test_heat_oracle_serialization(written):
     cfg = SolverConfig(dt=0.001, t_end=0.05, n_modes=4, n_points=16)
     spec = EnsembleSpec(n_paths=50, base_seed=21, eps_list=[1.0])
     rep = run_heat_oracle(spec, LINEAR, cfg, noise_spec=NoiseSpec(n_modes=4, eta=0.3))
-    d = json.loads(json.dumps(rep.to_dict()))
+    text, csv = written("heat-oracle", rep)
+    d = json.loads(text)
+    assert d == rep
     assert d["experiment"] == "heat_oracle"
     assert len(d["per_eps"]) == 1
     assert len(d["per_eps"][0]["z_scores"]) == 4
-    csv = rep.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "eps,mode,var_empirical,var_theory,z,mean,mean_stderr"
     assert len(lines) == 5
@@ -496,7 +511,7 @@ def test_heat_report_is_byte_identical_across_block_sizes():
         )
         for b in (3, 128)
     ]
-    assert artifacts(reports[0]) == artifacts(reports[1])
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 def test_heat_block_holds_one_path_draw():
@@ -532,7 +547,7 @@ def test_heat_oracle_block_draw_is_not_bounded(monkeypatch):
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_ENTRIES", 1000)
     spec = EnsembleSpec(n_paths=8, base_seed=26, eps_list=[1.0])
     noise = NoiseSpec(n_modes=4, eta=0.3)
-    assert run_heat_oracle(spec, LINEAR, HEAT_CFG, noise_spec=noise).n_paths == 8
+    assert run_heat_oracle(spec, LINEAR, HEAT_CFG, noise_spec=noise)["n_paths"] == 8
     with pytest.raises(SetupError, match=r"n_modes = 1600 exceeds 1000"):
         run_strong_rate(spec, LINEAR, G_CONST, HEAT_CFG, noise_spec=noise)
 
@@ -551,10 +566,11 @@ def test_mdp_tail_report_is_monotone_and_tightens():
         [0.25, 0.5, 1.0, 2.0],
         noise_spec=SPEC8,
     )
-    assert rep.passed
-    assert np.all(rep.p_hat >= 0) and np.all(rep.p_hat <= 1)
+    assert rep["monotone_in_rho"]
+    p_hat = np.array([e["p_hat"] for e in rep["per_eps"]])
+    assert np.all(p_hat >= 0) and np.all(p_hat <= 1)
     # smaller eps concentrates the family: tails do not grow
-    assert np.all(rep.p_hat[1] <= rep.p_hat[0])
+    assert np.all(p_hat[1] <= p_hat[0])
 
 
 def test_mdp_tail_threshold_guard_interaction():
@@ -596,7 +612,7 @@ def test_strong_rate_ensemble_is_the_spde_solver(g):
     rep = run_strong_rate(spec, DESK, g, CFG_SMALL, noise_spec=SPEC8)
     u0, u0_traj, noise = _single_paths(spec)
     p = DESK.p_norm
-    for eps, mean in zip(spec.eps_list, rep.mean):
+    for eps, mean in zip(spec.eps_list, rep["mean"]):
         u = solve_spde(u0, DESK, g, eps, noise, CFG_SMALL)
         want = _sup_lp(u.grid_values() - u0_traj.grid_values(), p) ** p
         assert mean == pytest.approx(want, rel=1e-12, abs=0)
@@ -608,7 +624,7 @@ def test_clt_ensemble_is_the_deviation_and_limit_solvers(g):
     rep = run_clt(spec, DESK, g, CFG_SMALL, noise_spec=SPEC8)
     _, u0_traj, noise = _single_paths(spec)
     v = solve_clt_limit(u0_traj, DESK, g, noise, CFG_SMALL)
-    for eps, mean in zip(spec.eps_list, rep.mean):
+    for eps, mean in zip(spec.eps_list, rep["mean"]):
         z = solve_controlled(u0_traj, DESK, g, eps, SpeedFunction(0.0), noise, None, CFG_SMALL)
         want = _sup_lp(z.grid_values() - v.grid_values(), DESK.p_norm)
         assert mean == pytest.approx(want, rel=1e-12, abs=0)
@@ -625,7 +641,7 @@ def test_mdp_tail_ensemble_is_the_deviation_solver(g):
         sup = _sup_lp(z.grid_values(), 2)
         rho = [sup * (1 - 1e-12), sup * (1 + 1e-12)]
         rep = run_mdp_tail(spec, DESK, g, CFG_SMALL, speed, rho, noise_spec=SPEC8)
-        assert rep.counts[i].tolist() == [1, 0]
+        assert rep["per_eps"][i]["exceed_counts"] == [1, 0]
 
 
 # --- one guard: single paths raise where ensembles censor ----------------------------
@@ -643,7 +659,7 @@ def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
     thr = 0.5 * (norms[:k_star].max() + norms[k_star])
     spec = EnsembleSpec(n_paths=1, base_seed=44, eps_list=spec0.eps_list, guard=BlowupGuard(thr))
     rep = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.n_rejected[0] == 1
+    assert rep["n_rejected"][0] == 1
     for i, eps in enumerate(spec.eps_list):
         traj = paths[eps]
         crossed = np.flatnonzero(traj.norms > thr)
@@ -652,16 +668,16 @@ def test_guard_crossing_mid_path_raises_where_the_ensemble_censors():
         ) ** p
         if crossed.size == 0:
             solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL, guard=BlowupGuard(thr))
-            assert rep.n_rejected[i] == 0
-            assert rep.mean[i] == pytest.approx(stat.max(), rel=1e-12, abs=0)
+            assert rep["n_rejected"][i] == 0
+            assert rep["mean"][i] == pytest.approx(stat.max(), rel=1e-12, abs=0)
             continue
         k_cross = int(crossed[0])
         guard = BlowupGuard(thr)
         with pytest.raises(BlowupError) as err:
             solve_spde(u0, DESK, G_AFFINE, eps, noise, CFG_SMALL, guard=guard)
         assert err.value.time == k_cross * CFG_SMALL.dt
-        assert rep.n_rejected[i] == 1
-        assert rep.censored_mean[i] == pytest.approx(stat[:k_cross].max(), rel=1e-12, abs=0)
+        assert rep["n_rejected"][i] == 1
+        assert rep["censored_mean"][i] == pytest.approx(stat[:k_cross].max(), rel=1e-12, abs=0)
     assert int(np.flatnonzero(norms > thr)[0]) == k_star
 
 
@@ -680,10 +696,31 @@ def test_non_finite_path_aborts_alone_and_is_censored_in_the_ensemble():
                 solve_spde(u0, params, g, 1.0, noise, CFG_SMALL, guard=guard)
             assert err.value.time == 2 * CFG_SMALL.dt
         rep = run_strong_rate(spec, params, g, CFG_SMALL, noise_spec=SPEC8)
-    assert rep.n_rejected == [1, 1, 1]
-    assert np.isnan(rep.mean).all()
+    assert rep["n_rejected"] == [1, 1, 1]
+    assert np.isnan(rep["mean"]).all()
     # the censored sup is the finite step-1 statistic
-    assert all(np.isfinite(m) and m > 1e200 for m in rep.censored_mean)
+    assert all(np.isfinite(m) and m > 1e200 for m in rep["censored_mean"])
+
+
+def test_guarded_overflow_warns_of_nothing():
+    """The setup above, at the golden grid: each non-finite value the march,
+    the single-path drive and the statistics meet is a guard trip, a censored
+    path or a null, so none of them warns."""
+    params = ModelParams(nu=0.1, alpha=1.0, beta=1.0, gamma=0.5, delta=1, p_norm=2)
+    g = NoiseCoefficient(kind="constant", kappa0=1e110)
+    cfg = SolverConfig(dt=0.01, t_end=0.2, n_modes=8, n_points=64)
+    spec = EnsembleSpec(
+        n_paths=3, base_seed=45, eps_list=[0.5, 0.25, 0.125], guard=BlowupGuard(1e300)
+    )
+    u0 = default_initial(Grid1D(cfg.n_points))
+    noise = sample_noise(SPEC8, cfg.dt, cfg.n_steps, spec.base_seed, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_strong_rate(spec, params, g, cfg, noise_spec=SPEC8)
+        with pytest.raises(NumericalAbortError):  # a nan state is still an abort
+            solve_spde(u0, params, g, 0.5, noise, cfg, guard=spec.guard)
+    assert rep["n_rejected"] == [3, 3, 3]
+    assert not any(np.isfinite(rep["censored_stderr"]))
 
 
 @pytest.mark.parametrize("thr", [0.0, -1.0, float("nan")])
@@ -731,6 +768,8 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
         guard=BlowupGuard(0.22),
     )
     fast = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    assert 0 < fast.n_rejected[1] < fast.n_rejected[0] < 16 and fast.n_rejected[2] == 0
+    rejected = fast["n_rejected"]
+    assert 0 < rejected[1] < rejected[0] < 16 and rejected[2] == 0
     monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
-    assert artifacts(run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)) == artifacts(fast)
+    masked = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert json.dumps(masked) == json.dumps(fast)
