@@ -42,4 +42,4 @@ for row in report["per_eps"]:
     ]
     print(f"{row['eps']:<8g}  " + "  ".join(cells))
 
-print(f"\nmonotone non-increasing in rho: {report['monotone_in_rho']}")
+print(f"\nmonotone non-increasing in rho: {report['pass_details']['monotone_in_rho']}")

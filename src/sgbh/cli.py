@@ -438,7 +438,6 @@ def cmd_experiment(config, args):
             spec, params, scfg, noise_spec=nspec, workers=workers, g_constant=e["oracle_g"]
         )
         per_eps = report["per_eps"]
-        verdict = report["passed"]
         summary = (
             f"frac_z_within={[r['frac_z_within'] for r in per_eps]} "
             f"means_ok={[r['means_ok'] for r in per_eps]}"
@@ -467,8 +466,7 @@ def cmd_experiment(config, args):
             tail_p=config.tail_p,
             workers=workers,
         )
-        verdict = report["monotone_in_rho"]
-        summary = f"monotone_in_rho={verdict}"
+        summary = f"monotone_in_rho={report['pass_details']['monotone_in_rho']}"
         table = _table(
             "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi",
             (
@@ -483,18 +481,17 @@ def cmd_experiment(config, args):
         g = config.noise_coefficient()
         runner = run_strong_rate if args.kind == "strong-rate" else run_clt
         report = runner(spec, params, g, scfg, u0=u0, noise_spec=nspec, workers=workers)
-        verdict = report["passed"]
         summary = (
             f"slope={report['slope']} target={report['slope_target']} "
-            f"r2={report['r_squared']} passed={verdict}"
+            f"r2={report['r_squared']} passed={report['passed']}"
         )
         table = _table(
             "eps,mean,stderr,n_rejected",
             zip(report["eps"], report["mean"], report["stderr"], report["n_rejected"]),
         )
 
-    files = {"report.csv": table, "report.json": report}
-    return files, f"experiment {args.kind}: {summary} -> {config.outdir}/report.json", verdict
+    summary = f"experiment {args.kind}: {summary} -> {config.outdir}/report.json"
+    return {"report.csv": table, "report.json": report}, summary, report["passed"]
 
 
 def cmd_rate(config, args):

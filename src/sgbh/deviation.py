@@ -107,7 +107,7 @@ class EndpointControlMap:
         eng = self.eng
         # the skeleton solver's march and stepper, so endpoints agree bitwise
         step = eng.deviation_step(self.u0_grid, 0.0, control_inc=hdot.T)
-        return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg: None)[0]
+        return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg, work: None)[0]
 
     def adjoint(self, w):
         """(Phi* w): shape (J_noise, n_steps) for w of shape (J,), and
@@ -137,11 +137,11 @@ class EndpointControlMap:
         step = eng.deviation_step(
             self.u0_grid, 0.0, control_inc=np.broadcast_to(units, (K,) + units.shape)
         )
-        grid = eng.grid_values(states)
+        grid, bufs = eng.grid_values(states), eng.scratch(states.shape[:-1])
         a = np.empty((J, jn, K))
         r = np.eye(J) / np.sqrt(eng.dt)
         for k in range(K - 1, -1, -1):
-            out = step(k, states, grid)
+            out = step(k, states, grid, bufs)
             a[:, :, k] = r @ out[J:].T
             r = r @ out[:J].T
         a = a.reshape(J, -1)

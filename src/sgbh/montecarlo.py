@@ -17,7 +17,7 @@ once and marches every eps with them, returning a sup and a guard-trip mask
 per eps.  The runners differ only in their per-eps march (the states, steps
 and statistic that ``_censored_march`` runs) and in their verdict.  The
 runner called is the experiment and names its report.  A march writes its
-(paths x n_points) work into a few buffers that it allocates once.
+(paths x n_points) work into a few buffers that ``march`` allocates once.
 
 Each runner returns its report as the JSON document the CLI writes: plain
 Python values in the key order of ``report.json``, with a statistic that has
@@ -140,12 +140,13 @@ def _heat_weights(eng):
     backward multiplies by E, so w[:, k] = E^(K - k) kappa0 q.
     """
     K, J, jn = eng.cfg.n_steps, eng.cfg.n_modes, eng.noise_spec.n_modes
-    kick = eng.spde_step(1.0, np.broadcast_to(np.ones(jn), (K, jn)))
-    free = eng.spde_step()
+    kick = eng.deviation_step(noise_inc=np.broadcast_to(np.ones(jn), (K, jn)))
+    free = eng.deviation_step()
+    bufs = eng.scratch()
     w = np.empty((J, K))
-    w[:, K - 1] = kick(K - 1, np.zeros(J), None)
+    w[:, K - 1] = kick(K - 1, np.zeros(J), None, bufs)
     for k in range(K - 2, -1, -1):
-        w[:, k] = free(k, w[:, k + 1], None)
+        w[:, k] = free(k, w[:, k + 1], None, bufs)
     w.flags.writeable = False
     return w
 
@@ -218,18 +219,17 @@ def _censored_march(eng, guard, states, steps, observe):
 
     ``states`` are (B, J) arrays advanced by the matching ``steps``;
     ``observe(k, work, *grids)`` returns the per-path statistic and the norm
-    the guard watches, with ``work`` a (B, n_points) buffer for its grid work.
+    the guard watches, ``work`` being the march's (B, n_points) work buffer.
     A path dies at its first guard trip or non-finite statistic: its rows are
     zeroed from then on and it keeps the sup over the steps strictly before
     (censoring excludes the crossing).  Returns the (B,) sups and trip mask.
     """
     B = states[0].shape[0]
-    work = np.empty((B, eng.cfg.n_points))
     alive = np.ones(B, dtype=bool)
     tripped = np.zeros(B, dtype=bool)
     supv = np.zeros(B)
 
-    def censor(k, states, grids):
+    def censor(k, states, grids, work):
         nonlocal alive
         stat, norm = observe(k, work, *grids)
         ok = alive & ~guard.trips(norm) & np.isfinite(stat)
@@ -266,7 +266,8 @@ def _strong_rate_paths(eng, u0_coeffs, u0_grid, inc, eps):
         diff = np.subtract(u_grid, u0_grid[k], out=work)
         return eng.grid.lp_integral(diff, p, work), eng.grid.lp_norm(u_grid, p, work)
 
-    return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [eng.spde_step(np.sqrt(eps), inc)], observe
+    step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(eps))
+    return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [step], observe
 
 
 def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
@@ -553,7 +554,10 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     counts = np.stack([np.sum(sups > r, axis=1) for r in rho], axis=1)  # (n_eps, n_rho)
     p_hat = counts / spec.n_paths
     lo, hi = wilson_interval(counts, spec.n_paths)
+    # each eps's estimates are non-increasing in rho (nested events)
+    monotone = bool(np.all(np.diff(p_hat, axis=1) <= 0))
     return {
+        "experiment": "mdp_tail",
         "p_norm": tail_p,
         "rho": rho.tolist(),
         "per_eps": [
@@ -567,6 +571,6 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
             }
             for eps, c, ph, lw, hw in zip(spec.eps_list, counts, p_hat, lo, hi)
         ],
-        # each eps's estimates are non-increasing in rho (nested events)
-        "monotone_in_rho": bool(np.all(np.diff(p_hat, axis=1) <= 0)),
+        "passed": monotone,
+        "pass_details": {"monotone_in_rho": monotone},
     }

@@ -27,17 +27,16 @@ eps.  At s = 0 the quotients are replaced by the analytic linearization
 (p'(u0) Z, c'(u0) Z), which is also how the CLT limit and the skeleton
 equation are integrated.
 
-So the five problems are two schemes, each with one stepper on
-``SolverEngine``: ``spde_step`` (the full equation) and ``deviation_step``
-(the deviation equation at scale s).  One time loop, ``march``, advances them
-for the single-path solvers here, the marching ensembles' blocks in
-``montecarlo`` and ``EndpointControlMap.forward``; the control map's ``matrix``
-and the heat oracle's ``_heat_weights`` call a stepper directly.  The discrete
-stopping time is ``BlowupGuard``: single paths raise at its first trip,
-ensembles censor the paths that trip.
+Since N(0) = 0, the full equation is the deviation equation about u0 = 0 at
+s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``.
+One time loop, ``march``, advances it for the single-path solvers here, the
+marching ensembles' blocks in ``montecarlo`` and ``EndpointControlMap.forward``,
+and owns every grid buffer a march writes; the control map's ``matrix`` and
+the heat oracle's ``_heat_weights`` call the stepper directly, with one
+``SolverEngine.scratch`` each.  The discrete stopping time is ``BlowupGuard``:
+single paths raise at its first trip, ensembles censor the paths that trip.
 """
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -285,8 +284,8 @@ class SolverEngine:
     # Exponential Euler evaluates every explicit term at the left endpoint, so
     # the reaction (or its linearization) and the kappa1 u dW product of a step
     # are one grid field and take one projection; the advective field takes one
-    # divergence projection.  The drift and forcing methods and both steppers
-    # build their terms from these three helpers, in a stepper's grid scratch.
+    # divergence projection.  The drift and forcing methods and the stepper
+    # build their terms from these three helpers, the stepper in its scratch.
 
     def _drift_fields(self, u_grid, weight=1.0, out=(None, None)):
         """weight * N(u) as (grid field, weight) pairs, (c(u), weight beta) and
@@ -385,73 +384,57 @@ class SolverEngine:
         shape = mode_increments.shape[:-1] + (self.cfg.n_modes,)
         return self._explicit_modes(shape, None, None, u_grid, ((1.0, mode_increments),))
 
-    # steppers ---------------------------------------------------------------
+    # the stepper ------------------------------------------------------------
     #
-    # Each returns step(k, state, state_grid) -> state at step k + 1, a new
-    # array: a step never writes into the state or grid it is given.  Increment
-    # buffers are step-major: inc[k] holds the (..., J_noise) increments of step
-    # k, so a single path passes ``noise.increments.T``.
+    # A step is step(k, state, state_grid, bufs) -> state at step k + 1, a new
+    # array.  It writes only into ``bufs``, a ``scratch`` for the state's batch
+    # shape, whose contents are dead once it returns.  Increment buffers are
+    # step-major: inc[k] holds the (..., J_noise) increments of step k, so a
+    # single path passes ``noise.increments.T``.
 
-    def _grid_scratch(self, count):
-        """A stepper's ``count`` grid buffers for a batch shape, made anew when it changes."""
-        return functools.lru_cache(maxsize=1)(lambda b: np.empty((count, *b, self.cfg.n_points)))
+    def scratch(self, batch=()):
+        """Three (*batch, n_points) grid buffers for a step's work."""
+        return np.empty((3, *batch, self.cfg.n_points))
 
-    def spde_step(self, root_eps=0.0, inc=None):
-        """The full equation: E (a + dt N(u) + sqrt(eps) F(u, dB_k)).
-
-        Without increments this is the deterministic equation.  With
-        alpha = beta = 0 there is no drift and, g being constant, the grid
-        state is never read, so callers may pass ``None`` for it.
-        """
-        dt = self.dt
-        scratch = self._grid_scratch(2)
-
-        def step(k, a, u_grid):
-            forcings = () if inc is None else ((root_eps, inc[k]),)
-            bufs = scratch(a.shape[:-1])
-            fields = self._drift_fields(u_grid, dt, bufs)
-            out = self._explicit_modes(a.shape, *fields, u_grid, forcings, bufs[1])
-            out += a
-            out *= self.semigroup
-            return out
-
-        return step
-
-    def deviation_step(self, u0_grid, s, noise_inc=None, noise_scale=1.0, control_inc=None):
+    def deviation_step(
+        self, u0_grid=None, s=1.0, noise_inc=None, noise_scale=1.0, control_inc=None
+    ):
         """The deviation equation at scale s around u0, with u = u0 + s z:
 
             E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
 
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
-        (then u = u0: the CLT limit and the skeleton).  What the step needs of
-        u0 is computed here once, for every step: the N(u0) that the quotient
-        subtracts, or at s = 0 the ``linearization_profiles``.
+        (then u = u0: the CLT limit and the skeleton).  No ``u0_grid`` means
+        u0 = 0 at s = 1, the full equation (N(0) = 0): u = z, read only for a
+        drift or a kappa1 != 0 forcing, so the pure heat case may pass None.
+        What the step needs of u0 is computed here once, for every step: the
+        N(u0) that the quotient subtracts, or at s = 0 ``linearization_profiles``.
         """
         dt = self.dt
-        linear = s == 0.0
+        full, linear = u0_grid is None, s == 0.0
         if linear:
             p1, c1 = self.linearization_profiles(u0_grid)
-        else:
+        elif not full:
             ref = self.nonlinear_drift(u0_grid)
             ref *= dt / s
         drives = [
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
-        scratch = self._grid_scratch(2 if linear else 3)
 
-        def step(k, z, z_grid):
+        def step(k, z, z_grid, bufs):
             forcings = [(c, inc[k]) for c, inc in drives]
-            bufs = scratch(z.shape[:-1])
             if linear:
                 u_grid = u0_grid[k]
                 fields = self._linear_fields(
                     z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt, bufs
                 )
-            else:  # u = u0 + s z
-                u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
+            else:
+                u_grid = z_grid
+                if not full:  # u = u0 + s z
+                    u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
                 fields = self._drift_fields(u_grid, dt / s, bufs)
             out = self._explicit_modes(z.shape, *fields, u_grid, forcings, bufs[1])
-            if not linear:
+            if not (linear or full):
                 out -= ref[k]
             out += z
             out *= self.semigroup
@@ -477,16 +460,20 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
 
 def march(eng, states, steps, observe):
     """The forward time loop: at each k = 0..K synthesise each state's grid,
-    call ``observe(k, states, grids)``, then advance each state by its step.
-    ``observe`` may raise to stop, or zero rows of the states and grids in
-    place.  Returns the states at step K."""
+    call ``observe(k, states, grids, work)``, then advance each state by its
+    step.  ``observe`` may raise to stop, or zero rows of the states and grids
+    in place.  Returns the states at step K.  The march owns every grid buffer
+    it writes: each state's grid and one ``scratch`` that the steps of all
+    states share, whose first buffer is ``observe``'s ``work``.  A step's grid
+    work is dead once it returns, and one k's steps run one after another."""
     k_steps = eng.cfg.n_steps
     grids = [None for _ in states]  # allocated at k = 0, then rewritten
+    bufs = eng.scratch(states[0].shape[:-1])
     for k in range(k_steps + 1):
         grids = [eng.grid_values(x, out=g) for x, g in zip(states, grids)]
-        observe(k, states, grids)
+        observe(k, states, grids, bufs[0])
         if k < k_steps:
-            states = [step(k, x, g) for step, x, g in zip(steps, states, grids)]
+            states = [step(k, x, g, bufs) for step, x, g in zip(steps, states, grids)]
     return states
 
 
@@ -499,8 +486,8 @@ def _drive(eng, a0, step_fn, guard):
     out = np.empty((eng.cfg.n_steps + 1, eng.cfg.n_modes))
     norms = np.empty(eng.cfg.n_steps + 1)
 
-    def observe(k, states, grids):
-        norms[k] = eng.grid.lp_norm(grids[0], p)
+    def observe(k, states, grids, work):
+        norms[k] = eng.grid.lp_norm(grids[0], p, work)
         guard.check(k * eng.dt, norms[k])
         out[k] = states[0]
 
@@ -516,7 +503,7 @@ def solve_deterministic(u0, params, cfg, guard=None):
     scheme then evolves that projection.
     """
     eng = SolverEngine(params, cfg)
-    return _drive(eng, eng.initial_coeffs(u0), eng.spde_step(), guard)
+    return _drive(eng, eng.initial_coeffs(u0), eng.deviation_step(), guard)
 
 
 def solve_spde(u0, params, g, eps, noise, cfg, guard=None):
@@ -525,7 +512,7 @@ def solve_spde(u0, params, g, eps, noise, cfg, guard=None):
         raise SetupError(f"eps must be in (0, 1], got {eps}")
     _check_time_grid(cfg, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
-    step = eng.spde_step(np.sqrt(eps), noise.increments.T)
+    step = eng.deviation_step(noise_inc=noise.increments.T, noise_scale=np.sqrt(eps))
     return _drive(eng, eng.initial_coeffs(u0), step, guard)
 
 

@@ -218,7 +218,7 @@ def test_criterion_7_mdp_process_consistency():
             spec, DESK, G_AFFINE, cfg, SpeedFunction(0.25),
             rho_list=(0.25, 0.5, 1.0, 2.0), noise_spec=spec16, tail_p=2,
         )
-        assert report["monotone_in_rho"]
+        assert report["passed"] and report["pass_details"]["monotone_in_rho"]
 
 
 def test_criterion_8_reproducibility():

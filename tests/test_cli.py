@@ -953,7 +953,9 @@ def test_experiment_mdp_tail_monotone(tmp_path):
     code = main(["experiment", "mdp-tail", "--config", cfg, "--out", str(out)])
     assert code == EXIT_PASS
     rep = json.loads((out / "report.json").read_text())
-    assert rep["monotone_in_rho"] is True
+    assert rep["experiment"] == "mdp_tail"
+    assert rep["passed"] is True and rep["pass_details"] == {"monotone_in_rho": True}
+    assert list(rep)[-2:] == ["passed", "pass_details"]
     assert (out / "report.csv").read_text().startswith("eps,rho,n_paths")
 
 

@@ -358,7 +358,7 @@ def test_tail_report_counts_and_serialization(monkeypatch, written):
         for key in ("exceed_counts", "p_hat", "wilson_lo", "wilson_hi")
     )
     np.testing.assert_allclose(p_hat, [[2 / 3, 1 / 3], [0.0, 0.0]])
-    assert d["monotone_in_rho"]
+    assert d["passed"] and d["pass_details"]["monotone_in_rho"]
     assert np.all(lo <= p_hat + 1e-12) and np.all(p_hat <= hi + 1e-12)
     # the array form is the scalar interval cell by cell
     for (i, j), c in np.ndenumerate(counts):
@@ -367,7 +367,8 @@ def test_tail_report_counts_and_serialization(monkeypatch, written):
     assert d["rho"] == [1.0, 2.0]
     assert d["per_eps"][0]["exceed_counts"] == [2, 1]
     assert [e["n_paths"] for e in d["per_eps"]] == [3, 3]
-    assert d["monotone_in_rho"] is True
+    assert d["experiment"] == "mdp_tail"
+    assert d["passed"] is True and d["pass_details"] == {"monotone_in_rho": True}
     text, csv = written("mdp-tail", d)
     assert json.loads(text) == d
     lines = csv.strip().split("\n")

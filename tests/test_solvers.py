@@ -420,17 +420,25 @@ def _assert_results(results):
         _assert_rel(got, want)
 
 
-def _stepped(step, k, x, *grids):
-    """step(k, x, *grids), checking that it writes into none of its inputs."""
-    before = [a.copy() for a in (x, *grids)]
-    out = step(k, x, *grids)
-    assert all(np.array_equal(a, b) for a, b in zip((x, *grids), before))
+def _stepped(step, k, x, grid, bufs):
+    """step(k, x, grid, bufs), checking that it writes into neither x nor the
+    grid and reads nothing of ``bufs`` that it did not write (they hold nan)."""
+    before = [a.copy() for a in (x, grid)]
+    bufs.fill(np.nan)
+    out = step(k, x, grid, bufs)
+    assert all(np.array_equal(a, b) for a, b in zip((x, grid), before))
     return out
 
 
+def _scratch_per_batch(eng):
+    """One ``scratch`` per batch shape, shared by every call at that shape."""
+    made = {}
+    return lambda batch: made.setdefault(batch, eng.scratch(batch))
+
+
 # the last input calls one step twice at batch 5, then at batch 3 as a short
-# last block does: no result may share memory with the step's scratch, which
-# must be made again for the new batch
+# last block does: no result may share memory with the scratch its call was
+# given, which the next call at that batch writes again
 STEP_CASES = dict(
     argnames="g,batches,j_noise",
     argvalues=[
@@ -449,16 +457,18 @@ STEP_CASES = dict(
 
 @pytest.mark.parametrize(**STEP_CASES)
 def test_spde_step_equals_the_unfused_formula(g, batches, j_noise):
+    """The full equation is ``deviation_step`` without u0: E (a + dt N(u) +
+    sqrt(eps) F(u, dB_k)), and without increments the deterministic step."""
     eng, calls, dB, _, _ = _step_calls(g, batches, j_noise, j_noise + len(batches[0]), ks=(1, 2, 0))
     root_eps = 0.3
-    noisy, free = eng.spde_step(root_eps, dB), eng.spde_step()
-    results = []
+    noisy, free = eng.deviation_step(noise_inc=dB, noise_scale=root_eps), eng.deviation_step()
+    scratch, results = _scratch_per_batch(eng), []
     for k, a in calls:
         u = eng.grid_values(a)
         drift = a + eng.dt * _unfused_drift(eng, u)
         forcing = root_eps * _unfused_forcing(eng, g, u, dB[k])
         for step, want in ((noisy, drift + forcing), (free, drift)):
-            got = _stepped(step, k, a, u)
+            got = _stepped(step, k, a, u, scratch(a.shape[:-1]))
             results.append((got, got.copy(), eng.semigroup * want))
     _assert_results(results)
 
@@ -478,7 +488,7 @@ def test_deviation_step_equals_the_unfused_formula(g, batches, j_noise, s):
         control=dict(control_inc=hdot),
     )
     steps = {name: eng.deviation_step(u0_grid, s, **kw) for name, kw in drives.items()}
-    results = []
+    scratch, results = _scratch_per_batch(eng), []
     for k, z in calls:
         zg = eng.grid_values(z)
         if s:
@@ -491,9 +501,31 @@ def test_deviation_step_equals_the_unfused_formula(g, batches, j_noise, s):
         control = dt * _unfused_forcing(eng, g, u, hdot[k])
         forcing = dict(both=noise + control, noise=noise, control=control)
         for name, step in steps.items():
-            got = _stepped(step, k, z, zg)
+            got = _stepped(step, k, z, zg, scratch(z.shape[:-1]))
             results.append((got, got.copy(), eng.semigroup * (z + dt * drift + forcing[name])))
     _assert_results(results)
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "free"])
+@pytest.mark.parametrize(
+    "g,batch",
+    [(G_CONSTANT, ()), (G_AFFINE, ()), (G_CONSTANT, (5,)), (G_AFFINE, (5,))],
+    ids=["constant-path", "affine-path", "constant-B5", "affine-B5"],
+)
+def test_full_step_is_the_deviation_step_about_zero(g, batch, noisy):
+    """N(0) = 0, so the full equation is the deviation equation about u0 = 0
+    at s = 1, bit for bit, over a whole march: the one stepper rests on it."""
+    eng, z, dB, _, _ = _step_inputs(g, batch, 6, seed=11)
+    kw = dict(noise_inc=dB, noise_scale=0.3) if noisy else {}
+    zero = np.zeros((eng.cfg.n_steps + 1, eng.cfg.n_points))
+    full, about_zero = eng.deviation_step(None, 1.0, **kw), eng.deviation_step(zero, 1.0, **kw)
+    bufs = eng.scratch(batch)
+    for k in range(eng.cfg.n_steps):
+        zg = eng.grid_values(z)
+        got = full(k, z, zg, bufs)
+        assert np.array_equal(got, about_zero(k, z, zg, bufs))
+        assert not np.array_equal(got, z)
+        z = got
 
 
 @pytest.mark.parametrize("batch,j_noise", [((), 16), ((1,), 6), ((5,), 16)])
@@ -506,7 +538,8 @@ def test_heat_step_is_bitwise_the_modal_forcing(batch, j_noise):
     forcing = np.zeros(batch + (eng.cfg.n_modes,))
     forcing[..., :j_noise] = G_CONSTANT.kappa0 * eng.q[:j_noise] * dB[k]
     want = eng.semigroup * (a + root_eps * forcing)
-    assert np.array_equal(eng.spde_step(root_eps, dB)(k, a, None), want)
+    step = eng.deviation_step(noise_inc=dB, noise_scale=root_eps)
+    assert np.array_equal(step(k, a, None, eng.scratch(batch)), want)
 
 
 # --- trajectory object and persistence ----------------------------------------------
