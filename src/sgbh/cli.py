@@ -310,11 +310,13 @@ def _table(header, rows):
 
 
 def _write_artifacts(config, files):
-    """Write ``config.txt``, then each of ``files`` (name -> text, bytes, or a
-    dict or list dumped as JSON, every non-finite float as null) in order, into
-    the output directory: the one place that opens an output file.  Each goes
-    to ``.<name>.partial`` and is renamed into place, so a write that fails
-    leaves nothing under the final name; it is a ConfigError naming the file."""
+    """Write ``config.txt``, then each of ``files`` in order, into the output
+    directory: the one place that opens an output file.  A value is text, bytes,
+    a dict or list (dumped as JSON, every non-finite float as null), or an
+    iterable of chunks, all text or all bytes-like, written as they come; text
+    in text mode, bytes in binary.  Each goes to ``.<name>.partial`` and is
+    renamed into place, so a write that fails leaves nothing under the final
+    name; it is a ConfigError naming the file."""
     outdir = config.outdir
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -323,11 +325,14 @@ def _write_artifacts(config, files):
     for name, content in {"config.txt": config.serialize(), **files}.items():
         if isinstance(content, (dict, list)):
             content = json.dumps(_json_data(content), indent=2, allow_nan=False)
+        chunks = iter((content,) if isinstance(content, (str, bytes, memoryview)) else content)
+        first = next(chunks, "")
         path = os.path.join(outdir, name)
         partial = os.path.join(outdir, f".{name}.partial")
         try:
-            with open(partial, "w" if isinstance(content, str) else "wb") as fh:
-                fh.write(content)
+            with open(partial, "w" if isinstance(first, str) else "wb") as fh:
+                fh.write(first)
+                fh.writelines(chunks)
             os.replace(partial, path)
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -418,8 +423,7 @@ def cmd_simulate(config, args):
     else:  # a [solver] kind from a config file is not checked by argparse
         raise ConfigError(f"unknown solver kind {kind!r}")
 
-    norms = traj.to_csv()  # joined before the binary copy exists, which lowers the peak
-    files = {"trajectory.bin": trajectory_bytes(traj), "norms.csv": norms}
+    files = {"trajectory.bin": trajectory_bytes(traj), "norms.csv": traj.to_csv()}
     summary = f"simulate {kind}: {traj.n_steps} steps -> {config.outdir}/trajectory.bin, norms.csv"
     return files, summary, None
 
@@ -504,22 +508,15 @@ def cmd_rate(config, args):
     target = _load_target_field(args.target, scfg)
     u0 = config.initial_data(scfg)
     u0_traj = solve_deterministic(u0, params, scfg)
-    result = rate_function_endpoint(
-        target,
-        u0_traj,
-        params,
-        g,
-        scfg,
-        tol=tol,
-        noise_spec=nspec,
+    rate, control = rate_function_endpoint(
+        target, u0_traj, params, g, scfg, tol=tol, noise_spec=nspec
     )
     summary = (
-        f"rate: value={result.value:.8g} residual={result.endpoint_residual:.3g} "
-        f"iterations={result.iterations} converged={result.converged}"
+        f"rate: value={rate['value']:.8g} residual={rate['endpoint_residual']:.3g} "
+        f"iterations={rate['iterations']} converged={rate['converged']}"
     )
-    rate = result.to_dict(control_file="control.bin")
-    files = {"control.bin": control_bytes(result.control), "rate.json": rate}
-    return files, summary, result.converged
+    rate["control_file"] = "control.bin"
+    return {"control.bin": control_bytes(control), "rate.json": rate}, summary, rate["converged"]
 
 
 def cmd_validate_kernel(config, args):

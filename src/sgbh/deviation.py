@@ -34,7 +34,6 @@ from .solvers import NumericalAbortError, SetupError, SolverEngine, _check_time_
 
 __all__ = [
     "SpeedFunction",
-    "RateFunctionResult",
     "EndpointControlMap",
     "rate_function_endpoint",
     "wilson_interval",
@@ -65,24 +64,6 @@ class SpeedFunction:
         the deviation process Z = (u_eps - u0)/s and the weight its noise enters at."""
         lam = self(eps)
         return np.sqrt(eps) * lam, 1.0 / lam
-
-
-@dataclass
-class RateFunctionResult:
-    value: float
-    control: ControlPath
-    endpoint_residual: float
-    iterations: int
-    converged: bool
-
-    def to_dict(self, control_file=None):
-        return {
-            "value": self.value,
-            "endpoint_residual": self.endpoint_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "control_file": control_file,
-        }
 
 
 class EndpointControlMap:
@@ -159,30 +140,34 @@ def rate_function_endpoint(target, u0_traj, params, g, cfg, tol=1e-8, noise_spec
     Takes the SVD of the sqrt(dt)-scaled endpoint map A, keeps the r singular
     values above numpy's pinv cutoff max(shape) * eps * sigma_max, and solves
     x = V_r Sigma_r^-1 U_r^T psi: the minimum-norm control reaching the
-    projection of psi on the numerically reachable subspace.  Returns that
-    control, its action as the value, the endpoint residual ||Phi h - psi||_2
-    (the L^2 distance, by Parseval) recomputed through the forward map, and r
-    as ``iterations`` (the number of directions used; 0 for a zero target).
-    ``converged`` records whether the residual is at most tol * ||psi||, so a
-    target outside the reachable subspace surfaces as not converged.  A target
-    norm, value or residual that overflows raises NumericalAbortError.
+    projection of psi on the numerically reachable subspace.  Returns
+    ``(document, control)``: that control, and the ``rate.json`` document of
+    its action as ``value``, the endpoint residual ||Phi h - psi||_2 (the L^2
+    distance, by Parseval) recomputed through the forward map, r as
+    ``iterations`` (0 for a zero target) and ``converged``, whether the
+    residual is at most tol * ||psi||, so an unreachable target is not
+    converged.  A target norm, value or residual that overflows raises
+    NumericalAbortError.
     """
     cmap = EndpointControlMap(u0_traj, params, g, cfg, noise_spec=noise_spec)
     psi = cmap.eng.initial_coeffs(target)
     b_norm = _finite(float(np.linalg.norm(psi)), "target norm", cfg)
-    if b_norm == 0.0:
-        control = cmap.control_path(np.zeros((cmap.n_control_modes, cmap.n_steps)))
-        return RateFunctionResult(0.0, control, 0.0, 0, True)
-
-    a = cmap.matrix
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
-    x = vt[:rank].T @ ((u[:, :rank].T @ psi) / s[:rank])
-    hdot = x.reshape(cmap.n_control_modes, cmap.n_steps) / np.sqrt(cmap.eng.dt)
+    hdot, rank = np.zeros((cmap.n_control_modes, cmap.n_steps)), 0
+    if b_norm > 0.0:
+        a = cmap.matrix
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
+        x = vt[:rank].T @ ((u[:, :rank].T @ psi) / s[:rank])
+        hdot = x.reshape(cmap.n_control_modes, cmap.n_steps) / np.sqrt(cmap.eng.dt)
     control = cmap.control_path(hdot)
     value = _finite(control.action(), "rate function value", cfg)
     residual = _finite(float(np.linalg.norm(cmap.forward(hdot) - psi)), "endpoint residual", cfg)
-    return RateFunctionResult(value, control, residual, rank, residual <= tol * b_norm)
+    return {
+        "value": value,
+        "endpoint_residual": residual,
+        "iterations": rank,
+        "converged": residual <= tol * b_norm,
+    }, control
 
 
 def _finite(x, quantity, cfg):

@@ -52,7 +52,6 @@ from .spectral import Field
 
 __all__ = [
     "EnsembleSpec",
-    "FitResult",
     "fit_loglog",
     "run_strong_rate",
     "run_clt",
@@ -92,15 +91,9 @@ class EnsembleSpec:
             raise ValueError(f"eps_list must be strictly decreasing, got {self.eps_list}")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
 def fit_loglog(points):
-    """Least-squares power-law fit: slope/intercept/r^2 of log(stat) vs log(eps)."""
+    """Least-squares power-law fit of log(stat) against log(eps), as the dict
+    ``{"slope": ..., "intercept": ..., "r_squared": ...}``."""
     pts = [(float(e), float(s)) for e, s in points]
     if len(pts) < 3:
         raise ValueError(f"need >= 3 points for a slope fit, got {len(pts)}")
@@ -118,7 +111,7 @@ def fit_loglog(points):
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return FitResult(float(slope), float(intercept), r2)
+    return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
 
 
 def default_initial(grid):
@@ -347,12 +340,12 @@ def _mean_stderr(x):
 
 def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_target, checks):
     """The report of a marching run.  ``checks(fit, mean)`` returns the named
-    verdicts of a sized run (fit is None when the means cannot be fitted),
-    which join ``pass_details``; such a run passes when it was fitted, rejected
-    at most 5% of its paths at every eps and every verdict holds.  ``mean`` and
-    ``stderr`` are the full-horizon statistic over accepted paths;
-    ``censored_mean`` and ``censored_stderr`` include rejected paths up to their
-    guard crossing.  ``passed`` is None when the run is too small to judge."""
+    verdicts of a sized run (fit is ``fit_loglog``'s dict, None when the means
+    cannot be fitted), which join ``pass_details``; such a run passes when it
+    was fitted, rejected at most 5% of its paths at every eps and every verdict
+    holds.  ``mean`` and ``stderr`` are the full-horizon statistic over accepted
+    paths; ``censored_mean`` and ``censored_stderr`` include rejected paths up
+    to their guard crossing.  ``passed`` is None when the run is too small to judge."""
     eps = list(spec.eps_list)
     mean, stderr, nrej, cmean, cstderr = [], [], [], [], []
     for sup, trip in zip(sups, trips):
@@ -389,9 +382,7 @@ def _convergence_report(experiment, spec, p, statistic, sups, trips, slope_targe
         "n_rejected": nrej,
         "censored_mean": cmean,
         "censored_stderr": cstderr,
-        "slope": None if fit is None else fit.slope,
-        "intercept": None if fit is None else fit.intercept,
-        "r_squared": None if fit is None else fit.r_squared,
+        **(fit or dict.fromkeys(("slope", "intercept", "r_squared"))),
         "slope_target": slope_target,
         "passed": passed,
         "pass_details": details,
@@ -411,7 +402,7 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     def checks(fit, mean):
         if fit is None:
             return {}
-        return {"slope_ok": fit.slope >= target - 0.3, "r2_ok": fit.r_squared >= 0.99}
+        return {"slope_ok": fit["slope"] >= target - 0.3, "r2_ok": fit["r_squared"] >= 0.99}
 
     return _convergence_report(
         "strong_rate",
@@ -442,7 +433,7 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     def checks(fit, mean):
         return {
             "strictly_decreasing": all(b < a for a, b in zip(mean, mean[1:])),
-            "slope_ok": fit is not None and fit.slope >= 0.4,
+            "slope_ok": fit is not None and fit["slope"] >= 0.4,
         }
 
     return _convergence_report(

@@ -160,13 +160,13 @@ def _read_flat_binary(path, header, shape):
 
 
 def _flat_binary(header, payload):
-    """``header`` bytes, then ``payload`` as little-endian float64, copied once."""
-    data = bytearray(header)
-    data += memoryview(np.ascontiguousarray(payload, dtype="<f8")).cast("B")
-    return data
+    """The file's chunks: ``header``, then a byte view of ``payload`` as
+    little-endian float64, which copies no native float64 C-order array."""
+    return header, memoryview(np.ascontiguousarray(payload, dtype="<f8")).cast("B")
 
 
 def control_bytes(h):
+    """(header, payload view): ``b"".join`` of them is what ``load_control`` reads."""
     return _flat_binary(_CTRL_HEADER.pack(h.n_modes, h.n_steps, h.dt), h.hdot)
 
 

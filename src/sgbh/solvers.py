@@ -186,17 +186,25 @@ class Trajectory:
         return self.coeffs[k] @ self.basis.phi
 
     def to_csv(self):
-        rows = zip(self.times, np.linalg.norm(self.coeffs, axis=1), self.norms)
-        return f"time,l2_norm,l{self.norm_p}_norm\n" + "".join(
-            f"{float(t)!r},{float(a)!r},{float(b)!r}\n" for t, a, b in rows
-        )
+        """The norms table as text chunks: the header, then one chunk per 4096
+        rows, whose l2 column is computed alone, so no (K + 1, J) temporary."""
+        yield f"time,l2_norm,l{self.norm_p}_norm\n"
+        for a in range(0, len(self.times), 4096):
+            rows = slice(a, a + 4096)
+            yield "".join(
+                f"{float(t)!r},{float(l2)!r},{float(lp)!r}\n"
+                for t, l2, lp in zip(
+                    self.times[rows], np.linalg.norm(self.coeffs[rows], axis=1), self.norms[rows]
+                )
+            )
 
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
 
 
 def trajectory_bytes(traj):
-    """Flat binary: int64 n_points, int64 n_modes, float64 dt, int64 n_steps, coeff rows."""
+    """Flat binary as (header, payload view): int64 n_points, int64 n_modes,
+    float64 dt, int64 n_steps, then the coefficient rows, viewed in place."""
     return _flat_binary(
         _TRAJ_HEADER.pack(traj.basis.grid.n_points, traj.n_modes, traj.dt, traj.n_steps),
         traj.coeffs,

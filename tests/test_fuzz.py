@@ -160,7 +160,7 @@ def saved_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     out = {}
     for kind, (_, encode, _, obj) in _SAVED.items():
-        out[kind] = (bytes(encode(obj)), root / f"{kind}-fuzzed.bin")
+        out[kind] = (b"".join(encode(obj)), root / f"{kind}-fuzzed.bin")
     return out
 
 
@@ -192,7 +192,7 @@ def test_binary_loaders_raise_only_format_error(saved_files, kind, data):
         return
     assert how == "header"
     # whatever loads encodes back to the same bytes
-    assert encode(obj) == blob
+    assert b"".join(encode(obj)) == blob
 
 
 # --- the command line -----------------------------------------------------------
@@ -267,7 +267,7 @@ def cli_root(tmp_path_factory):
     configs' 8 modes and 10 steps."""
     root = tmp_path_factory.mktemp("cli")
     control = ControlPath(0.005, 10, _RNG.standard_normal((8, 10)))
-    (root / "control.bin").write_bytes(control_bytes(control))
+    (root / "control.bin").write_bytes(b"".join(control_bytes(control)))
     (root / "spectral.json").write_text(json.dumps({"kind": "spectral", "values": [0.01, 0.02]}))
     grid = SpectralBasis(Grid1D(64), 8).phi[0] * 0.01
     (root / "grid.json").write_text(json.dumps({"kind": "grid", "values": grid.tolist()}))

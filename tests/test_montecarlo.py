@@ -70,14 +70,14 @@ def test_ensemble_spec_validation():
 def test_fit_loglog_exact_and_noisy():
     eps = np.array([1.0, 0.5, 0.25, 0.125])
     exact = fit_loglog(zip(eps, 3.0 * eps**2))
-    assert exact.slope == pytest.approx(2.0, abs=1e-12)
-    assert exact.intercept == pytest.approx(np.log(3.0), abs=1e-12)
-    assert exact.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert exact["slope"] == pytest.approx(2.0, abs=1e-12)
+    assert exact["intercept"] == pytest.approx(np.log(3.0), abs=1e-12)
+    assert exact["r_squared"] == pytest.approx(1.0, abs=1e-12)
     half = fit_loglog(zip(eps, eps**0.5))
-    assert half.slope == pytest.approx(0.5, abs=1e-12)
+    assert half["slope"] == pytest.approx(0.5, abs=1e-12)
     rng = np.random.default_rng(1)
     noisy = fit_loglog(zip(eps, eps**2 * np.exp(0.05 * rng.standard_normal(4))))
-    assert noisy.slope == pytest.approx(2.0, abs=0.1)
+    assert noisy["slope"] == pytest.approx(2.0, abs=0.1)
     with pytest.raises(ValueError):
         fit_loglog([(1.0, 1.0), (0.5, 0.5)])
     with pytest.raises(ValueError):
@@ -91,8 +91,8 @@ def test_fit_loglog_exact_and_noisy():
         s = np.exp(rng.standard_normal(n))
         fit = fit_loglog(zip(e, s))
         slope, intercept = np.polyfit(np.log(e), np.log(s), 1)
-        assert fit.slope == pytest.approx(slope, rel=1e-12)
-        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fit["slope"] == pytest.approx(slope, rel=1e-12)
+        assert fit["intercept"] == pytest.approx(intercept, rel=1e-12)
 
 
 def test_default_initial_is_the_parabolic_bump():
@@ -488,17 +488,30 @@ def test_heat_block_matches_the_stepper_march(t_end):
 
 
 def test_heat_weights_are_the_discrete_semigroup():
+    """With x = nu lambda_j dt and E = exp(-x): w[:, k] = E^(K - k) kappa0 q,
+    and dt sum_k w[:, k]^2 is the geometric sum
+    kappa0^2 q^2 dt e^(-2x) (1 - e^(-2xK)) / (1 - e^(-2x)), at the CLI defaults
+    (K = 250) and the benchmark's heat shape (K = 2500).  Both sides come from
+    the formulas here, not from the engine's arrays."""
     from sgbh.montecarlo import _heat_weights
 
-    params = ModelParams(nu=0.025, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
-    cfg = SolverConfig(dt=1e-4, t_end=0.25, n_modes=32, n_points=128)
-    noise = NoiseSpec(n_modes=32, eta=0.3)
-    eng = SolverEngine(params, cfg, g=NoiseCoefficient("constant", kappa0=1.7), noise_spec=noise)
-    w = _heat_weights(eng)
-    K = cfg.n_steps
-    expect = 1.7 * noise.q[:, None] * eng.semigroup[:, None] ** (K - np.arange(K))
-    np.testing.assert_allclose(w, expect, rtol=1e-13, atol=0)
-    assert w.flags.c_contiguous and not w.flags.writeable
+    kappa0, J = 1.7, 32
+    g = NoiseCoefficient("constant", kappa0=kappa0)
+    j = np.arange(1, J + 1)
+    q = ((j * np.pi) ** 2) ** -0.3
+    for nu, dt, n_points in [(0.1, 1e-3, 256), (0.025, 1e-4, 128)]:
+        params = ModelParams(nu=nu, alpha=0.0, beta=0.0, gamma=0.5, delta=1, p_norm=8)
+        cfg = SolverConfig(dt=dt, t_end=0.25, n_modes=J, n_points=n_points)
+        w = _heat_weights(SolverEngine(params, cfg, g=g, noise_spec=NoiseSpec(n_modes=J, eta=0.3)))
+        assert w.flags.c_contiguous and not w.flags.writeable
+        K = cfg.n_steps
+        x = nu * (j * np.pi) ** 2 * dt
+        # measured worst relative errors: 2.0e-15 (K = 250) and 5.4e-15 (K = 2500)
+        closed = kappa0 * q[:, None] * np.exp(-x)[:, None] ** (K - np.arange(K))
+        np.testing.assert_allclose(w, closed, rtol=2e-14, atol=0)
+        # measured: 1.2e-14 (K = 250) and 1.6e-13 (K = 2500)
+        energy = kappa0**2 * q**2 * dt * np.exp(-2 * x) * np.expm1(-2 * x * K) / np.expm1(-2 * x)
+        np.testing.assert_allclose(dt * np.sum(w**2, axis=1), energy, rtol=5e-13, atol=0)
 
 
 def test_heat_report_is_byte_identical_across_block_sizes():
@@ -813,3 +826,34 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
     monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
     masked = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert json.dumps(masked) == json.dumps(fast)
+
+
+# --- verdict rates over fixed seeds ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "runner, most_fails",
+    [(run_strong_rate, 9), (run_clt, 5)],
+    ids=["strong-rate", "clt"],
+)
+def test_verdicts_fail_on_few_of_200_seeds(runner, most_fails):
+    """The strong-rate and clt verdicts at the golden size (J = 8, n = 64,
+    dt = 0.01, T = 0.2, eps 0.5, 0.25, 0.125, 64 paths) over seeds 1-200.
+    The bounds were fixed before this test ran: each is the 99.9% quantile of
+    Binomial(200, rate) at the stated false-fail rate, 1.5% for strong-rate
+    (9) and 0.5% for clt (5).  Measured when the test was written: strong-rate
+    failed on seeds 7, 158 and 188 (each by slope_ok), clt on none."""
+    cfg = SolverConfig(dt=0.01, t_end=0.2, n_modes=8, n_points=64)
+    u0 = default_initial(Grid1D(cfg.n_points))
+    failed = []
+    for seed in range(1, 201):
+        spec = EnsembleSpec(
+            n_paths=64,
+            base_seed=seed,
+            eps_list=(0.5, 0.25, 0.125),
+            block_size=64,
+            guard=BlowupGuard(1000.0),
+        )
+        if not runner(spec, DESK, G_AFFINE, cfg, u0=u0, noise_spec=SPEC8)["passed"]:
+            failed.append(seed)
+    assert len(failed) <= most_fails, failed

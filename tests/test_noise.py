@@ -222,7 +222,7 @@ def test_control_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     h = ControlPath(dt=0.02, n_steps=12, hdot=rng.standard_normal((3, 12)))
     path = tmp_path / "ctrl.bin"
-    path.write_bytes(control_bytes(h))
+    path.write_bytes(b"".join(control_bytes(h)))
     back = load_control(path)
     assert np.array_equal(back.hdot, h.hdot)
     assert back.dt == h.dt
@@ -232,7 +232,7 @@ def test_control_round_trip(tmp_path):
 
 def _saved_control(tmp_path):
     path = tmp_path / "ctrl.bin"
-    path.write_bytes(control_bytes(ControlPath(dt=0.01, n_steps=7, hdot=np.ones((3, 7)))))
+    path.write_bytes(b"".join(control_bytes(ControlPath(dt=0.01, n_steps=7, hdot=np.ones((3, 7))))))
     return path
 
 

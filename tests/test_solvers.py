@@ -24,13 +24,22 @@ from sgbh.model import (
     reaction_derivative,
     reaction_nonlinearity,
 )
-from sgbh.noise import BinaryFormatError, ControlPath, NoiseRealization, NoiseSpec, sample_noise
+from sgbh.noise import (
+    BinaryFormatError,
+    ControlPath,
+    NoiseRealization,
+    NoiseSpec,
+    control_bytes,
+    load_control,
+    sample_noise,
+)
 from sgbh.solvers import (
     BlowupError,
     BlowupGuard,
     NumericalAbortError,
     SolverConfig,
     SolverEngine,
+    Trajectory,
     load_trajectory,
     solve_clt_limit,
     solve_controlled,
@@ -553,7 +562,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     basis = SpectralBasis(Grid1D(cfg.n_points), cfg.n_modes)
     np.testing.assert_allclose(u0.grid_values(5), u0.coeffs[5] @ basis.phi, atol=1e-14)
     path = tmp_path / "traj.bin"
-    path.write_bytes(trajectory_bytes(u0))
+    path.write_bytes(b"".join(trajectory_bytes(u0)))
     back = load_trajectory(path)
     assert np.array_equal(back.coeffs, u0.coeffs)
     np.testing.assert_allclose(back.times, u0.times, atol=1e-15)
@@ -564,7 +573,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
 def test_trajectory_truncated_or_overlong_raises_format_error(tmp_path, cut):
     u0 = _desk_setup(t_end=0.05)[4]
     path = tmp_path / "traj.bin"
-    raw = bytes(trajectory_bytes(u0))
+    raw = b"".join(trajectory_bytes(u0))
     path.write_bytes(raw[:cut])
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
@@ -578,15 +587,44 @@ def test_trajectory_grid_outside_its_bounds_raises_format_error(tmp_path, n_poin
     # the payload matches (n_steps + 1, n_modes = 16); only the grid size is off
     u0 = _desk_setup(t_end=0.05)[4]
     path = tmp_path / "traj.bin"
-    raw = bytes(trajectory_bytes(u0))
+    raw = b"".join(trajectory_bytes(u0))
     path.write_bytes(struct.pack("<q", n_points) + raw[8:])
     with pytest.raises(BinaryFormatError):
         load_trajectory(path)
 
 
+def test_artifacts_in_chunks_are_the_one_piece_files(tmp_path):
+    """The norms table comes in chunks of at most 4096 rows, and the binaries
+    as (header, payload view); joined, each is the file written in one piece."""
+    rng = np.random.default_rng(7)
+    k = 9000  # 9001 rows: three chunks of the table, the last one short
+    traj = Trajectory(
+        times=1e-4 * np.arange(k + 1),
+        coeffs=rng.standard_normal((k + 1, 8)),
+        basis=SpectralBasis(Grid1D(32), 8),
+        norm_p=8,
+        norms=rng.random(k + 1),
+    )
+    chunks = list(traj.to_csv())
+    assert len(chunks) == 4 and chunks[0] == "time,l2_norm,l8_norm\n"
+    rows = zip(traj.times, np.linalg.norm(traj.coeffs, axis=1), traj.norms)
+    whole = "time,l2_norm,l8_norm\n" + "".join(
+        f"{float(t)!r},{float(a)!r},{float(b)!r}\n" for t, a, b in rows
+    )
+    assert "".join(chunks) == whole
+    path = tmp_path / "traj.bin"
+    path.write_bytes(b"".join(trajectory_bytes(traj)))
+    back = load_trajectory(path)
+    assert np.array_equal(back.coeffs, traj.coeffs)
+    assert back.dt == traj.dt and back.n_steps == k
+    h = ControlPath(dt=0.01, n_steps=k, hdot=rng.standard_normal((3, k)))
+    path.write_bytes(b"".join(control_bytes(h)))
+    assert np.array_equal(load_control(path).hdot, h.hdot)
+
+
 def test_trajectory_csv_format():
     params, cfg, spec, g, u0 = _desk_setup(t_end=0.01)
-    text = u0.to_csv()
+    text = "".join(u0.to_csv())
     lines = text.strip().split("\n")
     assert lines[0] == "time,l2_norm,l8_norm"
     assert len(lines) == cfg.n_steps + 2

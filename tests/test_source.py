@@ -308,3 +308,38 @@ def test_only_the_artifact_writer_opens_a_file_for_writing():
     assert file_writers(source) == ["save:5", "save:6", "inner:8", "save:9", "<module>:10"]
     writers = [f"{p.name}:{w}" for p in MODULES for w in file_writers(p.read_text())]
     assert writers and all(w.startswith("cli.py:_write_artifacts:") for w in writers), writers
+
+
+def byte_copies(source):
+    """(line, call) for each call in ``source`` that builds a whole copy of
+    bytes: ``bytearray(...)``, ``x.tobytes(...)`` or ``b"".join(...)``."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        if isinstance(f, ast.Name) and f.id == "bytearray":
+            found.append((n.lineno, "bytearray"))
+        elif isinstance(f, ast.Attribute) and f.attr == "tobytes":
+            found.append((n.lineno, "tobytes"))
+        elif (
+            isinstance(f, ast.Attribute)
+            and f.attr == "join"
+            and isinstance(f.value, ast.Constant)
+            and isinstance(f.value.value, bytes)
+        ):
+            found.append((n.lineno, "bytes.join"))
+    return sorted(found)
+
+
+def test_no_artifact_is_copied_whole_before_it_is_written():
+    """The artifact writer takes chunks and byte views, so the package builds
+    no whole copy of a file's bytes; a docstring or comment naming the calls
+    does not count."""
+    source = (
+        'def f(a, parts):\n    """b"".join(parts) is the file."""\n    data = bytearray(8)\n'
+        '    x = a.tobytes()\n    y = b"".join(parts)\n    return "".join(map(str, parts))\n'
+        "bytearray\n"
+    )
+    assert byte_copies(source) == [(3, "bytearray"), (4, "tobytes"), (5, "bytes.join")]
+    assert [(p.name, c) for p in MODULES for c in byte_copies(p.read_text())] == []
