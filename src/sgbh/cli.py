@@ -47,6 +47,7 @@ from .solvers import (
     NumericalAbortError,
     SetupError,
     SolverConfig,
+    _check_entries,
     solve_clt_limit,
     solve_controlled,
     solve_deterministic,
@@ -229,10 +230,7 @@ class RunConfig:
         spec = self._wrap(lambda: NoiseSpec(n_modes=n["n_modes"], eta=n["eta"]))
         # one path's draw is (n_modes, n_steps), bounded like the solver's arrays
         draw = spec.n_modes * self.solver_config().n_steps
-        if draw > MAX_ARRAY_ENTRIES:
-            raise ConfigError(
-                f"noise draw n_modes*n_steps = {draw} exceeds {MAX_ARRAY_ENTRIES} entries"
-            )
+        self._wrap(lambda: _check_entries("noise draw n_modes*n_steps", draw, MAX_ARRAY_ENTRIES))
         return spec
 
     def noise_coefficient(self):
@@ -300,13 +298,26 @@ def _json_data(x):
     return x
 
 
-def _table(header, rows):
-    """CSV text: the ``header`` line, then one line per row, an int cell as is
-    and any other as ``repr(float)``."""
-    return header + "\n" + "".join(
-        ",".join(str(c) if isinstance(c, int) else repr(float(c)) for c in row) + "\n"
-        for row in rows
+def _table(header, chunks):
+    """The one CSV cell format, as text chunks: the ``header`` line, then one
+    chunk per iterable of rows in ``chunks``, one line per row, an int cell as
+    is and any other as ``repr(float)``."""
+    yield header + "\n"
+    for rows in chunks:
+        yield "".join(
+            ",".join(str(c) if isinstance(c, int) else repr(float(c)) for c in row) + "\n"
+            for row in rows
+        )
+
+
+def _norms_table(traj):
+    """``norms.csv``: time, l2 and Lp norm per step, in chunks of 4096 rows,
+    each computing its own l2 column, so no (K + 1, J) temporary."""
+    spans = (slice(a, a + 4096) for a in range(0, len(traj.times), 4096))
+    chunks = (
+        zip(traj.times[s], np.linalg.norm(traj.coeffs[s], axis=1), traj.norms[s]) for s in spans
     )
+    return _table(f"time,l2_norm,l{traj.norm_p}_norm", chunks)
 
 
 def _write_artifacts(config, files):
@@ -423,7 +434,7 @@ def cmd_simulate(config, args):
     else:  # a [solver] kind from a config file is not checked by argparse
         raise ConfigError(f"unknown solver kind {kind!r}")
 
-    files = {"trajectory.bin": trajectory_bytes(traj), "norms.csv": traj.to_csv()}
+    files = {"trajectory.bin": trajectory_bytes(traj), "norms.csv": _norms_table(traj)}
     summary = f"simulate {kind}: {traj.n_steps} steps -> {config.outdir}/trajectory.bin, norms.csv"
     return files, summary, None
 
@@ -447,14 +458,12 @@ def cmd_experiment(config, args):
             f"means_ok={[r['means_ok'] for r in per_eps]}"
         )
         columns = ("var_empirical", "var_theory", "z_scores", "mode_means", "mean_stderr")
-        table = _table(
-            "eps,mode,var_empirical,var_theory,z,mean,mean_stderr",
-            (
-                (r["eps"], mode, *cells)
-                for r in per_eps
-                for mode, cells in enumerate(zip(*(r[k] for k in columns)), 1)
-            ),
+        rows = (
+            (r["eps"], mode, *cells)
+            for r in per_eps
+            for mode, cells in enumerate(zip(*(r[k] for k in columns)), 1)
         )
+        table = _table("eps,mode,var_empirical,var_theory,z,mean,mean_stderr", [rows])
     elif args.kind == "mdp-tail":
         g = config.noise_coefficient()
         speed = SpeedFunction(config.values["solver"]["theta"])
@@ -471,16 +480,14 @@ def cmd_experiment(config, args):
             workers=workers,
         )
         summary = f"monotone_in_rho={report['pass_details']['monotone_in_rho']}"
-        table = _table(
-            "eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi",
-            (
-                (r["eps"], rho, r["n_paths"], *cells)
-                for r in report["per_eps"]
-                for rho, *cells in zip(
-                    report["rho"], r["exceed_counts"], r["p_hat"], r["wilson_lo"], r["wilson_hi"]
-                )
-            ),
+        rows = (
+            (r["eps"], rho, r["n_paths"], *cells)
+            for r in report["per_eps"]
+            for rho, *cells in zip(
+                report["rho"], r["exceed_counts"], r["p_hat"], r["wilson_lo"], r["wilson_hi"]
+            )
         )
+        table = _table("eps,rho,n_paths,n_exceed,p_hat,wilson_lo,wilson_hi", [rows])
     else:
         g = config.noise_coefficient()
         runner = run_strong_rate if args.kind == "strong-rate" else run_clt
@@ -489,10 +496,8 @@ def cmd_experiment(config, args):
             f"slope={report['slope']} target={report['slope_target']} "
             f"r2={report['r_squared']} passed={report['passed']}"
         )
-        table = _table(
-            "eps,mean,stderr,n_rejected",
-            zip(report["eps"], report["mean"], report["stderr"], report["n_rejected"]),
-        )
+        rows = zip(report["eps"], report["mean"], report["stderr"], report["n_rejected"])
+        table = _table("eps,mean,stderr,n_rejected", [rows])
 
     summary = f"experiment {args.kind}: {summary} -> {config.outdir}/report.json"
     return {"report.csv": table, "report.json": report}, summary, report["passed"]

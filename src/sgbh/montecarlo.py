@@ -47,7 +47,7 @@ import numpy as np
 from .deviation import SpeedFunction, wilson_interval
 from .model import NoiseCoefficient
 from .noise import sample_noise
-from .solvers import BlowupGuard, SetupError, SolverEngine, march, solve_deterministic
+from .solvers import BlowupGuard, SetupError, SolverEngine, _check_entries, march, solve_deterministic
 from .spectral import Field
 
 __all__ = [
@@ -59,10 +59,6 @@ __all__ = [
     "run_mdp_tail",
     "default_initial",
 ]
-
-# the largest array a block or the reduction may allocate: 2^24 float64
-# entries (128 MB), a 128-path block of 4096 steps and 32 noise modes
-MAX_BLOCK_ENTRIES = 1 << 24
 
 Z_WITHIN, FRAC_REQUIRED = 3.0, 0.95  # heat oracle: |z| <= 3 in 95% of the modes
 
@@ -142,11 +138,6 @@ def _heat_weights(eng):
         w[:, k] = free(k, w[:, k + 1], None, bufs)
     w.flags.writeable = False
     return w
-
-
-def _check_entries(name, size):
-    if size > MAX_BLOCK_ENTRIES:
-        raise SetupError(f"{name} = {size} exceeds {MAX_BLOCK_ENTRIES} entries")
 
 
 def _block_spans(n_paths, block_size):

@@ -14,10 +14,13 @@ scheduling, and ensembles are bit-reproducible for a fixed base seed.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectral import _frozen
 
 __all__ = [
     "NoiseSpec",
@@ -66,12 +69,7 @@ class NoiseRealization:
             raise ValueError(
                 f"increments shape {inc.shape} inconsistent with n_steps={self.n_steps}"
             )
-        # a read-only array that owns its memory is frozen already: take it as
-        # is (sample_noise hands over its draw this way); copy anything else
-        if inc.flags.writeable or not inc.flags.owndata:
-            inc = inc.copy()
-            inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
+        object.__setattr__(self, "increments", _frozen(inc))
 
 
 def sample_noise(spec, dt, n_steps, seed, path_index=0):
@@ -105,9 +103,7 @@ class ControlPath:
             raise ValueError(
                 f"hdot shape {hd.shape} inconsistent with n_steps={self.n_steps}"
             )
-        hd = hd.copy()
-        hd.flags.writeable = False
-        object.__setattr__(self, "hdot", hd)
+        object.__setattr__(self, "hdot", _frozen(hd))
 
     @property
     def n_modes(self):
@@ -132,31 +128,31 @@ class BinaryFormatError(ValueError):
 
 
 def _read_flat_binary(path, header, shape):
-    """Header fields and the float64 payload of a flat binary file.
-
-    ``shape`` maps the header fields to the payload's shape.  A file shorter
-    than the header, a non-positive dimension, a float field (the step dt)
-    that is not finite and positive, or a payload of any other length than
-    the shape needs raises BinaryFormatError.
+    """Header fields and the float64 payload of a flat binary file, read into
+    one frozen array.  ``shape`` maps the header fields to the payload's shape,
+    or raises ValueError to refuse them.  A file shorter than the header, a
+    refused header, a non-positive dimension, a float field (the step dt) that
+    is not finite and positive, or a payload of any other length than the
+    shape needs raises BinaryFormatError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < header.size:
-        raise BinaryFormatError(
-            f"{path}: {len(raw)} bytes, shorter than the {header.size}-byte header"
-        )
-    fields = header.unpack_from(raw)
-    dims = shape(fields)
-    if min(dims) < 1:
-        raise BinaryFormatError(f"{path}: header gives payload shape {dims}")
-    if not all(math.isfinite(f) and f > 0 for f in fields if isinstance(f, float)):
-        raise BinaryFormatError(f"{path}: header gives a step that is not finite and > 0")
-    payload, need = len(raw) - header.size, 8 * math.prod(dims)
-    if payload != need:
-        raise BinaryFormatError(
-            f"{path}: payload is {payload} bytes, header shape {dims} needs {need}"
-        )
-    return fields, np.frombuffer(raw, dtype="<f8", offset=header.size).reshape(dims)
+        try:  # struct.error: the file is shorter than the header
+            fields = header.unpack(fh.read(header.size))
+            dims = shape(fields)
+        except (struct.error, ValueError) as exc:
+            raise BinaryFormatError(f"{path}: header refused: {exc}") from None
+        if min(dims) < 1:
+            raise BinaryFormatError(f"{path}: header gives payload shape {dims}")
+        if not all(math.isfinite(f) and f > 0 for f in fields if isinstance(f, float)):
+            raise BinaryFormatError(f"{path}: header gives a step that is not finite and > 0")
+        payload, need = os.fstat(fh.fileno()).st_size - header.size, 8 * math.prod(dims)
+        # allocate only what the file holds; a short read means it shrank since fstat
+        if payload != need or fh.readinto(data := np.empty(dims, dtype="<f8")) != need:
+            raise BinaryFormatError(
+                f"{path}: payload is {payload} bytes, header shape {dims} needs {need}"
+            )
+    data.flags.writeable = False
+    return fields, data
 
 
 def _flat_binary(header, payload):

@@ -49,7 +49,7 @@ from .model import (
     reaction_derivative,
     reaction_nonlinearity,
 )
-from .noise import BinaryFormatError, NoiseSpec, _flat_binary, _read_flat_binary
+from .noise import NoiseSpec, _flat_binary, _read_flat_binary
 from .spectral import Field, Grid1D, SpectralBasis
 
 __all__ = [
@@ -71,6 +71,17 @@ __all__ = [
 
 # the largest array a config or file header may size: 2^22 float64 entries (32 MB)
 MAX_ARRAY_ENTRIES = 1 << 22
+# the largest array a run may build beyond those: 2^24 float64 entries (128 MB),
+# a 128-path block of 4096 steps and 32 noise modes, or a reference path's grid
+MAX_RUN_ENTRIES = 1 << 24
+
+
+def _check_entries(name, size, bound=None):
+    """The one size check: an array of ``size`` float64 entries above ``bound``
+    (MAX_RUN_ENTRIES when None, read at call time) is a SetupError."""
+    bound = MAX_RUN_ENTRIES if bound is None else bound
+    if size > bound:
+        raise SetupError(f"{name} = {size} exceeds {bound} entries")
 
 
 class BlowupError(RuntimeError):
@@ -85,7 +96,8 @@ class BlowupError(RuntimeError):
 
 class SetupError(ValueError):
     """Inputs that cannot be run together: mismatched time grids or modes,
-    an aliasing grid, or a runner's precondition.  The CLI exits 2 on it."""
+    an aliasing grid, an array above its size bound, or a runner's
+    precondition.  The CLI exits 2 on it."""
 
 
 class NumericalAbortError(RuntimeError):
@@ -123,10 +135,7 @@ class SolverConfig:
                 f"grid too coarse: n_points={self.n_points} < 4*n_modes={4 * self.n_modes}"
             )
         for name, other in (("n_points", self.n_points), ("n_steps", self.n_steps)):
-            if other * self.n_modes > MAX_ARRAY_ENTRIES:
-                raise ValueError(
-                    f"{name}*n_modes = {other * self.n_modes} exceeds {MAX_ARRAY_ENTRIES} entries"
-                )
+            _check_entries(f"{name}*n_modes", other * self.n_modes, MAX_ARRAY_ENTRIES)
 
     @property
     def n_steps(self):
@@ -185,19 +194,6 @@ class Trajectory:
             return self.coeffs @ self.basis.phi
         return self.coeffs[k] @ self.basis.phi
 
-    def to_csv(self):
-        """The norms table as text chunks: the header, then one chunk per 4096
-        rows, whose l2 column is computed alone, so no (K + 1, J) temporary."""
-        yield f"time,l2_norm,l{self.norm_p}_norm\n"
-        for a in range(0, len(self.times), 4096):
-            rows = slice(a, a + 4096)
-            yield "".join(
-                f"{float(t)!r},{float(l2)!r},{float(lp)!r}\n"
-                for t, l2, lp in zip(
-                    self.times[rows], np.linalg.norm(self.coeffs[rows], axis=1), self.norms[rows]
-                )
-            )
-
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
 
@@ -212,16 +208,15 @@ def trajectory_bytes(traj):
 
 
 def load_trajectory(path):
-    (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(
-        path, _TRAJ_HEADER, lambda f: (f[3] + 1, f[1])
-    )
-    # no payload bytes back n_points: cap the basis as SolverConfig does
-    if n_steps < 1 or not 4 * n_modes <= n_points <= MAX_ARRAY_ENTRIES // n_modes:
-        raise BinaryFormatError(
-            f"{path}: header gives n_points={n_points}, n_modes={n_modes}, n_steps={n_steps}"
-        )
+    def shape(fields):
+        n_points, n_modes, dt, n_steps = fields
+        # no payload bytes back n_points: the header must make a valid config
+        SolverConfig(dt=dt, t_end=dt * n_steps, n_modes=n_modes, n_points=n_points)
+        return n_steps + 1, n_modes
+
+    (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(path, _TRAJ_HEADER, shape)
     basis = SpectralBasis(Grid1D(n_points), n_modes)
-    return Trajectory(times=dt * np.arange(n_steps + 1), coeffs=coeffs.copy(), basis=basis)
+    return Trajectory(times=dt * np.arange(n_steps + 1), coeffs=coeffs, basis=basis)
 
 
 class SolverEngine:
@@ -453,7 +448,8 @@ class SolverEngine:
 
 def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
     """Reference trajectory, noise and control must share the config's time
-    grid; the trajectory also its modes."""
+    grid; the trajectory also its modes, and its (K + 1, n_points) grid, which
+    the solvers synthesise whole, must pass the size check."""
     for name, path in (("trajectory", trajectory), ("noise", noise), ("control", control)):
         if path is not None and (
             path.n_steps != cfg.n_steps or abs(path.dt - cfg.dt) > 1e-12 * cfg.dt
@@ -464,6 +460,8 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
             )
     if trajectory is not None and trajectory.n_modes != cfg.n_modes:
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
+    if trajectory is not None:
+        _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
 
 
 def march(eng, states, steps, observe):

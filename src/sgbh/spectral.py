@@ -140,9 +140,17 @@ class Field:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 1:
             raise ValueError(f"field data must be 1-d, got shape {data.shape}")
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _frozen(data))
+
+
+def _frozen(a):
+    """The one frozen-array rule: ``a`` as is if it is a read-only array that
+    owns its memory, so frozen already (``sample_noise`` and the binary
+    loaders hand theirs over so), else a read-only copy."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def apply_semigroup(coeffs, nu_t, basis):

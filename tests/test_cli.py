@@ -612,6 +612,49 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
     assert "setup error" in err and fragment in err
 
 
+def test_single_path_reference_grid_is_bounded(tmp_path, capsys, monkeypatch):
+    """The deviation solvers and the endpoint control map synthesise u0's whole
+    (K + 1, n_points) grid, so it passes the one size check first.  At the
+    golden size it is 21 x 64 = 1344 entries: a bound of 1343 refuses it
+    before the grid is built, and 1344 admits it."""
+    import sgbh.solvers as solvers
+    from sgbh.deviation import EndpointControlMap, SpeedFunction
+    from sgbh.noise import sample_noise
+    from sgbh.solvers import solve_clt_limit, solve_controlled, solve_deterministic
+
+    config = RunConfig.parse(GOLDEN_RUN)
+    params, cfg, nspec = config.model_params(), config.solver_config(), config.noise_spec()
+    g = config.noise_coefficient()
+    u0 = solve_deterministic(config.initial_data(cfg), params, cfg)
+    noise = sample_noise(nspec, cfg.dt, cfg.n_steps, seed=1)
+    runs = [
+        lambda: solve_clt_limit(u0, params, g, noise, cfg),
+        lambda: solve_controlled(u0, params, g, 0.01, SpeedFunction(0.25), noise, None, cfg),
+        lambda: EndpointControlMap(u0, params, g, cfg, noise_spec=nspec),
+    ]
+    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1343)
+    for run in runs:
+        with pytest.raises(SetupError, match=r"n_points = 1344 exceeds 1343 entries"):
+            run()
+    cfg_path = _write(tmp_path, GOLDEN_RUN)
+    target = _write_target(tmp_path, {"kind": "spectral", "values": [0.001]})
+    runs_cli = (
+        ["simulate", "--solver", "clt"],
+        ["simulate", "--solver", "mdp"],
+        ["rate", "--target", target],
+    )
+    for i, argv in enumerate(runs_cli):
+        out = tmp_path / f"o{i}"
+        assert main([*argv, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "setup error: (n_steps+1)*n_points = 1344 exceeds 1343 entries\n"
+        )
+        assert not out.exists()
+    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1344)
+    for run in runs:
+        run()
+
+
 @pytest.mark.parametrize(
     "text,argv,fragment",
     [

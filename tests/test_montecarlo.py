@@ -553,11 +553,11 @@ def test_heat_block_holds_one_path_draw():
 
 
 def test_heat_oracle_block_draw_is_not_bounded(monkeypatch):
-    import sgbh.montecarlo as montecarlo
+    import sgbh.solvers as solvers
 
     # a marching block's (K, B, J) draw is 50 * 8 * 4 = 1600 entries; the
     # heat oracle's reduction keeps 8 * 4
-    monkeypatch.setattr(montecarlo, "MAX_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1000)
     spec = EnsembleSpec(n_paths=8, base_seed=26, eps_list=[1.0])
     noise = NoiseSpec(n_modes=4, eta=0.3)
     assert run_heat_oracle(spec, LINEAR, HEAT_CFG, noise_spec=noise)["n_paths"] == 8

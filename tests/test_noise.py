@@ -130,6 +130,20 @@ def test_realization_freezes_a_private_copy_of_what_the_caller_can_write():
         assert not r.increments.flags.writeable
 
 
+def test_control_path_keeps_a_frozen_owned_array_and_copies_a_writable_one():
+    """ControlPath follows the realization's rule: a read-only array that owns
+    its memory, as ``load_control`` reads, is taken without a copy; a writable
+    one is copied and frozen, so writing it afterwards changes nothing."""
+    frozen = np.arange(6.0).reshape(2, 3).copy()
+    frozen.flags.writeable = False
+    assert ControlPath(dt=0.1, n_steps=3, hdot=frozen).hdot is frozen
+    writable = frozen.copy()
+    h = ControlPath(dt=0.1, n_steps=3, hdot=writable)
+    writable[0, 0] = 99.0
+    assert h.hdot is not writable and not h.hdot.flags.writeable
+    assert np.array_equal(h.hdot, frozen)
+
+
 def test_sampling_holds_one_draw():
     """sample_noise hands its frozen draw to the realization without a copy."""
     import tracemalloc

@@ -312,7 +312,8 @@ def test_only_the_artifact_writer_opens_a_file_for_writing():
 
 def byte_copies(source):
     """(line, call) for each call in ``source`` that builds a whole copy of
-    bytes: ``bytearray(...)``, ``x.tobytes(...)`` or ``b"".join(...)``."""
+    bytes, ``bytearray(...)``, ``x.tobytes(...)`` or ``b"".join(...)``, or
+    views one, ``np.frombuffer(...)``, which keeps a whole file's bytes alive."""
     found = []
     for n in ast.walk(ast.parse(source)):
         if not isinstance(n, ast.Call):
@@ -329,17 +330,24 @@ def byte_copies(source):
             and isinstance(f.value.value, bytes)
         ):
             found.append((n.lineno, "bytes.join"))
+        elif isinstance(f, ast.Attribute) and f.attr == "frombuffer":
+            found.append((n.lineno, "frombuffer"))
     return sorted(found)
 
 
 def test_no_artifact_is_copied_whole_before_it_is_written():
-    """The artifact writer takes chunks and byte views, so the package builds
-    no whole copy of a file's bytes; a docstring or comment naming the calls
-    does not count."""
+    """The artifact writer takes chunks and byte views, and the loaders read
+    into one array, so the package builds no whole copy of a file's bytes; a
+    docstring or comment naming the calls does not count."""
     source = (
         'def f(a, parts):\n    """b"".join(parts) is the file."""\n    data = bytearray(8)\n'
-        '    x = a.tobytes()\n    y = b"".join(parts)\n    return "".join(map(str, parts))\n'
-        "bytearray\n"
+        '    x = a.tobytes()\n    y = b"".join(parts)\n    z = np.frombuffer(a, "<f8")\n'
+        '    return "".join(map(str, parts))\nbytearray\n'
     )
-    assert byte_copies(source) == [(3, "bytearray"), (4, "tobytes"), (5, "bytes.join")]
+    assert byte_copies(source) == [
+        (3, "bytearray"),
+        (4, "tobytes"),
+        (5, "bytes.join"),
+        (6, "frombuffer"),
+    ]
     assert [(p.name, c) for p in MODULES for c in byte_copies(p.read_text())] == []
