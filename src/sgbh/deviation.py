@@ -81,13 +81,13 @@ class EndpointControlMap:
         self.eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
         self.n_steps = cfg.n_steps
         self.n_control_modes = self.eng.noise_spec.n_modes
-        self.u0_grid = u0_traj.grid_values()
+        self.u0 = u0_traj.coeffs
 
     def forward(self, hdot):
         """Endpoint coefficients Z_h(T) for hdot of shape (J_noise, n_steps)."""
         eng = self.eng
         # the skeleton solver's march and stepper, so endpoints agree bitwise
-        step = eng.deviation_step(self.u0_grid, 0.0, control_inc=hdot.T)
+        step = eng.deviation_step(self.u0, 0.0, control_inc=hdot.T)
         return march(eng, [np.zeros(eng.cfg.n_modes)], [step], lambda k, z, zg, work: None)[0]
 
     def adjoint(self, w):
@@ -116,7 +116,7 @@ class EndpointControlMap:
         units = np.zeros((J + jn, jn))
         units[J:] = np.eye(jn)
         step = eng.deviation_step(
-            self.u0_grid, 0.0, control_inc=np.broadcast_to(units, (K,) + units.shape)
+            self.u0, 0.0, control_inc=np.broadcast_to(units, (K,) + units.shape)
         )
         grid, bufs = eng.grid_values(states), eng.scratch(states.shape[:-1])
         a = np.empty((J, jn, K))

@@ -233,50 +233,50 @@ def _censored_march(eng, guard, states, steps, observe):
 def _block_march(paths, eng, spec, u0_coeffs, start, stop):
     """A block of a marching ensemble: (sup, tripped) of (B,) arrays per eps.
     The block's increments are drawn once and drive every eps, so each path is
-    coupled across eps; ``paths(eng, u0_coeffs, u0_grid, inc, eps)`` returns the
+    coupled across eps; ``paths(eng, u0_coeffs, inc, eps)`` returns the
     (states, steps, observe) that ``_censored_march`` runs at one eps."""
-    u0_grid = eng.grid_values(u0_coeffs)
     inc = _block_increments(eng, spec.base_seed, start, stop)
     return [
-        _censored_march(eng, spec.guard, *paths(eng, u0_coeffs, u0_grid, inc, eps))
+        _censored_march(eng, spec.guard, *paths(eng, u0_coeffs, inc, eps))
         for eps in spec.eps_list
     ]
 
 
-def _strong_rate_paths(eng, u0_coeffs, u0_grid, inc, eps):
+def _strong_rate_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
 
     def observe(k, work, u_grid):
-        diff = np.subtract(u_grid, u0_grid[k], out=work)
+        diff = np.subtract(u_grid, eng.grid_values(u0_coeffs[k]), out=work)
         return eng.grid.lp_integral(diff, p, work), eng.grid.lp_norm(u_grid, p, work)
 
     step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(eps))
     return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [step], observe
 
 
-def _clt_paths(eng, u0_coeffs, u0_grid, inc, eps):
+def _clt_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
     s = np.sqrt(eps)
 
     def observe(k, work, zg, vg):
         stat = eng.grid.lp_norm(np.subtract(zg, vg, out=work), p, work)
-        u = np.add(u0_grid[k], np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
+        u0_grid = eng.grid_values(u0_coeffs[k])
+        u = np.add(u0_grid, np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
         return stat, eng.grid.lp_norm(u, p, work)
 
     # z at scale s, and the CLT limit v (s = 0) on the same increments
-    steps = [eng.deviation_step(u0_grid, scale, noise_inc=inc) for scale in (s, 0.0)]
+    steps = [eng.deviation_step(u0_coeffs, scale, noise_inc=inc) for scale in (s, 0.0)]
     B, J = inc.shape[1], eng.cfg.n_modes
     return [np.zeros((B, J)), np.zeros((B, J))], steps, observe
 
 
-def _mdp_paths(eng, u0_coeffs, u0_grid, inc, eps, speed, p):
+def _mdp_paths(eng, u0_coeffs, inc, eps, speed, p):
     s, noise_scale = speed.scales(eps)
 
     def observe(k, work, zg):
         stat = eng.grid.lp_norm(zg, p, work)
         return stat, stat
 
-    step = eng.deviation_step(u0_grid, s, inc, noise_scale)
+    step = eng.deviation_step(u0_coeffs, s, inc, noise_scale)
     return [np.zeros((inc.shape[1], eng.cfg.n_modes))], [step], observe
 
 
@@ -302,15 +302,13 @@ def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers):
     in path order; ``paths`` is the per-eps march that ``_block_march`` runs.
     The engine, the bound checks and the reference solve (from ``u0``, the
     parabolic bump when None) come before any worker starts, so setup errors
-    surface first.  Blocks synthesise the reference grid themselves, which
-    keeps it out of the pool's pickle."""
+    surface first.  Blocks read the reference path in coefficients and
+    synthesise its grid one step at a time."""
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    # what a block allocates, its (K, B, J_noise) increments and the
-    # (K + 1, n_points) reference grid it synthesises, and what the reduction
-    # holds, a sup per path and eps
+    # what a block allocates, its (K, B, J_noise) increments, and what the
+    # reduction holds, a sup per path and eps
     draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * eng.noise_spec.n_modes
     _check_entries("block_size*n_steps*noise n_modes", draw)
-    _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
     _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
     u0 = default_initial(eng.grid) if u0 is None else u0
     u0_coeffs = solve_deterministic(u0, params, cfg).coeffs

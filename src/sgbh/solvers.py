@@ -72,7 +72,7 @@ __all__ = [
 # the largest array a config or file header may size: 2^22 float64 entries (32 MB)
 MAX_ARRAY_ENTRIES = 1 << 22
 # the largest array a run may build beyond those: 2^24 float64 entries (128 MB),
-# a 128-path block of 4096 steps and 32 noise modes, or a reference path's grid
+# a 128-path block of 4096 steps and 32 noise modes
 MAX_RUN_ENTRIES = 1 << 24
 
 
@@ -399,46 +399,40 @@ class SolverEngine:
         """Three (*batch, n_points) grid buffers for a step's work."""
         return np.empty((3, *batch, self.cfg.n_points))
 
-    def deviation_step(
-        self, u0_grid=None, s=1.0, noise_inc=None, noise_scale=1.0, control_inc=None
-    ):
+    def deviation_step(self, u0=None, s=1.0, noise_inc=None, noise_scale=1.0, control_inc=None):
         """The deviation equation at scale s around u0, with u = u0 + s z:
 
             E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
 
         D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
-        (then u = u0: the CLT limit and the skeleton).  No ``u0_grid`` means
-        u0 = 0 at s = 1, the full equation (N(0) = 0): u = z, read only for a
-        drift or a kappa1 != 0 forcing, so the pure heat case may pass None.
-        What the step needs of u0 is computed here once, for every step: the
-        N(u0) that the quotient subtracts, or at s = 0 ``linearization_profiles``.
+        (then u = u0: the CLT limit and the skeleton).  ``u0`` holds the
+        reference path's (K + 1, J) coefficients; no ``u0`` means u0 = 0 at
+        s = 1, the full equation (N(0) = 0): u = z, read only for a drift or a
+        kappa1 != 0 forcing, so the pure heat case may pass None.  Step k
+        builds what it needs of u0 from row k alone: its grid, then the N(u0)
+        that the quotient subtracts, or at s = 0 ``linearization_profiles``.
         """
         dt = self.dt
-        full, linear = u0_grid is None, s == 0.0
-        if linear:
-            p1, c1 = self.linearization_profiles(u0_grid)
-        elif not full:
-            ref = self.nonlinear_drift(u0_grid)
-            ref *= dt / s
+        full, linear = u0 is None, s == 0.0
         drives = [
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
 
         def step(k, z, z_grid, bufs):
             forcings = [(c, inc[k]) for c, inc in drives]
+            ref = None
+            u_grid = z_grid if full else self.grid_values(u0[k])
             if linear:
-                u_grid = u0_grid[k]
-                fields = self._linear_fields(
-                    z_grid, None if p1 is None else p1[k], None if c1 is None else c1[k], dt, bufs
-                )
+                fields = self._linear_fields(z_grid, *self.linearization_profiles(u_grid), dt, bufs)
             else:
-                u_grid = z_grid
-                if not full:  # u = u0 + s z
-                    u_grid = np.add(u0_grid[k], np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
+                if not full:  # u = u0 + s z, and the quotient subtracts N(u0) dt / s
+                    ref = self.nonlinear_drift(u_grid)
+                    ref *= dt / s
+                    u_grid = np.add(u_grid, np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
                 fields = self._drift_fields(u_grid, dt / s, bufs)
             out = self._explicit_modes(z.shape, *fields, u_grid, forcings, bufs[1])
-            if not (linear or full):
-                out -= ref[k]
+            if ref is not None:
+                out -= ref
             out += z
             out *= self.semigroup
             return out
@@ -448,8 +442,7 @@ class SolverEngine:
 
 def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
     """Reference trajectory, noise and control must share the config's time
-    grid; the trajectory also its modes, and its (K + 1, n_points) grid, which
-    the solvers synthesise whole, must pass the size check."""
+    grid; the trajectory also its modes."""
     for name, path in (("trajectory", trajectory), ("noise", noise), ("control", control)):
         if path is not None and (
             path.n_steps != cfg.n_steps or abs(path.dt - cfg.dt) > 1e-12 * cfg.dt
@@ -460,8 +453,6 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
             )
     if trajectory is not None and trajectory.n_modes != cfg.n_modes:
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
-    if trajectory is not None:
-        _check_entries("(n_steps+1)*n_points", (cfg.n_steps + 1) * cfg.n_points)
 
 
 def march(eng, states, steps, observe):
@@ -529,7 +520,7 @@ def solve_clt_limit(u0_traj, params, g, noise, cfg, guard=None):
     """
     _check_time_grid(cfg, trajectory=u0_traj, noise=noise)
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise.spec)
-    step = eng.deviation_step(u0_traj.grid_values(), 0.0, noise_inc=noise.increments.T)
+    step = eng.deviation_step(u0_traj.coeffs, 0.0, noise_inc=noise.increments.T)
     return _drive(eng, np.zeros(cfg.n_modes), step, guard)
 
 
@@ -561,7 +552,7 @@ def solve_controlled(u0_traj, params, g, eps, speed, noise, h, cfg, guard=None, 
         raise SetupError(f"control has {h.n_modes} modes > noise n_modes {eng.noise_spec.n_modes}")
 
     step = eng.deviation_step(
-        u0_traj.grid_values(),
+        u0_traj.coeffs,
         s,
         # eps = 0 drops the noise: only the control drives the skeleton
         noise_inc=noise.increments.T if noise is not None and eps > 0 else None,

@@ -268,13 +268,18 @@ def test_artifact_write_that_fails_partway_leaves_no_file(tmp_path, capsys, monk
     assert sorted(p.name for p in out.iterdir()) == ["config.txt"]
 
 
-@pytest.mark.parametrize("solver, bound", [("deterministic", 2.0), ("spde", 3.0)])
+@pytest.mark.parametrize(
+    "solver, bound", [("deterministic", 2.0), ("spde", 3.0), ("clt", 4.5), ("mdp", 4.5)]
+)
 def test_simulate_writes_its_artifacts_without_copying_them(tmp_path, capsys, solver, bound):
     """simulate's tracemalloc peak at K = 50k steps, in units of the trajectory's
     coefficient bytes (3.2 MB here): the binary is written from a view of the
     coefficients and the table in chunks, so neither is copied whole.  Measured:
     1.53 (deterministic) and 2.64 (spde, which holds its 1x noise draw);
-    3.98-4.04 and 4.20-4.21 when both artifacts were built whole first."""
+    3.98-4.04 and 4.20-4.21 when both artifacts were built whole first.  clt and
+    mdp also hold the reference path's coefficients and read 3.66-3.94; they read
+    42.3 and 28.3 when the stepper took u0's whole grid (8 units alone, n = 64)
+    and precomputed its drift or linearization profiles for every step."""
     import tracemalloc
 
     cfg = _write(
@@ -555,12 +560,6 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             ["experiment", "strong-rate"],
             "block_size*n_steps*noise n_modes = 409600000 exceeds 16777216",
         ),
-        (
-            "[solver]\ndt = 0.000244140625\nt_end = 1.0\nn_modes = 1\nn_points = 4096\n"
-            "[noise]\nn_modes = 1\n[experiment]\nn_paths = 1\n",
-            ["experiment", "clt"],
-            "(n_steps+1)*n_points = 16781312 exceeds 16777216",
-        ),
         # refused before _block_spans lists the blocks or any block allocates
         (
             SMALL_SOLVER + "[experiment]\nn_paths = 1000000000000\n",
@@ -592,7 +591,6 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "rho-repeated",
         "rho-descending",
         "block-noise-draw",
-        "block-reference-grid",
         "reduction-paths",
         "reduction-heat-endpoints",
     ],
@@ -612,11 +610,12 @@ def test_setup_errors_exit_2(tmp_path, capsys, text, argv, fragment):
     assert "setup error" in err and fragment in err
 
 
-def test_single_path_reference_grid_is_bounded(tmp_path, capsys, monkeypatch):
-    """The deviation solvers and the endpoint control map synthesise u0's whole
-    (K + 1, n_points) grid, so it passes the one size check first.  At the
-    golden size it is 21 x 64 = 1344 entries: a bound of 1343 refuses it
-    before the grid is built, and 1344 admits it."""
+def test_single_path_runs_build_no_reference_grid(tmp_path, capsys, monkeypatch):
+    """The deviation solvers and the endpoint control map read u0 in
+    coefficients and synthesise its grid one step at a time, so no run holds
+    u0's (K + 1, n_points) grid.  At the golden size that grid is 21 x 64 =
+    1344 entries: every run passes under a run bound of 1343, and no engine or
+    trajectory grid it builds has as many entries."""
     import sgbh.solvers as solvers
     from sgbh.deviation import EndpointControlMap, SpeedFunction
     from sgbh.noise import sample_noise
@@ -627,17 +626,24 @@ def test_single_path_reference_grid_is_bounded(tmp_path, capsys, monkeypatch):
     g = config.noise_coefficient()
     u0 = solve_deterministic(config.initial_data(cfg), params, cfg)
     noise = sample_noise(nspec, cfg.dt, cfg.n_steps, seed=1)
-    runs = [
-        lambda: solve_clt_limit(u0, params, g, noise, cfg),
-        lambda: solve_controlled(u0, params, g, 0.01, SpeedFunction(0.25), noise, None, cfg),
-        lambda: EndpointControlMap(u0, params, g, cfg, noise_spec=nspec),
-    ]
-    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1343)
-    for run in runs:
-        with pytest.raises(SetupError, match=r"n_points = 1344 exceeds 1343 entries"):
-            run()
-    cfg_path = _write(tmp_path, GOLDEN_RUN)
     target = _write_target(tmp_path, {"kind": "spectral", "values": [0.001]})
+    cfg_path = _write(tmp_path, GOLDEN_RUN)
+    sizes = []
+
+    def recorded(grid_values):
+        def wrapper(*args, **kwargs):
+            out = grid_values(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        return wrapper
+
+    for owner in (solvers.SolverEngine, solvers.Trajectory):
+        monkeypatch.setattr(owner, "grid_values", recorded(owner.grid_values))
+    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1343)
+    solve_clt_limit(u0, params, g, noise, cfg)
+    solve_controlled(u0, params, g, 0.01, SpeedFunction(0.25), noise, None, cfg)
+    EndpointControlMap(u0, params, g, cfg, noise_spec=nspec).matrix
     runs_cli = (
         ["simulate", "--solver", "clt"],
         ["simulate", "--solver", "mdp"],
@@ -645,14 +651,9 @@ def test_single_path_reference_grid_is_bounded(tmp_path, capsys, monkeypatch):
     )
     for i, argv in enumerate(runs_cli):
         out = tmp_path / f"o{i}"
-        assert main([*argv, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "setup error: (n_steps+1)*n_points = 1344 exceeds 1343 entries\n"
-        )
-        assert not out.exists()
-    monkeypatch.setattr(solvers, "MAX_RUN_ENTRIES", 1344)
-    for run in runs:
-        run()
+        assert main([*argv, "--config", cfg_path, "--out", str(out)]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+    assert sizes and max(sizes) < (cfg.n_steps + 1) * cfg.n_points
 
 
 @pytest.mark.parametrize(

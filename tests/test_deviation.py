@@ -246,6 +246,35 @@ def test_rate_converges_on_white_noise_targets_at_cli_defaults(cli_defaults):
             assert res["value"] <= cmap.control_path(hdot).action()
 
 
+def _rate_at(dt, noise_modes, psi):
+    """The rate of the spectral target ``psi`` in the CLI's default problem at
+    time step ``dt`` and ``noise_modes`` noise modes."""
+    config = RunConfig()
+    params, g, base = config.model_params(), config.noise_coefficient(), config.solver_config()
+    cfg = SolverConfig(dt=dt, t_end=base.t_end, n_modes=base.n_modes, n_points=base.n_points)
+    spec = NoiseSpec(n_modes=noise_modes, eta=config.noise_spec().eta)
+    u0 = solve_deterministic(config.initial_data(cfg), params, cfg)
+    res, _ = rate_function_endpoint(psi, u0, params, g, cfg, noise_spec=spec)
+    assert res["converged"], (dt, noise_modes)
+    return res["value"]
+
+
+def test_rate_converges_in_dt_and_never_grows_with_noise_modes():
+    """psi = (0.3, -0.2, 0, ...) at the CLI defaults (J = 32, T = 0.25).  The
+    scheme is first order, so each halving of dt from 1/128 to 1/1024 halves
+    the change in I: measured I = 2.0696, 2.0453, 2.0333, 2.0274, difference
+    ratios 2.03 and 2.016 (band 1.9-2.1).  A noise mode only adds columns to
+    A, so I cannot grow with J_noise beyond roundoff: measured 82.04, 4.937,
+    2.195, 2.045 at J_noise = 4, 8, 16, 32 (dt = 1/256)."""
+    psi = np.zeros(32)
+    psi[:2] = 0.3, -0.2
+    diffs = -np.diff([_rate_at(2.0**-m, 32, psi) for m in range(7, 11)])
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all(diffs > 0) and np.all((ratios >= 1.9) & (ratios <= 2.1)), (diffs, ratios)
+    by_modes = [_rate_at(1 / 256, jn, psi) for jn in (4, 8, 16, 32)]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(by_modes, by_modes[1:])), by_modes
+
+
 def test_rate_never_exceeds_a_feasible_control(desk):
     params, cfg, spec, g, u0 = desk
     rng = np.random.default_rng(36)

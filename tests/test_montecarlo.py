@@ -337,7 +337,7 @@ def test_pool_names_user_set_blas_threads_on_stderr(pool_sizes, monkeypatch, cap
 
 
 def test_block_allocations_are_bounded():
-    """A block's increments and reference grid are capped at 2^24 entries."""
+    """A block's increments are capped at 2^24 entries."""
     # 41944 paths x 50 steps x 8 noise modes = 16,777,600, just over 16,777,216
     for block_size in (41944, 10**6):
         spec = EnsembleSpec(n_paths=41944, base_seed=1, eps_list=[0.1], block_size=block_size)
@@ -346,11 +346,6 @@ def test_block_allocations_are_bounded():
     # the bound counts the paths a block holds, not its nominal size
     few = EnsembleSpec(n_paths=4, base_seed=1, eps_list=[0.5, 0.25, 0.125], block_size=10**6)
     run_strong_rate(few, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
-    # a (4096 + 1) x 4096 reference grid: 16,781,312 entries
-    cfg = SolverConfig(dt=1 / 4096, t_end=1.0, n_modes=1, n_points=4096)
-    spec = EnsembleSpec(n_paths=1, base_seed=1, eps_list=[0.1])
-    with pytest.raises(SetupError, match=r"\(n_steps\+1\)\*n_points = 16781312 exceeds"):
-        run_strong_rate(spec, DESK, G_AFFINE, cfg, noise_spec=NoiseSpec(n_modes=1))
 
 
 def test_stderr_shrinks_with_ensemble_size():
@@ -768,10 +763,10 @@ def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
     B, cfg = 128, SolverConfig(dt=1e-3, t_end=0.05, n_modes=32, n_points=256)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=NoiseSpec(n_modes=32, eta=0.3))
     u0 = solve_deterministic(default_initial(eng.grid), DESK, cfg).coeffs
-    u0_grid, inc = eng.grid_values(u0), _block_increments(eng, 3, 0, B)
+    inc = _block_increments(eng, 3, 0, B)
     peaks = []
     for _ in range(2):  # the first march's one-off allocations are not the march's
-        states, steps, observe = paths(eng, u0, u0_grid, inc, 1e-3)
+        states, steps, observe = paths(eng, u0, inc, 1e-3)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]

@@ -399,22 +399,22 @@ def _step_inputs(g, batch, j_noise, seed, n_steps=3):
     x = 0.3 * rng.standard_normal(batch + (cfg.n_modes,))
     dB = np.sqrt(cfg.dt) * rng.standard_normal((n_steps,) + batch + (j_noise,))
     hdot = rng.standard_normal((n_steps,) + batch + (j_noise,))
-    u0_grid = eng.grid_values(0.3 * rng.standard_normal((n_steps + 1, cfg.n_modes)))
-    return eng, x, dB, hdot, u0_grid
+    u0 = 0.3 * rng.standard_normal((n_steps + 1, cfg.n_modes))
+    return eng, x, dB, hdot, u0
 
 
 def _step_calls(g, batches, j_noise, seed, ks):
     """``_step_inputs`` for one step called once per batch shape, at the steps
     ``ks``: the engine, the (k, state) calls, the increments and controls as
-    lists whose entry k has call k's batch, and the reference grid."""
+    lists whose entry k has call k's batch, and the reference coefficients."""
     calls, dB, hdot = [], [None] * 3, [None] * 3
     for i, (k, batch) in enumerate(zip(ks, batches)):
-        eng_i, x, dB_i, hdot_i, u0_grid_i = _step_inputs(g, batch, j_noise, seed + i)
+        eng_i, x, dB_i, hdot_i, u0_i = _step_inputs(g, batch, j_noise, seed + i)
         if i == 0:
-            eng, u0_grid = eng_i, u0_grid_i
+            eng, u0 = eng_i, u0_i
         calls.append((k, x))
         dB[k], hdot[k] = dB_i[k], hdot_i[k]
-    return eng, calls, dB, hdot, u0_grid
+    return eng, calls, dB, hdot, u0
 
 
 def _assert_rel(got, want, rel=1e-13):
@@ -488,16 +488,17 @@ def test_spde_step_equals_the_unfused_formula(g, batches, j_noise):
 def test_deviation_step_equals_the_unfused_formula(g, batches, j_noise, s):
     """Noise and control together, at s > 0 (the difference quotient) and at
     s = 0 (the linearization), and each forcing alone."""
-    eng, calls, dB, hdot, u0_grid = _step_calls(
+    eng, calls, dB, hdot, u0 = _step_calls(
         g, batches, j_noise, 7 * j_noise + len(batches[0]), ks=(2, 1, 0)
     )
+    u0_grid = eng.grid_values(u0)
     scale, dt = 0.7, eng.dt
     drives = dict(
         both=dict(noise_inc=dB, noise_scale=scale, control_inc=hdot),
         noise=dict(noise_inc=dB, noise_scale=scale),
         control=dict(control_inc=hdot),
     )
-    steps = {name: eng.deviation_step(u0_grid, s, **kw) for name, kw in drives.items()}
+    steps = {name: eng.deviation_step(u0, s, **kw) for name, kw in drives.items()}
     scratch, results = _scratch_per_batch(eng), []
     for k, z in calls:
         zg = eng.grid_values(z)
@@ -527,7 +528,7 @@ def test_full_step_is_the_deviation_step_about_zero(g, batch, noisy):
     at s = 1, bit for bit, over a whole march: the one stepper rests on it."""
     eng, z, dB, _, _ = _step_inputs(g, batch, 6, seed=11)
     kw = dict(noise_inc=dB, noise_scale=0.3) if noisy else {}
-    zero = np.zeros((eng.cfg.n_steps + 1, eng.cfg.n_points))
+    zero = np.zeros((eng.cfg.n_steps + 1, eng.cfg.n_modes))
     full, about_zero = eng.deviation_step(None, 1.0, **kw), eng.deviation_step(zero, 1.0, **kw)
     bufs = eng.scratch(batch)
     for k in range(eng.cfg.n_steps):

@@ -276,9 +276,10 @@ def _opens_for_writing(call):
     return not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
 
 
-def file_writers(source):
-    """``function:line`` of each call in ``source`` that can write a file, named
-    by its innermost enclosing function (``<module>`` at the top level)."""
+def calls_where(source, matches):
+    """``function:line`` of each call in ``source`` for which ``matches(call)``
+    holds, named by its innermost enclosing function (``<module>`` at the top
+    level)."""
     found = []
 
     def visit(node, where):
@@ -286,7 +287,7 @@ def file_writers(source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _opens_for_writing(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(f"{where}:{child.lineno}")
             visit(child, where)
 
@@ -305,9 +306,35 @@ def test_only_the_artifact_writer_opens_a_file_for_writing():
         "    def inner():\n        Path(p).write_text('x')\n    io.open(p, 'ab')\n"
         "open('log', 'r+')\n"
     )
-    assert file_writers(source) == ["save:5", "save:6", "inner:8", "save:9", "<module>:10"]
-    writers = [f"{p.name}:{w}" for p in MODULES for w in file_writers(p.read_text())]
+    want = ["save:5", "save:6", "inner:8", "save:9", "<module>:10"]
+    assert calls_where(source, _opens_for_writing) == want
+    writers = [
+        f"{p.name}:{w}" for p in MODULES for w in calls_where(p.read_text(), _opens_for_writing)
+    ]
     assert writers and all(w.startswith("cli.py:_write_artifacts:") for w in writers), writers
+
+
+def _synthesises_a_whole_grid(call):
+    """Whether ``call`` is ``x.grid_values()`` with no argument, the grid of
+    every step of a trajectory at once, (K + 1, n_points) entries."""
+    f, given = call.func, call.args + call.keywords
+    return isinstance(f, ast.Attribute) and f.attr == "grid_values" and not given
+
+
+def test_no_module_synthesises_a_whole_trajectory_grid():
+    """The stepper reads the reference path in coefficients and synthesises
+    its grid one step at a time, so no run holds a (K + 1, n_points) grid."""
+    source = (
+        "def f(traj, eng, a):\n    traj.grid_values(3)\n    eng.grid_values(a, out=a)\n"
+        "    return traj.grid_values()\ntraj.grid_values(k=None)\n"
+    )
+    assert calls_where(source, _synthesises_a_whole_grid) == ["f:4"]
+    whole = [
+        f"{p.name}:{c}"
+        for p in MODULES
+        for c in calls_where(p.read_text(), _synthesises_a_whole_grid)
+    ]
+    assert whole == []
 
 
 def byte_copies(source):
