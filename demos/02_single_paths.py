@@ -31,7 +31,7 @@ for k in range(0, cfg.n_steps + 1, cfg.n_steps // 5):
     du = det.grid_values(k)
     su = sto.grid_values(k)
     print(
-        f"{det.times[k]:<6.2f}  {grid.lp_norm(du, 2):<24.6f} "
+        f"{k * det.dt:<6.2f}  {grid.lp_norm(du, 2):<24.6f} "
         f"{grid.lp_norm(su, 2):<24.6f} {np.max(np.abs(du - su)):.4f}"
     )
 

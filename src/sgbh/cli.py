@@ -311,11 +311,12 @@ def _table(header, chunks):
 
 
 def _norms_table(traj):
-    """``norms.csv``: time, l2 and Lp norm per step, in chunks of 4096 rows,
-    each computing its own l2 column, so no (K + 1, J) temporary."""
-    spans = (slice(a, a + 4096) for a in range(0, len(traj.times), 4096))
+    """``norms.csv``: time, l2 and Lp norm per step, in chunks of 4096 rows, each
+    computing its own time and l2 columns (zip stops at the chunk's last row)."""
+    spans = (slice(a, a + 4096) for a in range(0, traj.n_steps + 1, 4096))
     chunks = (
-        zip(traj.times[s], np.linalg.norm(traj.coeffs[s], axis=1), traj.norms[s]) for s in spans
+        zip(traj.dt * np.arange(s.start, s.stop), np.linalg.norm(traj.coeffs[s], axis=1), traj.norms[s])
+        for s in spans
     )
     return _table(f"time,l2_norm,l{traj.norm_p}_norm", chunks)
 

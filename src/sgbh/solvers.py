@@ -170,19 +170,15 @@ class BlowupGuard:
 class Trajectory:
     """Uniform-in-time spectral trajectory; row k holds coefficients at k*dt."""
 
-    times: np.ndarray
+    dt: float
     coeffs: np.ndarray
     basis: object
     norm_p: int | None = None
     norms: np.ndarray | None = None
 
     @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
-
-    @property
     def n_steps(self):
-        return len(self.times) - 1
+        return len(self.coeffs) - 1
 
     @property
     def n_modes(self):
@@ -216,7 +212,7 @@ def load_trajectory(path):
 
     (n_points, n_modes, dt, n_steps), coeffs = _read_flat_binary(path, _TRAJ_HEADER, shape)
     basis = SpectralBasis(Grid1D(n_points), n_modes)
-    return Trajectory(times=dt * np.arange(n_steps + 1), coeffs=coeffs, basis=basis)
+    return Trajectory(dt=dt, coeffs=coeffs, basis=basis)
 
 
 class SolverEngine:
@@ -489,8 +485,7 @@ def _drive(eng, a0, step_fn, guard):
         out[k] = states[0]
 
     march(eng, [a0], [step_fn], observe)
-    times = eng.dt * np.arange(eng.cfg.n_steps + 1)
-    return Trajectory(times=times, coeffs=out, basis=eng.basis, norm_p=p, norms=norms)
+    return Trajectory(dt=eng.dt, coeffs=out, basis=eng.basis, norm_p=p, norms=norms)
 
 
 def solve_deterministic(u0, params, cfg, guard=None):

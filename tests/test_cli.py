@@ -269,17 +269,20 @@ def test_artifact_write_that_fails_partway_leaves_no_file(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
-    "solver, bound", [("deterministic", 2.0), ("spde", 3.0), ("clt", 4.5), ("mdp", 4.5)]
+    "solver, bound", [("deterministic", 1.45), ("spde", 2.3), ("clt", 3.5), ("mdp", 3.5)]
 )
 def test_simulate_writes_its_artifacts_without_copying_them(tmp_path, capsys, solver, bound):
     """simulate's tracemalloc peak at K = 50k steps, in units of the trajectory's
     coefficient bytes (3.2 MB here): the binary is written from a view of the
-    coefficients and the table in chunks, so neither is copied whole.  Measured:
-    1.53 (deterministic) and 2.64 (spde, which holds its 1x noise draw);
-    3.98-4.04 and 4.20-4.21 when both artifacts were built whole first.  clt and
-    mdp also hold the reference path's coefficients and read 3.66-3.94; they read
-    42.3 and 28.3 when the stepper took u0's whole grid (8 units alone, n = 64)
-    and precomputed its drift or linearization profiles for every step."""
+    coefficients and the table in chunks, each with its own time and l2
+    columns, so neither is copied whole and no (K + 1,) time axis is built.
+    Measured: 1.37 (deterministic), 2.14 (spde, which holds its 1x noise draw),
+    3.27 (clt and mdp, which also hold the reference path's coefficients);
+    1.49, 2.41 and 3.66 when the trajectory stored its times; 3.98-4.04 and
+    4.20-4.21 (deterministic and spde) when both artifacts were built whole
+    first; 42.3 (clt) and 28.3 (mdp) when the stepper took u0's whole grid
+    (8 units alone, n = 64) and precomputed its drift or linearization
+    profiles for every step."""
     import tracemalloc
 
     cfg = _write(

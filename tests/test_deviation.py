@@ -24,7 +24,13 @@ from sgbh.deviation import (
 from sgbh.model import ModelParams, NoiseCoefficient
 from sgbh.montecarlo import EnsembleSpec, _heat_weights, run_mdp_tail, run_strong_rate
 from sgbh.noise import ControlPath, NoiseSpec, sample_noise
-from sgbh.solvers import SolverConfig, solve_clt_limit, solve_deterministic, solve_skeleton
+from sgbh.solvers import (
+    SolverConfig,
+    solve_clt_limit,
+    solve_controlled,
+    solve_deterministic,
+    solve_skeleton,
+)
 from sgbh.spectral import Field, Grid1D
 
 
@@ -350,6 +356,56 @@ def test_gramian_is_the_gram_matrix_of_the_endpoint_map(cli_defaults):
         cmap.adjoint(np.eye(cfg.n_modes)[:3]).reshape(3, -1), rows[:3], rtol=0,
         atol=1e-14 * np.abs(rows).max(),
     )
+
+
+# --- the weak-convergence lemma ----------------------------------------------------
+
+
+def _sup_l2_rms(paths, ref):
+    """RMS over the paths of sup_t ||z - ref||_2; the sine basis is orthonormal,
+    so the coefficients' Euclidean norm is the L^2 norm."""
+    sups = [np.linalg.norm(z.coeffs - ref, axis=1).max() for z in paths]
+    return float(np.sqrt(np.mean(np.square(sups))))
+
+
+def test_controlled_processes_converge_to_the_skeleton():
+    """The weak-convergence step of the MDP (Budhiraja & Dupuis 2000): for a
+    control h of finite action, Z^{eps,h} -> Z_h as eps -> 0.  Their gap has a
+    noise part of weight 1/lambda = eps^theta and a nonlinear part of scale
+    s = eps^(1/2 - theta), so the RMS over 8 paths of sup_t ||Z^{eps,h} - Z_h||_2
+    falls at order min(theta, 1/2 - theta).  The CLI's default model at
+    J = J_noise = 8, n = 64, K = 50; h is the minimum-energy control to
+    psi = (0.3, -0.2, 0, ...), I(psi) = 2.05.  Fitted orders over
+    eps = 1e-2 ... 1e-6, seeds 0-19: 0.1000-0.1047 at theta = 0.1 and
+    0.2519-0.2563 at 0.25.  At theta = 0.4 the local order still falls toward
+    0.1 (fits 0.127-0.179), so only a decrease is asserted.  Swapping s and
+    1/lambda maps theta to 1/2 - theta, which the orders cannot see at 0.25;
+    the magnitudes can: at eps = 1e-6 the gap is 0.073-0.115 at theta = 0.1
+    against 0.0168-0.0176 at theta = 0.4."""
+    config = RunConfig.parse(
+        "[noise]\nn_modes = 8\n[solver]\ndt = 0.005\nn_modes = 8\nn_points = 64\n"
+    )
+    params, cfg = config.model_params(), config.solver_config()
+    spec, g = config.noise_spec(), config.noise_coefficient()
+    u0 = solve_deterministic(config.initial_data(cfg), params, cfg)
+    psi = np.zeros(cfg.n_modes)
+    psi[:2] = 0.3, -0.2
+    res, h = rate_function_endpoint(psi, u0, params, g, cfg, noise_spec=spec)
+    zh = solve_skeleton(u0, params, g, h, cfg, noise_spec=spec).coeffs
+    assert res["converged"] and np.linalg.norm(zh[-1] - psi) <= 1e-9
+    noises = [sample_noise(spec, cfg.dt, cfg.n_steps, seed=0, path_index=i) for i in range(8)]
+    eps_list = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+
+    def gap(theta, eps):
+        speed = SpeedFunction(theta)
+        paths = [solve_controlled(u0, params, g, eps, speed, w, h, cfg) for w in noises]
+        return _sup_l2_rms(paths, zh)
+
+    gaps = {theta: [gap(theta, eps) for eps in eps_list] for theta in (0.1, 0.25, 0.4)}
+    orders = {t: np.polyfit(np.log(eps_list), np.log(row), 1)[0] for t, row in gaps.items()}
+    assert 0.095 <= orders[0.1] <= 0.11 and 0.245 <= orders[0.25] <= 0.265, (orders, gaps)
+    assert np.all(np.diff(gaps[0.4]) < 0), gaps[0.4]
+    assert gaps[0.1][-1] > 3 * gaps[0.4][-1], gaps
 
 
 # --- tail statistics ------------------------------------------------------------

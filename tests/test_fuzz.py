@@ -143,7 +143,7 @@ _SAVED = {
         trajectory_bytes,
         struct.Struct("<qqdq"),
         Trajectory(
-            times=0.01 * np.arange(6),
+            dt=0.01,
             coeffs=_RNG.standard_normal((6, 3)),
             basis=SpectralBasis(Grid1D(16), 3),
         ),

@@ -100,7 +100,7 @@ def test_pure_heat_decay_is_exact():
     traj = solve_deterministic(c0, params, cfg)
     assert traj.coeffs[-1, 0] == pytest.approx(np.exp(-0.1 * np.pi**2 * 0.25), rel=1e-12)
     np.testing.assert_allclose(traj.coeffs[-1, 1:], 0.0, atol=1e-15)
-    assert traj.times[-1] == pytest.approx(0.25, rel=1e-12)
+    assert traj.n_steps * traj.dt == pytest.approx(0.25, rel=1e-12)
 
 
 def _fd_reference(params, t_end, n_fd):
@@ -567,7 +567,7 @@ def test_trajectory_accessors_and_round_trip(tmp_path):
     path.write_bytes(b"".join(trajectory_bytes(u0)))
     back = load_trajectory(path)
     assert np.array_equal(back.coeffs, u0.coeffs)
-    np.testing.assert_allclose(back.times, u0.times, atol=1e-15)
+    assert back.dt == u0.dt and back.n_steps == u0.n_steps
     assert back.basis.grid.n_points == cfg.n_points
 
 
@@ -602,7 +602,7 @@ def test_artifacts_in_chunks_are_the_one_piece_files(tmp_path):
     rng = np.random.default_rng(7)
     k = 9000  # 9001 rows: three chunks of the table, the last one short
     traj = Trajectory(
-        times=1e-4 * np.arange(k + 1),
+        dt=1e-4,
         coeffs=rng.standard_normal((k + 1, 8)),
         basis=SpectralBasis(Grid1D(32), 8),
         norm_p=8,
@@ -610,7 +610,7 @@ def test_artifacts_in_chunks_are_the_one_piece_files(tmp_path):
     )
     chunks = list(_norms_table(traj))
     assert len(chunks) == 4 and chunks[0] == "time,l2_norm,l8_norm\n"
-    rows = zip(traj.times, np.linalg.norm(traj.coeffs, axis=1), traj.norms)
+    rows = zip(1e-4 * np.arange(k + 1), np.linalg.norm(traj.coeffs, axis=1), traj.norms)
     whole = "time,l2_norm,l8_norm\n" + "".join(
         f"{float(t)!r},{float(a)!r},{float(b)!r}\n" for t, a, b in rows
     )
@@ -625,14 +625,14 @@ def test_artifacts_in_chunks_are_the_one_piece_files(tmp_path):
     assert np.array_equal(load_control(path).hdot, h.hdot)
 
 
-@pytest.mark.parametrize("kind, bound", [("trajectory", 1.5), ("control", 1.25)])
+@pytest.mark.parametrize("kind, bound", [("trajectory", 1.1), ("control", 1.25)])
 def test_loaders_hold_one_copy_of_the_file(tmp_path, kind, bound):
     """A loader's tracemalloc peak on a K = 50k file, in units of its payload
     (3.2 MB): the payload is read into one array, which the trajectory and
-    the control keep without a copy.  The trajectory also builds its (K + 1,)
-    times from an integer range, a quarter of the payload at J = 8.
-    Measured: 1.27 and 1.00; 2.13 and 2.00 when the whole file was read into
-    bytes and the payload copied out of them."""
+    the control keep without a copy, and a trajectory keeps its step, not a
+    time axis.  Measured: 1.01 and 1.00; 1.27 for the trajectory when it built
+    its (K + 1,) times, a quarter of the payload at J = 8; 2.13 and 2.00 when
+    the whole file was read into bytes and the payload copied out of them."""
     import tracemalloc
 
     rng = np.random.default_rng(3)
@@ -640,7 +640,7 @@ def test_loaders_hold_one_copy_of_the_file(tmp_path, kind, bound):
     path = tmp_path / f"{kind}.bin"
     if kind == "trajectory":
         traj = Trajectory(
-            times=1e-5 * np.arange(k + 1),
+            dt=1e-5,
             coeffs=rng.standard_normal((k + 1, j)),
             basis=SpectralBasis(Grid1D(64), j),
         )
@@ -670,6 +670,6 @@ def test_trajectory_csv_format():
     assert len(lines) == cfg.n_steps + 2
     assert "np.float64" not in text
     data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data[:, 0], u0.times, atol=1e-15)
+    np.testing.assert_allclose(data[:, 0], u0.dt * np.arange(cfg.n_steps + 1), atol=1e-15)
     np.testing.assert_allclose(data[:, 1], np.linalg.norm(u0.coeffs, axis=1), rtol=1e-15)
     np.testing.assert_allclose(data[:, 2], u0.norms, rtol=1e-15)
