@@ -9,15 +9,17 @@ the same summation order whether the blocks run inline or on a process pool,
 so reports are byte-identical for a given (spec, config) on a given machine.
 
 Each runner builds what its blocks read before any block starts and binds it
-to its block function with ``functools.partial``; blocks read it inline or,
-pickled, on the pool workers.  The three marching runners (strong rate, CLT,
-MDP tail) share one path, ``_run_marching``: it builds the engine and solves
-the reference path, and each block (``_block_march``) draws its increments
-once and marches every eps with them, returning a sup and a guard-trip mask
-per eps.  The runners differ only in their per-eps march (the states, steps
-and statistic that ``_censored_march`` runs) and in their verdict.  The
-runner called is the experiment and names its report.  A march writes its
-(paths x n_points) work into a few buffers that ``march`` allocates once.
+to its block function with ``functools.partial``; blocks read it inline or on
+the pool workers, each of which receives it once.  The three marching
+runners (strong rate, CLT, MDP tail) share one path, ``_run_marching``: it
+builds the engine and solves the reference path, and each block
+(``_block_march``) draws its increments once and advances every eps with
+them in one time loop (``_censored_march``), returning a sup and a
+guard-trip mask per eps.  The runners differ only in their per-eps lane (the
+state, step and statistic that loop runs), clt's limit marched once beside
+the lanes, and their verdict.  The runner called is the experiment and names
+its report.  A block writes its (paths x n_points) work into a few buffers
+that its march allocates once.
 
 Each runner returns its report as the JSON document the CLI writes: plain
 Python values in the key order of ``report.json``, with a statistic that has
@@ -41,13 +43,14 @@ import functools
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .deviation import SpeedFunction, wilson_interval
 from .model import NoiseCoefficient
 from .noise import sample_noise
-from .solvers import BlowupGuard, SetupError, SolverEngine, _check_entries, march, solve_deterministic
+from .solvers import BlowupGuard, SetupError, SolverEngine, _check_entries, solve_deterministic
 from .spectral import Field
 
 __all__ = [
@@ -168,12 +171,24 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
+_worker_block = None  # a pool worker's block function, set by its initializer
+
+
+def _install_block(block):
+    global _worker_block
+    _worker_block = block
+
+
+def _run_worker_block(start, stop):
+    return _worker_block(start, stop)
+
+
 def _run_blocks(block, spec, workers):
     """Run ``block(start, stop)`` over the blocks in order, inline or on a pool
     of min(workers, blocks, available CPUs) processes (the pool starts every
     worker at its first submit).  A runner binds what its block reads with
-    ``functools.partial`` over a module-level function, so the pool pickles it
-    with each block."""
+    ``functools.partial`` over a module-level function; the pool's initializer
+    hands it to each worker once, so a block's task carries only its span."""
     spans = _block_spans(spec.n_paths, spec.block_size)
     workers = min(workers, len(spans), _available_cpus())
     if workers <= 1:
@@ -182,8 +197,10 @@ def _run_blocks(block, spec, workers):
 
     if (line := _blas_oversubscription(workers)) is not None:
         print(line, file=sys.stderr)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block, a, b) for a, b in spans]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_block, initargs=(block,)
+    ) as pool:
+        futures = [pool.submit(_run_worker_block, a, b) for a, b in spans]
         return [fut.result() for fut in futures]
 
 
@@ -197,87 +214,128 @@ def _block_increments(eng, seed, start, stop):
     return inc
 
 
+class _Shared(NamedTuple):
+    """What a block's lanes read alike at step k (the limit's None without one)."""
+
+    u0_grid: np.ndarray
+    u0_norm: float
+    v_grid: np.ndarray | None
+    v_norm: np.ndarray | None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a trip or a censored path
-def _censored_march(eng, guard, states, steps, observe):
-    """March a block of paths and keep each path's running sup of a statistic.
+def _censored_march(eng, guard, u0_coeffs, inc, lanes, limit=None):
+    """March a block's lanes, one per eps, in one time loop; return each
+    lane's (B,) sup of its statistic and trip mask.
 
-    ``states`` are (B, J) arrays advanced by the matching ``steps``;
-    ``observe(k, work, *grids)`` returns the per-path statistic and the norm
-    the guard watches, ``work`` being the march's (B, n_points) work buffer.
-    A path dies at its first guard trip or non-finite statistic: its rows are
-    zeroed from then on and it keeps the sup over the steps strictly before
-    (censoring excludes the crossing).  Returns the (B,) sups and trip mask.
+    A lane is (state, step, observe); ``limit`` is a (state, step) marched once
+    beside them and never censored (clt's v: a path dead at one eps lives at
+    another).  Step k builds once what the lanes share (``_Shared``, and the
+    noise grid of inc[k] when kappa1 != 0); each lane then synthesises its
+    grid into the one buffer all lanes share, observes and steps.
+    ``observe(work, grid, shared)`` returns the statistic, a bound on the
+    guard's norm and a function giving that norm exactly, called only when a
+    live path's bound is not below (1 - 1e-9) times the threshold, so trips
+    are exact.  A path dies at its first trip or non-finite statistic: its
+    rows are zeroed from then on and its sup covers the steps strictly before.
     """
-    B = states[0].shape[0]
-    alive = np.ones(B, dtype=bool)
-    tripped = np.zeros(B, dtype=bool)
-    supv = np.zeros(B)
+    K, p = eng.cfg.n_steps, eng.params.p_norm
+    B = inc.shape[1]
+    certified = guard.threshold * (1 - 1e-9)
+    states = [x for x, _, _ in lanes]
+    alive = [np.ones(B, dtype=bool) for _ in lanes]
+    trips = [np.zeros(B, dtype=bool) for _ in lanes]
+    sups = [np.zeros(B) for _ in lanes]
+    v, v_step = (None, None) if limit is None else limit
+    bufs = eng.scratch((B,))
+    grid = noise = v_grid = v_norm = None
+    for k in range(K + 1):
+        u0_grid = eng.grid_values(u0_coeffs[k])
+        if v is not None:
+            v_grid = eng.grid_values(v, out=v_grid)
+            v_norm = eng.grid.lp_norm(v_grid, p, bufs[0])
+        shared = _Shared(u0_grid, eng.grid.lp_norm(u0_grid, p), v_grid, v_norm)
+        if k < K and eng.g.kappa1 != 0.0:
+            noise = eng.colored_increment_grid(inc[k], out=noise)
+        row = (u0_grid, None if noise is None else (noise,))
+        for i, (_, step, observe) in enumerate(lanes):
+            grid = eng.grid_values(states[i], out=grid)
+            stat, bound, exact = observe(bufs[0], grid, shared)
+            ok = alive[i] & np.isfinite(stat)
+            if np.any(ok & ~(bound < certified)):
+                ok &= ~guard.trips(exact())
+            np.maximum(sups[i], stat, out=sups[i], where=ok)
+            if not ok.all():  # zero the dead paths' rows
+                dead = ~ok
+                trips[i] |= alive[i] & dead
+                alive[i] = ok
+                states[i][dead] = 0.0
+                grid[dead] = 0.0
+            if k < K:
+                states[i] = step(k, states[i], grid, bufs, row)
+        if v is not None and k < K:
+            v = v_step(k, v, v_grid, bufs, row)
+    return list(zip(sups, trips))
 
-    def censor(k, states, grids, work):
-        nonlocal alive
-        stat, norm = observe(k, work, *grids)
-        ok = alive & ~guard.trips(norm) & np.isfinite(stat)
-        np.maximum(supv, stat, out=supv, where=ok)
-        if ok.all():
-            return  # no path is dead: nothing to zero
-        dead = ~ok
-        tripped[alive & dead] = True
-        alive = ok
-        for x in (*states, *grids):
-            x[dead] = 0.0
 
-    march(eng, states, steps, censor)
-    return supv, tripped
-
-
-def _block_march(paths, eng, spec, u0_coeffs, start, stop):
+def _block_march(paths, eng, spec, u0_coeffs, start, stop, limit=None):
     """A block of a marching ensemble: (sup, tripped) of (B,) arrays per eps.
     The block's increments are drawn once and drive every eps, so each path is
-    coupled across eps; ``paths(eng, u0_coeffs, inc, eps)`` returns the
-    (states, steps, observe) that ``_censored_march`` runs at one eps."""
+    coupled across eps; ``paths(eng, u0_coeffs, inc, eps)`` returns one eps's
+    lane, ``limit(eng, u0_coeffs, inc)`` the limit marched beside them."""
     inc = _block_increments(eng, spec.base_seed, start, stop)
-    return [
-        _censored_march(eng, spec.guard, *paths(eng, u0_coeffs, inc, eps))
-        for eps in spec.eps_list
-    ]
+    lanes = [paths(eng, u0_coeffs, inc, eps) for eps in spec.eps_list]
+    limit = None if limit is None else limit(eng, u0_coeffs, inc)
+    return _censored_march(eng, spec.guard, u0_coeffs, inc, lanes, limit)
 
 
 def _strong_rate_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
 
-    def observe(k, work, u_grid):
-        diff = np.subtract(u_grid, eng.grid_values(u0_coeffs[k]), out=work)
-        return eng.grid.lp_integral(diff, p, work), eng.grid.lp_norm(u_grid, p, work)
+    def observe(work, u_grid, shared):
+        np.copyto(work, u_grid)  # then subtract the row in place: no broadcast into work
+        work -= shared.u0_grid
+        stat = eng.grid.lp_integral(work, p, work)
+        # Minkowski: ||u||_p <= ||u - u0||_p + ||u0||_p
+        return stat, stat ** (1.0 / p) + shared.u0_norm, lambda: eng.grid.lp_norm(u_grid, p, work)
 
     step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(eps))
-    return [np.tile(u0_coeffs[0], (inc.shape[1], 1))], [step], observe
+    return np.tile(u0_coeffs[0], (inc.shape[1], 1)), step, observe
 
 
 def _clt_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
     s = np.sqrt(eps)
 
-    def observe(k, work, zg, vg):
-        stat = eng.grid.lp_norm(np.subtract(zg, vg, out=work), p, work)
-        u0_grid = eng.grid_values(u0_coeffs[k])
-        u = np.add(u0_grid, np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
-        return stat, eng.grid.lp_norm(u, p, work)
+    def observe(work, zg, shared):
+        stat = eng.grid.lp_norm(np.subtract(zg, shared.v_grid, out=work), p, work)
 
-    # z at scale s, and the CLT limit v (s = 0) on the same increments
-    steps = [eng.deviation_step(u0_coeffs, scale, noise_inc=inc) for scale in (s, 0.0)]
-    B, J = inc.shape[1], eng.cfg.n_modes
-    return [np.zeros((B, J)), np.zeros((B, J))], steps, observe
+        def norm():
+            u = np.add(shared.u0_grid, np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
+            return eng.grid.lp_norm(u, p, work)
+
+        # Minkowski: ||u0 + s z||_p <= ||u0||_p + s (||z - v||_p + ||v||_p)
+        return stat, shared.u0_norm + s * (stat + shared.v_norm), norm
+
+    step = eng.deviation_step(u0_coeffs, s, noise_inc=inc)
+    return np.zeros((inc.shape[1], eng.cfg.n_modes)), step, observe
+
+
+def _clt_limit(eng, u0_coeffs, inc):
+    """The CLT limit v (s = 0) on the block's increments, which every eps's z reads."""
+    step = eng.deviation_step(u0_coeffs, 0.0, noise_inc=inc)
+    return np.zeros((inc.shape[1], eng.cfg.n_modes)), step
 
 
 def _mdp_paths(eng, u0_coeffs, inc, eps, speed, p):
     s, noise_scale = speed.scales(eps)
 
-    def observe(k, work, zg):
+    def observe(work, zg, shared):
         stat = eng.grid.lp_norm(zg, p, work)
-        return stat, stat
+        return stat, stat, lambda: stat
 
     step = eng.deviation_step(u0_coeffs, s, inc, noise_scale)
-    return [np.zeros((inc.shape[1], eng.cfg.n_modes))], [step], observe
+    return np.zeros((inc.shape[1], eng.cfg.n_modes)), step, observe
 
 
 def _block_heat(eng, weights, seed, start, stop):
@@ -297,9 +355,10 @@ def _block_heat(eng, weights, seed, start, stop):
 # runners ---------------------------------------------------------------------
 
 
-def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers):
+def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers, limit=None):
     """Run a marching ensemble and return (sups, trips), each (n_eps, n_paths)
-    in path order; ``paths`` is the per-eps march that ``_block_march`` runs.
+    in path order; ``paths`` and ``limit`` are the lanes and limit that
+    ``_block_march`` marches.
     The engine, the bound checks and the reference solve (from ``u0``, the
     parabolic bump when None) come before any worker starts, so setup errors
     surface first.  Blocks read the reference path in coefficients and
@@ -312,7 +371,8 @@ def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers):
     _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
     u0 = default_initial(eng.grid) if u0 is None else u0
     u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    blocks = _run_blocks(functools.partial(_block_march, paths, eng, spec, u0_coeffs), spec, workers)
+    block = functools.partial(_block_march, paths, eng, spec, u0_coeffs, limit=limit)
+    blocks = _run_blocks(block, spec, workers)
     sups = np.concatenate([[sup for sup, _ in b] for b in blocks], axis=1)
     trips = np.concatenate([[trip for _, trip in b] for b in blocks], axis=1)
     return sups, trips
@@ -417,7 +477,9 @@ def run_clt(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
         params.validate_for_clt()
     except ValueError as exc:
         raise SetupError(str(exc)) from None
-    sups, trips = _run_marching(_clt_paths, spec, params, g, cfg, noise_spec, u0, workers)
+    sups, trips = _run_marching(
+        _clt_paths, spec, params, g, cfg, noise_spec, u0, workers, limit=_clt_limit
+    )
 
     def checks(fit, mean):
         return {

@@ -29,12 +29,14 @@ equation are integrated.
 
 Since N(0) = 0, the full equation is the deviation equation about u0 = 0 at
 s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``.
-One time loop, ``march``, advances it for the single-path solvers here, the
-marching ensembles' blocks in ``montecarlo`` and ``EndpointControlMap.forward``,
-and owns every grid buffer a march writes; the control map's ``matrix`` and
-the heat oracle's ``_heat_weights`` call the stepper directly, with one
-``SolverEngine.scratch`` each.  The discrete stopping time is ``BlowupGuard``:
-single paths raise at its first trip, ensembles censor the paths that trip.
+One time loop, ``march``, advances it for the single-path solvers here and
+``EndpointControlMap.forward``, and owns every grid buffer a march writes;
+the marching ensembles' blocks in ``montecarlo`` advance every eps in one
+loop of their own, which hands each step the row the eps share.  The control
+map's ``matrix`` and the heat oracle's ``_heat_weights`` call the stepper
+directly, with one ``SolverEngine.scratch`` each.  The discrete stopping time
+is ``BlowupGuard``: single paths raise at its first trip, ensembles censor the
+paths that trip.
 """
 
 import struct
@@ -311,15 +313,18 @@ class SolverEngine:
         """r project(c + kappa1 u w / r) + a project_divergence(f) + the kappa0
         modes, for react = (c, r) and adv = (f, a), each None when absent.
 
-        ``forcings`` holds (c, dB) pairs of a weight and (..., J_noise) mode
-        increments, w = sum c sum_j q_j phi_j dB_j.  Of g = kappa0 + kappa1 u the
+        ``forcings`` holds (c, dB, W) triples of a weight, (..., J_noise) mode
+        increments and their unscaled grid W = sum_j q_j phi_j dB_j, or None
+        to synthesise it here; w = sum c W.  Of g = kappa0 + kappa1 u the
         kappa0 part projects to kappa0 q_j dB_j exactly (the sine modes are
         discretely orthonormal on the grid), zero beyond J_noise, so only
-        kappa1 != 0 takes the grid product and reads ``u_grid``.  The weights
-        scale mode coefficients, a pass over (B, J) where the grid is (B, n); the
-        grid fields are written in place, w into ``w_out``, which may hold f (projected
-        first).  Every input has the batch axes of ``shape``, the state's, except that
-        ``u_grid`` may be one grid row.  Returns a new array of ``shape``.
+        kappa1 != 0 takes the grid product, reads W and ``u_grid``.  Each W is
+        scaled on the grid, so a W shared by several weights gives each the bits
+        it would synthesise alone.  The weights scale mode coefficients, a pass
+        over (B, J) where the grid is (B, n); the grid fields are written in
+        place, w into ``w_out``, which may hold f (projected first).  Every input
+        has the batch axes of ``shape``, the state's, except that ``u_grid`` may
+        be one grid row.  Returns a new array of ``shape``.
         """
         out = None
         if adv is not None:
@@ -331,10 +336,12 @@ class SolverEngine:
             field, weight = (None, 1.0) if react is None else react
             if kappa1 != 0.0:
                 scale = kappa1 / weight
-                (c, x), *rest = forcings
-                w = self.colored_increment_grid((c * scale) * x, out=w_out)
-                for c, x in rest:
-                    w += self.colored_increment_grid((c * scale) * x)
+                (c, x, wg), *rest = forcings
+                if wg is None:
+                    wg = w_out = self.colored_increment_grid(x, out=w_out)
+                w = np.multiply(wg, c * scale, out=w_out)
+                for c, x, wg in rest:
+                    w += (c * scale) * (self.colored_increment_grid(x) if wg is None else wg)
                 w *= u_grid
                 field = w if field is None else np.add(field, w, out=field)
             modes = self.project(field)
@@ -342,7 +349,7 @@ class SolverEngine:
             out = modes if out is None else np.add(out, modes, out=out)
         if out is None:
             out = np.zeros(shape)
-        for c, x in forcings:
+        for c, x, _ in forcings:
             jn = x.shape[-1]
             k0 = self.kappa0_q[:jn] * x
             k0 *= c
@@ -381,15 +388,19 @@ class SolverEngine:
         """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control;
         ``u_grid`` is read only when kappa1 != 0."""
         shape = mode_increments.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, None, None, u_grid, ((1.0, mode_increments),))
+        return self._explicit_modes(shape, None, None, u_grid, ((1.0, mode_increments, None),))
 
     # the stepper ------------------------------------------------------------
     #
-    # A step is step(k, state, state_grid, bufs) -> state at step k + 1, a new
-    # array.  It writes only into ``bufs``, a ``scratch`` for the state's batch
-    # shape, whose contents are dead once it returns.  Increment buffers are
-    # step-major: inc[k] holds the (..., J_noise) increments of step k, so a
-    # single path passes ``noise.increments.T``.
+    # A step is step(k, state, state_grid, bufs, row) -> state at step k + 1,
+    # a new array.  It writes only into ``bufs``, a ``scratch`` for the
+    # state's batch shape, whose contents are dead once it returns.  Increment
+    # buffers are step-major: inc[k] holds the (..., J_noise) increments of
+    # step k, so a single path passes ``noise.increments.T``.  The optional
+    # ``row`` is what step k reads alike at every scale, (u0's grid row, the
+    # increments' unscaled grids), each None to build it in the step: an
+    # ensemble block that steps several scales on one u0 and one draw builds it
+    # once per k.
 
     def scratch(self, batch=()):
         """Three (*batch, n_points) grid buffers for a step's work."""
@@ -405,8 +416,9 @@ class SolverEngine:
         reference path's (K + 1, J) coefficients; no ``u0`` means u0 = 0 at
         s = 1, the full equation (N(0) = 0): u = z, read only for a drift or a
         kappa1 != 0 forcing, so the pure heat case may pass None.  Step k
-        builds what it needs of u0 from row k alone: its grid, then the N(u0)
-        that the quotient subtracts, or at s = 0 ``linearization_profiles``.
+        builds what it needs of u0 from row k alone: its grid (the row's when
+        given), then the N(u0) that the quotient subtracts, or at s = 0
+        ``linearization_profiles``.
         """
         dt = self.dt
         full, linear = u0 is None, s == 0.0
@@ -414,10 +426,12 @@ class SolverEngine:
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
 
-        def step(k, z, z_grid, bufs):
-            forcings = [(c, inc[k]) for c, inc in drives]
+        def step(k, z, z_grid, bufs, row=(None, None)):
+            u0_grid, grids = row
+            grids = grids or (None,) * len(drives)
+            forcings = [(c, inc[k], w) for (c, inc), w in zip(drives, grids)]
             ref = None
-            u_grid = z_grid if full else self.grid_values(u0[k])
+            u_grid = z_grid if full else self.grid_values(u0[k]) if u0_grid is None else u0_grid
             if linear:
                 fields = self._linear_fields(z_grid, *self.linearization_profiles(u_grid), dt, bufs)
             else:

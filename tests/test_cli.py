@@ -269,7 +269,9 @@ def test_artifact_write_that_fails_partway_leaves_no_file(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
-    "solver, bound", [("deterministic", 1.45), ("spde", 2.3), ("clt", 3.5), ("mdp", 3.5)]
+    "solver, bound",
+    [("deterministic", 1.45), ("spde", 2.3), ("clt", 3.5), ("mdp", 3.5)],
+    ids=["deterministic", "spde", "clt", "mdp"],  # the solver alone: a bound may move
 )
 def test_simulate_writes_its_artifacts_without_copying_them(tmp_path, capsys, solver, bound):
     """simulate's tracemalloc peak at K = 50k steps, in units of the trajectory's

@@ -264,8 +264,10 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)  # what each worker runs once, at its start
 
         def __enter__(self):
             return self
@@ -334,6 +336,44 @@ def test_pool_names_user_set_blas_threads_on_stderr(pool_sizes, monkeypatch, cap
     else:
         assert err.count("\n") == 1 and line in err
         assert err.endswith(" threads on 64 CPUs\n")
+
+
+def test_a_pool_sends_each_worker_the_block_once(monkeypatch):
+    """A pool task pickles its span alone: the runner's bound block function,
+    which holds the engine and the reference path, reaches each worker once,
+    through the pool's initializer, and not with every block."""
+    import concurrent.futures
+    import pickle
+
+    import sgbh.montecarlo as montecarlo
+
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    installed, tasks = [], []
+
+    class PicklingExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            installed.append(len(pickle.dumps(initargs)))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            tasks.append(len(pickle.dumps((fn, args))))
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingExecutor)
+    spec = EnsembleSpec(n_paths=12, base_seed=21, eps_list=[0.5, 0.25, 0.125], block_size=4)
+    got = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8, workers=2)
+    assert len(installed) == 1 and installed[0] > 10_000
+    assert len(tasks) == 3 and max(tasks) < 200
+    inline = run_strong_rate(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
+    assert json.dumps(got) == json.dumps(inline)
 
 
 def test_block_allocations_are_bounded():
@@ -737,70 +777,133 @@ def test_guard_thresholds_must_be_positive(thr):
         BlowupGuard(thr)
 
 
+def _block_parts(kind):
+    """A marching runner's per-eps lane builder and its limit (None but clt's)."""
+    import functools
+
+    from sgbh.montecarlo import _clt_limit, _clt_paths, _mdp_paths, _strong_rate_paths
+
+    return {
+        "strong-rate": (_strong_rate_paths, None),
+        "clt": (_clt_paths, _clt_limit),
+        "mdp-tail": (functools.partial(_mdp_paths, speed=SpeedFunction(0.25), p=2), None),
+    }[kind]
+
+
+def _lanes(kind, eng, u0, inc, eps_list):
+    """A block's fresh lanes and limit: a march zeroes dead rows in place."""
+    paths, limit = _block_parts(kind)
+    lanes = [paths(eng, u0, inc, eps) for eps in eps_list]
+    return lanes, None if limit is None else limit(eng, u0, inc)
+
+
 @pytest.mark.parametrize("kind", ["strong-rate", "clt", "mdp-tail"])
 def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
     """The tracemalloc peak of one block's march above its inputs, at the
-    default grid, in (B, n_points) buffers: each state's grid and one scratch
-    of three buffers that every step of the march shares, plus under one
-    buffer of (B, J) mode arrays.  Steppers that each kept their own scratch
-    took clt to 8.9 buffers and mdp-tail to 5.65."""
-    import functools
+    default grid and three eps, in (B, n_points) buffers: one grid per state
+    slot (the lanes' shared grid, and clt's limit's), one scratch of three
+    buffers that every step of the march shares and the shared noise grid,
+    plus about one buffer of (B, J) mode arrays: 5.9 for strong-rate and
+    mdp-tail, 7.1 for clt.  Steppers that each kept their own scratch took
+    clt to 8.9 buffers and mdp-tail to 5.65 at one eps; a grid per eps would
+    take strong-rate above 7 and clt above 8."""
     import tracemalloc
 
-    from sgbh.montecarlo import (
-        _block_increments,
-        _censored_march,
-        _clt_paths,
-        _mdp_paths,
-        _strong_rate_paths,
-    )
+    from sgbh.montecarlo import _block_increments, _censored_march
 
-    paths = {
-        "strong-rate": _strong_rate_paths,
-        "clt": _clt_paths,
-        "mdp-tail": functools.partial(_mdp_paths, speed=SpeedFunction(0.25), p=2),
-    }[kind]
     B, cfg = 128, SolverConfig(dt=1e-3, t_end=0.05, n_modes=32, n_points=256)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=NoiseSpec(n_modes=32, eta=0.3))
     u0 = solve_deterministic(default_initial(eng.grid), DESK, cfg).coeffs
     inc = _block_increments(eng, 3, 0, B)
     peaks = []
     for _ in range(2):  # the first march's one-off allocations are not the march's
-        states, steps, observe = paths(eng, u0, inc, 1e-3)
+        lanes, limit = _lanes(kind, eng, u0, inc, (1e-2, 1e-3, 1e-4))
+        states = [x for x, _, _ in lanes] + ([] if limit is None else [limit[0]])
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            _censored_march(eng, BlowupGuard(), states, steps, observe)
+            _censored_march(eng, BlowupGuard(), u0, inc, lanes, limit)
             peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
     assert peaks[1] / (B * cfg.n_points * 8) < len(states) + 3 + 1
 
 
-# --- censoring fast path ----------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
+    """In one block, u0's grid row and the noise grid are synthesised once per
+    step whatever the number of eps, and clt's limit v takes K steps, not
+    K n_eps (each of v's steps reads u0's linearization once)."""
+    import sgbh.montecarlo as mc
+
+    counts = {}
+
+    def count(name, when=lambda args: True):
+        fn = getattr(SolverEngine, name)
+
+        def counted(self, *args, **kwargs):
+            if when(args):
+                counts[name] = counts.get(name, 0) + 1
+            return fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolverEngine, name, counted)
+
+    count("grid_values", lambda args: np.ndim(args[0]) == 1)  # a row, not a block's grid
+    count("colored_increment_grid")
+    count("linearization_profiles")
+    K = 5
+    cfg = SolverConfig(dt=0.01, t_end=K * 0.01, n_modes=8, n_points=64)
+    eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=SPEC8)
+    u0 = solve_deterministic(default_initial(eng.grid), DESK, cfg).coeffs
+    paths, limit = _block_parts(kind)
+    for eps_list in ((0.5,), (0.5, 0.25, 0.125)):
+        counts.clear()
+        spec = EnsembleSpec(n_paths=4, base_seed=5, eps_list=eps_list)
+        mc._block_march(paths, eng, spec, u0, 0, 4, limit=limit)
+        assert counts.get("grid_values") == K + 1
+        assert counts.get("colored_increment_grid") == K
+        assert counts.get("linearization_profiles", 0) == (K if kind == "clt" else 0)
 
 
-def _censored_march_masked(eng, guard, states, steps, observe):
-    """Reference censoring loop: the masked sup update and the masked zeroing
-    run at every step, whether or not a path has died."""
-    B = states[0].shape[0]
-    alive = np.ones(B, dtype=bool)
-    tripped = np.zeros(B, dtype=bool)
-    supv = np.zeros(B)
+# --- censoring: the fast path and the guard certificate ---------------------------------
 
-    def censor(k, states, grids, work):
-        nonlocal alive
-        stat, norm = observe(k, work, *grids)
-        ok = alive & ~guard.trips(norm) & np.isfinite(stat)
-        supv[ok] = np.maximum(supv[ok], stat[ok])
-        dead = ~ok
-        tripped[alive & dead] = True
-        alive = ok
-        for x in (*states, *grids):
-            x[dead] = 0.0
 
-    march(eng, states, steps, censor)
-    return supv, tripped
+def _censored_march_masked(eng, guard, u0_coeffs, inc, lanes, limit=None):
+    """Reference censoring loop: each eps marched alone, with its own copy of
+    the limit, taking the exact guard norm and running the masked sup update
+    and the masked zeroing at every step, whether or not a path has died."""
+    from sgbh.montecarlo import _Shared
+
+    p = eng.params.p_norm
+    out = []
+    for x, step, observe in lanes:
+        B = x.shape[0]
+        alive = np.ones(B, dtype=bool)
+        tripped = np.zeros(B, dtype=bool)
+        supv = np.zeros(B)
+        states, steps = [x], [step]
+        if limit is not None:
+            states.append(limit[0].copy())
+            steps.append(limit[1])
+
+        def censor(k, states, grids, work):
+            nonlocal alive
+            u0_grid = eng.grid_values(u0_coeffs[k])
+            vg = grids[1] if limit is not None else None
+            vn = None if vg is None else eng.grid.lp_norm(vg, p)
+            shared = _Shared(u0_grid, eng.grid.lp_norm(u0_grid, p), vg, vn)
+            stat, _, norm = observe(work, grids[0], shared)
+            ok = alive & ~guard.trips(norm()) & np.isfinite(stat)
+            supv[ok] = np.maximum(supv[ok], stat[ok])
+            dead = ~ok
+            tripped[alive & dead] = True
+            alive = ok
+            for a in (*states, *grids):
+                a[dead] = 0.0
+
+        march(eng, states, steps, censor)
+        out.append((supv, tripped))
+    return out
 
 
 def test_censoring_fast_path_is_byte_identical(monkeypatch):
@@ -821,6 +924,79 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
     monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
     masked = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert json.dumps(masked) == json.dumps(fast)
+
+
+@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+def test_guard_certificate_gives_the_exact_trips(kind):
+    """The certificate decides a trip only where it is exact.  At the
+    strong-rate-censored golden config (guard 0.3: every eps = 0.5 path trips),
+    and at a guard between one path's largest bound and its largest exact norm
+    (the path never trips, but on some step only its exact norm shows it),
+    each eps's (sup, tripped) equals the reference loop that takes the exact
+    norm at every step, and the march takes the exact norm on some steps only."""
+    from sgbh.cli import RunConfig
+    from sgbh.montecarlo import _block_increments, _censored_march
+
+    from test_golden import CENSORED
+
+    config = RunConfig.parse(CENSORED)
+    params, cfg = config.model_params(), config.solver_config()
+    eng = SolverEngine(params, cfg, g=config.noise_coefficient(), noise_spec=config.noise_spec())
+    spec = config.ensemble_spec()
+    u0 = solve_deterministic(config.initial_data(cfg), params, cfg).coeffs
+    inc = _block_increments(eng, spec.base_seed, 0, spec.n_paths)
+
+    # each path's largest bound and exact norm over the march, per eps
+    highs = []
+    lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+
+    def recorded(observe, high):
+        def observe_and_record(work, grid, shared):
+            stat, bound, norm = observe(work, grid, shared)
+            exact = norm()
+            np.maximum(high, np.stack([bound, exact]), out=high)
+            return stat, bound, lambda: exact
+
+        return observe_and_record
+
+    for i, (x, step, observe) in enumerate(lanes):
+        highs.append(np.zeros((2, spec.n_paths)))
+        lanes[i] = x, step, recorded(observe, highs[-1])
+    _censored_march_masked(eng, BlowupGuard(np.inf), u0, inc, lanes, limit)
+    gap = [high[0] - high[1] for high in highs]
+    e, b = np.unravel_index(np.argmax(gap), (len(gap), spec.n_paths))
+    bound, exact = highs[e][:, b]
+    assert bound > exact * (1 + 1e-6)
+    between = BlowupGuard(float(0.5 * (bound + exact)))
+
+    for guard in (spec.guard, between):
+        lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+        exact_calls = [0]
+
+        def counting(observe):
+            def observe_and_count(work, grid, shared):
+                stat, bound, norm = observe(work, grid, shared)
+
+                def counted():
+                    exact_calls[0] += 1
+                    return norm()
+
+                return stat, bound, counted
+
+            return observe_and_count
+
+        lanes = [(x, step, counting(observe)) for x, step, observe in lanes]
+        got = _censored_march(eng, guard, u0, inc, lanes, limit)
+        lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+        want = _censored_march_masked(eng, guard, u0, inc, lanes, limit)
+        for (sup, tripped), (sup_ref, tripped_ref) in zip(got, want):
+            assert np.array_equal(tripped, tripped_ref)
+            assert np.array_equal(sup, sup_ref)
+        assert 0 < exact_calls[0] < len(spec.eps_list) * (cfg.n_steps + 1)
+        if guard is spec.guard:
+            assert got[0][1].all()
+        else:
+            assert not got[e][1][b]
 
 
 # --- verdict rates over fixed seeds ----------------------------------------------

@@ -625,7 +625,11 @@ def test_artifacts_in_chunks_are_the_one_piece_files(tmp_path):
     assert np.array_equal(load_control(path).hdot, h.hdot)
 
 
-@pytest.mark.parametrize("kind, bound", [("trajectory", 1.1), ("control", 1.25)])
+@pytest.mark.parametrize(
+    "kind, bound",
+    [("trajectory", 1.1), ("control", 1.25)],
+    ids=["trajectory", "control"],  # the loader alone: a bound may move
+)
 def test_loaders_hold_one_copy_of_the_file(tmp_path, kind, bound):
     """A loader's tracemalloc peak on a K = 50k file, in units of its payload
     (3.2 MB): the payload is read into one array, which the trajectory and
