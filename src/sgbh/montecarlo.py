@@ -14,12 +14,12 @@ the pool workers, each of which receives it once.  The three marching
 runners (strong rate, CLT, MDP tail) share one path, ``_run_marching``: it
 builds the engine and solves the reference path, and each block
 (``_block_march``) draws its increments once and advances every eps with
-them in one time loop (``_censored_march``), returning a sup and a
-guard-trip mask per eps.  The runners differ only in their per-eps lane (the
-state, step and statistic that loop runs), clt's limit marched once beside
-the lanes, and their verdict.  The runner called is the experiment and names
-its report.  A block writes its (paths x n_points) work into a few buffers
-that its march allocates once.
+them in one ``march``, the solvers' time loop, returning a sup and a
+guard-trip mask per eps (``_censor``).  The runners differ only in their
+per-eps lane (the state, step and statistic that the march runs), clt's
+limit marched once beside the lanes, and their verdict.  The runner called
+is the experiment and names its report.  A block writes its (paths x
+n_points) work into a few buffers that its march allocates once.
 
 Each runner returns its report as the JSON document the CLI writes: plain
 Python values in the key order of ``report.json``, with a statistic that has
@@ -43,14 +43,14 @@ import functools
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .deviation import SpeedFunction, wilson_interval
 from .model import NoiseCoefficient
 from .noise import sample_noise
-from .solvers import BlowupGuard, SetupError, SolverEngine, _check_entries, solve_deterministic
+from .solvers import BlowupGuard, SetupError, SolverEngine, _check_entries, march
+from .solvers import solve_deterministic
 from .spectral import Field
 
 __all__ = [
@@ -214,90 +214,59 @@ def _block_increments(eng, seed, start, stop):
     return inc
 
 
-class _Shared(NamedTuple):
-    """What a block's lanes read alike at step k (the limit's None without one)."""
+def _censor(guard, lane):
+    """``lane`` = (state, step, observe) with an observe that censors its (B,)
+    paths, and the (B,) sup and trip mask it fills.  ``observe(work, grid,
+    row)`` returns the statistic, a bound on the guard's norm and a function
+    giving that norm exactly, called only when a live path's bound is not below
+    (1 - 1e-9) times the threshold, so trips are exact.  A path dies at its
+    first trip or non-finite statistic: its rows are zeroed from then on and its
+    sup covers the steps strictly before."""
+    x, step, observe = lane
+    certified = guard.threshold * (1 - 1e-9)
+    alive = np.ones(len(x), dtype=bool)
+    sup, tripped = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
 
-    u0_grid: np.ndarray
-    u0_norm: float
-    v_grid: np.ndarray | None
-    v_norm: np.ndarray | None
+    def censored(k, state, grid, work, row):
+        nonlocal alive
+        stat, bound, exact = observe(work, grid, row)
+        ok = alive & np.isfinite(stat)
+        if np.any(ok & ~(bound < certified)):
+            ok &= ~guard.trips(exact())
+        np.maximum(sup, stat, out=sup, where=ok)
+        if not ok.all():  # zero the dead paths' rows
+            dead = ~ok
+            tripped[alive & dead] = True
+            alive = ok
+            state[dead] = 0.0
+            grid[dead] = 0.0
+
+    return (x, step, censored), (sup, tripped)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a trip or a censored path
-def _censored_march(eng, guard, u0_coeffs, inc, lanes, limit=None):
-    """March a block's lanes, one per eps, in one time loop; return each
-    lane's (B,) sup of its statistic and trip mask.
-
-    A lane is (state, step, observe); ``limit`` is a (state, step) marched once
-    beside them and never censored (clt's v: a path dead at one eps lives at
-    another).  Step k builds once what the lanes share (``_Shared``, and the
-    noise grid of inc[k] when kappa1 != 0); each lane then synthesises its
-    grid into the one buffer all lanes share, observes and steps.
-    ``observe(work, grid, shared)`` returns the statistic, a bound on the
-    guard's norm and a function giving that norm exactly, called only when a
-    live path's bound is not below (1 - 1e-9) times the threshold, so trips
-    are exact.  A path dies at its first trip or non-finite statistic: its
-    rows are zeroed from then on and its sup covers the steps strictly before.
-    """
-    K, p = eng.cfg.n_steps, eng.params.p_norm
-    B = inc.shape[1]
-    certified = guard.threshold * (1 - 1e-9)
-    states = [x for x, _, _ in lanes]
-    alive = [np.ones(B, dtype=bool) for _ in lanes]
-    trips = [np.zeros(B, dtype=bool) for _ in lanes]
-    sups = [np.zeros(B) for _ in lanes]
-    v, v_step = (None, None) if limit is None else limit
-    bufs = eng.scratch((B,))
-    grid = noise = v_grid = v_norm = None
-    for k in range(K + 1):
-        u0_grid = eng.grid_values(u0_coeffs[k])
-        if v is not None:
-            v_grid = eng.grid_values(v, out=v_grid)
-            v_norm = eng.grid.lp_norm(v_grid, p, bufs[0])
-        shared = _Shared(u0_grid, eng.grid.lp_norm(u0_grid, p), v_grid, v_norm)
-        if k < K and eng.g.kappa1 != 0.0:
-            noise = eng.colored_increment_grid(inc[k], out=noise)
-        row = (u0_grid, None if noise is None else (noise,))
-        for i, (_, step, observe) in enumerate(lanes):
-            grid = eng.grid_values(states[i], out=grid)
-            stat, bound, exact = observe(bufs[0], grid, shared)
-            ok = alive[i] & np.isfinite(stat)
-            if np.any(ok & ~(bound < certified)):
-                ok &= ~guard.trips(exact())
-            np.maximum(sups[i], stat, out=sups[i], where=ok)
-            if not ok.all():  # zero the dead paths' rows
-                dead = ~ok
-                trips[i] |= alive[i] & dead
-                alive[i] = ok
-                states[i][dead] = 0.0
-                grid[dead] = 0.0
-            if k < K:
-                states[i] = step(k, states[i], grid, bufs, row)
-        if v is not None and k < K:
-            v = v_step(k, v, v_grid, bufs, row)
-    return list(zip(sups, trips))
-
-
 def _block_march(paths, eng, spec, u0_coeffs, start, stop, limit=None):
     """A block of a marching ensemble: (sup, tripped) of (B,) arrays per eps.
     The block's increments are drawn once and drive every eps, so each path is
-    coupled across eps; ``paths(eng, u0_coeffs, inc, eps)`` returns one eps's
-    lane, ``limit(eng, u0_coeffs, inc)`` the limit marched beside them."""
+    coupled across eps.  One ``march`` runs each eps's lane, ``paths(eng,
+    u0_coeffs, inc, eps)`` censored, and ``limit(eng, u0_coeffs, inc)``, never
+    censored (clt's v: a path dead at one eps lives at another)."""
     inc = _block_increments(eng, spec.base_seed, start, stop)
-    lanes = [paths(eng, u0_coeffs, inc, eps) for eps in spec.eps_list]
+    censored = [_censor(spec.guard, paths(eng, u0_coeffs, inc, eps)) for eps in spec.eps_list]
     limit = None if limit is None else limit(eng, u0_coeffs, inc)
-    return _censored_march(eng, spec.guard, u0_coeffs, inc, lanes, limit)
+    march(eng, [lane for lane, _ in censored], u0_coeffs, inc, limit)
+    return [stats for _, stats in censored]
 
 
 def _strong_rate_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
 
-    def observe(work, u_grid, shared):
+    def observe(work, u_grid, row):
         np.copyto(work, u_grid)  # then subtract the row in place: no broadcast into work
-        work -= shared.u0_grid
+        work -= row.u0_grid
         stat = eng.grid.lp_integral(work, p, work)
         # Minkowski: ||u||_p <= ||u - u0||_p + ||u0||_p
-        return stat, stat ** (1.0 / p) + shared.u0_norm, lambda: eng.grid.lp_norm(u_grid, p, work)
+        return stat, stat ** (1.0 / p) + row.u0_norm, lambda: eng.grid.lp_norm(u_grid, p, work)
 
     step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(eps))
     return np.tile(u0_coeffs[0], (inc.shape[1], 1)), step, observe
@@ -307,15 +276,15 @@ def _clt_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
     s = np.sqrt(eps)
 
-    def observe(work, zg, shared):
-        stat = eng.grid.lp_norm(np.subtract(zg, shared.v_grid, out=work), p, work)
+    def observe(work, zg, row):
+        stat = eng.grid.lp_norm(np.subtract(zg, row.v_grid, out=work), p, work)
 
         def norm():
-            u = np.add(shared.u0_grid, np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
+            u = np.add(row.u0_grid, np.multiply(zg, s, out=work), out=work)  # u_eps = u0 + s z
             return eng.grid.lp_norm(u, p, work)
 
         # Minkowski: ||u0 + s z||_p <= ||u0||_p + s (||z - v||_p + ||v||_p)
-        return stat, shared.u0_norm + s * (stat + shared.v_norm), norm
+        return stat, row.u0_norm + s * (stat + row.v_norm), norm
 
     step = eng.deviation_step(u0_coeffs, s, noise_inc=inc)
     return np.zeros((inc.shape[1], eng.cfg.n_modes)), step, observe
@@ -330,7 +299,7 @@ def _clt_limit(eng, u0_coeffs, inc):
 def _mdp_paths(eng, u0_coeffs, inc, eps, speed, p):
     s, noise_scale = speed.scales(eps)
 
-    def observe(work, zg, shared):
+    def observe(work, zg, row):
         stat = eng.grid.lp_norm(zg, p, work)
         return stat, stat, lambda: stat
 
@@ -580,7 +549,8 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
     Z_eps is the rescaled deviation process at the given moderate-deviation
     speed.  Tightness of the family shows up as tails that are non-increasing
     in rho and bounded in eps.  ``rho_list`` must be nonempty, positive and
-    strictly increasing, and at most the guard threshold.
+    strictly increasing, and at most the guard threshold; ``tail_p``, the norm's
+    p, an integer >= 1.
     """
     if not isinstance(speed, SpeedFunction):
         raise SetupError("speed must be a SpeedFunction with a theta attribute")
@@ -589,7 +559,9 @@ def run_mdp_tail(spec, params, g, cfg, speed, rho_list, u0=None, noise_spec=None
         raise SetupError(f"rho_list must be nonempty, positive, strictly increasing: {rho_list}")
     if np.any(rho > spec.guard.threshold):
         raise SetupError("rho thresholds above the guard threshold cannot be counted")
-    paths = functools.partial(_mdp_paths, speed=speed, p=int(tail_p))
+    if isinstance(tail_p, bool) or not isinstance(tail_p, (int, np.integer)) or tail_p < 1:
+        raise SetupError(f"tail_p must be an integer >= 1, got {tail_p!r}")
+    paths = functools.partial(_mdp_paths, speed=speed, p=tail_p)
     sups, trips = _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers)
     # a tripped path exceeded the guard, hence every admissible rho
     sups = np.where(trips, np.inf, sups)

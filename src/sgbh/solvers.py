@@ -29,18 +29,19 @@ equation are integrated.
 
 Since N(0) = 0, the full equation is the deviation equation about u0 = 0 at
 s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``.
-One time loop, ``march``, advances it for the single-path solvers here and
-``EndpointControlMap.forward``, and owns every grid buffer a march writes;
-the marching ensembles' blocks in ``montecarlo`` advance every eps in one
-loop of their own, which hands each step the row the eps share.  The control
-map's ``matrix`` and the heat oracle's ``_heat_weights`` call the stepper
-directly, with one ``SolverEngine.scratch`` each.  The discrete stopping time
-is ``BlowupGuard``: single paths raise at its first trip, ensembles censor the
-paths that trip.
+One forward time loop, ``march``, advances it for every path: the single-path
+solvers here, ``EndpointControlMap.forward``, and the marching ensembles'
+blocks in ``montecarlo``, whose lanes (one per eps) read the ``Row`` that
+march builds once per step.  March owns every grid buffer it writes.  The
+control map's ``matrix`` and the heat oracle's ``_heat_weights`` sweep the
+stepper backward, with one ``SolverEngine.scratch`` each.  The discrete
+stopping time is ``BlowupGuard``: single paths raise at its first trip,
+ensembles censor the paths that trip.
 """
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
     "BlowupError",
     "NumericalAbortError",
     "SetupError",
+    "Row",
     "march",
     "solve_deterministic",
     "solve_spde",
@@ -191,6 +193,17 @@ class Trajectory:
         if k is None:
             return self.coeffs @ self.basis.phi
         return self.coeffs[k] @ self.basis.phi
+
+
+class Row(NamedTuple):
+    """What a march's lanes read alike at step k, None where absent: u0's grid
+    row and L^p norm, the unscaled noise grid, and the limit's grid and norms."""
+
+    u0_grid: np.ndarray | None = None
+    u0_norm: float | None = None
+    noise_grid: np.ndarray | None = None
+    v_grid: np.ndarray | None = None
+    v_norm: np.ndarray | None = None
 
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
@@ -396,11 +409,10 @@ class SolverEngine:
     # a new array.  It writes only into ``bufs``, a ``scratch`` for the
     # state's batch shape, whose contents are dead once it returns.  Increment
     # buffers are step-major: inc[k] holds the (..., J_noise) increments of
-    # step k, so a single path passes ``noise.increments.T``.  The optional
-    # ``row`` is what step k reads alike at every scale, (u0's grid row, the
-    # increments' unscaled grids), each None to build it in the step: an
-    # ensemble block that steps several scales on one u0 and one draw builds it
-    # once per k.
+    # step k, so a single path passes ``noise.increments.T``.  Of the optional
+    # ``Row`` the step reads u0's grid row and the noise grid, each built in
+    # the step when None: an ensemble block that steps several scales on one
+    # u0 and one draw builds them once per k.
 
     def scratch(self, batch=()):
         """Three (*batch, n_points) grid buffers for a step's work."""
@@ -426,11 +438,12 @@ class SolverEngine:
             (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
         ]
 
-        def step(k, z, z_grid, bufs, row=(None, None)):
-            u0_grid, grids = row
-            grids = grids or (None,) * len(drives)
-            forcings = [(c, inc[k], w) for (c, inc), w in zip(drives, grids)]
-            ref = None
+        def step(k, z, z_grid, bufs, row=Row()):
+            # the row's noise grid is the noise increments', never the control's
+            forcings = [
+                (c, inc[k], row.noise_grid if inc is noise_inc else None) for c, inc in drives
+            ]
+            ref, u0_grid = None, row.u0_grid
             u_grid = z_grid if full else self.grid_values(u0[k]) if u0_grid is None else u0_grid
             if linear:
                 fields = self._linear_fields(z_grid, *self.linearization_profiles(u_grid), dt, bufs)
@@ -465,22 +478,37 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
 
 
-def march(eng, states, steps, observe):
-    """The forward time loop: at each k = 0..K synthesise each state's grid,
-    call ``observe(k, states, grids, work)``, then advance each state by its
-    step.  ``observe`` may raise to stop, or zero rows of the states and grids
-    in place.  Returns the states at step K.  The march owns every grid buffer
-    it writes: each state's grid and one ``scratch`` that the steps of all
-    states share, whose first buffer is ``observe``'s ``work``.  A step's grid
-    work is dead once it returns, and one k's steps run one after another."""
-    k_steps = eng.cfg.n_steps
-    grids = [None for _ in states]  # allocated at k = 0, then rewritten
+def march(eng, lanes, u0=None, inc=None, limit=None):
+    """The one forward time loop.  A lane is (state, step, observe).  At each
+    k = 0..K the march builds once the ``Row`` its lanes read: u0's grid row
+    from ``u0``'s (K + 1, J) coefficients, the noise grid of the step-major
+    ``inc[k]`` when kappa1 != 0, and the grid of ``limit``, a (state, step)
+    never observed.  Each lane then synthesises its grid into the one buffer
+    all lanes share, calls ``observe(k, state, grid, work, row)``, which may
+    raise or zero rows of the state and grid in place, and steps.  Returns the
+    lanes' states at step K.  The march owns every grid buffer it writes, with
+    one ``scratch`` that every step shares, whose first buffer is ``work``."""
+    K, p = eng.cfg.n_steps, eng.params.p_norm
+    states = [x for x, _, _ in lanes]
+    v, v_step = (None, None) if limit is None else limit
     bufs = eng.scratch(states[0].shape[:-1])
-    for k in range(k_steps + 1):
-        grids = [eng.grid_values(x, out=g) for x, g in zip(states, grids)]
-        observe(k, states, grids, bufs[0])
-        if k < k_steps:
-            states = [step(k, x, g, bufs) for step, x, g in zip(steps, states, grids)]
+    grid = noise = v_grid = v_norm = None  # allocated at k = 0, then rewritten
+    for k in range(K + 1):
+        u0_grid = None if u0 is None else eng.grid_values(u0[k])
+        u0_norm = None if u0 is None else eng.grid.lp_norm(u0_grid, p)
+        if v is not None:
+            v_grid = eng.grid_values(v, out=v_grid)
+            v_norm = eng.grid.lp_norm(v_grid, p, bufs[0])
+        if k < K and inc is not None and eng.g.kappa1 != 0.0:
+            noise = eng.colored_increment_grid(inc[k], out=noise)
+        row = Row(u0_grid, u0_norm, noise, v_grid, v_norm)
+        for i, (_, step, observe) in enumerate(lanes):
+            grid = eng.grid_values(states[i], out=grid)
+            observe(k, states[i], grid, bufs[0], row)
+            if k < K:
+                states[i] = step(k, states[i], grid, bufs, row)
+        if v is not None and k < K:
+            v = v_step(k, v, v_grid, bufs, row)
     return states
 
 
@@ -493,12 +521,12 @@ def _drive(eng, a0, step_fn, guard):
     out = np.empty((eng.cfg.n_steps + 1, eng.cfg.n_modes))
     norms = np.empty(eng.cfg.n_steps + 1)
 
-    def observe(k, states, grids, work):
-        norms[k] = eng.grid.lp_norm(grids[0], p, work)
+    def observe(k, a, grid, work, row):
+        norms[k] = eng.grid.lp_norm(grid, p, work)
         guard.check(k * eng.dt, norms[k])
-        out[k] = states[0]
+        out[k] = a
 
-    march(eng, [a0], [step_fn], observe)
+    march(eng, [(a0, step_fn, observe)])
     return Trajectory(dt=eng.dt, coeffs=out, basis=eng.basis, norm_p=p, norms=norms)
 
 

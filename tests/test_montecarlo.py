@@ -30,6 +30,7 @@ from sgbh.solvers import (
     BlowupError,
     BlowupGuard,
     NumericalAbortError,
+    Row,
     SetupError,
     SolverConfig,
     SolverEngine,
@@ -639,6 +640,22 @@ def test_mdp_tail_threshold_guard_interaction():
             run_mdp_tail(spec, DESK, G_AFFINE, CFG_SMALL, speed, [5.0], noise_spec=SPEC8)
 
 
+@pytest.mark.parametrize("tail_p", [2.5, 0, True])
+def test_mdp_tail_p_must_be_an_integer_of_at_least_one(tail_p, monkeypatch):
+    """tail_p is checked with the runner's other preconditions, before the
+    reference solve: 2.5 was once truncated to p = 2 and reported as 2.5, and
+    0 failed inside the first block with a bare ValueError."""
+    import sgbh.montecarlo as mc
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the checks")
+
+    monkeypatch.setattr(mc, "solve_deterministic", no_solve)
+    spec, speed = EnsembleSpec(n_paths=4, base_seed=23, eps_list=[1e-2]), SpeedFunction(0.25)
+    with pytest.raises(SetupError, match="tail_p must be an integer >= 1"):
+        run_mdp_tail(spec, DESK, G_AFFINE, CFG_SMALL, speed, [0.5], noise_spec=SPEC8, tail_p=tail_p)
+
+
 # --- ensembles integrate the single-path schemes -------------------------------------
 
 
@@ -809,7 +826,7 @@ def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
     take strong-rate above 7 and clt above 8."""
     import tracemalloc
 
-    from sgbh.montecarlo import _block_increments, _censored_march
+    from sgbh.montecarlo import _block_increments, _censor
 
     B, cfg = 128, SolverConfig(dt=1e-3, t_end=0.05, n_modes=32, n_points=256)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=NoiseSpec(n_modes=32, eta=0.3))
@@ -818,11 +835,12 @@ def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
     peaks = []
     for _ in range(2):  # the first march's one-off allocations are not the march's
         lanes, limit = _lanes(kind, eng, u0, inc, (1e-2, 1e-3, 1e-4))
+        lanes = [_censor(BlowupGuard(), lane)[0] for lane in lanes]
         states = [x for x, _, _ in lanes] + ([] if limit is None else [limit[0]])
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            _censored_march(eng, BlowupGuard(), u0, inc, lanes, limit)
+            march(eng, lanes, u0, inc, limit)
             peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
@@ -865,15 +883,63 @@ def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
         assert counts.get("linearization_profiles", 0) == (K if kind == "clt" else 0)
 
 
+def test_every_forward_loop_is_the_one_march(monkeypatch):
+    """Every path advances in time through ``solvers.march``, once per call:
+    the single-path solvers, the forward control map, and a strong-rate or
+    clt block of three eps, whose lanes and limit share one march."""
+    import functools
+
+    import sgbh.deviation as dev
+    import sgbh.montecarlo as mc
+    import sgbh.solvers as sv
+
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return march(*args, **kwargs)
+
+    for module in (sv, dev, mc):
+        monkeypatch.setattr(module, "march", counted)
+
+    def marches(run):
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    K = 5
+    cfg = SolverConfig(dt=0.01, t_end=K * 0.01, n_modes=8, n_points=64)
+    u0 = default_initial(Grid1D(cfg.n_points))
+    u0_traj = solve_deterministic(u0, DESK, cfg)
+    noise = sample_noise(SPEC8, cfg.dt, K, 5, 0)
+    cmap = dev.EndpointControlMap(u0_traj, DESK, G_AFFINE, cfg, noise_spec=SPEC8)
+    runs = {
+        "solve_deterministic": lambda: solve_deterministic(u0, DESK, cfg),
+        "solve_spde": lambda: solve_spde(u0, DESK, G_AFFINE, 0.5, noise, cfg),
+        "solve_clt_limit": lambda: solve_clt_limit(u0_traj, DESK, G_AFFINE, noise, cfg),
+        "solve_controlled": lambda: solve_controlled(
+            u0_traj, DESK, G_AFFINE, 0.5, SpeedFunction(0.25), noise, None, cfg
+        ),
+        "forward": lambda: cmap.forward(np.ones((SPEC8.n_modes, K))),
+    }
+    eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=SPEC8)
+    spec = EnsembleSpec(n_paths=4, base_seed=5, eps_list=(0.5, 0.25, 0.125))
+    for kind in ("strong-rate", "clt"):
+        paths, limit = _block_parts(kind)
+        block = functools.partial(mc._block_march, paths, eng, spec, u0_traj.coeffs, limit=limit)
+        runs[kind] = functools.partial(block, 0, 4)
+    assert {name: marches(run) for name, run in runs.items()} == dict.fromkeys(runs, 1)
+
+
 # --- censoring: the fast path and the guard certificate ---------------------------------
 
 
 def _censored_march_masked(eng, guard, u0_coeffs, inc, lanes, limit=None):
-    """Reference censoring loop: each eps marched alone, with its own copy of
-    the limit, taking the exact guard norm and running the masked sup update
-    and the masked zeroing at every step, whether or not a path has died."""
-    from sgbh.montecarlo import _Shared
-
+    """Reference censoring loop: each eps marched alone, beside its own copy
+    of the limit, taking the exact guard norm and running the masked sup
+    update and the masked zeroing at every step, whether or not a path has
+    died.  Its steps build their own u0 and noise grids (the march gets no
+    ``u0`` or ``inc``), and its observe its own u0 row and norms."""
     p = eng.params.p_norm
     out = []
     for x, step, observe in lanes:
@@ -881,29 +947,37 @@ def _censored_march_masked(eng, guard, u0_coeffs, inc, lanes, limit=None):
         alive = np.ones(B, dtype=bool)
         tripped = np.zeros(B, dtype=bool)
         supv = np.zeros(B)
-        states, steps = [x], [step]
-        if limit is not None:
-            states.append(limit[0].copy())
-            steps.append(limit[1])
+        v = None if limit is None else (limit[0].copy(), limit[1])
 
-        def censor(k, states, grids, work):
+        def censor(k, state, grid, work, row):
             nonlocal alive
             u0_grid = eng.grid_values(u0_coeffs[k])
-            vg = grids[1] if limit is not None else None
+            vg = row.v_grid
             vn = None if vg is None else eng.grid.lp_norm(vg, p)
-            shared = _Shared(u0_grid, eng.grid.lp_norm(u0_grid, p), vg, vn)
-            stat, _, norm = observe(work, grids[0], shared)
+            shared = Row(u0_grid, eng.grid.lp_norm(u0_grid, p), None, vg, vn)
+            stat, _, norm = observe(work, grid, shared)
             ok = alive & ~guard.trips(norm()) & np.isfinite(stat)
             supv[ok] = np.maximum(supv[ok], stat[ok])
             dead = ~ok
             tripped[alive & dead] = True
             alive = ok
-            for a in (*states, *grids):
+            for a in (state, grid):
                 a[dead] = 0.0
 
-        march(eng, states, steps, censor)
+        march(eng, [(x, step, censor)], limit=v)
         out.append((supv, tripped))
     return out
+
+
+def _block_march_masked(paths, eng, spec, u0_coeffs, start, stop, limit=None):
+    """``_block_march`` on the reference censoring loop."""
+    from sgbh.montecarlo import _block_increments
+
+    inc = _block_increments(eng, spec.base_seed, start, stop)
+    lanes = [paths(eng, u0_coeffs, inc, eps) for eps in spec.eps_list]
+    limit = None if limit is None else limit(eng, u0_coeffs, inc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _censored_march_masked(eng, spec.guard, u0_coeffs, inc, lanes, limit)
 
 
 def test_censoring_fast_path_is_byte_identical(monkeypatch):
@@ -921,7 +995,7 @@ def test_censoring_fast_path_is_byte_identical(monkeypatch):
     fast = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     rejected = fast["n_rejected"]
     assert 0 < rejected[1] < rejected[0] < 16 and rejected[2] == 0
-    monkeypatch.setattr(mc, "_censored_march", _censored_march_masked)
+    monkeypatch.setattr(mc, "_block_march", _block_march_masked)
     masked = run_clt(spec, DESK, G_AFFINE, CFG_SMALL, noise_spec=SPEC8)
     assert json.dumps(masked) == json.dumps(fast)
 
@@ -935,7 +1009,7 @@ def test_guard_certificate_gives_the_exact_trips(kind):
     each eps's (sup, tripped) equals the reference loop that takes the exact
     norm at every step, and the march takes the exact norm on some steps only."""
     from sgbh.cli import RunConfig
-    from sgbh.montecarlo import _block_increments, _censored_march
+    from sgbh.montecarlo import _block_increments, _censor
 
     from test_golden import CENSORED
 
@@ -951,8 +1025,8 @@ def test_guard_certificate_gives_the_exact_trips(kind):
     lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
 
     def recorded(observe, high):
-        def observe_and_record(work, grid, shared):
-            stat, bound, norm = observe(work, grid, shared)
+        def observe_and_record(work, grid, row):
+            stat, bound, norm = observe(work, grid, row)
             exact = norm()
             np.maximum(high, np.stack([bound, exact]), out=high)
             return stat, bound, lambda: exact
@@ -974,8 +1048,8 @@ def test_guard_certificate_gives_the_exact_trips(kind):
         exact_calls = [0]
 
         def counting(observe):
-            def observe_and_count(work, grid, shared):
-                stat, bound, norm = observe(work, grid, shared)
+            def observe_and_count(work, grid, row):
+                stat, bound, norm = observe(work, grid, row)
 
                 def counted():
                     exact_calls[0] += 1
@@ -985,8 +1059,10 @@ def test_guard_certificate_gives_the_exact_trips(kind):
 
             return observe_and_count
 
-        lanes = [(x, step, counting(observe)) for x, step, observe in lanes]
-        got = _censored_march(eng, guard, u0, inc, lanes, limit)
+        censored = [_censor(guard, (x, step, counting(observe))) for x, step, observe in lanes]
+        with np.errstate(over="ignore", invalid="ignore"):
+            march(eng, [lane for lane, _ in censored], u0, inc, limit)
+        got = [stats for _, stats in censored]
         lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
         want = _censored_march_masked(eng, guard, u0, inc, lanes, limit)
         for (sup, tripped), (sup_ref, tripped_ref) in zip(got, want):

@@ -1,7 +1,8 @@
 """Static checks on the package source, standing in for a linter: every name a
 module, test or demo imports is read somewhere in that file, every name a
 module exports in ``__all__`` is defined there, and every definition and
-dataclass field in the package is used by code that runs, not only by tests."""
+dataclass or NamedTuple field in the package is used by code that runs, not
+only by tests."""
 
 import ast
 from pathlib import Path
@@ -114,13 +115,17 @@ def source_tree(root, files):
 
 
 def dataclass_fields(source):
-    """(class, field) for each annotated field of a ``@dataclass`` class."""
+    """(class, field) for each annotated field of a ``@dataclass`` class or a
+    ``NamedTuple`` subclass."""
     fields = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and any(
-            isinstance(d, ast.Name) and d.id == "dataclass"
-            or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-            for d in node.decorator_list
+        if isinstance(node, ast.ClassDef) and (
+            any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                for d in node.decorator_list
+            )
+            or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
         ):
             fields += [
                 (node.name, s.target.id)
@@ -140,7 +145,7 @@ def attribute_reads(source):
 
 
 def unread_fields(modules, readers):
-    """``cls.field`` for each dataclass field in ``modules`` that no source in
+    """``cls.field`` for each dataclass or NamedTuple field in ``modules`` that no source in
     ``readers`` reads as an attribute."""
     reads = set().union(*(attribute_reads(r) for r in readers))
     return [
@@ -152,7 +157,7 @@ def unread_fields(modules, readers):
 
 
 def test_every_dataclass_field_has_a_reader(tmp_path):
-    """Each dataclass field in the package is read as an attribute by the
+    """Each dataclass or NamedTuple field in the package is read as an attribute by the
     package, its demos or its benchmark harness; a field only a test reads is
     state that no run needs.  The check matches names only, so a field shares
     a reader with any attribute of the same name: ``RunConfig.seed`` would
@@ -160,12 +165,16 @@ def test_every_dataclass_field_has_a_reader(tmp_path):
     source = (
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
         "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
-        "b.z = a.x\n"
+        "class R(NamedTuple):\n    r: int\n    s: int = 0\n"
+        "class T(typing.NamedTuple):\n    t: int\n"
+        "b.z = a.x + r.r\n"
     )
-    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "z")]
-    assert attribute_reads(source) == {"x"}
-    readers = source_tree(tmp_path, {"pkg/m.py": source, "tests/test_m.py": "assert a.y == 0\n"})
-    assert unread_fields([source], readers) == ["A.y", "B.z"]
+    assert dataclass_fields(source) == [
+        ("A", "x"), ("A", "y"), ("B", "z"), ("R", "r"), ("R", "s"), ("T", "t")
+    ]
+    assert attribute_reads(source) == {"x", "r", "NamedTuple"}
+    readers = source_tree(tmp_path, {"pkg/m.py": source, "tests/test_m.py": "assert a.y == t.t\n"})
+    assert unread_fields([source], readers) == ["A.y", "B.z", "R.s", "T.t"]
     assert unread_fields([p.read_text() for p in MODULES], RUNTIME) == []
 
 
