@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import noise_coefficient_eval  # noqa: F401  (perfbench/probe.py patches it here by name)
 from .noise import ControlPath
-from .solvers import NumericalAbortError, SetupError, SolverEngine, _check_time_grid, march
+from .solvers import NumericalAbortError, Row, SetupError, SolverEngine, _check_time_grid, march
 
 __all__ = [
     "SpeedFunction",
@@ -106,8 +106,9 @@ class EndpointControlMap:
         One sweep k = K-1 .. 0 steps the J unit states without control, which
         gives the rows of M_k^T, and J_noise zero states under unit controls,
         which gives B_k^T.  The step at s = 0 is linear and never writes into
-        its inputs, so every k gets the same states and controls.  Only the
-        product R = M_{K-1} ... M_{k+1} / sqrt(dt) carries from step to step.
+        its inputs, so every k gets the same states and controls, and the
+        controls' grid is built once.  Only the product
+        R = M_{K-1} ... M_{k+1} / sqrt(dt) carries from step to step.
         """
         eng = self.eng
         J, jn, K = eng.cfg.n_modes, self.n_control_modes, self.n_steps
@@ -119,10 +120,11 @@ class EndpointControlMap:
             self.u0, 0.0, control_inc=np.broadcast_to(units, (K,) + units.shape)
         )
         grid, bufs = eng.grid_values(states), eng.scratch(states.shape[:-1])
+        row = Row(control_grid=eng.colored_increment_grid(units))  # every k's controls
         a = np.empty((J, jn, K))
         r = np.eye(J) / np.sqrt(eng.dt)
         for k in range(K - 1, -1, -1):
-            out = step(k, states, grid, bufs)
+            out = step(k, states, grid, bufs, row)
             a[:, :, k] = r @ out[J:].T
             r = r @ out[:J].T
         a = a.reshape(J, -1)

@@ -6,6 +6,8 @@ Burgers-Huxley equation
 
 with the advective part handled through p(u) = u^(delta+1) (so that
 u^delta u_x = p(u)_x / (delta+1)) and the reaction c(u) = u(1-u^delta)(u^delta-gamma).
+The reaction splits as c(u) = -gamma u + r(u), r(u) = p(u) ((1+gamma) - u^delta):
+a linear part, diagonal in any basis, and a remainder that reuses p(u).
 The noise coefficient g is restricted to the affine-in-r family
 g(t,x,r) = kappa0 + kappa1 r, which carries explicit linear-growth and
 Lipschitz bounds K = |kappa0|+|kappa1|, L = |kappa1|.
@@ -22,6 +24,8 @@ __all__ = [
     "advective_derivative",
     "reaction_nonlinearity",
     "reaction_derivative",
+    "reaction_remainder",
+    "reaction_remainder_derivative",
     "reaction_second_derivative",
     "noise_coefficient_eval",
 ]
@@ -94,6 +98,22 @@ def reaction_derivative(u0, gamma, delta):
     u0 = np.asarray(u0)
     ud = u0**delta
     return -gamma + (1.0 + gamma) * (1 + delta) * ud - (2 * delta + 1) * ud**2
+
+
+def reaction_remainder(u, gamma, delta, power, out=None):
+    """r(u) = u^(delta+1) ((1+gamma) - u^delta) = c(u) + gamma u, from ``power`` =
+    u^(delta+1), into ``out`` (new when None), in two passes at delta = 1 (three
+    above); neither ``u`` nor ``power`` is written."""
+    ud = u if delta == 1 else _power(u, delta, out)
+    out = np.subtract(1.0 + gamma, ud, out=out)
+    out *= power
+    return out
+
+
+def reaction_remainder_derivative(u0, gamma, delta):
+    """r'(u0) = (1+gamma)(1+delta) u0^delta - (2 delta + 1) u0^(2 delta) = c'(u0) + gamma."""
+    ud = np.asarray(u0) ** delta
+    return (1.0 + gamma) * (1 + delta) * ud - (2 * delta + 1) * ud**2
 
 
 def reaction_second_derivative(u0, gamma, delta):

@@ -221,7 +221,9 @@ def _censor(guard, lane):
     giving that norm exactly, called only when a live path's bound is not below
     (1 - 1e-9) times the threshold, so trips are exact.  A path dies at its
     first trip or non-finite statistic: its rows are zeroed from then on and its
-    sup covers the steps strictly before."""
+    sup covers the steps strictly before.  While every path lives and every
+    bound is below, which a non-finite statistic's bound never is, a step is one
+    ``np.maximum``."""
     x, step, observe = lane
     certified = guard.threshold * (1 - 1e-9)
     alive = np.ones(len(x), dtype=bool)
@@ -230,6 +232,9 @@ def _censor(guard, lane):
     def censored(k, state, grid, work, row):
         nonlocal alive
         stat, bound, exact = observe(work, grid, row)
+        if bound.max() < certified and alive.all():
+            np.maximum(sup, stat, out=sup)
+            return
         ok = alive & np.isfinite(stat)
         if np.any(ok & ~(bound < certified)):
             ok &= ~guard.trips(exact())
@@ -262,9 +267,7 @@ def _strong_rate_paths(eng, u0_coeffs, inc, eps):
     p = eng.params.p_norm
 
     def observe(work, u_grid, row):
-        np.copyto(work, u_grid)  # then subtract the row in place: no broadcast into work
-        work -= row.u0_grid
-        stat = eng.grid.lp_integral(work, p, work)
+        stat = eng.grid.even_lp_integral(np.subtract(u_grid, row.u0_grid, out=work), p, work)
         # Minkowski: ||u||_p <= ||u - u0||_p + ||u0||_p
         return stat, stat ** (1.0 / p) + row.u0_norm, lambda: eng.grid.lp_norm(u_grid, p, work)
 

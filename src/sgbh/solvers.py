@@ -13,28 +13,37 @@ the role of the Green's-function convolution over one step.
 The advective term -alpha u^delta u_x enters in divergence form: with
 p(u) = u^(delta+1), the mode-j forcing is +(alpha/(delta+1)) <p(u), phi_j'>
 by integration by parts (boundary terms vanish since p(u) does), evaluated by
-trapezoid quadrature on the grid.  Nonlinear products have degree
-2*delta + 1, so grids must satisfy n_points >= 2*(2*delta+1)*n_modes before
-projection (anti-aliasing); the engine enforces this whenever alpha or beta
-is nonzero.
+trapezoid quadrature on the grid.  The reaction splits as
+beta c(u) = -gamma beta u + beta r(u), r(u) = p(u) ((1+gamma) - u^delta): the
+sine modes are discretely orthonormal on the grid, so the linear part scales
+the state's coefficients by 1 - gamma beta dt exactly, and r reuses p(u).  So
+a full-equation step at delta = 1 with kappa1 != 0 makes six grid passes
+beside its two projections and the state's synthesis (p, r in two, and the
+kappa1 u dW field in three), and a deviation step two more for u = u0 + s z.
+Nonlinear products have degree 2*delta + 1, so grids must satisfy
+n_points >= 2*(2*delta+1)*n_modes before projection (anti-aliasing); the
+engine enforces this whenever alpha or beta is nonzero.
 
 The rescaled deviation process Z = (u_eps - u0) / (sqrt(eps) * lam) is
 integrated from its own equation, with the nonlinear terms as difference
-quotients [N(u0 + s Z) - N(u0)] / s at s = sqrt(eps) * lam.  One induction
-step shows the discrete identity u_eps = u0 + s * Z then holds exactly in
-exact arithmetic, so the coupling check survives to roundoff even for tiny
-eps.  At s = 0 the quotients are replaced by the analytic linearization
-(p'(u0) Z, c'(u0) Z), which is also how the CLT limit and the skeleton
-equation are integrated.
+quotients [N(u0 + s Z) - N(u0)] / s at s = sqrt(eps) * lam, of which only
+the remainder N_r = N + gamma beta u takes the grid.  One induction step
+shows the discrete identity u_eps = u0 + s * Z then holds exactly in exact
+arithmetic, so the coupling check survives to roundoff even for tiny eps.
+At s = 0 the quotients are replaced by the analytic linearization
+(p'(u0) Z, r'(u0) Z, and -gamma beta Z in modes), which is also how the CLT
+limit and the skeleton equation are integrated.
 
 Since N(0) = 0, the full equation is the deviation equation about u0 = 0 at
-s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``.
-One forward time loop, ``march``, advances it for every path: the single-path
-solvers here, ``EndpointControlMap.forward``, and the marching ensembles'
-blocks in ``montecarlo``, whose lanes (one per eps) read the ``Row`` that
-march builds once per step.  March owns every grid buffer it writes.  The
-control map's ``matrix`` and the heat oracle's ``_heat_weights`` sweep the
-stepper backward, with one ``SolverEngine.scratch`` each.  The discrete
+s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``,
+whose terms and weights are fixed when it is built.  One forward time loop,
+``march``, advances it for every path: the single-path solvers here,
+``EndpointControlMap.forward``, and the marching ensembles' blocks in
+``montecarlo``, whose lanes (one per eps) read the ``Row`` that march builds
+once per step, u0's remainder drift N_r(u0_k) among it.  March owns every
+grid buffer it writes.  The control map's ``matrix`` and the heat oracle's
+``_heat_weights`` sweep the stepper backward, with one
+``SolverEngine.scratch`` each.  The discrete
 stopping time is ``BlowupGuard``: single paths raise at its first trip,
 ensembles censor the paths that trip.
 """
@@ -49,8 +58,9 @@ from .model import (
     advective_derivative,
     advective_nonlinearity,
     noise_coefficient_eval,  # noqa: F401  (perfbench/probe.py patches it here by name)
-    reaction_derivative,
-    reaction_nonlinearity,
+    reaction_nonlinearity,  # noqa: F401  (perfbench/probe.py patches it here by name)
+    reaction_remainder,
+    reaction_remainder_derivative,
 )
 from .noise import NoiseSpec, _flat_binary, _read_flat_binary
 from .spectral import Field, Grid1D, SpectralBasis
@@ -197,13 +207,16 @@ class Trajectory:
 
 class Row(NamedTuple):
     """What a march's lanes read alike at step k, None where absent: u0's grid
-    row and L^p norm, the unscaled noise grid, and the limit's grid and norms."""
+    row and L^p norm, the unscaled noise grid, the limit's grid and norms, u0's
+    remainder drift N_r(u0_k), and the unscaled control grid."""
 
     u0_grid: np.ndarray | None = None
     u0_norm: float | None = None
     noise_grid: np.ndarray | None = None
     v_grid: np.ndarray | None = None
     v_norm: np.ndarray | None = None
+    u0_drift: np.ndarray | None = None
+    control_grid: np.ndarray | None = None
 
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
@@ -270,15 +283,16 @@ class SolverEngine:
     def grid_values(self, coeffs, out=None):
         return np.matmul(coeffs, self.phi, out=out)
 
-    def project(self, values):
+    def project(self, values, weight=1.0):
+        """weight <values, phi_j>, the weight taken in the quadrature's one scaling pass."""
         out = values @ self.phi.T
-        out *= self.h
+        out *= self.h * weight
         return out
 
-    def project_divergence(self, values):
-        """Mode coefficients of the divergence-form advective pairing <., phi_j'>."""
+    def project_divergence(self, values, weight=1.0):
+        """weight <values, phi_j'>: the divergence-form advective pairing."""
         out = values @ self.dphi.T
-        out *= self.h
+        out *= self.h * weight
         return out
 
     def initial_coeffs(self, u0):
@@ -295,124 +309,106 @@ class SolverEngine:
 
     # the explicit terms -----------------------------------------------------
     #
-    # Exponential Euler evaluates every explicit term at the left endpoint, so
-    # the reaction (or its linearization) and the kappa1 u dW product of a step
-    # are one grid field and take one projection; the advective field takes one
-    # divergence projection.  The drift and forcing methods and the stepper
-    # build their terms from these three helpers, the stepper in its scratch.
+    # Every explicit term is taken at the left endpoint, so r (or the
+    # linearization's r'(u0) z) and the kappa1 u dW product of a step are one
+    # grid field and take one projection, and p(u) takes one divergence
+    # projection.  Weights scale mode coefficients, a pass over (B, J) where
+    # the grid is (B, n).
 
-    def _drift_fields(self, u_grid, weight=1.0, out=(None, None)):
-        """weight * N(u) as (grid field, weight) pairs, (c(u), weight beta) and
-        (p(u), weight alpha/(delta+1)), None where the coefficient is zero;
-        ``u_grid`` is read only then.  c is written to out[0], p (after c's work) to out[1]."""
+    def _remainder_terms(self, u_grid, wa, bufs=(None, None)):
+        """wa <p(u), phi'> as mode coefficients and r(u) on the grid, each None
+        where its coefficient is zero.  The power p(u) is taken once for both,
+        into bufs[0], and is dead when this returns; r is written into bufs[1]."""
         p = self.params
-        react = adv = None
-        if p.beta > 0:
-            react = reaction_nonlinearity(u_grid, p.gamma, p.delta, out[0], out[1]), weight * p.beta
-        if p.alpha > 0:
-            adv = advective_nonlinearity(u_grid, p.delta, out[1]), weight * (p.alpha / (p.delta + 1))
-        return react, adv
+        adv = react = None
+        if p.alpha > 0 or p.beta > 0:
+            power = advective_nonlinearity(u_grid, p.delta, bufs[0])
+            if p.alpha > 0:
+                adv = self.project_divergence(power, wa)
+            if p.beta > 0:
+                react = reaction_remainder(u_grid, p.gamma, p.delta, power, bufs[1])
+        return adv, react
 
-    @staticmethod
-    def _linear_fields(z_grid, p1, c1, weight=1.0, out=(None, None)):
-        """weight times the linearized drift as (grid field, weight) pairs,
-        (c1 z, weight) and (p1 z, weight) into ``out``, for ``linearization_profiles``."""
-        return (
-            None if c1 is None else (np.multiply(c1, z_grid, out=out[0]), weight),
-            None if p1 is None else (np.multiply(p1, z_grid, out=out[1]), weight),
-        )
+    def linearized_drift(self, z_grid, u0_grid, wa, bufs):
+        """``_remainder_terms`` of the linearization at u0: wa <p1 z, phi'> and
+        c1 z (into bufs[1]), for the profiles (p1, c1) of ``linearization_profiles``."""
+        p1, c1 = self.linearization_profiles(u0_grid)
+        adv = None
+        if p1 is not None:
+            adv = self.project_divergence(np.multiply(p1, z_grid, out=bufs[0]), wa)
+        return adv, None if c1 is None else np.multiply(c1, z_grid, out=bufs[1])
 
-    def _explicit_modes(self, shape, react, adv, u_grid, forcings=(), w_out=None):
-        """r project(c + kappa1 u w / r) + a project_divergence(f) + the kappa0
-        modes, for react = (c, r) and adv = (f, a), each None when absent.
+    def _modes(self, shape, adv, react, wr):
+        """adv + wr <react, phi>, each part where it is not None, zeros of
+        ``shape`` when neither is; adv is written in place."""
+        if react is not None:
+            modes = self.project(react, wr)
+            adv = modes if adv is None else np.add(adv, modes, out=adv)
+        return np.zeros(shape) if adv is None else adv
 
-        ``forcings`` holds (c, dB, W) triples of a weight, (..., J_noise) mode
-        increments and their unscaled grid W = sum_j q_j phi_j dB_j, or None
-        to synthesise it here; w = sum c W.  Of g = kappa0 + kappa1 u the
-        kappa0 part projects to kappa0 q_j dB_j exactly (the sine modes are
-        discretely orthonormal on the grid), zero beyond J_noise, so only
-        kappa1 != 0 takes the grid product, reads W and ``u_grid``.  Each W is
-        scaled on the grid, so a W shared by several weights gives each the bits
-        it would synthesise alone.  The weights scale mode coefficients, a pass
-        over (B, J) where the grid is (B, n); the grid fields are written in
-        place, w into ``w_out``, which may hold f (projected first).  Every input
-        has the batch axes of ``shape``, the state's, except that ``u_grid`` may
-        be one grid row.  Returns a new array of ``shape``.
-        """
-        out = None
-        if adv is not None:
-            field, weight = adv
-            out = self.project_divergence(field)
-            out *= weight
-        kappa1 = self.g.kappa1 if forcings else 0.0
-        if react is not None or kappa1 != 0.0:
-            field, weight = (None, 1.0) if react is None else react
-            if kappa1 != 0.0:
-                scale = kappa1 / weight
-                (c, x, wg), *rest = forcings
-                if wg is None:
-                    wg = w_out = self.colored_increment_grid(x, out=w_out)
-                w = np.multiply(wg, c * scale, out=w_out)
-                for c, x, wg in rest:
-                    w += (c * scale) * (self.colored_increment_grid(x) if wg is None else wg)
-                w *= u_grid
-                field = w if field is None else np.add(field, w, out=field)
-            modes = self.project(field)
-            modes *= weight
-            out = modes if out is None else np.add(out, modes, out=out)
-        if out is None:
-            out = np.zeros(shape)
-        for c, x, _ in forcings:
-            jn = x.shape[-1]
-            k0 = self.kappa0_q[:jn] * x
-            k0 *= c
-            out[..., :jn] += k0
-        return out
+    def remainder_drift(self, u_grid):
+        """N(u) less its linear part -gamma beta u, as mode coefficients:
+        beta <r(u), phi> + (alpha/(delta+1)) <p(u), phi'>."""
+        p = self.params
+        shape = u_grid.shape[:-1] + (self.cfg.n_modes,)
+        return self._modes(shape, *self._remainder_terms(u_grid, p.alpha / (p.delta + 1)), p.beta)
 
     def nonlinear_drift(self, u_grid):
-        """beta c(u) + (alpha/(delta+1)) <p(u), phi'> as mode coefficients."""
-        shape = u_grid.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, *self._drift_fields(u_grid), u_grid)
+        """N(u) = beta c(u) + (alpha/(delta+1)) <p(u), phi'> as mode coefficients."""
+        p = self.params
+        out = self.remainder_drift(u_grid)
+        out -= self.project(u_grid, p.gamma * p.beta)
+        return out
 
     def linearization_profiles(self, u0_grid):
-        """(alpha/(delta+1) p'(u0), beta c'(u0)): the grid profiles of the drift's
-        linearization at u0, None where the coefficient is zero."""
+        """(alpha/(delta+1) p'(u0), beta r'(u0)): the grid profiles of the
+        linearization at u0 of the remainder drift (the linear part is
+        -gamma beta z), None where the coefficient is zero."""
         p = self.params
         p1 = None
         if p.alpha > 0:
             p1 = (p.alpha / (p.delta + 1)) * advective_derivative(u0_grid, p.delta)
-        c1 = p.beta * reaction_derivative(u0_grid, p.gamma, p.delta) if p.beta > 0 else None
+        c1 = p.beta * reaction_remainder_derivative(u0_grid, p.gamma, p.delta) if p.beta > 0 else None
         return p1, c1
 
-    def linearized_drift(self, z_grid, p1, c1):
-        """Drift of the linearization at u0, c1 z + <p1 z, phi_j'>, for the
-        profiles (p1, c1) of ``linearization_profiles``."""
-        shape = z_grid.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, *self._linear_fields(z_grid, p1, c1), None)
-
     # noise and control ------------------------------------------------------
+    #
+    # Of g = kappa0 + kappa1 u the kappa0 part projects to kappa0 q_j dB_j
+    # exactly, zero beyond J_noise, so only kappa1 != 0 takes the grid product.
 
     def colored_increment_grid(self, mode_increments, out=None):
         """Sum_j q_j phi_j(x) dB_j on the grid; mode_increments is (..., J_noise)."""
         jn = mode_increments.shape[-1]
         return np.matmul(self.q[:jn] * mode_increments, self.phi[:jn], out=out)
 
+    def _add_kappa0(self, out, c, x):
+        """out[..., :J_noise] += c kappa0 q dB for the mode increments x."""
+        jn = x.shape[-1]
+        k0 = self.kappa0_q[:jn] * x
+        k0 *= c
+        out[..., :jn] += k0
+
     def forcing_term(self, t, u_grid, mode_increments):
         """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control;
         ``u_grid`` is read only when kappa1 != 0."""
         shape = mode_increments.shape[:-1] + (self.cfg.n_modes,)
-        return self._explicit_modes(shape, None, None, u_grid, ((1.0, mode_increments, None),))
+        react = self.colored_increment_grid(mode_increments) * u_grid if self.g.kappa1 else None
+        out = self._modes(shape, None, react, self.g.kappa1)
+        self._add_kappa0(out, 1.0, mode_increments)
+        return out
 
     # the stepper ------------------------------------------------------------
     #
     # A step is step(k, state, state_grid, bufs, row) -> state at step k + 1,
     # a new array.  It writes only into ``bufs``, a ``scratch`` for the
-    # state's batch shape, whose contents are dead once it returns.  Increment
-    # buffers are step-major: inc[k] holds the (..., J_noise) increments of
-    # step k, so a single path passes ``noise.increments.T``.  Of the optional
-    # ``Row`` the step reads u0's grid row and the noise grid, each built in
-    # the step when None: an ensemble block that steps several scales on one
-    # u0 and one draw builds them once per k.
+    # state's batch shape, whose contents are dead once it returns: bufs[0]
+    # holds p(u) and then the forcing field, bufs[1] the reaction field, and
+    # bufs[2], at s > 0 only, u = u0 + s z.  Increment buffers are step-major:
+    # inc[k] holds the (..., J_noise) increments of step k, so a single path
+    # passes ``noise.increments.T``.  Of the optional ``Row`` the step reads
+    # u0's grid row and remainder drift and the unscaled noise and control
+    # grids, each built in the step when None: an ensemble block that steps
+    # several scales on one u0 and one draw builds them once per k.
 
     def scratch(self, batch=()):
         """Three (*batch, n_points) grid buffers for a step's work."""
@@ -421,45 +417,73 @@ class SolverEngine:
     def deviation_step(self, u0=None, s=1.0, noise_inc=None, noise_scale=1.0, control_inc=None):
         """The deviation equation at scale s around u0, with u = u0 + s z:
 
-            E (z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
+            E ((1 - gamma beta dt) z + dt D_k(z) + noise_scale F(u, dB_k) + dt F(u, hdot_k)),
 
-        D_k(z) = [N(u) - N(u0)] / s, or the linearization at u0 when s = 0
-        (then u = u0: the CLT limit and the skeleton).  ``u0`` holds the
-        reference path's (K + 1, J) coefficients; no ``u0`` means u0 = 0 at
-        s = 1, the full equation (N(0) = 0): u = z, read only for a drift or a
-        kappa1 != 0 forcing, so the pure heat case may pass None.  Step k
-        builds what it needs of u0 from row k alone: its grid (the row's when
-        given), then the N(u0) that the quotient subtracts, or at s = 0
-        ``linearization_profiles``.
+        D_k(z) = [N_r(u) - N_r(u0)] / s for the remainder drift N_r
+        (``remainder_drift``), or its linearization at u0 when s = 0 (then
+        u = u0: the CLT limit and the skeleton).  ``u0`` holds the reference
+        path's (K + 1, J) coefficients; no ``u0`` means u0 = 0 at s = 1, the
+        full equation (N(0) = 0): u = z, read only for a drift or a kappa1 != 0
+        forcing, so the pure heat case may pass None.  Step k builds what it
+        needs of u0 from row k alone: its grid, then the N_r(u0) that the
+        quotient subtracts, or at s = 0 ``linearization_profiles``.  Which
+        terms exist, and their weights, are fixed here; the step's
+        ``reads_u0_drift`` says whether a march should build N_r(u0_k).
         """
-        dt = self.dt
+        p, dt = self.params, self.dt
         full, linear = u0 is None, s == 0.0
+        drift = p.alpha > 0 or p.beta > 0
+        quotient = drift and not (full or linear)  # subtracts N_r(u0) dt / s
+        # the fields' weights; at s = 0 the profiles carry alpha/(delta+1) and beta
+        wa, wr = (dt, dt) if linear else (p.alpha * dt / ((p.delta + 1) * s), p.beta * dt / s)
+        wr = wr if p.beta > 0 else 1.0  # the weight the kappa1 field is projected at
+        decay = 1.0 - p.gamma * p.beta * dt if p.beta > 0 else None
+        # (weight, step-major increments, the index of their unscaled grid in
+        # the Row's (noise_grid, control_grid))
         drives = [
-            (c, inc) for c, inc in ((noise_scale, noise_inc), (dt, control_inc)) if inc is not None
+            (c, inc, i)
+            for i, (c, inc) in enumerate(((noise_scale, noise_inc), (dt, control_inc)))
+            if inc is not None
         ]
+        kappa1 = self.g.kappa1 if drives else 0.0
+        # kappa1 u dW joins the reaction field, scaled by 1/wr to share its projection
+        forcings = [(c * (kappa1 / wr), inc, i) for c, inc, i in drives] if kappa1 else []
+        grid_terms = drift or bool(forcings)
 
         def step(k, z, z_grid, bufs, row=Row()):
-            # the row's noise grid is the noise increments', never the control's
-            forcings = [
-                (c, inc[k], row.noise_grid if inc is noise_inc else None) for c, inc in drives
-            ]
-            ref, u0_grid = None, row.u0_grid
-            u_grid = z_grid if full else self.grid_values(u0[k]) if u0_grid is None else u0_grid
-            if linear:
-                fields = self._linear_fields(z_grid, *self.linearization_profiles(u_grid), dt, bufs)
-            else:
-                if not full:  # u = u0 + s z, and the quotient subtracts N(u0) dt / s
-                    ref = self.nonlinear_drift(u_grid)
-                    ref *= dt / s
-                    u_grid = np.add(u_grid, np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
-                fields = self._drift_fields(u_grid, dt / s, bufs)
-            out = self._explicit_modes(z.shape, *fields, u_grid, forcings, bufs[1])
+            adv = react = ref = None
+            if grid_terms:
+                u = z_grid if full else self.grid_values(u0[k]) if row.u0_grid is None else row.u0_grid
+                if linear:
+                    adv, react = self.linearized_drift(z_grid, u, wa, bufs)
+                else:
+                    if quotient:
+                        ref = self.remainder_drift(u) if row.u0_drift is None else row.u0_drift
+                    if not full:
+                        u = np.add(u, np.multiply(z_grid, s, out=bufs[2]), out=bufs[2])
+                    adv, react = self._remainder_terms(u, wa, bufs)
+                if forcings:  # sum scale W into bufs[0], where p(u) is dead
+                    w, grids = None, (row.noise_grid, row.control_grid)
+                    for scale, inc, i in forcings:
+                        wg = grids[i]
+                        if wg is None:
+                            wg = self.colored_increment_grid(inc[k], out=bufs[0] if w is None else None)
+                        if w is None:
+                            w = np.multiply(wg, scale, out=bufs[0])
+                        else:
+                            w += scale * wg
+                    w *= u
+                    react = w if react is None else np.add(react, w, out=react)
+            out = self._modes(z.shape, adv, react, wr)
+            for c, inc, _ in drives:
+                self._add_kappa0(out, c, inc[k])
             if ref is not None:
-                out -= ref
-            out += z
+                out -= ref * (dt / s)
+            out += z if decay is None else decay * z
             out *= self.semigroup
             return out
 
+        step.reads_u0_drift = quotient
         return step
 
 
@@ -490,6 +514,7 @@ def march(eng, lanes, u0=None, inc=None, limit=None):
     one ``scratch`` that every step shares, whose first buffer is ``work``."""
     K, p = eng.cfg.n_steps, eng.params.p_norm
     states = [x for x, _, _ in lanes]
+    drift = u0 is not None and any(step.reads_u0_drift for _, step, _ in lanes)
     v, v_step = (None, None) if limit is None else limit
     bufs = eng.scratch(states[0].shape[:-1])
     grid = noise = v_grid = v_norm = None  # allocated at k = 0, then rewritten
@@ -501,7 +526,8 @@ def march(eng, lanes, u0=None, inc=None, limit=None):
             v_norm = eng.grid.lp_norm(v_grid, p, bufs[0])
         if k < K and inc is not None and eng.g.kappa1 != 0.0:
             noise = eng.colored_increment_grid(inc[k], out=noise)
-        row = Row(u0_grid, u0_norm, noise, v_grid, v_norm)
+        u0_drift = eng.remainder_drift(u0_grid) if drift and k < K else None
+        row = Row(u0_grid, u0_norm, noise, v_grid, v_norm, u0_drift)
         for i, (_, step, observe) in enumerate(lanes):
             grid = eng.grid_values(states[i], out=grid)
             observe(k, states[i], grid, bufs[0], row)

@@ -17,6 +17,7 @@ orthonormal, so projecting the grid samples of a band-limited field
 recovers its coefficients exactly.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,6 +34,15 @@ __all__ = [
     "heat_kernel_dy",
     "validate_kernel_estimates",
 ]
+
+
+@functools.cache
+def _squarings(m):
+    """``even_lp_integral``'s plan for p = 2m >= 4: the bits of floor(m/2) after
+    its leading one, and whether x^2 must be copied, since squaring in place
+    overwrites it and an odd m or a set bit reads it again."""
+    bits = tuple(b == "1" for b in bin(m // 2)[3:])
+    return bits, bool(bits) and (m % 2 == 1 or any(bits))
 
 
 @dataclass(frozen=True)
@@ -65,25 +75,28 @@ class Grid1D:
         return self.spacing * self._samples(values).sum(axis=-1)
 
     def lp_integral(self, values, p, out=None):
-        """Trapezoid quadrature of |values|^p over the last axis, p >= 1.
-
-        An even p = 2m >= 4 takes no abs and no libm pow: it squares up to
-        (x^2)^floor(m/2) and ends in the row-wise dot product (x^2)^ceil(m/2) .
-        (x^2)^floor(m/2), so x^p is never formed.  ``out`` (may be ``values``) takes x^2."""
+        """Trapezoid quadrature of |values|^p over the last axis, p >= 1; an even
+        p takes ``even_lp_integral``.  ``out`` (may be ``values``) takes x^2."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         if p % 2:
             return self.trapezoid(np.abs(values) ** p)
-        x2 = np.square(self._samples(values, float), out=out)
-        m = int(p) // 2
+        return self.even_lp_integral(self._samples(values, float), int(p), out)
+
+    def even_lp_integral(self, values, p, out=None):
+        """``lp_integral`` for an even int p of float samples on this grid,
+        unchecked.  A p = 2m >= 4 takes no abs and no libm pow: it squares up to
+        (x^2)^floor(m/2) and ends in the row-wise dot product (x^2)^ceil(m/2) .
+        (x^2)^floor(m/2), so x^p is never formed.  ``out`` (may be ``values``) takes x^2."""
+        x2 = np.square(values, out=out)
+        m = p // 2
         if m == 1:
-            return self.trapezoid(x2)
-        bits = bin(m // 2)[3:]  # the bits of floor(m/2) after its leading one
-        # squaring in place overwrites x2, which odd m and set bits read again
-        low = x2.copy() if bits and (m % 2 or "1" in bits) else x2
+            return self.spacing * x2.sum(axis=-1)
+        bits, copy = _squarings(m)
+        low = x2.copy() if copy else x2
         for bit in bits:
             low *= low
-            if bit == "1":
+            if bit:
                 low *= x2
         high = low * x2 if m % 2 else low
         return self.spacing * np.vecdot(high, low)

@@ -98,6 +98,30 @@ def test_forward_agrees_with_skeleton_solver(desk):
     assert np.array_equal(cmap.forward(hdot), traj.coeffs[-1])
 
 
+def test_matrix_builds_the_unit_control_grid_once(desk, monkeypatch):
+    """At kappa1 != 0 the sweep synthesises the unit controls' noise grid once,
+    not at each of its K steps, and A keeps the bits of the sweep whose every
+    step builds that grid itself."""
+    import sgbh.deviation as dev
+    from sgbh.solvers import Row, SolverEngine
+
+    params, cfg, spec, g, u0 = desk
+    assert g.kappa1 != 0.0
+    calls = [0]
+    grid = SolverEngine.colored_increment_grid
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return grid(self, *args, **kwargs)
+
+    monkeypatch.setattr(SolverEngine, "colored_increment_grid", counted)
+    a = EndpointControlMap(u0, params, g, cfg, noise_spec=spec).matrix
+    assert calls[0] == 1
+    monkeypatch.setattr(dev, "Row", lambda **_: Row())  # each step builds its own grid
+    assert np.array_equal(EndpointControlMap(u0, params, g, cfg, noise_spec=spec).matrix, a)
+    assert calls[0] == 2 + cfg.n_steps
+
+
 def _skeleton(params, cfg, g, u0, **spec):
     hdot = np.random.default_rng(5).standard_normal((5, cfg.n_steps))
     return solve_skeleton(u0, params, g, ControlPath(cfg.dt, cfg.n_steps, hdot), cfg, **spec).coeffs

@@ -15,6 +15,8 @@ from sgbh.model import (
     noise_coefficient_eval,
     reaction_derivative,
     reaction_nonlinearity,
+    reaction_remainder,
+    reaction_remainder_derivative,
     reaction_second_derivative,
 )
 
@@ -82,6 +84,23 @@ def test_reaction_nonlinearity_leaves_its_input_alone(delta):
     np.testing.assert_array_equal(u, before)
     ud = before**delta
     np.testing.assert_array_equal(got, before * (1.0 - ud) * (ud - 0.3))
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3])
+def test_reaction_is_its_linear_part_plus_the_remainder(delta):
+    """c(u) = -gamma u + r(u) and c'(u) = -gamma + r'(u), with r built from the
+    advective power u^(delta+1), which it reads and does not write."""
+    gamma = 0.3
+    u = np.random.default_rng(delta).uniform(-2.0, 2.0, size=(4, 50))
+    power = advective_nonlinearity(u, delta)
+    before = power.copy(), u.copy()
+    r = reaction_remainder(u, gamma, delta, power, np.empty_like(u))
+    assert all(np.array_equal(a, b) for a, b in zip((power, u), before))
+    for got, want in (
+        (-gamma * u + r, reaction_nonlinearity(u, gamma, delta)),
+        (-gamma + reaction_remainder_derivative(u, gamma, delta), reaction_derivative(u, gamma, delta)),
+    ):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_derivative_spot_values():

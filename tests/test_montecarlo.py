@@ -847,11 +847,13 @@ def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
     assert peaks[1] / (B * cfg.n_points * 8) < len(states) + 3 + 1
 
 
-@pytest.mark.parametrize("kind", ["strong-rate", "clt"])
+@pytest.mark.parametrize("kind", ["strong-rate", "clt", "mdp-tail"])
 def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
     """In one block, u0's grid row and the noise grid are synthesised once per
-    step whatever the number of eps, and clt's limit v takes K steps, not
-    K n_eps (each of v's steps reads u0's linearization once)."""
+    step whatever the number of eps, clt's limit v takes K steps, not
+    K n_eps (each of v's steps reads u0's linearization once), and the
+    difference quotients of clt and mdp-tail read u0's remainder drift, built
+    once per step (strong-rate's full equation reads none)."""
     import sgbh.montecarlo as mc
 
     counts = {}
@@ -869,6 +871,7 @@ def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
     count("grid_values", lambda args: np.ndim(args[0]) == 1)  # a row, not a block's grid
     count("colored_increment_grid")
     count("linearization_profiles")
+    count("remainder_drift")
     K = 5
     cfg = SolverConfig(dt=0.01, t_end=K * 0.01, n_modes=8, n_points=64)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=SPEC8)
@@ -881,6 +884,7 @@ def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
         assert counts.get("grid_values") == K + 1
         assert counts.get("colored_increment_grid") == K
         assert counts.get("linearization_profiles", 0) == (K if kind == "clt" else 0)
+        assert counts.get("remainder_drift", 0) == (0 if kind == "strong-rate" else K)
 
 
 def test_every_forward_loop_is_the_one_march(monkeypatch):
@@ -980,6 +984,26 @@ def _block_march_masked(paths, eng, spec, u0_coeffs, start, stop, limit=None):
         return _censored_march_masked(eng, spec.guard, u0_coeffs, inc, lanes, limit)
 
 
+def test_censor_takes_its_one_maximum_step_only_while_every_path_lives():
+    """Scripted statistics and bounds for two paths: path 1 trips at step 1,
+    and at step 2 every bound is certified but path 1's (zeroed) statistic is
+    its largest.  Its sup stays that of the steps before its trip."""
+    from sgbh.montecarlo import _censor
+
+    script = [([0.1, 0.2], [0.5, 0.5]), ([0.3, 5.0], [0.5, 5.0]), ([0.2, 0.9], [0.5, 0.5])]
+
+    def observe(work, grid, row):
+        stat, bound = (np.array(a) for a in script[observe.k])
+        return stat, bound, lambda: bound
+
+    state, grid = np.ones((2, 3)), np.ones((2, 4))
+    (_, _, censored), (sup, tripped) = _censor(BlowupGuard(1.0), (state, None, observe))
+    for observe.k in range(len(script)):
+        censored(observe.k, state, grid, None, None)
+    assert sup.tolist() == [0.3, 0.2] and tripped.tolist() == [False, True]
+    assert not state[1].any() and state[0].all()
+
+
 def test_censoring_fast_path_is_byte_identical(monkeypatch):
     """At guard 0.22 most eps = 0.1 paths trip, some eps = 0.01 ones, no
     eps = 0.001 one: the report does not depend on skipping the zeroing."""
@@ -1006,8 +1030,10 @@ def test_guard_certificate_gives_the_exact_trips(kind):
     strong-rate-censored golden config (guard 0.3: every eps = 0.5 path trips),
     and at a guard between one path's largest bound and its largest exact norm
     (the path never trips, but on some step only its exact norm shows it),
+    at a guard that some paths cross mid-march, and at one that no path nears,
     each eps's (sup, tripped) equals the reference loop that takes the exact
-    norm at every step, and the march takes the exact norm on some steps only."""
+    norm and the masked updates at every step, and the march takes the exact
+    norm on some steps only (on none when no path nears the guard)."""
     from sgbh.cli import RunConfig
     from sgbh.montecarlo import _block_increments, _censor
 
@@ -1043,7 +1069,11 @@ def test_guard_certificate_gives_the_exact_trips(kind):
     assert bound > exact * (1 + 1e-6)
     between = BlowupGuard(float(0.5 * (bound + exact)))
 
-    for guard in (spec.guard, between):
+    # at the median of eps e's largest exact norms some of its paths trip and
+    # some do not, so none trips at step 0, where every path has u0's norm; no
+    # path nears the default guard, so each step is the one-np.maximum fast path
+    midway, none = BlowupGuard(float(np.median(highs[e][1]))), BlowupGuard()
+    for guard in (spec.guard, between, midway, none):
         lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
         exact_calls = [0]
 
@@ -1068,11 +1098,16 @@ def test_guard_certificate_gives_the_exact_trips(kind):
         for (sup, tripped), (sup_ref, tripped_ref) in zip(got, want):
             assert np.array_equal(tripped, tripped_ref)
             assert np.array_equal(sup, sup_ref)
+        if guard is none:
+            assert exact_calls[0] == 0 and not any(tripped.any() for _, tripped in got)
+            continue
         assert 0 < exact_calls[0] < len(spec.eps_list) * (cfg.n_steps + 1)
         if guard is spec.guard:
             assert got[0][1].all()
-        else:
+        elif guard is between:
             assert not got[e][1][b]
+        else:
+            assert 0 < got[e][1].sum() < spec.n_paths
 
 
 # --- verdict rates over fixed seeds ----------------------------------------------

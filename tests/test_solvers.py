@@ -539,6 +539,21 @@ def test_full_step_is_the_deviation_step_about_zero(g, batch, noisy):
         z = got
 
 
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["path", "B5"])
+def test_full_step_leaves_its_third_buffer_alone(batch):
+    """With both drifts and kappa1 != 0, under noise and control, the full
+    equation's step does its grid work in bufs[0] and bufs[1]: the third,
+    which only u = u0 + s z needs, keeps what it held."""
+    eng, a, dB, hdot, _ = _step_inputs(G_AFFINE, batch, 16, seed=13)
+    p = eng.params
+    assert p.alpha > 0 and p.beta > 0 and eng.g.kappa1 != 0.0
+    step = eng.deviation_step(noise_inc=dB, noise_scale=0.3, control_inc=hdot)
+    bufs = eng.scratch(batch)
+    bufs.fill(np.nan)
+    assert np.all(np.isfinite(step(1, a, eng.grid_values(a), bufs)))
+    assert np.all(np.isnan(bufs[2]))
+
+
 @pytest.mark.parametrize("batch,j_noise", [((), 16), ((1,), 6), ((5,), 16)])
 def test_heat_step_is_bitwise_the_modal_forcing(batch, j_noise):
     """No drift and constant g: E (a + sqrt(eps) kappa0 q dB) in modes, bit for bit."""

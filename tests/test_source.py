@@ -220,6 +220,7 @@ KEPT_FOR_TESTS = {
     "load_trajectory",  # the only reader of the trajectory.bin that users receive
     "apply_semigroup",  # the semigroup reference of acceptance criterion 1
     "reaction_second_derivative",  # the derivative oracle of acceptance criterion 2
+    "reaction_derivative",  # c', the oracle of the linearized step and of r' = c' + gamma
     "gaussian_lp_norm_closed_form",  # the reference that gaussian_lp_norm is tested against
 }
 
