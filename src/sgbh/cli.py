@@ -98,7 +98,7 @@ _SCHEMA = {
     "experiment": {
         "n_paths": 500,
         "eps_list": [0.01, 0.001, 0.0001],
-        "block_size": 128,
+        "block_size": 64,
         "rho_list": [0.5, 1.0, 2.0, 4.0],
         "tail_p": 2,
         "oracle_g": 1.0,

@@ -88,7 +88,7 @@ class EndpointControlMap:
         eng = self.eng
         # the skeleton solver's march and stepper, so endpoints agree bitwise
         step = eng.deviation_step(self.u0, 0.0, control_inc=hdot.T)
-        return march(eng, [(np.zeros(eng.cfg.n_modes), step, lambda *_: None)])[0]
+        return march(eng, (np.zeros(eng.cfg.n_modes), step, lambda *_: None))
 
     def adjoint(self, w):
         """(Phi* w): shape (J_noise, n_steps) for w of shape (J,), and

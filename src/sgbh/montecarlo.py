@@ -12,14 +12,17 @@ Each runner builds what its blocks read before any block starts and binds it
 to its block function with ``functools.partial``; blocks read it inline or on
 the pool workers, each of which receives it once.  The three marching
 runners (strong rate, CLT, MDP tail) share one path, ``_run_marching``: it
-builds the engine and solves the reference path, and each block
+builds the engine, solves the reference path and tabulates what its steps
+read of it once for every block (``Reference``), and each block
 (``_block_march``) draws its increments once and advances every eps with
-them in one ``march``, the solvers' time loop, returning a sup and a
-guard-trip mask per eps (``_censor``).  The runners differ only in their
-per-eps lane (the state, step and statistic that the march runs), clt's
-limit marched once beside the lanes, and their verdict.  The runner called
-is the experiment and names its report.  A block writes its (paths x
-n_points) work into a few buffers that its march allocates once.
+them in one ``march``, the solvers' time loop, returning (n_eps, B) sups and
+guard-trip masks (``_censor``).  A block has one state, every eps stacked on
+its leading axis as (n_eps, B, J), so each GEMM of a step takes n_eps * B
+rows.  The runners differ only in their lane (the state, step and statistic
+that the march runs), clt's limit marched beside it, and their verdict.  The
+runner called is the experiment and names its report.  A block writes its
+(n_eps * paths x n_points) work into a few buffers that its march allocates
+once.
 
 Each runner returns its report as the JSON document the CLI writes: plain
 Python values in the key order of ``report.json``, with a statistic that has
@@ -73,7 +76,7 @@ class EnsembleSpec:
     n_paths: int
     base_seed: int
     eps_list: tuple
-    block_size: int = 128
+    block_size: int = 64
     guard: BlowupGuard = BlowupGuard()
 
     def __post_init__(self):
@@ -215,10 +218,12 @@ def _block_increments(eng, seed, start, stop):
 
 
 def _censor(guard, lane):
-    """``lane`` = (state, step, observe) with an observe that censors its (B,)
-    paths, and the (B,) sup and trip mask it fills.  ``observe(work, grid,
-    row)`` returns the statistic, a bound on the guard's norm and a function
-    giving that norm exactly, called only when a live path's bound is not below
+    """``lane`` = (state, step, observe) with an observe that censors the
+    paths of its state, each of which is one row x[i] (an (eps, path) pair of
+    a block's (n_eps, B, J) state), and the sup and trip mask of the state's
+    leading shape, (n_eps, B), that it fills.  ``observe(work, grid, row)``
+    returns the statistic, a bound on the guard's norm and a function giving
+    that norm exactly, called only when a live path's bound is not below
     (1 - 1e-9) times the threshold, so trips are exact.  A path dies at its
     first trip or non-finite statistic: its rows are zeroed from then on and its
     sup covers the steps strictly before.  While every path lives and every
@@ -226,8 +231,8 @@ def _censor(guard, lane):
     ``np.maximum``."""
     x, step, observe = lane
     certified = guard.threshold * (1 - 1e-9)
-    alive = np.ones(len(x), dtype=bool)
-    sup, tripped = np.zeros(len(x)), np.zeros(len(x), dtype=bool)
+    alive = np.ones(x.shape[:-1], dtype=bool)
+    sup, tripped = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=bool)
 
     def censored(k, state, grid, work, row):
         nonlocal alive
@@ -250,20 +255,27 @@ def _censor(guard, lane):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a trip or a censored path
-def _block_march(paths, eng, spec, u0_coeffs, start, stop, limit=None):
-    """A block of a marching ensemble: (sup, tripped) of (B,) arrays per eps.
+def _block_march(paths, eng, spec, u0, start, stop, limit=None):
+    """A block of a marching ensemble: its (n_eps, B) sup and trip mask.
     The block's increments are drawn once and drive every eps, so each path is
-    coupled across eps.  One ``march`` runs each eps's lane, ``paths(eng,
-    u0_coeffs, inc, eps)`` censored, and ``limit(eng, u0_coeffs, inc)``, never
-    censored (clt's v: a path dead at one eps lives at another)."""
+    coupled across eps.  One ``march`` on the ``Reference`` ``u0`` runs the
+    block's lane, ``paths(eng, u0.coeffs, inc, eps_list)`` censored, whose
+    state holds every eps, and ``limit(eng, u0.coeffs, inc)``, never censored
+    (clt's v: a path dead at one eps lives at another)."""
     inc = _block_increments(eng, spec.base_seed, start, stop)
-    censored = [_censor(spec.guard, paths(eng, u0_coeffs, inc, eps)) for eps in spec.eps_list]
-    limit = None if limit is None else limit(eng, u0_coeffs, inc)
-    march(eng, [lane for lane, _ in censored], u0_coeffs, inc, limit)
-    return [stats for _, stats in censored]
+    lane, stats = _censor(spec.guard, paths(eng, u0.coeffs, inc, spec.eps_list))
+    limit = None if limit is None else limit(eng, u0.coeffs, inc)
+    march(eng, lane, u0, inc, limit)
+    return stats
 
 
-def _strong_rate_paths(eng, u0_coeffs, inc, eps):
+def _by_eps(values):
+    """Per-eps scalars as an (n_eps, 1, 1) column, which broadcasts over a
+    block's (n_eps, B, .) arrays; ``[..., 0]`` of it over (n_eps, B) statistics."""
+    return np.array(values, dtype=float)[:, None, None]
+
+
+def _strong_rate_paths(eng, u0_coeffs, inc, eps_list):
     p = eng.params.p_norm
 
     def observe(work, u_grid, row):
@@ -271,13 +283,13 @@ def _strong_rate_paths(eng, u0_coeffs, inc, eps):
         # Minkowski: ||u||_p <= ||u - u0||_p + ||u0||_p
         return stat, stat ** (1.0 / p) + row.u0_norm, lambda: eng.grid.lp_norm(u_grid, p, work)
 
-    step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(eps))
-    return np.tile(u0_coeffs[0], (inc.shape[1], 1)), step, observe
+    step = eng.deviation_step(noise_inc=inc, noise_scale=np.sqrt(_by_eps(eps_list)))
+    return np.tile(u0_coeffs[0], (len(eps_list), inc.shape[1], 1)), step, observe
 
 
-def _clt_paths(eng, u0_coeffs, inc, eps):
+def _clt_paths(eng, u0_coeffs, inc, eps_list):
     p = eng.params.p_norm
-    s = np.sqrt(eps)
+    s = np.sqrt(_by_eps(eps_list))
 
     def observe(work, zg, row):
         stat = eng.grid.lp_norm(np.subtract(zg, row.v_grid, out=work), p, work)
@@ -287,10 +299,10 @@ def _clt_paths(eng, u0_coeffs, inc, eps):
             return eng.grid.lp_norm(u, p, work)
 
         # Minkowski: ||u0 + s z||_p <= ||u0||_p + s (||z - v||_p + ||v||_p)
-        return stat, row.u0_norm + s * (stat + row.v_norm), norm
+        return stat, row.u0_norm + s[..., 0] * (stat + row.v_norm), norm
 
     step = eng.deviation_step(u0_coeffs, s, noise_inc=inc)
-    return np.zeros((inc.shape[1], eng.cfg.n_modes)), step, observe
+    return np.zeros((len(eps_list), inc.shape[1], eng.cfg.n_modes)), step, observe
 
 
 def _clt_limit(eng, u0_coeffs, inc):
@@ -299,15 +311,15 @@ def _clt_limit(eng, u0_coeffs, inc):
     return np.zeros((inc.shape[1], eng.cfg.n_modes)), step
 
 
-def _mdp_paths(eng, u0_coeffs, inc, eps, speed, p):
-    s, noise_scale = speed.scales(eps)
+def _mdp_paths(eng, u0_coeffs, inc, eps_list, speed, p):
+    s, noise_scale = (_by_eps(c) for c in zip(*map(speed.scales, eps_list)))
 
     def observe(work, zg, row):
         stat = eng.grid.lp_norm(zg, p, work)
         return stat, stat, lambda: stat
 
     step = eng.deviation_step(u0_coeffs, s, inc, noise_scale)
-    return np.zeros((inc.shape[1], eng.cfg.n_modes)), step, observe
+    return np.zeros((len(eps_list), inc.shape[1], eng.cfg.n_modes)), step, observe
 
 
 def _block_heat(eng, weights, seed, start, stop):
@@ -327,26 +339,29 @@ def _block_heat(eng, weights, seed, start, stop):
 # runners ---------------------------------------------------------------------
 
 
-def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers, limit=None):
+def _run_marching(paths, spec, params, g, cfg, noise_spec, u0, workers, limit=None, drifts=True):
     """Run a marching ensemble and return (sups, trips), each (n_eps, n_paths)
-    in path order; ``paths`` and ``limit`` are the lanes and limit that
-    ``_block_march`` marches.
+    in path order; ``paths`` and ``limit`` are the lane and limit that
+    ``_block_march`` marches, and ``drifts`` whether its difference quotient
+    reads u0's remainder drifts.
     The engine, the bound checks and the reference solve (from ``u0``, the
     parabolic bump when None) come before any worker starts, so setup errors
-    surface first.  Blocks read the reference path in coefficients and
-    synthesise its grid one step at a time."""
+    surface first.  Blocks read the reference path's ``Reference``, built once,
+    and synthesise its grid one step at a time."""
     eng = SolverEngine(params, cfg, g=g, noise_spec=noise_spec)
-    # what a block allocates, its (K, B, J_noise) increments, and what the
-    # reduction holds, a sup per path and eps
-    draw = min(spec.block_size, spec.n_paths) * cfg.n_steps * eng.noise_spec.n_modes
-    _check_entries("block_size*n_steps*noise n_modes", draw)
-    _check_entries("n_paths*n_eps", spec.n_paths * len(spec.eps_list))
+    # what a block allocates, its (K, B, J_noise) increments and each of its
+    # (n_eps, B, n_points) grid buffers, and what the reduction holds, a sup
+    # per path and eps
+    n_eps, B = len(spec.eps_list), min(spec.block_size, spec.n_paths)
+    _check_entries("block_size*n_steps*noise n_modes", B * cfg.n_steps * eng.noise_spec.n_modes)
+    _check_entries("n_eps*block_size*n_points", n_eps * B * cfg.n_points)
+    _check_entries("n_paths*n_eps", spec.n_paths * n_eps)
     u0 = default_initial(eng.grid) if u0 is None else u0
-    u0_coeffs = solve_deterministic(u0, params, cfg).coeffs
-    block = functools.partial(_block_march, paths, eng, spec, u0_coeffs, limit=limit)
+    ref = eng.reference(solve_deterministic(u0, params, cfg).coeffs, drifts)
+    block = functools.partial(_block_march, paths, eng, spec, ref, limit=limit)
     blocks = _run_blocks(block, spec, workers)
-    sups = np.concatenate([[sup for sup, _ in b] for b in blocks], axis=1)
-    trips = np.concatenate([[trip for _, trip in b] for b in blocks], axis=1)
+    sups = np.concatenate([sup for sup, _ in blocks], axis=1)
+    trips = np.concatenate([trip for _, trip in blocks], axis=1)
     return sups, trips
 
 
@@ -417,7 +432,10 @@ def run_strong_rate(spec, params, g, cfg, u0=None, noise_spec=None, workers=1):
     with r^2 >= 0.99 (the theory guarantees only an upper bound of order
     eps^(p/2), so the gate is one-sided) and a rejection rate <= 5% per eps.
     """
-    sups, trips = _run_marching(_strong_rate_paths, spec, params, g, cfg, noise_spec, u0, workers)
+    # the full equation reads u0 in its statistic alone, never N_r(u0)
+    sups, trips = _run_marching(
+        _strong_rate_paths, spec, params, g, cfg, noise_spec, u0, workers, drifts=False
+    )
     target = params.p_norm / 2
 
     def checks(fit, mean):

@@ -20,9 +20,16 @@ the state's coefficients by 1 - gamma beta dt exactly, and r reuses p(u).  So
 a full-equation step at delta = 1 with kappa1 != 0 makes six grid passes
 beside its two projections and the state's synthesis (p, r in two, and the
 kappa1 u dW field in three), and a deviation step two more for u = u0 + s z.
-Nonlinear products have degree 2*delta + 1, so grids must satisfy
-n_points >= 2*(2*delta+1)*n_modes before projection (anti-aliasing); the
-engine enforces this whenever alpha or beta is nonzero.
+Whenever alpha or beta is nonzero the engine requires n_points >=
+2*(2*delta+1)*n_modes, the degree of the nonlinear products.  That bound
+makes only some quadratures exact.  At J = 32, against n_points = 512, the
+odd-degree sine pairing <u^3, phi_j> and the divergence pairing
+<u^2, phi_j'> agree to roundoff from n_points = 64, and the L^8 integral
+from 128.  The even-degree sine pairings, <u^2, phi_j> and the kappa1 u dW
+field's, are exact at no n_points: u^2 is a cosine series, and the
+trapezoid rule's error on its sine pairings falls as h^4, 2e-7 of the
+largest pairing at n_points = 128 and 1e-8 at 256.  So n_points is a
+discretization parameter of its own, not only an anti-aliasing bound.
 
 The rescaled deviation process Z = (u_eps - u0) / (sqrt(eps) * lam) is
 integrated from its own equation, with the nonlinear terms as difference
@@ -39,13 +46,15 @@ s = 1, so the five problems share one stepper, ``SolverEngine.deviation_step``,
 whose terms and weights are fixed when it is built.  One forward time loop,
 ``march``, advances it for every path: the single-path solvers here,
 ``EndpointControlMap.forward``, and the marching ensembles' blocks in
-``montecarlo``, whose lanes (one per eps) read the ``Row`` that march builds
-once per step, u0's remainder drift N_r(u0_k) among it.  March owns every
-grid buffer it writes.  The control map's ``matrix`` and the heat oracle's
-``_heat_weights`` sweep the stepper backward, with one
-``SolverEngine.scratch`` each.  The discrete
-stopping time is ``BlowupGuard``: single paths raise at its first trip,
-ensembles censor the paths that trip.
+``montecarlo``, whose one state holds every eps of the block as an
+(n_eps, B, J) array, the step's scales as (n_eps, 1, 1) columns.  The step
+reads the ``Row`` that march builds once per step, u0's remainder drift
+N_r(u0_k) among it, read from the ``Reference`` that an ensemble builds once
+per run.  March owns every grid buffer it writes.  The control
+map's ``matrix`` and the heat oracle's ``_heat_weights`` sweep the stepper
+backward, with one ``SolverEngine.scratch`` each.  The discrete stopping
+time is ``BlowupGuard``: single paths raise at its first trip, ensembles
+censor the paths that trip.
 """
 
 import struct
@@ -73,6 +82,7 @@ __all__ = [
     "NumericalAbortError",
     "SetupError",
     "Row",
+    "Reference",
     "march",
     "solve_deterministic",
     "solve_spde",
@@ -206,9 +216,10 @@ class Trajectory:
 
 
 class Row(NamedTuple):
-    """What a march's lanes read alike at step k, None where absent: u0's grid
-    row and L^p norm, the unscaled noise grid, the limit's grid and norms, u0's
-    remainder drift N_r(u0_k), and the unscaled control grid."""
+    """What a march's step and observe read alike for every row of the state
+    at step k, None where absent: u0's grid row and L^p norm, the unscaled
+    noise grid, the limit's grid and norms, u0's remainder drift N_r(u0_k),
+    and the unscaled control grid."""
 
     u0_grid: np.ndarray | None = None
     u0_norm: float | None = None
@@ -217,6 +228,19 @@ class Row(NamedTuple):
     v_norm: np.ndarray | None = None
     u0_drift: np.ndarray | None = None
     control_grid: np.ndarray | None = None
+
+
+class Reference(NamedTuple):
+    """The reference path u0 as a march reads it: its (K + 1, J) coefficients,
+    the L^p norm of each step's grid row, and each step's remainder drift
+    N_r(u0_k) as a (K, J) array, None where no step reads it.  They depend on
+    k alone, so an ensemble builds them once per run
+    (``SolverEngine.reference``) for all its blocks; a march builds only u0's
+    (n_points,) grid row per step."""
+
+    coeffs: np.ndarray
+    norms: np.ndarray
+    drifts: np.ndarray | None = None
 
 
 _TRAJ_HEADER = struct.Struct("<qqdq")
@@ -243,12 +267,24 @@ def load_trajectory(path):
     return Trajectory(dt=dt, coeffs=coeffs, basis=basis)
 
 
+def _gemm(a, b, out=None):
+    """a @ b for a 2-D b as one GEMM: a's leading axes are flattened into its
+    rows, where numpy's stacked matmul would run one GEMM per leading index.
+    An ``out`` that no reshape can view flat takes the stacked matmul."""
+    if a.ndim <= 2 or not (out is None or out.flags.c_contiguous):
+        return np.matmul(a, b, out=out)
+    rows = None if out is None else out.reshape(-1, b.shape[-1])
+    flat = np.matmul(a.reshape(-1, a.shape[-1]), b, out=rows)
+    return flat.reshape(a.shape[:-1] + b.shape[-1:]) if out is None else out
+
+
 class SolverEngine:
     """Precomputed arrays for stepping a fixed (params, config, noise) setup.
 
     All methods broadcast over leading batch axes: coefficient arrays may be
-    (J,) or (B, J), grid arrays (n,) or (B, n).  Shared by the single-path
-    solvers here, the ensemble runners, and the endpoint control map.
+    (J,), (B, J) or an ensemble block's (n_eps, B, J), grid arrays likewise
+    with n in place of J.  Shared by the single-path solvers here, the
+    ensemble runners, and the endpoint control map.
     """
 
     def __init__(self, params, cfg, g=None, noise_spec=None):
@@ -281,19 +317,33 @@ class SolverEngine:
     # representation changes ------------------------------------------------
 
     def grid_values(self, coeffs, out=None):
-        return np.matmul(coeffs, self.phi, out=out)
+        return _gemm(coeffs, self.phi, out)
 
     def project(self, values, weight=1.0):
-        """weight <values, phi_j>, the weight taken in the quadrature's one scaling pass."""
-        out = values @ self.phi.T
+        """weight <values, phi_j>, the weight taken in the quadrature's one
+        scaling pass; a weight broadcasts against the (..., J) result."""
+        out = _gemm(values, self.phi.T)
         out *= self.h * weight
         return out
 
     def project_divergence(self, values, weight=1.0):
         """weight <values, phi_j'>: the divergence-form advective pairing."""
-        out = values @ self.dphi.T
+        out = _gemm(values, self.dphi.T)
         out *= self.h * weight
         return out
+
+    def reference(self, coeffs, drifts):
+        """The ``Reference`` of a reference path's (K + 1, J) coefficients,
+        with its remainder drifts when ``drifts``, each from one grid row."""
+        K = self.cfg.n_steps
+        norms = np.empty(K + 1)
+        table = np.empty((K, self.cfg.n_modes)) if drifts else None
+        for k in range(K + 1):
+            row = self.grid_values(coeffs[k])
+            norms[k] = self.grid.lp_norm(row, self.params.p_norm)
+            if table is not None and k < K:
+                table[k] = self.remainder_drift(row)
+        return Reference(coeffs, norms, table)
 
     def initial_coeffs(self, u0):
         """One state's (n_modes,) sine coefficients: a grid ``Field`` projected
@@ -379,14 +429,13 @@ class SolverEngine:
     def colored_increment_grid(self, mode_increments, out=None):
         """Sum_j q_j phi_j(x) dB_j on the grid; mode_increments is (..., J_noise)."""
         jn = mode_increments.shape[-1]
-        return np.matmul(self.q[:jn] * mode_increments, self.phi[:jn], out=out)
+        return _gemm(self.q[:jn] * mode_increments, self.phi[:jn], out)
 
     def _add_kappa0(self, out, c, x):
-        """out[..., :J_noise] += c kappa0 q dB for the mode increments x."""
+        """out[..., :J_noise] += c kappa0 q dB for the mode increments x; c
+        may be an (n_eps, 1, 1) column over a block's (B, J_noise) increments."""
         jn = x.shape[-1]
-        k0 = self.kappa0_q[:jn] * x
-        k0 *= c
-        out[..., :jn] += k0
+        out[..., :jn] += self.kappa0_q[:jn] * x * c
 
     def forcing_term(self, t, u_grid, mode_increments):
         """Project g(t, ., u) * sum_j q_j phi_j dB_j.  Serves noise and control;
@@ -427,11 +476,13 @@ class SolverEngine:
         forcing, so the pure heat case may pass None.  Step k builds what it
         needs of u0 from row k alone: its grid, then the N_r(u0) that the
         quotient subtracts, or at s = 0 ``linearization_profiles``.  Which
-        terms exist, and their weights, are fixed here; the step's
-        ``reads_u0_drift`` says whether a march should build N_r(u0_k).
+        terms exist, and their weights, are fixed here.  ``s`` and
+        ``noise_scale`` are scalars, or (n_eps, 1, 1) columns of positive
+        scales that step an ensemble block's (n_eps, B, J) state, every eps on
+        one (B, J_noise) increment per step; only a scalar s may be 0.
         """
         p, dt = self.params, self.dt
-        full, linear = u0 is None, s == 0.0
+        full, linear = u0 is None, np.ndim(s) == 0 and s == 0.0
         drift = p.alpha > 0 or p.beta > 0
         quotient = drift and not (full or linear)  # subtracts N_r(u0) dt / s
         # the fields' weights; at s = 0 the profiles carry alpha/(delta+1) and beta
@@ -483,7 +534,6 @@ class SolverEngine:
             out *= self.semigroup
             return out
 
-        step.reads_u0_drift = quotient
         return step
 
 
@@ -502,40 +552,42 @@ def _check_time_grid(cfg, trajectory=None, noise=None, control=None):
         raise SetupError(f"trajectory has {trajectory.n_modes} modes, config {cfg.n_modes}")
 
 
-def march(eng, lanes, u0=None, inc=None, limit=None):
-    """The one forward time loop.  A lane is (state, step, observe).  At each
-    k = 0..K the march builds once the ``Row`` its lanes read: u0's grid row
-    from ``u0``'s (K + 1, J) coefficients, the noise grid of the step-major
-    ``inc[k]`` when kappa1 != 0, and the grid of ``limit``, a (state, step)
-    never observed.  Each lane then synthesises its grid into the one buffer
-    all lanes share, calls ``observe(k, state, grid, work, row)``, which may
-    raise or zero rows of the state and grid in place, and steps.  Returns the
-    lanes' states at step K.  The march owns every grid buffer it writes, with
-    one ``scratch`` that every step shares, whose first buffer is ``work``."""
+def march(eng, lane, u0=None, inc=None, limit=None):
+    """The one forward time loop over ``lane`` = (state, step, observe).  At
+    each k = 0..K the march builds once the ``Row`` that the step and observe
+    read: u0's grid row, with its norm and remainder drift from the
+    ``Reference`` ``u0``, the noise grid of the step-major ``inc[k]`` when
+    kappa1 != 0, and the grid of ``limit``, a (state, step) never observed:
+    clt's (B, J) limit v beside a block's (n_eps, B, J) state.  It then
+    synthesises the state's grid, calls ``observe(k, state, grid, work,
+    row)``, which may raise or zero rows of the state and grid in place, and
+    steps.  Returns the state at step K.  The march owns every grid buffer it
+    writes, with one ``scratch`` that every step shares, whose first buffer is
+    ``work``; the limit works in the first eps's rows of it."""
     K, p = eng.cfg.n_steps, eng.params.p_norm
-    states = [x for x, _, _ in lanes]
-    drift = u0 is not None and any(step.reads_u0_drift for _, step, _ in lanes)
+    x, step, observe = lane
+    drifts = None if u0 is None else u0.drifts
     v, v_step = (None, None) if limit is None else limit
-    bufs = eng.scratch(states[0].shape[:-1])
+    bufs = eng.scratch(x.shape[:-1])
+    v_bufs = None if v is None else bufs[:, 0]  # the first eps's rows
     grid = noise = v_grid = v_norm = None  # allocated at k = 0, then rewritten
     for k in range(K + 1):
-        u0_grid = None if u0 is None else eng.grid_values(u0[k])
-        u0_norm = None if u0 is None else eng.grid.lp_norm(u0_grid, p)
+        u0_grid = None if u0 is None else eng.grid_values(u0.coeffs[k])
+        u0_norm = None if u0 is None else u0.norms[k]
         if v is not None:
             v_grid = eng.grid_values(v, out=v_grid)
-            v_norm = eng.grid.lp_norm(v_grid, p, bufs[0])
+            v_norm = eng.grid.lp_norm(v_grid, p, v_bufs[0])
         if k < K and inc is not None and eng.g.kappa1 != 0.0:
             noise = eng.colored_increment_grid(inc[k], out=noise)
-        u0_drift = eng.remainder_drift(u0_grid) if drift and k < K else None
+        u0_drift = None if drifts is None or k == K else drifts[k]
         row = Row(u0_grid, u0_norm, noise, v_grid, v_norm, u0_drift)
-        for i, (_, step, observe) in enumerate(lanes):
-            grid = eng.grid_values(states[i], out=grid)
-            observe(k, states[i], grid, bufs[0], row)
-            if k < K:
-                states[i] = step(k, states[i], grid, bufs, row)
-        if v is not None and k < K:
-            v = v_step(k, v, v_grid, bufs, row)
-    return states
+        grid = eng.grid_values(x, out=grid)
+        observe(k, x, grid, bufs[0], row)
+        if k < K:
+            x = step(k, x, grid, bufs, row)
+            if v is not None:
+                v = v_step(k, v, v_grid, v_bufs, row)
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value trips the guard
@@ -552,7 +604,7 @@ def _drive(eng, a0, step_fn, guard):
         guard.check(k * eng.dt, norms[k])
         out[k] = a
 
-    march(eng, [(a0, step_fn, observe)])
+    march(eng, (a0, step_fn, observe))
     return Trajectory(dt=eng.dt, coeffs=out, basis=eng.basis, norm_p=p, norms=norms)
 
 

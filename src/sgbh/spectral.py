@@ -95,7 +95,7 @@ class Grid1D:
         bits, copy = _squarings(m)
         low = x2.copy() if copy else x2
         for bit in bits:
-            low *= low
+            np.square(low, out=low)
             if bit:
                 low *= x2
         high = low * x2 if m % 2 else low

@@ -559,11 +559,20 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
             )
             for rho in ("[]", "[-1.0, 0.5]", "[0.5, 0.5]", "[0.05, 0.02]")
         ),
-        # one path's draw passes the 2^22 bound; a 128-path block of it would be 3.3 GB
+        # one path's draw passes the 2^22 bound; a 64-path block of it would be 1.6 GB
         (
             "[solver]\ndt = 1e-5\nt_end = 1.0\n",
             ["experiment", "strong-rate"],
-            "block_size*n_steps*noise n_modes = 409600000 exceeds 16777216",
+            "block_size*n_steps*noise n_modes = 204800000 exceeds 16777216",
+        ),
+        # a one-step, one-mode draw passes, but each (n_eps, B, n_points) grid
+        # buffer of the block would be 256 GiB
+        (
+            "[noise]\nn_modes = 1\n[solver]\ndt = 0.25\nt_end = 0.25\nn_modes = 1\n"
+            "n_points = 2097152\n[experiment]\nn_paths = 16384\nblock_size = 16384\n"
+            "eps_list = [0.5]\n",
+            ["experiment", "strong-rate"],
+            "n_eps*block_size*n_points = 34359738368 exceeds 16777216",
         ),
         # refused before _block_spans lists the blocks or any block allocates
         (
@@ -596,6 +605,7 @@ def test_grid_too_coarse_for_modes_exits_2(tmp_path, capsys):
         "rho-repeated",
         "rho-descending",
         "block-noise-draw",
+        "block-grid",
         "reduction-paths",
         "reduction-heat-endpoints",
     ],
@@ -1430,12 +1440,12 @@ def _minor_faults(argv):
 
 
 def test_ensemble_block_keeps_its_heap(tmp_path):
-    """One 128-path block of each marching ensemble at the default shapes: the
-    march writes its (B, n) grid work into buffers it allocates once, so its
-    steps fault no fresh pages in under the C library's own malloc settings.
-    With a (B, n) temporary per grid term and glibc's start-up thresholds,
-    strong-rate made about 115k minor faults and mdp-tail 176k; the
-    interpreter and numpy take about 7k."""
+    """128 paths of each marching ensemble at the default shapes, two 64-path
+    blocks of three eps: a block's march writes its (n_eps, B, n) grid work
+    into buffers it allocates once, so its steps fault no fresh pages in under
+    the C library's own malloc settings.  With a (B, n) temporary per grid
+    term and glibc's start-up thresholds, strong-rate made about 115k minor
+    faults and mdp-tail 176k; the interpreter and numpy take about 7k."""
     cfg = _write(tmp_path, "[experiment]\nn_paths = 128\n")
     for experiment in ("strong-rate", "clt", "mdp-tail"):
         code, faults = _minor_faults(
@@ -1463,7 +1473,7 @@ run_strong_rate(
 
 
 def test_library_run_keeps_its_heap():
-    """The same block from a direct ``run_strong_rate`` call, as a library
+    """The same blocks from a direct ``run_strong_rate`` call, as a library
     caller makes it: the buffers are the march's, not the CLI's."""
     code, faults = _minor_faults(["-c", _LIBRARY_RUN])
     assert code == 0

@@ -795,7 +795,7 @@ def test_guard_thresholds_must_be_positive(thr):
 
 
 def _block_parts(kind):
-    """A marching runner's per-eps lane builder and its limit (None but clt's)."""
+    """A marching runner's lane builder and its limit (None but clt's)."""
     import functools
 
     from sgbh.montecarlo import _clt_limit, _clt_paths, _mdp_paths, _strong_rate_paths
@@ -807,53 +807,122 @@ def _block_parts(kind):
     }[kind]
 
 
+def _reference(kind, eng, u0):
+    """The ``Reference`` a runner of ``kind`` builds from u0's coefficients:
+    strong-rate's full equation reads no remainder drift."""
+    return eng.reference(u0, kind != "strong-rate")
+
+
 def _lanes(kind, eng, u0, inc, eps_list):
-    """A block's fresh lanes and limit: a march zeroes dead rows in place."""
+    """A block's fresh lane, its state (n_eps, B, J), and limit: a march
+    zeroes dead rows in place."""
     paths, limit = _block_parts(kind)
-    lanes = [paths(eng, u0, inc, eps) for eps in eps_list]
+    return paths(eng, u0, inc, eps_list), None if limit is None else limit(eng, u0, inc)
+
+
+def _eps_lanes(kind, eng, u0, inc, eps_list):
+    """One fresh one-eps lane, its state (1, B, J), per eps, and the limit."""
+    paths, limit = _block_parts(kind)
+    lanes = [paths(eng, u0, inc, (eps,)) for eps in eps_list]
     return lanes, None if limit is None else limit(eng, u0, inc)
 
 
 @pytest.mark.parametrize("kind", ["strong-rate", "clt", "mdp-tail"])
 def test_a_march_holds_its_grids_and_three_shared_buffers(kind):
-    """The tracemalloc peak of one block's march above its inputs, at the
-    default grid and three eps, in (B, n_points) buffers: one grid per state
-    slot (the lanes' shared grid, and clt's limit's), one scratch of three
-    buffers that every step of the march shares and the shared noise grid,
-    plus about one buffer of (B, J) mode arrays: 5.9 for strong-rate and
-    mdp-tail, 7.1 for clt.  Steppers that each kept their own scratch took
-    clt to 8.9 buffers and mdp-tail to 5.65 at one eps; a grid per eps would
-    take strong-rate above 7 and clt above 8."""
+    """The tracemalloc peak of one 64-path block's march above its inputs, at
+    the default grid and three eps, in (n_eps, B, n_points) buffers: the
+    state's grid and one scratch of three buffers that every step of the
+    march shares, a third of one each for the shared noise grid and clt's
+    limit's grid, and under one of (n_eps, B, J) mode arrays, an eighth each:
+    5.01 for strong-rate and mdp-tail, 5.22 for clt.  A limit with a scratch
+    of its own would add one buffer, and so would a grid-sized temporary in
+    the step."""
     import tracemalloc
 
     from sgbh.montecarlo import _block_increments, _censor
 
-    B, cfg = 128, SolverConfig(dt=1e-3, t_end=0.05, n_modes=32, n_points=256)
+    B, cfg = 64, SolverConfig(dt=1e-3, t_end=0.05, n_modes=32, n_points=256)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=NoiseSpec(n_modes=32, eta=0.3))
     u0 = solve_deterministic(default_initial(eng.grid), DESK, cfg).coeffs
     inc = _block_increments(eng, 3, 0, B)
+    ref = _reference(kind, eng, u0)
+    eps_list = (1e-2, 1e-3, 1e-4)
     peaks = []
     for _ in range(2):  # the first march's one-off allocations are not the march's
-        lanes, limit = _lanes(kind, eng, u0, inc, (1e-2, 1e-3, 1e-4))
-        lanes = [_censor(BlowupGuard(), lane)[0] for lane in lanes]
-        states = [x for x, _, _ in lanes] + ([] if limit is None else [limit[0]])
+        lane, limit = _lanes(kind, eng, u0, inc, eps_list)
+        lane = _censor(BlowupGuard(), lane)[0]
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            march(eng, lanes, u0, inc, limit)
+            march(eng, lane, ref, inc, limit)
             peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
-    assert peaks[1] / (B * cfg.n_points * 8) < len(states) + 3 + 1
+    shared = (1 if limit is None else 2) / len(eps_list)  # the noise grid, and v's
+    assert peaks[1] / (len(eps_list) * B * cfg.n_points * 8) < 1 + 3 + shared + 1
+
+
+def test_a_strong_rate_block_at_the_cli_defaults_peaks_under_7_mib():
+    """The traced peak of one strong-rate block at the CLI defaults (64 paths,
+    3 eps, 250 steps, 32 modes, 256 points) after a warm-up block: its (K, B, J)
+    increment stack, 3.9 MiB, and its march's grid buffers, about 2 MiB; 5.84
+    MiB measured.  A 128-path block with one lane per eps peaked at 9.36 MiB,
+    its increment stack alone 7.81 MiB."""
+    import tracemalloc
+
+    from sgbh.cli import RunConfig
+    from sgbh.montecarlo import _block_march, _strong_rate_paths
+
+    config = RunConfig.parse("")
+    params, cfg, spec = config.model_params(), config.solver_config(), config.ensemble_spec()
+    eng = SolverEngine(params, cfg, g=config.noise_coefficient(), noise_spec=config.noise_spec())
+    u0 = eng.reference(solve_deterministic(config.initial_data(cfg), params, cfg).coeffs, False)
+    _block_march(_strong_rate_paths, eng, spec, u0, 0, spec.block_size)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _block_march(_strong_rate_paths, eng, spec, u0, 0, spec.block_size)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["strong-rate", "clt", "mdp-tail"])
+def test_each_eps_row_of_a_block_is_that_eps_marched_alone(kind):
+    """A block steps every eps as one (n_eps, B, J) state on its one draw.
+    Each eps's row of the block's sups and trip masks agrees with the block
+    marched at that eps alone, to rtol 1e-12, at a guard that trips some of
+    the paths: folding the eps into one state keeps each path's coupling."""
+    import dataclasses
+
+    from sgbh.montecarlo import _block_march
+
+    paths, limit = _block_parts(kind)
+    eng = SolverEngine(DESK, CFG_SMALL, g=G_AFFINE, noise_spec=SPEC8)
+    u0 = solve_deterministic(default_initial(eng.grid), DESK, CFG_SMALL).coeffs
+    u0 = _reference(kind, eng, u0)
+    spec = TRIP_SPEC
+    if kind == "mdp-tail":  # its guard watches ||Z||_2, which 0.15 splits at each eps
+        spec = dataclasses.replace(spec, guard=BlowupGuard(0.15))
+    sups, trips = _block_march(paths, eng, spec, u0, 0, spec.n_paths, limit=limit)
+    assert sups.shape == trips.shape == (len(spec.eps_list), spec.n_paths)
+    assert 0 < trips.sum() < trips.size
+    for e, eps in enumerate(spec.eps_list):
+        alone = dataclasses.replace(spec, eps_list=(eps,))
+        sup, tripped = _block_march(paths, eng, alone, u0, 0, spec.n_paths, limit=limit)
+        assert np.array_equal(trips[e], tripped[0])
+        np.testing.assert_allclose(sups[e], sup[0], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["strong-rate", "clt", "mdp-tail"])
 def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
     """In one block, u0's grid row and the noise grid are synthesised once per
-    step whatever the number of eps, clt's limit v takes K steps, not
-    K n_eps (each of v's steps reads u0's linearization once), and the
-    difference quotients of clt and mdp-tail read u0's remainder drift, built
-    once per step (strong-rate's full equation reads none)."""
+    step whatever the number of eps, and clt's limit v takes K steps, not
+    K n_eps (each of v's steps reads u0's linearization once).  The
+    difference quotients of clt and mdp-tail read u0's remainder drift, which
+    the run's ``Reference`` builds once per step for every block, as it does
+    u0's norms (strong-rate's full equation reads no drift)."""
     import sgbh.montecarlo as mc
 
     counts = {}
@@ -876,15 +945,19 @@ def test_a_block_builds_what_its_eps_share_once_per_step(kind, monkeypatch):
     cfg = SolverConfig(dt=0.01, t_end=K * 0.01, n_modes=8, n_points=64)
     eng = SolverEngine(DESK, cfg, g=G_AFFINE, noise_spec=SPEC8)
     u0 = solve_deterministic(default_initial(eng.grid), DESK, cfg).coeffs
+    counts.clear()
+    ref = _reference(kind, eng, u0)
+    assert counts.get("grid_values") == K + 1
+    assert counts.get("remainder_drift", 0) == (0 if kind == "strong-rate" else K)
     paths, limit = _block_parts(kind)
     for eps_list in ((0.5,), (0.5, 0.25, 0.125)):
         counts.clear()
         spec = EnsembleSpec(n_paths=4, base_seed=5, eps_list=eps_list)
-        mc._block_march(paths, eng, spec, u0, 0, 4, limit=limit)
+        mc._block_march(paths, eng, spec, ref, 0, 4, limit=limit)
         assert counts.get("grid_values") == K + 1
         assert counts.get("colored_increment_grid") == K
         assert counts.get("linearization_profiles", 0) == (K if kind == "clt" else 0)
-        assert counts.get("remainder_drift", 0) == (0 if kind == "strong-rate" else K)
+        assert "remainder_drift" not in counts
 
 
 def test_every_forward_loop_is_the_one_march(monkeypatch):
@@ -930,7 +1003,8 @@ def test_every_forward_loop_is_the_one_march(monkeypatch):
     spec = EnsembleSpec(n_paths=4, base_seed=5, eps_list=(0.5, 0.25, 0.125))
     for kind in ("strong-rate", "clt"):
         paths, limit = _block_parts(kind)
-        block = functools.partial(mc._block_march, paths, eng, spec, u0_traj.coeffs, limit=limit)
+        ref = _reference(kind, eng, u0_traj.coeffs)
+        block = functools.partial(mc._block_march, paths, eng, spec, ref, limit=limit)
         runs[kind] = functools.partial(block, 0, 4)
     assert {name: marches(run) for name, run in runs.items()} == dict.fromkeys(runs, 1)
 
@@ -939,18 +1013,18 @@ def test_every_forward_loop_is_the_one_march(monkeypatch):
 
 
 def _censored_march_masked(eng, guard, u0_coeffs, inc, lanes, limit=None):
-    """Reference censoring loop: each eps marched alone, beside its own copy
-    of the limit, taking the exact guard norm and running the masked sup
-    update and the masked zeroing at every step, whether or not a path has
-    died.  Its steps build their own u0 and noise grids (the march gets no
-    ``u0`` or ``inc``), and its observe its own u0 row and norms."""
+    """Reference censoring loop: each eps marched alone, a one-eps lane beside
+    its own copy of the limit, taking the exact guard norm and running the
+    masked sup update and the masked zeroing at every step, whether or not a
+    path has died.  Its steps build their own u0 and noise grids (the march
+    gets no ``u0`` or ``inc``), and its observe its own u0 row and norms.
+    Returns each eps's (B,) sup and trip mask."""
     p = eng.params.p_norm
     out = []
     for x, step, observe in lanes:
-        B = x.shape[0]
-        alive = np.ones(B, dtype=bool)
-        tripped = np.zeros(B, dtype=bool)
-        supv = np.zeros(B)
+        alive = np.ones(x.shape[:-1], dtype=bool)
+        tripped = np.zeros(x.shape[:-1], dtype=bool)
+        supv = np.zeros(x.shape[:-1])
         v = None if limit is None else (limit[0].copy(), limit[1])
 
         def censor(k, state, grid, work, row):
@@ -968,20 +1042,21 @@ def _censored_march_masked(eng, guard, u0_coeffs, inc, lanes, limit=None):
             for a in (state, grid):
                 a[dead] = 0.0
 
-        march(eng, [(x, step, censor)], limit=v)
-        out.append((supv, tripped))
+        march(eng, (x, step, censor), limit=v)
+        out.append((supv[0], tripped[0]))
     return out
 
 
-def _block_march_masked(paths, eng, spec, u0_coeffs, start, stop, limit=None):
+def _block_march_masked(paths, eng, spec, u0, start, stop, limit=None):
     """``_block_march`` on the reference censoring loop."""
     from sgbh.montecarlo import _block_increments
 
     inc = _block_increments(eng, spec.base_seed, start, stop)
-    lanes = [paths(eng, u0_coeffs, inc, eps) for eps in spec.eps_list]
-    limit = None if limit is None else limit(eng, u0_coeffs, inc)
+    lanes = [paths(eng, u0.coeffs, inc, (eps,)) for eps in spec.eps_list]
+    limit = None if limit is None else limit(eng, u0.coeffs, inc)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _censored_march_masked(eng, spec.guard, u0_coeffs, inc, lanes, limit)
+        per_eps = _censored_march_masked(eng, spec.guard, u0.coeffs, inc, lanes, limit)
+    return tuple(np.stack(stats) for stats in zip(*per_eps))
 
 
 def test_censor_takes_its_one_maximum_step_only_while_every_path_lives():
@@ -1048,13 +1123,13 @@ def test_guard_certificate_gives_the_exact_trips(kind):
 
     # each path's largest bound and exact norm over the march, per eps
     highs = []
-    lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+    lanes, limit = _eps_lanes(kind, eng, u0, inc, spec.eps_list)
 
     def recorded(observe, high):
         def observe_and_record(work, grid, row):
             stat, bound, norm = observe(work, grid, row)
             exact = norm()
-            np.maximum(high, np.stack([bound, exact]), out=high)
+            np.maximum(high, np.concatenate([bound, exact]), out=high)  # two (1, B) rows
             return stat, bound, lambda: exact
 
         return observe_and_record
@@ -1074,7 +1149,7 @@ def test_guard_certificate_gives_the_exact_trips(kind):
     # path nears the default guard, so each step is the one-np.maximum fast path
     midway, none = BlowupGuard(float(np.median(highs[e][1]))), BlowupGuard()
     for guard in (spec.guard, between, midway, none):
-        lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+        (x, step, observe), limit = _lanes(kind, eng, u0, inc, spec.eps_list)
         exact_calls = [0]
 
         def counting(observe):
@@ -1089,25 +1164,24 @@ def test_guard_certificate_gives_the_exact_trips(kind):
 
             return observe_and_count
 
-        censored = [_censor(guard, (x, step, counting(observe))) for x, step, observe in lanes]
+        lane, (sups, trips) = _censor(guard, (x, step, counting(observe)))
         with np.errstate(over="ignore", invalid="ignore"):
-            march(eng, [lane for lane, _ in censored], u0, inc, limit)
-        got = [stats for _, stats in censored]
-        lanes, limit = _lanes(kind, eng, u0, inc, spec.eps_list)
+            march(eng, lane, _reference(kind, eng, u0), inc, limit)
+        lanes, limit = _eps_lanes(kind, eng, u0, inc, spec.eps_list)
         want = _censored_march_masked(eng, guard, u0, inc, lanes, limit)
-        for (sup, tripped), (sup_ref, tripped_ref) in zip(got, want):
+        for sup, tripped, (sup_ref, tripped_ref) in zip(sups, trips, want):
             assert np.array_equal(tripped, tripped_ref)
             assert np.array_equal(sup, sup_ref)
         if guard is none:
-            assert exact_calls[0] == 0 and not any(tripped.any() for _, tripped in got)
+            assert exact_calls[0] == 0 and not trips.any()
             continue
-        assert 0 < exact_calls[0] < len(spec.eps_list) * (cfg.n_steps + 1)
+        assert 0 < exact_calls[0] < cfg.n_steps + 1
         if guard is spec.guard:
-            assert got[0][1].all()
+            assert trips[0].all()
         elif guard is between:
-            assert not got[e][1][b]
+            assert not trips[e, b]
         else:
-            assert 0 < got[e][1].sum() < spec.n_paths
+            assert 0 < trips[e].sum() < spec.n_paths
 
 
 # --- verdict rates over fixed seeds ----------------------------------------------
